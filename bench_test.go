@@ -459,47 +459,6 @@ func BenchmarkNoCStep(b *testing.B) {
 	})
 }
 
-// BenchmarkNoCStepParallel measures the sharded step engine against the
-// serial one on the same loaded 8x8 traffic as BenchmarkNoCStep/loaded.
-// Statistics are bit-identical across the sweep (the golden tests
-// enforce it); only wall clock may differ. Speedup requires real cores:
-// on a single-CPU host the wavefront's cross-row handoffs make the
-// sweep a worst case, so treat these numbers as an upper bound on
-// coordination overhead, not as the scaling result.
-func BenchmarkNoCStepParallel(b *testing.B) {
-	for _, workers := range []int{0, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := noc.DefaultConfig()
-			cfg.Workers = workers
-			net := noc.MustNew(cfg)
-			defer net.Close()
-			rng := stats.NewRand(23)
-			var flits int64
-			launch := func(src, dst mesh.Tile) {
-				p := net.AllocPacket()
-				p.Src, p.Dst, p.Type, p.App = src, dst, noc.CacheReply, 0
-				if err := net.Inject(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			net.SetDeliveryHandler(func(p *noc.Packet) {
-				flits += int64(p.Type.Flits())
-				src := mesh.Tile(rng.Intn(64))
-				dst := mesh.Tile((int(src) + 1 + rng.Intn(63)) % 64)
-				launch(src, dst)
-			})
-			for k := 0; k < 16; k++ {
-				launch(mesh.Tile(4*k), mesh.Tile((4*k+13)%64))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.Step()
-			}
-			b.ReportMetric(float64(flits)/b.Elapsed().Seconds(), "flits/s")
-		})
-	}
-}
-
 // BenchmarkNoCLoadSweep times one latency-vs-load measurement point at
 // a moderate uniform-random load, the unit of work the loadsweep
 // experiment fans out across cores.

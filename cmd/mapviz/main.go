@@ -39,8 +39,6 @@ func mapperFor(name string, seed uint64) (mapping.Mapper, error) {
 		return mapping.MonteCarlo{Samples: 10_000, Seed: seed}, nil
 	case "sa":
 		return mapping.Annealing{Iters: 18_000, Seed: seed}, nil
-	case "ga":
-		return mapping.Genetic{Seed: seed}, nil
 	case "clustersa":
 		return mapping.ClusterSA{Seed: seed}, nil
 	case "sss":
@@ -50,7 +48,7 @@ func mapperFor(name string, seed uint64) (mapping.Mapper, error) {
 	case "sss-multipass":
 		return mapping.SortSelectSwap{Passes: 5}, nil
 	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want random, global, greedy, mc, sa, ga, clustersa, sss, sss-noswap, sss-multipass)", name)
+		return nil, fmt.Errorf("unknown algorithm %q (want random, global, greedy, mc, sa, clustersa, sss, sss-noswap, sss-multipass)", name)
 	}
 }
 

@@ -186,7 +186,14 @@ func (d *DiskTier) touch(key, path string, size int64) {
 		d.lru.MoveToFront(el)
 		return
 	}
+	// A concurrent Put may have evicted the file between our read and
+	// taking the lock; evictions unlink under d.mu, so a stat here is
+	// authoritative and keeps ghosts of deleted files out of the index.
+	if _, err := os.Stat(path); err != nil {
+		return
+	}
 	d.insertLocked(&dentry{key: key, path: path, size: size})
+	d.evictLocked(nil) // adoption grows the tier like a Put does
 	d.publishLocked()
 }
 

@@ -37,13 +37,13 @@ type Options struct {
 	// Objective selects the cost the optimizing mappers minimize; nil
 	// keeps the paper's max-APL everywhere.
 	Objective core.Objective
-	// Workers is the execution-shape knob threaded through every layer
-	// that can shard work: the parallel mappers (Monte-Carlo chunking,
-	// annealing restart portfolios) and the NoC simulator's intra-step
-	// engine. 0 keeps every serial default, negative selects GOMAXPROCS.
-	// Simulator statistics are bit-identical for any setting; mapper
-	// fingerprints (and therefore artifact cache keys and golden
-	// outputs) never include it.
+	// Workers schedules Monte-Carlo sampling and annealing restarts over
+	// goroutines, and nothing else: 0 keeps them serial, negative
+	// selects GOMAXPROCS. Annealing results are identical for any value.
+	// Monte-Carlo results are not: its sample partition depends on
+	// (Seed, Workers), so a different worker count can pick a different
+	// mapping. Mapper fingerprints (and therefore artifact cache keys)
+	// never include it.
 	Workers int
 	// CacheDir roots the persistent disk tier of the shared artifact
 	// store ("" keeps it memory-only). The option is recorded and

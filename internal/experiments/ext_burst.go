@@ -48,7 +48,6 @@ func (e extBurst) Run(ctx context.Context, o Options) (Result, error) {
 	}
 	scfg := sim.DefaultRateDrivenConfig()
 	scfg.Seed = sp.Seed + 81
-	scfg.NocWorkers = o.Workers
 	if o.Quick {
 		scfg.MeasureCycles = 60_000
 	}

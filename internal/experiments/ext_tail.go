@@ -50,7 +50,6 @@ func (e extTail) Run(ctx context.Context, o Options) (Result, error) {
 	}
 	scfg := sim.DefaultRateDrivenConfig()
 	scfg.Seed = sp.Seed + 51
-	scfg.NocWorkers = o.Workers
 	if o.Quick {
 		scfg.MeasureCycles = 60_000
 	}

@@ -43,7 +43,6 @@ func (f fig11) Run(ctx context.Context, o Options) (Result, error) {
 	}
 	scfg := sim.DefaultRateDrivenConfig()
 	scfg.Seed = o.Seed + 11
-	scfg.NocWorkers = o.Workers
 	if o.Quick {
 		scfg.MeasureCycles = 40_000
 	}

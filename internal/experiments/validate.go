@@ -54,7 +54,6 @@ func (v validate) Run(ctx context.Context, o Options) (Result, error) {
 		}
 		scfg := sim.DefaultRateDrivenConfig()
 		scfg.Seed = sp.Seed + 5
-		scfg.NocWorkers = o.Workers
 		if o.Quick {
 			scfg.MeasureCycles = 50_000
 		}

@@ -69,51 +69,6 @@ func TestBalancedGreedyBeatsGreedyOnMaxAPL(t *testing.T) {
 	}
 }
 
-func TestGeneticValidAndImproves(t *testing.T) {
-	p := paperProblem(t, "C2")
-	ga := Genetic{Population: 32, Generations: 60, Seed: 5}
-	mp, err := MapAndCheck(context.Background(), ga, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// GA must end at least as good as a random mapping average.
-	rng := stats.NewRand(9)
-	var rnd float64
-	const R = 50
-	for i := 0; i < R; i++ {
-		rnd += p.MaxAPL(core.RandomMapping(p.N(), rng))
-	}
-	rnd /= R
-	if p.MaxAPL(mp) >= rnd {
-		t.Errorf("GA max-APL %.3f not better than random average %.3f", p.MaxAPL(mp), rnd)
-	}
-}
-
-func TestGeneticRejectsBadElite(t *testing.T) {
-	p := paperProblem(t, "C1")
-	if _, err := (Genetic{Population: 4, Elite: 4}).Map(context.Background(), p); err == nil {
-		t.Error("elite >= population accepted")
-	}
-}
-
-func TestGeneticDeterministic(t *testing.T) {
-	p := paperProblem(t, "C1")
-	ga := Genetic{Population: 16, Generations: 20, Seed: 3}
-	a, err := ga.Map(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ga.Map(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("GA not deterministic for fixed seed")
-		}
-	}
-}
-
 func TestOrderCrossoverValid(t *testing.T) {
 	rng := stats.NewRand(7)
 	for trial := 0; trial < 200; trial++ {

@@ -69,8 +69,6 @@ func ObjectiveFingerprint(m Mapper) string {
 		o = v.Objective
 	case ClusterSA:
 		o = v.Objective
-	case Genetic:
-		o = v.Objective
 	case BalancedGreedy:
 		o = v.Objective
 	case Exact:

@@ -34,8 +34,8 @@ type SetMapper interface {
 
 // NSGAII is an NSGA-II-style multi-objective mapper over thread-to-
 // tile permutations: fast non-dominated sorting with crowding-distance
-// selection (Deb et al.), the genetic operators shared with Genetic
-// (binary tournament, order crossover, swap mutation), a bounded
+// selection (Deb et al.), permutation genetic operators (binary
+// tournament, order crossover, swap mutation), a bounded
 // elitist ParetoArchive accumulating the front across generations, and
 // a final per-component polish phase that hill-climbs each extreme of
 // the archive with the O(A) swap probes the scalar mappers use.
@@ -146,7 +146,7 @@ func (g NSGAII) MapSet(ctx context.Context, p *core.Problem) (core.ParetoSet, er
 			return cur[b].m
 		}
 
-		// Offspring via the shared permutation operators.
+		// Offspring via the permutation operators.
 		combined := make([]setIndiv, 0, 2*pop)
 		combined = append(combined, cur...)
 		for i := 0; i < pop; i++ {
@@ -289,6 +289,31 @@ func selectByFrontsAndCrowding(pool []setIndiv, want int) []setIndiv {
 		break
 	}
 	return next
+}
+
+// orderCrossover implements OX1 on permutations: copy a random slice of
+// parent a, fill the rest in parent b's order.
+func orderCrossover(a, b core.Mapping, rng *stats.Rand) core.Mapping {
+	n := len(a)
+	lo := rng.Intn(n)
+	hi := lo + rng.Intn(n-lo)
+	child := make(core.Mapping, n)
+	taken := make([]bool, n)
+	for i := lo; i <= hi; i++ {
+		child[i] = a[i]
+		taken[a[i]] = true
+	}
+	pos := (hi + 1) % n
+	for i := 0; i < n; i++ {
+		v := b[(hi+1+i)%n]
+		if taken[v] {
+			continue
+		}
+		child[pos] = v
+		taken[v] = true
+		pos = (pos + 1) % n
+	}
+	return child
 }
 
 // MapSetAndCheck runs sm on p and validates the returned front — every

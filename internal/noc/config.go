@@ -30,7 +30,6 @@ package noc
 
 import (
 	"fmt"
-	"runtime"
 
 	"obm/internal/mesh"
 )
@@ -79,16 +78,6 @@ type Config struct {
 	// documented default simplification); realistic routers see 1-2
 	// cycles, which only matters near saturation.
 	CreditDelay int
-	// Workers selects the intra-simulation step engine: 0 or 1 keeps the
-	// single-threaded path (the preserved default), >= 2 shards the
-	// per-cycle phases of Step across that many worker goroutines, and a
-	// negative value selects GOMAXPROCS. The worker count is capped at
-	// Rows (rows are the sharding unit). Results are bit-identical to the
-	// serial engine for every worker count — Workers is a throughput
-	// knob, never a model parameter — and it is deliberately excluded
-	// from fingerprints and cache keys. Networks built with Workers >= 2
-	// own a goroutine pool; call Close when done with them.
-	Workers int
 }
 
 // Routing selects the deterministic dimension-order variant. Both are
@@ -158,23 +147,6 @@ func (c Config) Validate() error {
 
 // VCs returns the total number of virtual channels per input port.
 func (c Config) VCs() int { return c.VCsPerClass * int(NumClasses) }
-
-// workerCount resolves Workers to an effective worker count: 0/1 →
-// serial, negative → GOMAXPROCS, always capped at Rows (a worker owns
-// whole rows, so extra workers would idle).
-func (c Config) workerCount() int {
-	w := c.Workers
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > c.Rows {
-		w = c.Rows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // PerHopLatency returns the uncontended per-hop latency in cycles.
 func (c Config) PerHopLatency() int { return c.RouterLatency + c.LinkLatency }

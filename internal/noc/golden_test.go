@@ -57,7 +57,6 @@ func fingerprintStats(st Stats) uint64 {
 func goldenRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64 {
 	t.Helper()
 	n := MustNew(cfg)
-	defer n.Close()
 	m := n.Mesh()
 	rng := stats.NewRand(seed)
 	types := []PacketType{CacheRequest, CacheReply, CacheForward, MemRequest, MemReply, Writeback}
@@ -80,19 +79,89 @@ func goldenRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) 
 	return fingerprintStats(n.Stats())
 }
 
+// handlerRun drives a network whose delivery handler re-injects replies
+// from its own random stream: handler RNG draws, packet-pool reuse and
+// packet ids all depend on the exact delivery order, so this pins the
+// order in which Step ejects packets and runs the handler.
+func handlerRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64 {
+	t.Helper()
+	n := MustNew(cfg)
+	m := n.Mesh()
+	hrng := stats.NewRand(seed ^ 0xabcdef)
+	n.SetDeliveryHandler(func(p *Packet) {
+		// Half of the requests get a pooled reply to a random tile.
+		if p.Type == CacheRequest && hrng.Float64() < 0.5 {
+			r := n.AllocPacket()
+			r.Src, r.Dst = p.Dst, mesh.Tile(hrng.Intn(m.NumTiles()))
+			r.Type, r.App = CacheReply, p.App
+			if err := n.Inject(r); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	rng := stats.NewRand(seed)
+	for cyc := 0; cyc < cycles; cyc++ {
+		for _, src := range m.Tiles() {
+			if rng.Float64() < rate {
+				p := n.AllocPacket()
+				p.Src = src
+				p.Dst = mesh.Tile(rng.Intn(m.NumTiles()))
+				p.Type, p.App = CacheRequest, rng.Intn(2)
+				if err := n.Inject(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n.Step()
+	}
+	if err := n.Drain(200_000); err != nil {
+		t.Fatal(err)
+	}
+	return fingerprintStats(n.Stats())
+}
+
+// wrapRun confines traffic to the first and last rows of a torus, which
+// are neighbours only through the wrap links: every packet crosses one
+// wrap hop, in both directions, so credits flow back and forth over the
+// row-0/last-row links every cycle.
+func wrapRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64 {
+	t.Helper()
+	n := MustNew(cfg)
+	last := mesh.Tile((cfg.Rows - 1) * cfg.Cols)
+	rng := stats.NewRand(seed)
+	for cyc := 0; cyc < cycles; cyc++ {
+		for col := mesh.Tile(0); col < mesh.Tile(cfg.Cols); col++ {
+			if rng.Float64() < rate {
+				p := n.AllocPacket()
+				p.Src, p.Dst = col, last+col
+				p.Type, p.App = CacheRequest, 0
+				if err := n.Inject(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rng.Float64() < rate {
+				p := n.AllocPacket()
+				p.Src, p.Dst = last+col, col
+				p.Type, p.App = CacheReply, 0
+				if err := n.Inject(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n.Step()
+	}
+	if err := n.Drain(200_000); err != nil {
+		t.Fatal(err)
+	}
+	return fingerprintStats(n.Stats())
+}
+
 // TestGoldenDeterminism pins fixed-seed statistics fingerprints captured
 // from the pre-calendar-queue simulator (map-bucketed events, slice
 // shifting flit queues, full-router scans). Any divergence means the
 // hot-path rework changed simulated behaviour, not just its speed.
 func TestGoldenDeterminism(t *testing.T) {
-	cases := []struct {
-		name   string
-		cfg    func() Config
-		seed   uint64
-		rate   float64
-		cycles int
-		want   uint64
-	}{
+	runGoldenCases(t, []goldenCase{
 		{
 			name:   "mesh8x8-default",
 			cfg:    DefaultConfig,
@@ -144,23 +213,82 @@ func TestGoldenDeterminism(t *testing.T) {
 			cycles: 2500,
 			want:   5253779206098163401,
 		},
-	}
-	// Every pinned fingerprint must come out of both step engines at
-	// every worker count: Workers is a throughput knob, never a model
-	// parameter. 0 and 1 take the serial path; 2 and 8 shard (8 exceeds
-	// the 4-row meshes' row count and exercises the Rows cap).
-	workers := []int{0, 1, 2, 8}
+		{
+			name: "torus4x4-wraprows",
+			cfg: func() Config {
+				c := DefaultConfig()
+				c.Rows, c.Cols = 4, 4
+				c.Torus = true
+				c.VCsPerClass = 2
+				return c
+			},
+			run:    wrapRun,
+			seed:   7,
+			rate:   0.4,
+			cycles: 5000,
+			want:   9114097653744048704,
+		},
+	})
+}
+
+// TestHandlerDeterminism pins fingerprints of the handler-reinjection
+// driver, whose outcome depends on the exact order in which Step ejects
+// packets and runs the delivery handler.
+func TestHandlerDeterminism(t *testing.T) {
+	runGoldenCases(t, []goldenCase{
+		{
+			name: "mesh6x6",
+			cfg: func() Config {
+				c := DefaultConfig()
+				c.Rows, c.Cols = 6, 6
+				return c
+			},
+			run:    handlerRun,
+			seed:   4242,
+			rate:   0.06,
+			cycles: 2000,
+			want:   2936991916634121788,
+		},
+		{
+			name: "mesh6x6-creditdelay",
+			cfg: func() Config {
+				c := DefaultConfig()
+				c.Rows, c.Cols = 6, 6
+				c.CreditDelay = 2
+				return c
+			},
+			run:    handlerRun,
+			seed:   4242,
+			rate:   0.06,
+			cycles: 2000,
+			want:   1319198628378722026,
+		},
+	})
+}
+
+// goldenCase is one pinned fixed-seed run: cfg is driven by run (nil:
+// goldenRun) and must fingerprint to want, twice in a row.
+type goldenCase struct {
+	name   string
+	cfg    func() Config
+	run    func(*testing.T, Config, uint64, float64, int) uint64
+	seed   uint64
+	rate   float64
+	cycles int
+	want   uint64
+}
+
+func runGoldenCases(t *testing.T, cases []goldenCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, w := range workers {
-				cfg := tc.cfg()
-				cfg.Workers = w
-				got := goldenRun(t, cfg, tc.seed, tc.rate, tc.cycles)
-				if got != tc.want {
-					t.Errorf("workers=%d: stats fingerprint = %d, want %d (simulated behaviour changed)", w, got, tc.want)
-				}
+			run := tc.run
+			if run == nil {
+				run = goldenRun
 			}
-			if again := goldenRun(t, tc.cfg(), tc.seed, tc.rate, tc.cycles); again != tc.want {
+			if got := run(t, tc.cfg(), tc.seed, tc.rate, tc.cycles); got != tc.want {
+				t.Errorf("stats fingerprint = %d, want %d (simulated behaviour changed)", got, tc.want)
+			}
+			if again := run(t, tc.cfg(), tc.seed, tc.rate, tc.cycles); again != tc.want {
 				t.Errorf("rerun fingerprint = %d, want %d (nondeterministic)", again, tc.want)
 			}
 		})

@@ -65,15 +65,10 @@ type Network struct {
 	// construction, preserving the exact router-iteration order of the
 	// old sorted worklists, keeping fixed-seed runs bit-identical (see
 	// TestGoldenDeterminism). actScratch is the per-cycle compacted
-	// active-router id list the serial step's phases share.
+	// active-router id list the step's phases share.
 	actR       *rowWorklist
 	actNI      *rowWorklist
 	actScratch []int32
-
-	// par is the sharded step engine, non-nil when cfg.Workers resolves
-	// to two or more workers (see parallel.go). The serial path never
-	// touches it.
-	par *parEngine
 
 	// pool recycles delivered packets handed out by AllocPacket, so a
 	// long simulation reaches a high-water mark of live packets and then
@@ -126,11 +121,9 @@ func New(cfg Config) (*Network, error) {
 	n.actNI = newRowWorklist(cfg.Rows, cfg.Cols)
 	n.actScratch = make([]int32, 0, m.NumTiles())
 	// Link-utilization counters are allocated eagerly (and again on
-	// ResetStats) rather than lazily on first send: the parallel engine
-	// writes rows from different workers, and a lazy allocation in
-	// sendFlit would be a data race. Zero-traffic runs gain an allocated
-	// but all-zero matrix; fingerprints hash rows identically either way
-	// because fingerprinting only reads values.
+	// ResetStats) rather than lazily on first send, which keeps the nil
+	// check off the sendFlit hot path and gives every Stats snapshot a
+	// full tiles x ports matrix, all-zero for zero-traffic runs.
 	n.stats.LinkFlits = newLinkFlits(m.NumTiles())
 	for _, t := range m.Tiles() {
 		n.routers[t] = newRouter(t, n)
@@ -164,9 +157,6 @@ func New(cfg Config) (*Network, error) {
 			r.neighbors[East] = n.routers[m.TileAt(c.Row, col)]
 		}
 	}
-	if w := cfg.workerCount(); w > 1 {
-		n.par = newParEngine(n, w)
-	}
 	return n, nil
 }
 
@@ -177,16 +167,6 @@ func newLinkFlits(tiles int) [][]int64 {
 		lf[i] = make([]int64, int(numPorts))
 	}
 	return lf
-}
-
-// Close releases the worker pool of a parallel network. It is a no-op
-// for serial networks and safe to call multiple times; after Close the
-// network must not be stepped again. Serial networks (Workers <= 1)
-// need no Close at all.
-func (n *Network) Close() {
-	if n.par != nil {
-		n.par.close()
-	}
 }
 
 // MustNew is New but panics on error.
@@ -238,8 +218,8 @@ func (n *Network) Stats() Stats {
 // first few cycles — standard practice for warm measurement windows.
 func (n *Network) ResetStats() {
 	n.stats = Stats{}
-	// Re-allocate the eagerly-managed link counters (see New): the
-	// parallel send path writes them without a nil check.
+	// Re-allocate the eagerly-managed link counters (see New): sendFlit
+	// writes them without a nil check.
 	n.stats.LinkFlits = newLinkFlits(n.mesh.NumTiles())
 	// Flit counts restart from zero with the fresh window; dropping the
 	// flushed marks too keeps the registry totals equal to the sum of
@@ -311,42 +291,19 @@ func (n *Network) markNIActive(q *ni) {
 }
 
 // returnCredit makes a freed slot visible at router up (port, vc),
-// immediately or after the configured credit delay. from is the router
-// whose dequeue freed the slot — the parallel engine stages delayed
-// credits into from's row buffer (single writer per row), and relies on
-// the wavefront order to make the immediate (CreditDelay == 0) write
-// race-free: up is always a neighbour of from whose arbitration is
-// ordered against from's by the north-west wavefront.
-func (n *Network) returnCredit(from, up *router, p Port, vc int) {
+// immediately or after the configured credit delay.
+func (n *Network) returnCredit(up *router, p Port, vc int) {
 	if n.cfg.CreditDelay == 0 {
 		up.credits[p][vc]++
 		return
 	}
-	at := n.cycle + int64(n.cfg.CreditDelay)
-	slot := at & n.credMask
-	if n.par != nil && n.par.arbitrating {
-		rs := &n.par.rows[from.row]
-		rs.credRing[slot] = append(rs.credRing[slot], creditReturn{up, p, vc})
-		rs.credQ++
-		return
-	}
+	slot := (n.cycle + int64(n.cfg.CreditDelay)) & n.credMask
 	n.credRing[slot] = append(n.credRing[slot], creditReturn{up, p, vc})
 	n.nCred++
 }
 
-// Step advances the simulation by one cycle, dispatching to the sharded
-// engine when one is configured. Both paths produce bit-identical
-// statistics (see TestGoldenDeterminism, which sweeps worker counts).
+// Step advances the simulation by one cycle.
 func (n *Network) Step() {
-	if n.par != nil {
-		n.par.step()
-		return
-	}
-	n.stepSerial()
-}
-
-// stepSerial is the single-threaded cycle loop.
-func (n *Network) stepSerial() {
 	now := n.cycle
 	// 0. Delayed credits become visible. The ring slot was drained the
 	// last time this cycle index came around, so it holds exactly this
@@ -448,9 +405,8 @@ func (n *Network) sendFlit(now int64, r *router, p Port, outVC int, f flit) {
 	// eligible for the downstream switch RouterLatency-1 cycles later.
 	arr := now + int64(n.cfg.LinkLatency) + 1
 	f.ready = arr + int64(n.cfg.RouterLatency-1)
-	// LinkFlits rows are indexed by the sending router, and the parallel
-	// engine partitions senders by row, so this write is single-writer in
-	// both engines (the matrix is allocated eagerly in New/ResetStats).
+	// LinkFlits rows are indexed by the sending router; the matrix is
+	// allocated eagerly in New/ResetStats, so no nil check is needed.
 	n.stats.LinkFlits[r.id][p]++
 	if f.isHead() {
 		f.pkt.Hops++
@@ -464,37 +420,12 @@ func (n *Network) sendFlit(now int64, r *router, p Port, outVC int, f flit) {
 		}
 	}
 	slot := arr & n.arrMask
-	a := arrival{router: dest, port: p.opposite(), vc: outVC, f: f}
-	if n.par != nil && n.par.arbitrating {
-		// Stage into the sending router's row buffer: one writer per
-		// row, merged by scanning rows in ascending order on the drain
-		// side, which reproduces the serial append order exactly
-		// (serial arbitration appends in ascending sender id order).
-		rs := &n.par.rows[r.row]
-		rs.arrRing[slot] = append(rs.arrRing[slot], a)
-		rs.flitHops++
-		rs.sent++
-		return
-	}
 	n.stats.FlitHops++
-	n.arrRing[slot] = append(n.arrRing[slot], a)
+	n.arrRing[slot] = append(n.arrRing[slot], arrival{router: dest, port: p.opposite(), vc: outVC, f: f})
 	n.inFlight++
 	if n.inFlight > n.maxInFlight {
 		n.maxInFlight = n.inFlight
 	}
-}
-
-// ejectArb is the arbitration-time ejection path: serial engines eject
-// immediately; the parallel engine stages the event into r's row buffer
-// so the delivery handler (user code with its own RNG, packet pool and
-// re-injection side effects) replays serially in exact serial order.
-func (n *Network) ejectArb(r *router, now int64, p *Packet, seq int) {
-	if n.par != nil && n.par.arbitrating {
-		rs := &n.par.rows[r.row]
-		rs.ej = append(rs.ej, ejection{pkt: p, seq: seq})
-		return
-	}
-	n.eject(now, p, seq)
 }
 
 // eject consumes a flit at its destination's local port.

@@ -64,8 +64,8 @@ func (v *vcBuffer) pop() flit {
 type router struct {
 	id mesh.Tile
 	n  *Network
-	// row, col cache the mesh coordinates: the worklist bitmaps and the
-	// parallel engine's row ownership are keyed by them.
+	// row, col cache the mesh coordinates the worklist bitmaps are keyed
+	// by.
 	row, col int
 	in       [numPorts][]vcBuffer
 	// occ counts buffered flits across all input VCs; idle routers
@@ -311,7 +311,7 @@ func (r *router) arbitrate(now int64, p Port, inputUsed *[numPorts]bool) {
 			granted := r.dequeue(inPort, inVC)
 			inputUsed[inPort] = true
 			r.saPtr[p] = (idx + 1) % r.total
-			r.n.ejectArb(r, now, granted.pkt, granted.seq)
+			r.n.eject(now, granted.pkt, granted.seq)
 			return true
 		}
 		if b.outVC < 0 || r.credits[p][b.outVC] == 0 {
@@ -343,7 +343,7 @@ func (r *router) dequeue(p Port, vc int) flit {
 	}
 	if p != Local {
 		if up := r.neighbors[p]; up != nil {
-			r.n.returnCredit(r, up, p.opposite(), vc)
+			r.n.returnCredit(up, p.opposite(), vc)
 		}
 	} else {
 		r.n.nis[r.id].creditReturn(vc)

@@ -10,10 +10,9 @@ import "math/bits"
 // still visits tiles in exactly ascending id order (row-major words,
 // ascending bits), which is what keeps fixed-seed runs bit-identical.
 //
-// The row-major layout is deliberate: every row owns a disjoint word
-// range and counter, so the parallel step engine can mark and compact
-// rows from different workers without sharing a cache line of bitmap
-// state (each worker only touches the rows it owns).
+// The per-row counters let Step skip idle rows without scanning their
+// words, and let total() answer the idle-cycle early-out with one add
+// per row.
 type rowWorklist struct {
 	cols int
 	wpr  int      // words per row: ceil(cols/64)

@@ -64,8 +64,10 @@ type Request struct {
 	// mappers ("" or "max", "dev", "global", "ratio",
 	// "weighted:max=1,dev=2").
 	Objective string `json:"objective,omitempty"`
-	// Workers shards the parallel mappers and the NoC step engine: 0
-	// serial, -1 all cores. Results are bit-identical for any value.
+	// Workers schedules Monte-Carlo sampling and annealing restarts
+	// only: 0 serial, -1 all cores. Monte-Carlo's sample partition
+	// depends on (Seed, Workers), so results that use it can change
+	// with the value.
 	Workers int `json:"workers,omitempty"`
 	// CacheDir roots the persistent artifact disk tier. Attaching the
 	// tier is the host's job (cmd/obmsim does it per run; the daemon

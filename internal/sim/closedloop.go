@@ -128,7 +128,6 @@ func CacheDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg Cache
 	if err != nil {
 		return CacheDrivenResult{}, err
 	}
-	defer net.Close()
 	if err := ccfg.Validate(); err != nil {
 		return CacheDrivenResult{}, err
 	}

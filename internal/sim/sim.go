@@ -100,13 +100,6 @@ type RateDrivenConfig struct {
 	BurstFactor float64
 	// BurstLen is the mean ON-phase length in cycles (default 200).
 	BurstLen float64
-	// NocWorkers selects the network's intra-step worker count
-	// (noc.Config.Workers): 0 keeps the serial engine, >= 2 shards the
-	// step, negative selects GOMAXPROCS. It overrides the Workers field
-	// of Noc even when Noc is non-zero, so callers can thread one knob
-	// through without building a full NoC config. Measured statistics
-	// are bit-identical for every setting.
-	NocWorkers int
 }
 
 // DefaultRateDrivenConfig returns a measurement window long enough for
@@ -153,14 +146,10 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	if cfg.MeasureCycles <= 0 {
 		return Result{}, fmt.Errorf("sim: need positive measurement window")
 	}
-	if cfg.NocWorkers != 0 {
-		ncfg.Workers = cfg.NocWorkers
-	}
 	net, err := noc.New(ncfg)
 	if err != nil {
 		return Result{}, err
 	}
-	defer net.Close()
 	ccfg := cache.DefaultConfig(p.N())
 
 	// Reply generation: when a request arrives, schedule the reply after
