@@ -714,7 +714,7 @@ func BenchmarkImproveWithBudget(b *testing.B) {
 	base := core.IdentityMapping(p.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := mapping.ImproveWithBudget(context.Background(), p, base, 16); err != nil {
+		if _, _, err := mapping.ImproveWithBudget(context.Background(), p, base, 16, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,8 +29,6 @@ import (
 
 func mapperFor(name string, seed uint64) (mapping.Mapper, error) {
 	switch strings.ToLower(name) {
-	case "random":
-		return mapping.Random{Seed: seed}, nil
 	case "global":
 		return mapping.Global{}, nil
 	case "greedy":
@@ -48,7 +46,7 @@ func mapperFor(name string, seed uint64) (mapping.Mapper, error) {
 	case "sss-multipass":
 		return mapping.SortSelectSwap{Passes: 5}, nil
 	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want random, global, greedy, mc, sa, clustersa, sss, sss-noswap, sss-multipass)", name)
+		return nil, fmt.Errorf("unknown algorithm %q (want global, greedy, mc, sa, clustersa, sss, sss-noswap, sss-multipass)", name)
 	}
 }
 

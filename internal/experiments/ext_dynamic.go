@@ -91,46 +91,44 @@ func (e extDynamic) Run(ctx context.Context, o Options) (Result, error) {
 		return nil, err
 	}
 	lm := paperModel()
+	res := &DynamicResult{}
+	run := func(name string, pol sched.Policy, rm sched.Remapper) error {
+		r, err := sched.NewStreamRunner(lm, sched.StreamConfig{
+			Placement: &sched.FirstFitPlacement{},
+			Policy:    pol,
+			Remapper:  rm,
+		})
+		if err != nil {
+			return err
+		}
+		met, err := r.Run(ctx, sched.NewSliceSource(sc))
+		if err != nil {
+			return err
+		}
+		res.Rows = append(res.Rows, DynamicRow{
+			Policy: name,
+			MaxAPL: met.TimeWeightedMaxAPL,
+			DevAPL: met.TimeWeightedDevAPL,
+			Remaps: met.Remaps, Migrations: met.Migrations,
+		})
+		return nil
+	}
 	policies := []sched.Policy{
 		sched.Never{},
 		sched.Every{Interval: 300},
 		sched.WhenUnbalanced{Threshold: 0.5},
 		sched.OnChange{},
 	}
-	res := &DynamicResult{}
 	for _, pol := range policies {
-		r, err := sched.NewRunner(lm, mapping.SortSelectSwap{}, pol)
-		if err != nil {
+		if err := run(pol.Name(), pol, sched.FullRemap{Mapper: mapping.SortSelectSwap{}}); err != nil {
 			return nil, err
 		}
-		met, err := r.Run(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, DynamicRow{
-			Policy: pol.Name(),
-			MaxAPL: met.TimeWeightedMaxAPL,
-			DevAPL: met.TimeWeightedDevAPL,
-			Remaps: met.Remaps, Migrations: met.Migrations,
-		})
 	}
 	// On-change with a per-remap migration budget: the deployment-shaped
 	// compromise.
-	budgeted, err := sched.NewRunner(lm, mapping.SortSelectSwap{}, sched.OnChange{})
-	if err != nil {
+	if err := run("on-change<=16mig", sched.OnChange{}, sched.BudgetRemap{Budget: 16}); err != nil {
 		return nil, err
 	}
-	budgeted.MigrationBudget = 16
-	met, err := budgeted.Run(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, DynamicRow{
-		Policy: "on-change<=16mig",
-		MaxAPL: met.TimeWeightedMaxAPL,
-		DevAPL: met.TimeWeightedDevAPL,
-		Remaps: met.Remaps, Migrations: met.Migrations,
-	})
 	return res, nil
 }
 

@@ -1,8 +1,6 @@
 // Package mapping implements the application-to-core mapping algorithms
 // evaluated in the paper (Section V.A):
 //
-//   - Random — a uniformly random thread-to-tile permutation (the paper's
-//     random-average baseline of Table 1);
 //   - Global — overall-latency minimization via a single chip-wide
 //     Hungarian assignment (the performance-oriented baseline whose
 //     imbalance motivates the paper);

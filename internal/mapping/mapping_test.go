@@ -27,7 +27,6 @@ func figure5Problem(t testing.TB) *core.Problem {
 
 func allMappers() []Mapper {
 	return []Mapper{
-		Random{Seed: 1},
 		Global{},
 		MonteCarlo{Samples: 200, Seed: 2},
 		Annealing{Iters: 2000, Seed: 3},
@@ -86,7 +85,6 @@ func TestMapperNames(t *testing.T) {
 		m    Mapper
 		want string
 	}{
-		{Random{}, "Random"},
 		{Global{}, "Global"},
 		{MonteCarlo{Samples: 100}, "MC(100)"},
 		{Annealing{Iters: 50}, "SA(50)"},
@@ -298,10 +296,7 @@ func TestAnnealingRejectsBadIters(t *testing.T) {
 
 func TestAnnealingImprovesOverRandom(t *testing.T) {
 	p := paperProblem(t, "C6")
-	rm, err := MapAndCheck(context.Background(), Random{Seed: 11}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rm := core.RandomMapping(p.N(), stats.NewRand(11))
 	sa, err := MapAndCheck(context.Background(), Annealing{Iters: 20000, Seed: 11}, p)
 	if err != nil {
 		t.Fatal(err)

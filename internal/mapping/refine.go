@@ -9,14 +9,17 @@ import (
 	"obm/internal/mesh"
 )
 
-// ImproveWithBudget refines an existing mapping toward a lower max-APL
-// while moving at most maxMoves threads — the constraint a live system
-// faces, where every migration costs cache warmup and pause time. It
-// runs sort-select-swap's sliding-window phase starting from base, but
-// only accepts a window permutation if the cumulative set of threads
-// displaced from their base tiles stays within budget (threads returned
-// to their base tile leave the budget again). It returns the refined
-// mapping and the number of threads that ended up moved.
+// ImproveWithBudget refines an existing mapping toward a lower obj
+// (nil obj is the paper's max-APL) while moving at most maxMoves
+// threads — the constraint a live system faces, where every migration
+// costs cache warmup and pause time. It runs sort-select-swap's
+// sliding-window phase starting from base, but only accepts a window
+// permutation if the cumulative set of threads displaced from their
+// base tiles stays within budget (threads returned to their base tile
+// leave the budget again). It returns the refined mapping and the
+// number of slots that ended up moved. That count covers all N slots,
+// including the idle pad threads that stand in for free tiles, so it
+// overstates live-thread migrations whenever the chip is not full.
 //
 // With maxMoves >= N this converges to the same quality as a fresh SSS
 // swap phase; with a small budget it spends the moves where the
@@ -25,14 +28,7 @@ import (
 // Each best-first round is a full O(N * window!) scan, so the loop
 // polls ctx between rounds and between window steps, returning a
 // wrapped ctx.Err() when interrupted.
-func ImproveWithBudget(ctx context.Context, p *core.Problem, base core.Mapping, maxMoves int) (core.Mapping, int, error) {
-	return ImproveWithBudgetObjective(ctx, p, base, maxMoves, nil)
-}
-
-// ImproveWithBudgetObjective is ImproveWithBudget refining an arbitrary
-// core.Objective instead of max-APL; a nil obj is ImproveWithBudget
-// exactly (same moves, same result).
-func ImproveWithBudgetObjective(ctx context.Context, p *core.Problem, base core.Mapping, maxMoves int, obj core.Objective) (core.Mapping, int, error) {
+func ImproveWithBudget(ctx context.Context, p *core.Problem, base core.Mapping, maxMoves int, obj core.Objective) (core.Mapping, int, error) {
 	if err := base.Validate(p.N()); err != nil {
 		return nil, 0, fmt.Errorf("refine: %w", err)
 	}

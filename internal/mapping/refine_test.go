@@ -10,11 +10,11 @@ import (
 
 func TestImproveWithBudgetValidation(t *testing.T) {
 	p := paperProblem(t, "C1")
-	if _, _, err := ImproveWithBudget(context.Background(), p, make(core.Mapping, 3), 5); err == nil {
+	if _, _, err := ImproveWithBudget(context.Background(), p, make(core.Mapping, 3), 5, nil); err == nil {
 		t.Error("invalid base accepted")
 	}
 	base := core.IdentityMapping(p.N())
-	if _, _, err := ImproveWithBudget(context.Background(), p, base, -1); err == nil {
+	if _, _, err := ImproveWithBudget(context.Background(), p, base, -1, nil); err == nil {
 		t.Error("negative budget accepted")
 	}
 }
@@ -22,7 +22,7 @@ func TestImproveWithBudgetValidation(t *testing.T) {
 func TestImproveWithBudgetZero(t *testing.T) {
 	p := paperProblem(t, "C1")
 	base := core.IdentityMapping(p.N())
-	m, n, err := ImproveWithBudget(context.Background(), p, base, 0)
+	m, n, err := ImproveWithBudget(context.Background(), p, base, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestImproveWithBudgetRespectsBudget(t *testing.T) {
 	base := core.RandomMapping(p.N(), rng)
 	baseObj := p.MaxAPL(base)
 	for _, budget := range []int{4, 8, 16, 32, 64} {
-		m, moved, err := ImproveWithBudget(context.Background(), p, base, budget)
+		m, moved, err := ImproveWithBudget(context.Background(), p, base, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestImproveWithBudgetMonotone(t *testing.T) {
 	prev := p.MaxAPL(base)
 	objAt := map[int]float64{}
 	for _, budget := range []int{4, 16, 64} {
-		m, _, err := ImproveWithBudget(context.Background(), p, base, budget)
+		m, _, err := ImproveWithBudget(context.Background(), p, base, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,12 +109,12 @@ func TestImproveSmallBudgetBuysMost(t *testing.T) {
 	rng := stats.NewRand(11)
 	base := core.RandomMapping(p.N(), rng)
 	baseObj := p.MaxAPL(base)
-	m64, _, err := ImproveWithBudget(context.Background(), p, base, 64)
+	m64, _, err := ImproveWithBudget(context.Background(), p, base, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := baseObj - p.MaxAPL(m64)
-	m8, _, err := ImproveWithBudget(context.Background(), p, base, 8)
+	m8, _, err := ImproveWithBudget(context.Background(), p, base, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // Run a small arrival/departure timeline under the remap-on-change
 // policy (Section IV.B of the paper).
-func ExampleRunner_Run() {
+func ExampleStreamRunner_Run() {
 	lm := model.MustNew(mesh.MustNew(8, 8), model.DefaultParams())
 	app := func(cfg string, idx int, name string) *workload.Application {
 		w := workload.MustConfig(cfg)
@@ -30,18 +30,23 @@ func ExampleRunner_Run() {
 		},
 		End: 200,
 	}
-	r, err := sched.NewRunner(lm, mapping.SortSelectSwap{}, sched.OnChange{})
+	r, err := sched.NewStreamRunner(lm, sched.StreamConfig{
+		Placement: &sched.FirstFitPlacement{},
+		Policy:    sched.OnChange{},
+		Remapper:  sched.FullRemap{Mapper: mapping.SortSelectSwap{}},
+	})
 	if err != nil {
 		panic(err)
 	}
-	met, err := r.Run(context.Background(), sc)
+	met, err := r.Run(context.Background(), sched.NewSliceSource(sc))
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("remaps:", met.Remaps)
 	fmt.Println("balanced:", met.TimeWeightedDevAPL < 0.5)
 	// The two Time-0 arrivals coalesce into one remap, as do the
-	// simultaneous departure+arrival at Time 100.
+	// simultaneous departure+arrival at Time 100; both re-solves
+	// improve max-APL, so both are adopted.
 	// Output:
 	// remaps: 2
 	// balanced: true

@@ -33,7 +33,8 @@ type SliceSource struct {
 	i  int
 }
 
-// NewSliceSource wraps sc; the caller should have validated it.
+// NewSliceSource wraps sc; StreamRunner.Run rejects it if it breaks the
+// Scenario invariants.
 func NewSliceSource(sc Scenario) *SliceSource { return &SliceSource{sc: sc} }
 
 // Next implements Source.
@@ -53,9 +54,9 @@ func (s *SliceSource) Len() int { return len(s.sc.Events) }
 func (s *SliceSource) End() int64 { return s.sc.End }
 
 // Materialize drains a source into an in-memory Scenario — convenient
-// for tests and for feeding generated timelines to the event-slice
-// Runner at small scale. It refuses nothing: the source's own
-// invariants make the result valid.
+// for tests that inspect or replay a generated timeline at small
+// scale. It refuses nothing: the source's own invariants make the
+// result valid.
 func Materialize(src Source) Scenario {
 	sc := Scenario{Events: make([]Event, 0, src.Len())}
 	for {

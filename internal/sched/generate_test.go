@@ -14,7 +14,7 @@ func TestGeneratorProducesValidScenario(t *testing.T) {
 		if len(sc.Events) != 2000 {
 			t.Fatalf("seed %d: emitted %d events, want 2000", seed, len(sc.Events))
 		}
-		if err := sc.Validate(); err != nil {
+		if _, err := runScenario(t, sc, Never{}, nil); err != nil {
 			t.Fatalf("seed %d: generated scenario invalid: %v", seed, err)
 		}
 	}

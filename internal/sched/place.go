@@ -165,17 +165,57 @@ func (s *SpiralPlacement) Place(lm *model.LatencyModel, app *workload.Applicatio
 // assigns threads to them with a Hungarian solve over the full
 // c·TC + m·TM cost — the quality-first arrival path, O(need³) per
 // arrival.
-type SAMPlacement struct {
-	solver hungarian.Solver
-	cand   []mesh.Tile
-	cost   [][]float64
-}
+type SAMPlacement struct{ sam samAssigner }
 
 // Name implements Placement.
 func (s *SAMPlacement) Name() string { return "sam" }
 
 // Place implements Placement.
 func (s *SAMPlacement) Place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
+	cand, err := s.sam.freeTiles(lm, app, fs)
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(cand, func(a, b int) bool {
+		ta, tb := lm.TC(cand[a]), lm.TC(cand[b])
+		if ta != tb {
+			return ta < tb
+		}
+		return cand[a] < cand[b]
+	})
+	return s.sam.assign(lm, app, cand[:len(app.Threads)])
+}
+
+// FirstFitPlacement takes the `need` lowest-index free tiles and
+// assigns threads to them with the same Hungarian solve as
+// SAMPlacement — the single-application mapping (SAM) solve over
+// whatever tiles happen to be free, with no preference among them.
+type FirstFitPlacement struct{ sam samAssigner }
+
+// Name implements Placement.
+func (f *FirstFitPlacement) Name() string { return "first-fit" }
+
+// Place implements Placement.
+func (f *FirstFitPlacement) Place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
+	cand, err := f.sam.freeTiles(lm, app, fs)
+	if err != nil {
+		return nil, err
+	}
+	return f.sam.assign(lm, app, cand[:len(app.Threads)])
+}
+
+// samAssigner is the candidate, cost-matrix and Hungarian scratch
+// shared by the placements that solve an optimal thread-to-tile
+// assignment; they differ only in which free tiles they offer it.
+type samAssigner struct {
+	solver hungarian.Solver
+	cand   []mesh.Tile
+	cost   [][]float64
+}
+
+// freeTiles checks that app fits and returns every free tile in index
+// order (scratch, valid until the next call).
+func (s *samAssigner) freeTiles(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
 	need := len(app.Threads)
 	if need == 0 {
 		return nil, fmt.Errorf("sched: placing empty application %q", app.Name)
@@ -189,16 +229,14 @@ func (s *SAMPlacement) Place(lm *model.LatencyModel, app *workload.Application, 
 			cand = append(cand, mesh.Tile(t))
 		}
 	}
-	sort.Slice(cand, func(a, b int) bool {
-		ta, tb := lm.TC(cand[a]), lm.TC(cand[b])
-		if ta != tb {
-			return ta < tb
-		}
-		return cand[a] < cand[b]
-	})
-	cand = cand[:need]
 	s.cand = cand
+	return cand, nil
+}
 
+// assign returns the minimum-total-latency assignment of app's threads
+// onto tiles (one tile per thread): out[i] is thread i's tile.
+func (s *samAssigner) assign(lm *model.LatencyModel, app *workload.Application, tiles []mesh.Tile) ([]mesh.Tile, error) {
+	need := len(tiles)
 	if cap(s.cost) < need {
 		s.cost = make([][]float64, need)
 	}
@@ -209,7 +247,7 @@ func (s *SAMPlacement) Place(lm *model.LatencyModel, app *workload.Application, 
 		}
 		cost[i] = cost[i][:need]
 		th := app.Threads[i]
-		for j, t := range cand {
+		for j, t := range tiles {
 			cost[i][j] = lm.Cost(th.CacheRate, th.MemRate, t)
 		}
 	}
@@ -219,7 +257,7 @@ func (s *SAMPlacement) Place(lm *model.LatencyModel, app *workload.Application, 
 	}
 	out := make([]mesh.Tile, need)
 	for i, j := range rowToCol {
-		out[i] = cand[j]
+		out[i] = tiles[j]
 	}
 	return out, nil
 }

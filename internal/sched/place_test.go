@@ -37,7 +37,7 @@ func placementApp(n int) *workload.Application {
 
 func TestPlacementsReturnDistinctFreeTiles(t *testing.T) {
 	lm := testModel(t)
-	for _, pl := range []Placement{&SpiralPlacement{}, &SAMPlacement{}} {
+	for _, pl := range []Placement{&SpiralPlacement{}, &SAMPlacement{}, &FirstFitPlacement{}} {
 		fs := NewFreeSet(lm.NumTiles())
 		// Occupy a stripe so the placement must route around it.
 		for tile := 8; tile < 24; tile++ {
@@ -72,6 +72,7 @@ func TestPlacementsDeterministic(t *testing.T) {
 	for _, mk := range []func() Placement{
 		func() Placement { return &SpiralPlacement{} },
 		func() Placement { return &SAMPlacement{} },
+		func() Placement { return &FirstFitPlacement{} },
 	} {
 		fs := NewFreeSet(lm.NumTiles())
 		app := placementApp(9)
@@ -164,7 +165,7 @@ func TestSAMBeatsSpiralOnItsCost(t *testing.T) {
 
 func TestPlacementErrors(t *testing.T) {
 	lm := testModel(t)
-	for _, pl := range []Placement{&SpiralPlacement{}, &SAMPlacement{}} {
+	for _, pl := range []Placement{&SpiralPlacement{}, &SAMPlacement{}, &FirstFitPlacement{}} {
 		fs := NewFreeSet(lm.NumTiles())
 		for tile := 0; tile < lm.NumTiles()-2; tile++ {
 			fs.Take(mesh.Tile(tile))

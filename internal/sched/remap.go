@@ -49,7 +49,7 @@ func (w WarmRemap) Remap(ctx context.Context, p *core.Problem, incumbent core.Ma
 }
 
 // BudgetRemap refines the incumbent moving at most Budget threads
-// (mapping.ImproveWithBudgetObjective) — hard-capped disruption per
+// (mapping.ImproveWithBudget) — hard-capped disruption per
 // remap, at best-first search cost.
 type BudgetRemap struct {
 	Budget    int
@@ -61,7 +61,7 @@ func (b BudgetRemap) Name() string { return fmt.Sprintf("budget-%d", b.Budget) }
 
 // Remap implements Remapper.
 func (b BudgetRemap) Remap(ctx context.Context, p *core.Problem, incumbent core.Mapping) (core.Mapping, error) {
-	m, _, err := mapping.ImproveWithBudgetObjective(ctx, p, incumbent, b.Budget, b.Objective)
+	m, _, err := mapping.ImproveWithBudget(ctx, p, incumbent, b.Budget, b.Objective)
 	return m, err
 }
 

@@ -8,15 +8,9 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sort"
 
-	"obm/internal/core"
-	"obm/internal/mapping"
-	"obm/internal/mesh"
-	"obm/internal/model"
 	"obm/internal/workload"
 )
 
@@ -37,7 +31,11 @@ type Event struct {
 	Depart string
 }
 
-// Scenario is a timeline of events plus an end time.
+// Scenario is a timeline of events plus an end time. A valid timeline
+// is nonempty and ordered by nondecreasing Time; every event is exactly
+// one of arrive/depart, arrivals carry threads and a name not already
+// live, and departures name a live application. StreamRunner.Run
+// enforces these rules.
 type Scenario struct {
 	Events []Event
 	// End closes the last measurement interval; must be >= the last
@@ -45,46 +43,10 @@ type Scenario struct {
 	End int64
 }
 
-// Validate reports an error for unordered or inconsistent scenarios.
-func (s Scenario) Validate() error {
-	if len(s.Events) == 0 {
-		return ErrNoEvents
-	}
-	live := map[string]bool{}
-	var prev int64
-	for i, e := range s.Events {
-		if e.Time < prev {
-			return fmt.Errorf("sched: event %d out of order (t=%d after %d)", i, e.Time, prev)
-		}
-		prev = e.Time
-		if (e.Arrive == nil) == (e.Depart == "") {
-			return fmt.Errorf("sched: event %d must be exactly one of arrive/depart", i)
-		}
-		if e.Arrive != nil {
-			if len(e.Arrive.Threads) == 0 {
-				return fmt.Errorf("sched: event %d arrival %q has no threads", i, e.Arrive.Name)
-			}
-			if live[e.Arrive.Name] {
-				return fmt.Errorf("sched: event %d duplicate arrival %q", i, e.Arrive.Name)
-			}
-			live[e.Arrive.Name] = true
-		} else {
-			if !live[e.Depart] {
-				return fmt.Errorf("sched: event %d departs unknown application %q", i, e.Depart)
-			}
-			delete(live, e.Depart)
-		}
-	}
-	if s.End < prev {
-		return fmt.Errorf("sched: end %d before last event %d", s.End, prev)
-	}
-	return nil
-}
-
-// Policy decides when the scheduler re-solves the whole mapping. When
-// it declines, arriving applications are placed incrementally on free
-// tiles (a SAM solve over the idle tiles) and departing applications
-// simply free theirs.
+// Policy decides when the scheduler attempts a remap. When it
+// declines, arriving applications are placed incrementally on free
+// tiles (the runner's Placement) and departing applications simply
+// free theirs.
 type Policy interface {
 	// Name labels the policy in results.
 	Name() string
@@ -124,15 +86,15 @@ func (e Every) Remap(_ int64, since int64) bool { return since >= e.Interval }
 // WhenUnbalanced re-solves only when the current mapping's dev-APL
 // exceeds Threshold — the adaptive policy a deployment would actually
 // run: migrations happen only when the balance contract is at risk.
-// It requires measurement support, so the Runner consults it through
-// the MeasuredPolicy interface.
+// It requires measurement support, so StreamRunner consults it through
+// the MeasuredPolicy interface with the live incremental dev-APL.
 type WhenUnbalanced struct{ Threshold float64 }
 
 // Name implements Policy.
 func (w WhenUnbalanced) Name() string { return fmt.Sprintf("dev>%.2f", w.Threshold) }
 
-// Remap implements Policy; without a measurement it never fires (the
-// Runner uses RemapMeasured instead).
+// Remap implements Policy; without a measurement it never fires
+// (StreamRunner calls RemapMeasured instead).
 func (WhenUnbalanced) Remap(int64, int64) bool { return false }
 
 // RemapMeasured implements MeasuredPolicy.
@@ -169,7 +131,7 @@ func (d *Debounced) Name() string {
 }
 
 // Remap implements Policy: it latches the reported gap for
-// RemapMeasured (which the runners call without time context) and
+// RemapMeasured (which the runner calls without time context) and
 // defers to the inner policy only once the gap clears MinInterval.
 func (d *Debounced) Remap(now int64, since int64) bool {
 	d.since = since
@@ -181,304 +143,4 @@ func (d *Debounced) Remap(now int64, since int64) bool {
 func (d *Debounced) RemapMeasured(devAPL float64) bool {
 	mp, ok := d.Inner.(MeasuredPolicy)
 	return ok && d.since >= d.MinInterval && mp.RemapMeasured(devAPL)
-}
-
-// Metrics aggregates a run.
-type Metrics struct {
-	// TimeWeightedMaxAPL and TimeWeightedDevAPL average the balance
-	// metrics over time (weighted by interval lengths with live apps).
-	TimeWeightedMaxAPL float64
-	TimeWeightedDevAPL float64
-	// Remaps counts full re-solves; Migrations counts threads of
-	// persisting applications whose tile changed across re-solves.
-	Remaps     int
-	Migrations int
-	// Intervals counts measured spans.
-	Intervals int
-}
-
-// Runner executes scenarios over a fixed chip.
-type Runner struct {
-	lm     *model.LatencyModel
-	mapper mapping.Mapper
-	policy Policy
-	// MigrationBudget, when positive, replaces full re-solves with
-	// best-first budgeted refinement (mapping.ImproveWithBudget): at most
-	// this many threads move per remap. Zero means unconstrained
-	// re-solves with the configured mapper.
-	MigrationBudget int
-}
-
-// NewRunner builds a runner; mapper is used for full re-solves.
-func NewRunner(lm *model.LatencyModel, m mapping.Mapper, p Policy) (*Runner, error) {
-	if lm == nil || m == nil || p == nil {
-		return nil, fmt.Errorf("sched: nil runner component")
-	}
-	return &Runner{lm: lm, mapper: m, policy: p}, nil
-}
-
-// liveState tracks the chip between events.
-type liveState struct {
-	// apps maps name -> application (threads with rates).
-	apps map[string]*workload.Application
-	// order lists live app names sorted for determinism.
-	order []string
-	// tiles maps name -> tile per thread.
-	tiles map[string][]mesh.Tile
-	// freeTiles not held by any live application.
-	free map[mesh.Tile]bool
-}
-
-// problem builds the OBM problem plus mapping for the current state.
-func (st *liveState) problem(lm *model.LatencyModel) (*core.Problem, core.Mapping, error) {
-	w := &workload.Workload{Name: "live"}
-	var m core.Mapping
-	for _, name := range st.order {
-		w.Apps = append(w.Apps, *st.apps[name])
-		m = append(m, st.tiles[name]...)
-	}
-	// Idle-pad to the full chip; the pad occupies the free tiles.
-	if err := w.PadTo(lm.NumTiles()); err != nil {
-		return nil, nil, err
-	}
-	frees := make([]mesh.Tile, 0, len(st.free))
-	for t := range st.free {
-		frees = append(frees, t)
-	}
-	sort.Slice(frees, func(a, b int) bool { return frees[a] < frees[b] })
-	m = append(m, frees...)
-	p, err := core.NewProblem(lm, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := m.Validate(p.N()); err != nil {
-		return nil, nil, err
-	}
-	return p, m, nil
-}
-
-// Run executes the scenario and returns aggregate metrics. ctx
-// cancels the timeline promptly: it is checked before every event and
-// threaded into each re-solve's mapper.
-func (r *Runner) Run(ctx context.Context, sc Scenario) (Metrics, error) {
-	if err := sc.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	st := &liveState{
-		apps:  map[string]*workload.Application{},
-		tiles: map[string][]mesh.Tile{},
-		free:  map[mesh.Tile]bool{},
-	}
-	for t := 0; t < r.lm.NumTiles(); t++ {
-		st.free[mesh.Tile(t)] = true
-	}
-
-	var met Metrics
-	var weightSum float64
-	var lastRemap int64
-	prevTime := sc.Events[0].Time
-
-	measure := func(until int64) error {
-		span := float64(until - prevTime)
-		if span <= 0 || len(st.order) == 0 {
-			return nil
-		}
-		p, m, err := st.problem(r.lm)
-		if err != nil {
-			return err
-		}
-		ev := p.Evaluate(m)
-		met.TimeWeightedMaxAPL += ev.MaxAPL * span
-		met.TimeWeightedDevAPL += ev.DevAPL * span
-		weightSum += span
-		met.Intervals++
-		return nil
-	}
-
-	// Events sharing a timestamp are one logical change to the system
-	// (e.g. a departure immediately backfilled by an arrival), so they
-	// are coalesced: every event in the group is applied, then the
-	// policy is consulted once. Per-event policy checks would re-solve
-	// the same instant repeatedly, inflating Remaps and Migrations.
-	for gi := 0; gi < len(sc.Events); {
-		ge := gi + 1
-		for ge < len(sc.Events) && sc.Events[ge].Time == sc.Events[gi].Time {
-			ge++
-		}
-		now := sc.Events[gi].Time
-		if err := ctx.Err(); err != nil {
-			return Metrics{}, fmt.Errorf("sched: interrupted at event %d/%d: %w", gi, len(sc.Events), err)
-		}
-		if err := measure(now); err != nil {
-			return Metrics{}, err
-		}
-		prevTime = now
-		// Apply every event in the group.
-		for _, e := range sc.Events[gi:ge] {
-			if e.Arrive != nil {
-				app := *e.Arrive
-				if len(app.Threads) > len(st.free) {
-					return Metrics{}, fmt.Errorf("sched: t=%d: %q needs %d tiles, %d free",
-						e.Time, app.Name, len(app.Threads), len(st.free))
-				}
-				st.apps[app.Name] = &app
-				st.order = append(st.order, app.Name)
-				sort.Strings(st.order)
-				// Incremental placement: SAM over the free tiles.
-				if err := st.placeIncremental(r.lm, app.Name); err != nil {
-					return Metrics{}, err
-				}
-			} else {
-				for _, t := range st.tiles[e.Depart] {
-					st.free[t] = true
-				}
-				delete(st.tiles, e.Depart)
-				delete(st.apps, e.Depart)
-				for i, n := range st.order {
-					if n == e.Depart {
-						st.order = append(st.order[:i], st.order[i+1:]...)
-						break
-					}
-				}
-			}
-		}
-		gi = ge
-		// Policy: full re-solve once for the whole group?
-		if len(st.order) > 0 {
-			fire := r.policy.Remap(now, now-lastRemap)
-			if mp, ok := r.policy.(MeasuredPolicy); ok && !fire {
-				p, m, err := st.problem(r.lm)
-				if err != nil {
-					return Metrics{}, err
-				}
-				fire = mp.RemapMeasured(p.Evaluate(m).DevAPL)
-			}
-			if fire {
-				var migs int
-				var err error
-				if r.MigrationBudget > 0 {
-					migs, err = st.remapBudgeted(ctx, r.lm, r.MigrationBudget)
-				} else {
-					migs, err = st.remap(ctx, r.lm, r.mapper)
-				}
-				if err != nil {
-					return Metrics{}, err
-				}
-				met.Remaps++
-				met.Migrations += migs
-				lastRemap = now
-			}
-		}
-	}
-	if err := measure(sc.End); err != nil {
-		return Metrics{}, err
-	}
-	if weightSum > 0 {
-		met.TimeWeightedMaxAPL /= weightSum
-		met.TimeWeightedDevAPL /= weightSum
-	}
-	return met, nil
-}
-
-// placeIncremental assigns the named (newly arrived) application to
-// free tiles via a SAM solve, leaving everyone else in place.
-func (st *liveState) placeIncremental(lm *model.LatencyModel, name string) error {
-	app := st.apps[name]
-	frees := make([]mesh.Tile, 0, len(st.free))
-	for t := range st.free {
-		frees = append(frees, t)
-	}
-	sort.Slice(frees, func(a, b int) bool { return frees[a] < frees[b] })
-
-	// Single-application problem over a chip restricted to free tiles:
-	// reuse SolveSAM by building a one-app workload padded to N and
-	// solving the assignment over the free tile set.
-	w := &workload.Workload{Name: "arrival", Apps: []workload.Application{*app}}
-	if err := w.PadTo(lm.NumTiles()); err != nil {
-		return err
-	}
-	p, err := core.NewProblem(lm, w)
-	if err != nil {
-		return err
-	}
-	assign, _, err := p.SolveSAM(0, len(app.Threads), frees[:len(app.Threads)])
-	if err != nil {
-		return err
-	}
-	st.tiles[name] = assign
-	for _, t := range assign {
-		delete(st.free, t)
-	}
-	return nil
-}
-
-// remapBudgeted refines the live mapping in place, moving at most
-// budget threads (mapping.ImproveWithBudget), and returns the migration
-// count.
-func (st *liveState) remapBudgeted(ctx context.Context, lm *model.LatencyModel, budget int) (int, error) {
-	p, cur, err := st.problem(lm)
-	if err != nil {
-		return 0, err
-	}
-	nm, moved, err := mapping.ImproveWithBudget(ctx, p, cur, budget)
-	if err != nil {
-		return 0, err
-	}
-	st.adopt(lm, nm)
-	return moved, nil
-}
-
-// adopt writes a full-problem mapping back into the per-application
-// tile lists and the free set.
-func (st *liveState) adopt(lm *model.LatencyModel, nm core.Mapping) {
-	idx := 0
-	newFree := map[mesh.Tile]bool{}
-	for t := 0; t < lm.NumTiles(); t++ {
-		newFree[mesh.Tile(t)] = true
-	}
-	for _, name := range st.order {
-		next := make([]mesh.Tile, len(st.tiles[name]))
-		for x := range next {
-			next[x] = nm[idx]
-			delete(newFree, nm[idx])
-			idx++
-		}
-		st.tiles[name] = next
-	}
-	st.free = newFree
-}
-
-// remap re-solves the whole live mapping with the runner's mapper and
-// returns the number of migrated threads (tile changes among
-// applications that existed before the re-solve).
-func (st *liveState) remap(ctx context.Context, lm *model.LatencyModel, mapper mapping.Mapper) (int, error) {
-	p, _, err := st.problem(lm)
-	if err != nil {
-		return 0, err
-	}
-	nm, err := mapping.MapAndCheck(ctx, mapper, p)
-	if err != nil {
-		return 0, err
-	}
-	migrations := 0
-	idx := 0
-	newFree := map[mesh.Tile]bool{}
-	for t := 0; t < lm.NumTiles(); t++ {
-		newFree[mesh.Tile(t)] = true
-	}
-	for _, name := range st.order {
-		old := st.tiles[name]
-		next := make([]mesh.Tile, len(old))
-		for x := range next {
-			next[x] = nm[idx]
-			delete(newFree, nm[idx])
-			if old[x] != next[x] {
-				migrations++
-			}
-			idx++
-		}
-		st.tiles[name] = next
-	}
-	st.free = newFree
-	return migrations, nil
 }

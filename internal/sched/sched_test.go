@@ -9,6 +9,7 @@ import (
 	"obm/internal/mapping"
 	"obm/internal/mesh"
 	"obm/internal/model"
+	"obm/internal/obs"
 	"obm/internal/workload"
 )
 
@@ -42,50 +43,70 @@ func fourPhaseScenario() Scenario {
 	}
 }
 
-func TestScenarioValidate(t *testing.T) {
-	if err := fourPhaseScenario().Validate(); err != nil {
+// runScenario runs sc on a StreamRunner that places arrivals first-fit
+// and remaps with rm when the policy fires.
+func runScenario(t testing.TB, sc Scenario, p Policy, rm Remapper) (StreamMetrics, error) {
+	t.Helper()
+	r, err := NewStreamRunner(testModel(t), StreamConfig{
+		Placement: &FirstFitPlacement{},
+		Policy:    p,
+		Remapper:  rm,
+		Registry:  obs.NewRegistry(),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []Scenario{
-		{},
-		{Events: []Event{{Time: 5, Arrive: appFrom("C1", 0, "a")}, {Time: 1, Depart: "a"}}, End: 10},
-		{Events: []Event{{Time: 0}}, End: 1},
-		{Events: []Event{{Time: 0, Arrive: appFrom("C1", 0, "a"), Depart: "b"}}, End: 1},
-		{Events: []Event{{Time: 0, Depart: "ghost"}}, End: 1},
-		{Events: []Event{{Time: 0, Arrive: appFrom("C1", 0, "a")}, {Time: 1, Arrive: appFrom("C1", 1, "a")}}, End: 2},
-		{Events: []Event{{Time: 5, Arrive: appFrom("C1", 0, "a")}}, End: 1},
-		{Events: []Event{{Time: 0, Arrive: &workload.Application{Name: "empty"}}}, End: 1},
+	return r.Run(context.Background(), NewSliceSource(sc))
+}
+
+// mustRun is runScenario with full sort-select-swap re-solves, failing
+// the test on a run error.
+func mustRun(t testing.TB, sc Scenario, p Policy) StreamMetrics {
+	t.Helper()
+	met, err := runScenario(t, sc, p, FullRemap{Mapper: mapping.SortSelectSwap{}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, sc := range bad {
-		if err := sc.Validate(); err == nil {
-			t.Errorf("bad scenario %d accepted", i)
+	return met
+}
+
+// TestScenarioValidate: the runner accepts a well-formed timeline and
+// rejects every timeline that breaks the Scenario invariants.
+func TestScenarioValidate(t *testing.T) {
+	if _, err := runScenario(t, fourPhaseScenario(), Never{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]Scenario{
+		"empty":                     {},
+		"earlier than previous":     {Events: []Event{{Time: 5, Arrive: appFrom("C1", 0, "a")}, {Time: 1, Depart: "a"}}, End: 10},
+		"neither arrive nor depart": {Events: []Event{{Time: 0}}, End: 1},
+		"both arrive and depart":    {Events: []Event{{Time: 0, Arrive: appFrom("C1", 0, "a"), Depart: "b"}}, End: 1},
+		"unknown departure":         {Events: []Event{{Time: 0, Depart: "ghost"}}, End: 1},
+		"duplicate arrival":         {Events: []Event{{Time: 0, Arrive: appFrom("C1", 0, "a")}, {Time: 1, Arrive: appFrom("C1", 1, "a")}}, End: 2},
+		"end before last event":     {Events: []Event{{Time: 5, Arrive: appFrom("C1", 0, "a")}}, End: 1},
+		"arrival without threads":   {Events: []Event{{Time: 0, Arrive: &workload.Application{Name: "empty"}}}, End: 1},
+	}
+	for name, sc := range bad {
+		if _, err := runScenario(t, sc, Never{}, nil); err == nil {
+			t.Errorf("%s: invalid timeline accepted", name)
 		}
 	}
 }
 
 // TestCoalesceSimultaneousEvents: events sharing a timestamp trigger at
-// most one re-solve, not one per event.
+// most one remap attempt, not one per event.
 func TestCoalesceSimultaneousEvents(t *testing.T) {
-	lm := testModel(t)
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := r.Run(context.Background(), fourPhaseScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
+	met := mustRun(t, fourPhaseScenario(), OnChange{})
 	// fourPhaseScenario has 8 events at 6 distinct timestamps (two pairs
 	// coincide), so on-change must fire exactly 6 times.
-	if met.Remaps != 6 {
-		t.Errorf("remaps = %d, want 6 (one per distinct timestamp)", met.Remaps)
+	if met.RemapAttempts != 6 {
+		t.Errorf("remap attempts = %d, want 6 (one per distinct timestamp)", met.RemapAttempts)
 	}
 }
 
 // TestDegenerateTimelines: zero-length spans and empty timelines must
 // yield typed errors or well-defined zeros — never NaN/Inf metrics.
 func TestDegenerateTimelines(t *testing.T) {
-	lm := testModel(t)
 	cases := []struct {
 		name    string
 		sc      Scenario
@@ -142,11 +163,7 @@ func TestDegenerateTimelines(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			met, err := r.Run(context.Background(), tc.sc)
+			met, err := runScenario(t, tc.sc, OnChange{}, FullRemap{Mapper: mapping.SortSelectSwap{}})
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("err = %v, want %v", err, tc.wantErr)
@@ -186,29 +203,8 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
-func TestNewRunnerValidation(t *testing.T) {
-	lm := testModel(t)
-	if _, err := NewRunner(nil, mapping.Global{}, Never{}); err == nil {
-		t.Error("nil model accepted")
-	}
-	if _, err := NewRunner(lm, nil, Never{}); err == nil {
-		t.Error("nil mapper accepted")
-	}
-	if _, err := NewRunner(lm, mapping.Global{}, nil); err == nil {
-		t.Error("nil policy accepted")
-	}
-}
-
 func TestRunBasic(t *testing.T) {
-	lm := testModel(t)
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := r.Run(context.Background(), fourPhaseScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
+	met := mustRun(t, fourPhaseScenario(), OnChange{})
 	if met.Intervals == 0 {
 		t.Fatal("no intervals measured")
 	}
@@ -223,25 +219,10 @@ func TestRunBasic(t *testing.T) {
 // TestOnChangeBeatsNever: re-solving at every change yields better
 // time-weighted balance than never remapping.
 func TestOnChangeBeatsNever(t *testing.T) {
-	lm := testModel(t)
 	sc := fourPhaseScenario()
-	never, err := NewRunner(lm, mapping.SortSelectSwap{}, Never{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	onchange, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mNever, err := never.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mChange, err := onchange.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mNever.Remaps != 0 || mNever.Migrations != 0 {
+	mNever := mustRun(t, sc, Never{})
+	mChange := mustRun(t, sc, OnChange{})
+	if mNever.RemapAttempts != 0 || mNever.Migrations != 0 {
 		t.Error("never policy migrated threads")
 	}
 	if !(mChange.TimeWeightedDevAPL < mNever.TimeWeightedDevAPL) {
@@ -257,22 +238,10 @@ func TestOnChangeBeatsNever(t *testing.T) {
 // TestPeriodicBetweenExtremes: a rate-limited policy lands between
 // never and on-change on balance, with fewer migrations than on-change.
 func TestPeriodicBetweenExtremes(t *testing.T) {
-	lm := testModel(t)
 	sc := fourPhaseScenario()
-	run := func(p Policy) Metrics {
-		r, err := NewRunner(lm, mapping.SortSelectSwap{}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := r.Run(context.Background(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	never := run(Never{})
-	change := run(OnChange{})
-	period := run(Every{Interval: 250})
+	never := mustRun(t, sc, Never{})
+	change := mustRun(t, sc, OnChange{})
+	period := mustRun(t, sc, Every{Interval: 250})
 	if !(period.Remaps > 0 && period.Remaps < change.Remaps+1) {
 		t.Errorf("periodic remaps %d vs on-change %d", period.Remaps, change.Remaps)
 	}
@@ -285,7 +254,6 @@ func TestPeriodicBetweenExtremes(t *testing.T) {
 }
 
 func TestOverSubscription(t *testing.T) {
-	lm := testModel(t)
 	sc := Scenario{
 		Events: []Event{
 			{Time: 0, Arrive: appFrom("C1", 0, "a")},
@@ -296,26 +264,26 @@ func TestOverSubscription(t *testing.T) {
 		},
 		End: 10,
 	}
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(context.Background(), sc); err == nil {
+	if _, err := runScenario(t, sc, OnChange{}, FullRemap{Mapper: mapping.SortSelectSwap{}}); err == nil {
 		t.Error("over-subscription accepted")
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	lm := testModel(t)
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
+	r, err := NewStreamRunner(testModel(t), StreamConfig{
+		Placement: &FirstFitPlacement{},
+		Policy:    OnChange{},
+		Remapper:  FullRemap{Mapper: mapping.SortSelectSwap{}},
+		Registry:  obs.NewRegistry(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := r.Run(context.Background(), fourPhaseScenario())
+	a, err := r.Run(context.Background(), NewSliceSource(fourPhaseScenario()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(context.Background(), fourPhaseScenario())
+	b, err := r.Run(context.Background(), NewSliceSource(fourPhaseScenario()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,21 +295,9 @@ func TestRunDeterministic(t *testing.T) {
 // TestWhenUnbalancedPolicy: the adaptive policy remaps less often than
 // on-change while keeping dev-APL bounded near its threshold.
 func TestWhenUnbalancedPolicy(t *testing.T) {
-	lm := testModel(t)
 	sc := fourPhaseScenario()
-	run := func(p Policy) Metrics {
-		r, err := NewRunner(lm, mapping.SortSelectSwap{}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := r.Run(context.Background(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	change := run(OnChange{})
-	adaptive := run(WhenUnbalanced{Threshold: 0.5})
+	change := mustRun(t, sc, OnChange{})
+	adaptive := mustRun(t, sc, WhenUnbalanced{Threshold: 0.5})
 	if adaptive.Remaps == 0 {
 		t.Fatal("adaptive policy never fired despite churn imbalance")
 	}
@@ -352,26 +308,20 @@ func TestWhenUnbalancedPolicy(t *testing.T) {
 		t.Errorf("adaptive migrated more (%d) than on-change (%d)", adaptive.Migrations, change.Migrations)
 	}
 	// A huge threshold degenerates to never.
-	lazy := run(WhenUnbalanced{Threshold: 1e9})
-	if lazy.Remaps != 0 {
-		t.Errorf("threshold 1e9 still remapped %d times", lazy.Remaps)
+	lazy := mustRun(t, sc, WhenUnbalanced{Threshold: 1e9})
+	if lazy.RemapAttempts != 0 {
+		t.Errorf("threshold 1e9 still attempted %d remaps", lazy.RemapAttempts)
 	}
 	if (WhenUnbalanced{Threshold: 0.5}).Name() == "" {
 		t.Error("empty name")
 	}
 }
 
-// TestMigrationBudget: a budgeted runner never exceeds its per-remap
+// TestMigrationBudget: a budgeted remapper never exceeds its per-remap
 // budget and still improves balance over never remapping.
 func TestMigrationBudget(t *testing.T) {
-	lm := testModel(t)
 	sc := fourPhaseScenario()
-	r, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.MigrationBudget = 8
-	met, err := r.Run(context.Background(), sc)
+	met, err := runScenario(t, sc, OnChange{}, BudgetRemap{Budget: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,25 +331,11 @@ func TestMigrationBudget(t *testing.T) {
 	if met.Migrations > met.Remaps*8 {
 		t.Errorf("%d migrations over %d remaps exceeds budget 8", met.Migrations, met.Remaps)
 	}
-	never, err := NewRunner(lm, mapping.SortSelectSwap{}, Never{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := never.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustRun(t, sc, Never{})
 	if !(met.TimeWeightedDevAPL < base.TimeWeightedDevAPL) {
 		t.Errorf("budgeted dev %.4f not below never %.4f", met.TimeWeightedDevAPL, base.TimeWeightedDevAPL)
 	}
-	full, err := NewRunner(lm, mapping.SortSelectSwap{}, OnChange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := full.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fm := mustRun(t, sc, OnChange{})
 	if met.Migrations >= fm.Migrations {
 		t.Errorf("budgeted migrations %d not below full remap %d", met.Migrations, fm.Migrations)
 	}

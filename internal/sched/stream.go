@@ -32,9 +32,9 @@ type StreamConfig struct {
 	Registry *obs.Registry
 }
 
-// StreamMetrics aggregates one streaming run. The time-weighted APL
-// metrics match what the event-slice Runner reports for the same
-// timeline; the remap-economy counters are the scheduler's SLO surface.
+// StreamMetrics aggregates one streaming run: the time-weighted APL
+// metrics of the timeline plus the remap-economy counters that form
+// the scheduler's SLO surface.
 type StreamMetrics struct {
 	Events     int
 	Arrivals   int
@@ -169,7 +169,10 @@ func (st *streamState) problem(lm *model.LatencyModel) (*core.Problem, core.Mapp
 // Run drains the source and returns aggregate metrics. Progress is
 // reported through ctx's engine sink under the "dynstream" stage; the
 // run is cancellable between event groups and inside every remap
-// solve.
+// solve. A timeline that breaks the Scenario invariants (times out of
+// order, an event that is not exactly one of arrive/depart, a
+// duplicate or empty arrival, an unknown departure, an end before the
+// last event) is an error.
 func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, error) {
 	reg := r.cfg.Registry
 	evCount := reg.Counter("sched.stream.events")
@@ -253,14 +256,16 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 		if first {
 			prevTime = now
 			first = false
+		} else if now < prevTime {
+			return StreamMetrics{}, fmt.Errorf("sched: stream event %d out of order (t=%d after %d)", met.Events, now, prevTime)
 		}
 		measure(now)
 		prevTime = now
 
 		for i := range group {
 			e := &group[i]
-			if e.Time < now {
-				return StreamMetrics{}, fmt.Errorf("sched: stream event out of order (t=%d after %d)", e.Time, now)
+			if (e.Arrive == nil) == (e.Depart == "") {
+				return StreamMetrics{}, fmt.Errorf("sched: stream event %d must be exactly one of arrive/depart", met.Events)
 			}
 			if e.Arrive != nil {
 				if err := st.arrive(r.lm, r.cfg.Placement, e.Arrive); err != nil {
@@ -320,7 +325,11 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 	if met.Events == 0 {
 		return StreamMetrics{}, ErrNoEvents
 	}
-	measure(src.End())
+	end := src.End()
+	if end < prevTime {
+		return StreamMetrics{}, fmt.Errorf("sched: stream end %d before last event %d", end, prevTime)
+	}
+	measure(end)
 	if weightSum > 0 {
 		met.TimeWeightedMaxAPL /= weightSum
 		met.TimeWeightedDevAPL /= weightSum

@@ -31,6 +31,9 @@ func genSource(t testing.TB, events int, seed uint64) Source {
 
 func TestStreamRunnerBasic(t *testing.T) {
 	lm := streamModel(t)
+	if _, err := NewStreamRunner(nil, StreamConfig{}); err == nil {
+		t.Error("nil latency model accepted")
+	}
 	r, err := NewStreamRunner(lm, StreamConfig{
 		Policy:   Every{Interval: 500},
 		Remapper: WarmRemap{SSS: mapping.SortSelectSwap{MaxStep: 8}},
@@ -86,45 +89,6 @@ func TestStreamRunnerDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("stream runner not deterministic:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestStreamMatchesRunnerOnToyTimeline: on the four-phase toy scenario
-// with no remapping, the streaming runner's time-weighted metrics math
-// (incremental numerators) agrees with the event-slice Runner's
-// (full problem rebuild per interval) once placement is held identical
-// by adopting the same tile assignments. Placement policies differ, so
-// the check pins Intervals and the measurement identity rather than
-// exact APL equality: a separate golden below pins the stream's values.
-func TestStreamMatchesRunnerOnToyTimeline(t *testing.T) {
-	lm := streamModel(t)
-	sc := fourPhaseScenario()
-	sr, err := NewStreamRunner(lm, StreamConfig{Registry: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	smet, err := sr.Run(context.Background(), NewSliceSource(sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := NewRunner(lm, mapping.SortSelectSwap{}, Never{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmet, err := rr.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if smet.Intervals != rmet.Intervals {
-		t.Errorf("intervals %d vs runner %d", smet.Intervals, rmet.Intervals)
-	}
-	if smet.Events != len(sc.Events) {
-		t.Errorf("events %d, want %d", smet.Events, len(sc.Events))
-	}
-	// Both place arrivals greedily without remaps; the balance numbers
-	// must be the same order of magnitude (they share the cost model).
-	if ratio := smet.TimeWeightedMaxAPL / rmet.TimeWeightedMaxAPL; ratio < 0.5 || ratio > 2 {
-		t.Errorf("stream max-APL %.4f wildly differs from runner %.4f", smet.TimeWeightedMaxAPL, rmet.TimeWeightedMaxAPL)
 	}
 }
 
