@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short bench bench-json bench-diff check vet fmt experiments figures clean
+.PHONY: all build test test-short bench bench-json bench-diff check fuzz vet fmt experiments figures clean
 
 all: build test
 
@@ -41,6 +41,14 @@ bench-diff:
 # frontends are exercised by dedicated hammer/lifecycle tests).
 check: vet staticcheck build test
 	go test -race ./internal/core/... ./internal/engine/... ./internal/experiments/... ./internal/mapping/... ./internal/noc/... ./internal/sim/... ./internal/obs/... ./internal/scenario/... ./internal/sched/... ./internal/artifact/... ./internal/service/... ./cmd/obmsim/... ./cmd/obmsimd/...
+
+# Fuzz the parsers that read untrusted input, each for FUZZTIME: the
+# -objective spec (CLI flag and HTTP job field) and the binary trace
+# format. One target per invocation, as go test -fuzz requires.
+FUZZTIME ?= 10s
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/core
+	go test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/trace
 
 # staticcheck is optional locally (CI installs it); skip with a note
 # rather than failing on machines that don't have it.

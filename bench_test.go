@@ -631,24 +631,6 @@ func BenchmarkAnnealingMap(b *testing.B) {
 	}
 }
 
-// BenchmarkMonteCarloParallel compares the share-nothing fan-out
-// against the serial draw at the paper's 10^4-sample budget.
-func BenchmarkMonteCarloParallel(b *testing.B) {
-	p := paperProblem(b, "C1")
-	for _, workers := range []int{1, 4, -1} {
-		name := fmt.Sprintf("workers=%d", workers)
-		b.Run(name, func(b *testing.B) {
-			m := mapping.MonteCarlo{Samples: 10_000, Seed: 1, Workers: workers}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Map(context.Background(), p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCacheDrivenSim times the closed-loop hierarchy per simulated
 // 10k cycles.
 func BenchmarkCacheDrivenSim(b *testing.B) {
@@ -779,8 +761,7 @@ func BenchmarkDynamicStream(b *testing.B) {
 // BenchmarkNSGAII times one multi-objective NSGA-II solve over
 // {max-APL, dev-APL, energy} at the quick Pareto budget (population 24,
 // 20 generations on the 64-tile C1 instance) and reports the front
-// size. The solver is strictly sequential — there is no Workers knob —
-// so this is also the per-configuration cost the pareto experiment
+// size. The solver is strictly sequential, so this is also the per-configuration cost the pareto experiment
 // pays per cache miss.
 func BenchmarkNSGAII(b *testing.B) {
 	p := paperProblem(b, "C1")

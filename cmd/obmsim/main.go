@@ -106,7 +106,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Uint64("seed", 1, "base random seed")
 		configs    = fs.String("configs", "", "comma-separated configuration subset (e.g. C1,C5)")
 		objective  = fs.String("objective", "", "optimization objective for the optimizing mappers: max (default), dev, global, ratio, or weighted:max=1,dev=2")
-		workers    = fs.Int("workers", 0, "worker goroutines for Monte-Carlo sampling and annealing restarts only: 0 serial (default), -1 all cores; Monte-Carlo's sample partition depends on (seed, workers), so its results can change with the value")
 		cacheDir   = fs.String("cachedir", "", "directory for the persistent mapper-artifact cache shared across runs (empty: in-memory only); artifacts are content-addressed, so any run may share a directory")
 		cacheSize  = fs.Int64("cachesize", 0, "byte budget for -cachedir (least-recently-used artifacts are evicted; 0: the 256 MiB default, < 0: unbounded)")
 		stream     = fs.String("stream", "", "dynstream timeline generator overrides, comma-separated key=value (load, gap, minthreads, maxthreads, appsigma, threadsigma); e.g. load=0.8,maxthreads=24")
@@ -171,7 +170,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Quick:     *quick,
 		Seed:      *seed,
 		Objective: *objective,
-		Workers:   *workers,
 		CacheDir:  *cacheDir,
 		CacheSize: *cacheSize,
 		Stream:    *stream,

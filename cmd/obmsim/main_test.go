@@ -79,6 +79,14 @@ func TestBadUsage(t *testing.T) {
 	if code := run(ctx, []string{"-exp", "fig9", "-timeout", "banana"}, &stdout, &stderr); code != 2 {
 		t.Errorf("malformed -timeout: exit %d, want 2", code)
 	}
+	// -workers is retired: every mapper runs sequentially.
+	stderr.Reset()
+	if code := run(ctx, []string{"-exp", "table1", "-workers", "1"}, &stdout, &stderr); code != 2 {
+		t.Errorf("retired -workers: exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -workers") {
+		t.Errorf("retired -workers: stderr %q lacks the flag error", stderr.String())
+	}
 }
 
 func TestUnknownConfigFailsFast(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -153,4 +154,93 @@ func TestPprofFlag(t *testing.T) {
 	if code := run(context.Background(), []string{"-exp", "fig5", "-pprof", "256.0.0.1:bad"}, &stdout, &stderr); code != 2 {
 		t.Errorf("bad -pprof address: exit %d, want 2 (%s)", code, stderr.String())
 	}
+}
+
+// TestMetricNamesDocumented keeps DESIGN §4.3's metric table honest:
+// every name a quick run of table1, dynstream and pareto emits must
+// match one of the table's prefix rows.
+func TestMetricNamesDocumented(t *testing.T) {
+	rows := designMetricRows(t)
+	out := filepath.Join(t.TempDir(), "run.json")
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-exp", "table1,dynstream,pareto", "-quick", "-metrics", "-json", out}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Metrics obs.Snapshot `json:"metrics"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, c := range doc.Metrics.Counters {
+		names = append(names, c.Name)
+	}
+	for _, g := range doc.Metrics.Gauges {
+		names = append(names, g.Name)
+	}
+	for _, h := range doc.Metrics.Histograms {
+		names = append(names, h.Name)
+	}
+	if len(names) == 0 {
+		t.Fatal("run emitted no metrics")
+	}
+	for _, name := range names {
+		documented := false
+		for _, re := range rows {
+			if re.MatchString(name) {
+				documented = true
+				break
+			}
+		}
+		if !documented {
+			t.Errorf("metric %q matches no row of DESIGN.md §4.3", name)
+		}
+	}
+}
+
+// designMetricRows parses the first-column patterns of DESIGN.md
+// §4.3's metric table into anchored regexps: `<x>` matches one or more
+// characters and `*` any suffix.
+func designMetricRows(t *testing.T) []*regexp.Regexp {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	start := strings.Index(doc, "### 4.3 ")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no §4.3")
+	}
+	section := doc[start+1:]
+	if end := strings.Index(section, "\n### "); end >= 0 {
+		section = section[:end]
+	}
+	cell := regexp.MustCompile("^\\| `([^`]+)` \\|")
+	placeholder := regexp.MustCompile(`<[^>]+>`)
+	var rows []*regexp.Regexp
+	for _, line := range strings.Split(section, "\n") {
+		m := cell.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		var b strings.Builder
+		for i, lit := range placeholder.Split(m[1], -1) {
+			if i > 0 {
+				b.WriteString(".+")
+			}
+			b.WriteString(strings.ReplaceAll(regexp.QuoteMeta(lit), `\*`, ".*"))
+		}
+		rows = append(rows, regexp.MustCompile("^"+b.String()+"$"))
+	}
+	if len(rows) == 0 {
+		t.Fatal("no metric rows found in DESIGN.md §4.3")
+	}
+	return rows
 }

@@ -255,6 +255,12 @@ type Weighted struct {
 	Energy float64
 }
 
+// maxWeight bounds a parsed Weighted weight's magnitude. Every metric a
+// weight multiplies is far below 1e290, so a bounded weight keeps every
+// weighted score finite instead of overflowing to an Inf that ties all
+// mappings.
+const maxWeight = 1e12
+
 // Name implements Objective.
 func (w Weighted) Name() string { return "weighted" + w.params() }
 
@@ -318,7 +324,8 @@ func Objectives() []Objective {
 //	weighted:max=1,dev=2  linear composite (keys max, dev, global,
 //	                      ratio, energy)
 //
-// The empty string parses to DefaultObjective.
+// The empty string parses to DefaultObjective. Weights must be finite
+// and at most maxWeight in magnitude.
 func ParseObjective(s string) (Objective, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "max", "maxapl", "max-apl":
@@ -342,6 +349,9 @@ func ParseObjective(s string) (Objective, error) {
 			v, err := strconv.ParseFloat(vs, 64)
 			if err != nil {
 				return nil, fmt.Errorf("core: weighted objective weight %q: %v", vs, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > maxWeight {
+				return nil, fmt.Errorf("core: weighted objective term %q: weight must be finite with magnitude at most %g", term, float64(maxWeight))
 			}
 			switch strings.TrimSpace(k) {
 			case "max":

@@ -146,7 +146,8 @@ func TestParseObjective(t *testing.T) {
 			t.Errorf("ParseObjective(%q) = %#v, want %#v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"bogus", "weighted:", "weighted:max", "weighted:max=x", "weighted:foo=1", "weighted:max=0"} {
+	for _, bad := range []string{"bogus", "weighted:", "weighted:max", "weighted:max=x", "weighted:foo=1", "weighted:max=0",
+		"weighted:max=nan", "weighted:max=NaN", "weighted:max=inf", "weighted:dev=-inf", "weighted:max=1,energy=+Inf", "weighted:max=1e13"} {
 		if _, err := ParseObjective(bad); err == nil {
 			t.Errorf("ParseObjective(%q) accepted", bad)
 		}

@@ -65,8 +65,8 @@ func ReportSkipped(ctx context.Context, stage string) {
 }
 
 // Sink receives progress events. Implementations must be safe for
-// concurrent use: parallel chunks and replica workers report through
-// one sink.
+// concurrent use: per-configuration goroutines and replica workers
+// report through one sink.
 type Sink interface {
 	Event(Progress)
 }

@@ -37,14 +37,6 @@ type Options struct {
 	// Objective selects the cost the optimizing mappers minimize; nil
 	// keeps the paper's max-APL everywhere.
 	Objective core.Objective
-	// Workers schedules Monte-Carlo sampling and annealing restarts over
-	// goroutines, and nothing else: 0 keeps them serial, negative
-	// selects GOMAXPROCS. Annealing results are identical for any value.
-	// Monte-Carlo results are not: its sample partition depends on
-	// (Seed, Workers), so a different worker count can pick a different
-	// mapping. Mapper fingerprints (and therefore artifact cache keys)
-	// never include it.
-	Workers int
 	// CacheDir roots the persistent disk tier of the shared artifact
 	// store ("" keeps it memory-only). The option is recorded and
 	// threaded into scenario.Spec for run manifests; attaching the tier
@@ -96,7 +88,7 @@ func (o Options) Spec(def ...string) (scenario.Spec, error) {
 	if err != nil {
 		return scenario.Spec{}, err
 	}
-	return scenario.Spec{Configs: cfgs, Budget: scenario.DefaultBudget(o.Quick), Seed: o.Seed, Objective: o.Objective, Workers: o.Workers,
+	return scenario.Spec{Configs: cfgs, Budget: scenario.DefaultBudget(o.Quick), Seed: o.Seed, Objective: o.Objective,
 		CacheDir: o.CacheDir, CacheSizeBytes: o.CacheSize}, nil
 }
 

@@ -51,32 +51,6 @@ func TestParetoFrontShape(t *testing.T) {
 	}
 }
 
-// TestParetoWorkersInvariant: the front (and therefore the whole
-// render) is bit-identical whatever -workers setting the run uses —
-// NSGA-II is strictly sequential, so this holds structurally. Each run
-// gets a fresh shared cache so the second cannot trivially replay the
-// first's artifact.
-func TestParetoWorkersInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs NSGA-II; skip under -short")
-	}
-	t.Cleanup(func() { scenario.ResetShared() })
-	renders := make([]string, 2)
-	for i, workers := range []int{0, 4} {
-		scenario.ResetShared()
-		o := quickOpts()
-		o.Workers = workers
-		res, err := extPareto{}.Run(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		renders[i] = res.Render()
-	}
-	if renders[0] != renders[1] {
-		t.Error("pareto render differs across -workers settings")
-	}
-}
-
 // TestParetoUsesSharedCache: fronts route through the shared artifact
 // store — one compute per configuration cold, zero on a warm re-run
 // with identical output.

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"obm/internal/core"
 	"obm/internal/engine"
@@ -16,16 +13,11 @@ import (
 // Annealing is the simulated-annealing baseline of Section V.A: a random
 // "move" swaps the tile assignments of two randomly chosen threads, the
 // objective is the max-APL, and acceptance follows the Metropolis rule
-// under a geometric cooling schedule.
-//
-// With Restarts > 1 it runs a restart portfolio: that many independent
-// chains, chain i seeded with stats.SplitSeed(Seed, i), keeping the
-// best final mapping (ties resolve to the lowest chain index). Workers
-// spreads the chains over goroutines; the outcome is identical for any
-// worker count because chains share nothing and selection is by index.
+// under a geometric cooling schedule. It runs one chain from one random
+// stream seeded by Seed.
 type Annealing struct {
-	// Iters is the number of proposed moves per chain. The paper gives SA
-	// a runtime budget; iterations are the deterministic equivalent
+	// Iters is the number of proposed moves. The paper gives SA a
+	// runtime budget; iterations are the deterministic equivalent
 	// (Figure 12 sweeps this knob).
 	Iters int
 	// T0 is the initial temperature in APL cycles. If 0, it is derived
@@ -35,126 +27,36 @@ type Annealing struct {
 	// schedule ending near 1e-4*T0 after Iters steps.
 	Cooling float64
 	Seed    uint64
-	// Restarts is the portfolio size; 0 or 1 runs the single historical
-	// chain (bit-identical to the pre-portfolio behavior).
-	Restarts int
-	// Workers fans restarts out over this many goroutines; 0 or 1 is
-	// serial, negative selects GOMAXPROCS. Never part of the result.
-	Workers int
 	// Objective selects the cost the annealer minimizes; nil is the
 	// paper's max-APL (published behavior, bit-identical).
 	Objective core.Objective
 }
 
-// restarts resolves the portfolio size.
-func (a Annealing) restarts() int {
-	if a.Restarts < 1 {
-		return 1
-	}
-	return a.Restarts
-}
-
 // Name implements Mapper.
 func (a Annealing) Name() string {
-	if r := a.restarts(); r > 1 {
-		return fmt.Sprintf("SA(%dx%d)%s", a.Iters, r, objName(a.Objective))
-	}
 	return fmt.Sprintf("SA(%d)%s", a.Iters, objName(a.Objective))
 }
 
 // Fingerprint implements Mapper. T0 and Cooling are printed raw (0
 // selects the automatic schedule, which is itself a deterministic
-// function of the problem and seed). The restarts fragment appears only
-// for portfolios, keeping single-chain fingerprints — and therefore the
-// scenario artifact cache keys of every published configuration —
-// byte-identical to the pre-portfolio era. Workers is excluded: the
-// portfolio outcome is documented to be identical for any worker count.
+// function of the problem and seed).
 func (a Annealing) Fingerprint() string {
-	restarts := ""
-	if r := a.restarts(); r > 1 {
-		restarts = fmt.Sprintf(",restarts=%d", r)
-	}
-	return fmt.Sprintf("sa(iters=%d,t0=%g,cooling=%g,seed=%d%s%s)", a.Iters, a.T0, a.Cooling, a.Seed, restarts, objFingerprint(a.Objective))
+	return fmt.Sprintf("sa(iters=%d,t0=%g,cooling=%g,seed=%d%s)", a.Iters, a.T0, a.Cooling, a.Seed, objFingerprint(a.Objective))
 }
 
 // saPollMask sets how often the iteration loop polls cancellation and
 // reports progress (every saPollMask+1 proposed moves).
 const saPollMask = 63
 
-// Map implements Mapper. The move loops poll ctx every saPollMask+1
-// iterations and return a wrapped ctx.Err() when cancelled; the polls
-// never touch the random streams.
+// Map implements Mapper. The move loop polls ctx every saPollMask+1
+// iterations and returns a wrapped ctx.Err() when cancelled; the polls
+// never touch the random stream.
 func (a Annealing) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 	if a.Iters <= 0 {
 		return nil, fmt.Errorf("annealing: need positive iteration count, got %d", a.Iters)
 	}
 	rep := engine.StartStage(ctx, a.Name())
-	restarts := a.restarts()
-	total := a.Iters * restarts
-	if restarts == 1 {
-		best, _, err := a.chain(ctx, rep, nil, p, a.Seed, total)
-		if err != nil {
-			return nil, err
-		}
-		rep.Finish(total, total)
-		return best, nil
-	}
-	workers := a.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > restarts {
-		workers = restarts
-	}
-	type chainResult struct {
-		best core.Mapping
-		obj  float64
-		err  error
-	}
-	results := make([]chainResult, restarts)
-	var done atomic.Int64
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				best, obj, err := a.chain(ctx, rep, &done, p, stats.SplitSeed(a.Seed, i), total)
-				results[i] = chainResult{best, obj, err}
-			}
-		}()
-	}
-	for i := 0; i < restarts; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	var best chainResult
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		// Strict < keeps the lowest chain index on ties, so the winner is
-		// a pure function of (problem, seed, restarts).
-		if r.best != nil && (best.best == nil || r.obj < best.obj) {
-			best = r
-		}
-	}
-	rep.Finish(total, total)
-	return best.best, nil
-}
-
-// chain runs one annealing chain from seed and returns its best mapping
-// and cost. total is the portfolio-wide iteration budget (for
-// progress); done, when non-nil, is the shared completion counter.
-// With seed == Seed and done == nil this is byte-for-byte the historical
-// single-chain algorithm.
-func (a Annealing) chain(ctx context.Context, rep *engine.Reporter, done *atomic.Int64, p *core.Problem, seed uint64, total int) (core.Mapping, float64, error) {
-	rng := stats.NewRand(seed)
+	rng := stats.NewRand(a.Seed)
 	n := p.N()
 	cur := core.RandomMapping(n, rng)
 	tr := newObjectiveTracker(p, cur, a.Objective)
@@ -181,13 +83,9 @@ func (a Annealing) chain(ctx context.Context, rep *engine.Reporter, done *atomic
 	for it := 0; it < a.Iters; it++ {
 		if it&saPollMask == saPollMask {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, fmt.Errorf("annealing: interrupted after %d/%d iterations: %w", it, a.Iters, err)
+				return nil, fmt.Errorf("annealing: interrupted after %d/%d iterations: %w", it, a.Iters, err)
 			}
-			if done != nil {
-				rep.Report(int(done.Add(saPollMask+1)), total)
-			} else {
-				rep.Report(it, total)
-			}
+			rep.Report(it, a.Iters)
 		}
 		j1 := rng.Intn(n)
 		j2 := rng.Intn(n - 1)
@@ -209,5 +107,6 @@ func (a Annealing) chain(ctx context.Context, rep *engine.Reporter, done *atomic
 		}
 		temp *= cooling
 	}
-	return best, bestObj, nil
+	rep.Finish(a.Iters, a.Iters)
+	return best, nil
 }

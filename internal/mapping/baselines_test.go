@@ -137,58 +137,3 @@ func TestClusterSAOrdering(t *testing.T) {
 		t.Errorf("SSS dev %.4f should beat ClusterSA %.4f", sssDev, csaDev)
 	}
 }
-
-// TestMonteCarloParallelDeterministic: a fixed worker count must give
-// identical results across runs, and parallel results must be valid and
-// at least as good as any single chunk.
-func TestMonteCarloParallel(t *testing.T) {
-	p := paperProblem(t, "C4")
-	mc4 := MonteCarlo{Samples: 2000, Seed: 7, Workers: 4}
-	a, err := MapAndCheck(context.Background(), mc4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MapAndCheck(context.Background(), mc4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range a {
-		if a[j] != b[j] {
-			t.Fatal("parallel MC not deterministic for fixed worker count")
-		}
-	}
-	// GOMAXPROCS mode also works and validates.
-	auto, err := MapAndCheck(context.Background(), MonteCarlo{Samples: 2000, Seed: 7, Workers: -1}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := auto.Validate(p.N()); err != nil {
-		t.Fatal(err)
-	}
-	// More workers than samples clamps rather than panicking.
-	tiny, err := MapAndCheck(context.Background(), MonteCarlo{Samples: 3, Seed: 7, Workers: 64}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tiny.Validate(p.N()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMonteCarloParallelQuality: the fan-out draws the same total
-// number of samples, so quality is statistically equivalent to serial.
-func TestMonteCarloParallelQuality(t *testing.T) {
-	p := paperProblem(t, "C6")
-	serial, err := MapAndCheck(context.Background(), MonteCarlo{Samples: 4000, Seed: 11}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := MapAndCheck(context.Background(), MonteCarlo{Samples: 4000, Seed: 11, Workers: 8}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so, po := p.MaxAPL(serial), p.MaxAPL(par)
-	if po > so*1.05 || so > po*1.05 {
-		t.Errorf("serial %.3f vs parallel %.3f differ by >5%%", so, po)
-	}
-}

@@ -109,6 +109,27 @@ func TestMapperNames(t *testing.T) {
 	}
 }
 
+// TestStochasticMapperFingerprints pins the exact fingerprints of the
+// seeded baselines. They are artifact-key inputs, so any change here
+// orphans every existing -cachedir entry.
+func TestStochasticMapperFingerprints(t *testing.T) {
+	cases := []struct {
+		m    Mapper
+		want string
+	}{
+		{MonteCarlo{Samples: 1000, Seed: 2}, "mc(samples=1000,seed=2)"},
+		{MonteCarlo{Samples: 1000, Seed: 2, Objective: core.GAPL{}}, "mc(samples=1000,seed=2,obj=gapl)"},
+		{Annealing{Iters: 5000, Seed: 3}, "sa(iters=5000,t0=0,cooling=0,seed=3)"},
+		{Annealing{Iters: 5000, Seed: 3, Objective: core.GAPL{}}, "sa(iters=5000,t0=0,cooling=0,seed=3,obj=gapl)"},
+		{Annealing{Iters: 5000, T0: 2.5, Cooling: 0.999, Seed: 3}, "sa(iters=5000,t0=2.5,cooling=0.999,seed=3)"},
+	}
+	for _, c := range cases {
+		if got := c.m.Fingerprint(); got != c.want {
+			t.Errorf("Fingerprint = %q, want %q", got, c.want)
+		}
+	}
+}
+
 // TestSSSMultiPassMonotone: extra passes never worsen the objective and
 // typically improve it toward SA parity.
 func TestSSSMultiPassMonotone(t *testing.T) {

@@ -3,9 +3,6 @@ package mapping
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"obm/internal/core"
 	"obm/internal/engine"
@@ -18,23 +15,13 @@ import (
 //
 // Samples are drawn and scored in batches through the SoA
 // core.BatchEvaluator, which streams the flattened thread x slot cost
-// table across the batch instead of gathering it per sample.
-//
-// With Workers > 1 the draw fans out over goroutines, each evaluating
-// an equal share of the samples with its own stats.SplitSeed-derived
-// random stream (share-nothing; the Problem is immutable and safe to
-// read concurrently). The result is deterministic for a fixed (Seed,
-// Workers): the sample partition is a pure function of the pair, and
-// ties between chunks resolve to the lowest chunk index. Different
-// worker counts draw different (equally random) sample sets, so record
-// the worker count alongside the seed when reproducibility matters —
-// the run envelope does.
+// table across the batch instead of gathering it per sample. The draw
+// is one random stream seeded by Seed, so the result is a pure
+// function of (problem, Samples, Seed, Objective) — exactly what
+// Fingerprint prints.
 type MonteCarlo struct {
 	Samples int
 	Seed    uint64
-	// Workers fans evaluation out over this many goroutines; 0 or 1 is
-	// serial, negative selects GOMAXPROCS.
-	Workers int
 	// Objective selects the cost a sample is scored by; nil is the
 	// paper's max-APL.
 	Objective core.Objective
@@ -45,11 +32,7 @@ func (mc MonteCarlo) Name() string {
 	return fmt.Sprintf("MC(%d)%s", mc.Samples, objName(mc.Objective))
 }
 
-// Fingerprint implements Mapper. Workers is excluded: it is an
-// execution-shape knob like the simulator's, not part of the sampled
-// distribution, so artifact cache keys never split by machine shape.
-// Runs that must be byte-reproducible fix (Seed, Workers) — both are
-// recorded in the run envelope.
+// Fingerprint implements Mapper.
 func (mc MonteCarlo) Fingerprint() string {
 	return fmt.Sprintf("mc(samples=%d,seed=%d%s)", mc.Samples, mc.Seed, objFingerprint(mc.Objective))
 }
@@ -59,87 +42,27 @@ func (mc MonteCarlo) Fingerprint() string {
 // check is a mask, not a division).
 const mcPollMask = 255
 
-// Map implements Mapper. It polls ctx between samples and returns a
-// wrapped ctx.Err() when cancelled; polling never touches the random
-// stream, so an uncancelled run is bit-identical for any context.
+// Map implements Mapper. Samples are drawn and scored in batches of
+// mcPollMask+1 through the SoA core.BatchEvaluator (one pass of the
+// flattened cost table scores the whole batch). It polls ctx between
+// batches and returns a wrapped ctx.Err() when cancelled; polling never
+// touches the random stream, so an uncancelled run is bit-identical for
+// any context. RandomMappingInto consumes the same draws as
+// RandomMapping and the batch scan compares costs in draw order with
+// the same strict <, so the winner is bit-identical to the historical
+// per-sample path. Steady state allocates only on improvement
+// (logarithmically many times in expectation).
 func (mc MonteCarlo) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 	if mc.Samples <= 0 {
 		return nil, fmt.Errorf("montecarlo: need positive sample count, got %d", mc.Samples)
 	}
 	rep := engine.StartStage(ctx, mc.Name())
-	workers := mc.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		best, _, err := mcChunk(ctx, rep, nil, p, mc.Objective, mc.Samples, mc.Samples, mc.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rep.Finish(mc.Samples, mc.Samples)
-		return best, nil
-	}
-	if workers > mc.Samples {
-		workers = mc.Samples
-	}
-	type chunkResult struct {
-		best core.Mapping
-		obj  float64
-		err  error
-	}
-	results := make([]chunkResult, workers)
-	var done atomic.Int64 // samples finished across all chunks
-	var wg sync.WaitGroup
-	base := mc.Samples / workers
-	extra := mc.Samples % workers
-	for w := 0; w < workers; w++ {
-		count := base
-		if w < extra {
-			count++
-		}
-		wg.Add(1)
-		go func(w, count int) {
-			defer wg.Done()
-			// Derive a distinct stream per chunk; the derivation depends
-			// only on (Seed, w), keeping results reproducible.
-			best, obj, err := mcChunk(ctx, rep, &done, p, mc.Objective, count, mc.Samples, stats.SplitSeed(mc.Seed, w))
-			results[w] = chunkResult{best, obj, err}
-		}(w, count)
-	}
-	wg.Wait()
-	best := chunkResult{}
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.best != nil && (best.best == nil || r.obj < best.obj) {
-			best = r
-		}
-	}
-	rep.Finish(mc.Samples, mc.Samples)
-	return best.best, nil
-}
-
-// mcChunk evaluates count random mappings from one seed and returns the
-// best with its objective cost. total is the full sample budget across
-// all chunks (for progress); done, when non-nil, is the shared
-// cross-chunk completion counter.
-//
-// Samples are drawn and scored in batches of mcPollMask+1 through the
-// SoA core.BatchEvaluator (one pass of the flattened cost table scores
-// the whole batch), polling cancellation between batches — the same
-// cadence the old per-sample loop polled at. RandomMappingInto consumes
-// the same draws as RandomMapping and the batch scan compares costs in
-// draw order with the same strict <, so the winner is bit-identical to
-// the historical per-sample path. Steady state allocates only on
-// improvement (logarithmically many times in expectation).
-func mcChunk(ctx context.Context, rep *engine.Reporter, done *atomic.Int64, p *core.Problem, obj core.Objective, count, total int, seed uint64) (core.Mapping, float64, error) {
-	rng := stats.NewRand(seed)
-	be := p.BatchEvaluator(obj)
+	rng := stats.NewRand(mc.Seed)
+	be := p.BatchEvaluator(mc.Objective)
 	n := p.N()
 	batch := mcPollMask + 1
-	if batch > count {
-		batch = count
+	if batch > mc.Samples {
+		batch = mc.Samples
 	}
 	flat := make(core.Mapping, batch*n)
 	ms := make([]core.Mapping, batch)
@@ -149,15 +72,15 @@ func mcChunk(ctx context.Context, rep *engine.Reporter, done *atomic.Int64, p *c
 	out := make([]float64, batch)
 	var best core.Mapping
 	bestObj := 0.0
-	for s := 0; s < count; {
+	for s := 0; s < mc.Samples; {
 		if s > 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, fmt.Errorf("montecarlo: interrupted after %d samples: %w", s, err)
+				return nil, fmt.Errorf("montecarlo: interrupted after %d samples: %w", s, err)
 			}
 		}
 		b := batch
-		if count-s < b {
-			b = count - s
+		if mc.Samples-s < b {
+			b = mc.Samples - s
 		}
 		for k := 0; k < b; k++ {
 			core.RandomMappingInto(ms[k], rng)
@@ -169,11 +92,8 @@ func mcChunk(ctx context.Context, rep *engine.Reporter, done *atomic.Int64, p *c
 			}
 		}
 		s += b
-		if done != nil {
-			rep.Report(int(done.Add(int64(b))), total)
-		} else {
-			rep.Report(s, total)
-		}
+		rep.Report(s, mc.Samples)
 	}
-	return best, bestObj, nil
+	rep.Finish(mc.Samples, mc.Samples)
+	return best, nil
 }

@@ -100,9 +100,8 @@ type setIndiv struct {
 }
 
 // MapSet implements SetMapper. The generation loop polls cancellation
-// once per generation. No worker knob exists: the evolve loop is
-// strictly sequential, so the front is trivially identical whatever
-// -workers setting the caller runs under.
+// once per generation. The evolve loop is strictly sequential, so the
+// front is a pure function of (problem, budgets, seed).
 func (g NSGAII) MapSet(ctx context.Context, p *core.Problem) (core.ParetoSet, error) {
 	pop, gens, mut, arch := g.defaults()
 	vec := g.Vector()

@@ -80,20 +80,12 @@ type Spec struct {
 	// every mapper fingerprint (and therefore every cache key), so
 	// artifacts optimized under different objectives never conflate.
 	Objective core.Objective
-	// Workers is the execution-shape knob threaded into the parallel
-	// mappers (Monte-Carlo chunking, annealing restart portfolios): 0 or
-	// 1 is serial, negative selects GOMAXPROCS. It is deliberately
-	// excluded from every mapper fingerprint — and therefore from every
-	// cache key — so artifacts never split by machine shape
-	// (TestSpecWorkersInvariantKeys enforces this). Runs that must be
-	// byte-reproducible record (Seed, Workers) together.
-	Workers int
 	// CacheDir roots the persistent disk tier of the artifact store
-	// ("" keeps the store memory-only). Like Workers it is an
-	// execution-shape knob: it must never reach a mapper fingerprint or
-	// artifact key, so the same artifacts are served whatever directory
-	// — or no directory — a run was started with
-	// (TestSpecCacheKnobsInvariantKeys enforces this).
+	// ("" keeps the store memory-only). It is an execution-shape knob:
+	// it must never reach a mapper fingerprint or artifact key, so the
+	// same artifacts are served whatever directory — or no directory —
+	// a run was started with (TestSpecCacheKnobsInvariantKeys enforces
+	// this).
 	CacheDir string
 	// CacheSizeBytes bounds the disk tier (LRU-evicted); <= 0 means
 	// unbounded. Execution-shape only, like CacheDir.
@@ -102,9 +94,7 @@ type Spec struct {
 
 // ParetoMapper returns the spec's set-valued mapper: NSGA-II under
 // the spec's Pareto budgets and seed, optimizing the default
-// {max-APL, dev-APL, energy} vector objective. Like the scalar
-// mappers, Workers never reaches it — NSGA-II has no worker knob at
-// all, so fronts are structurally identical across -workers settings.
+// {max-APL, dev-APL, energy} vector objective.
 func (s Spec) ParetoMapper() mapping.SetMapper {
 	return mapping.NSGAII{
 		Population:  s.Budget.ParetoPop,
@@ -119,8 +109,8 @@ func (s Spec) ParetoMapper() mapping.SetMapper {
 func (s Spec) StandardMappers() []mapping.Mapper {
 	return []mapping.Mapper{
 		mapping.Global{}, // objective-fixed: minimizes g-APL by construction
-		mapping.MonteCarlo{Samples: s.Budget.MCSamples, Seed: s.Seed + 1, Workers: s.Workers, Objective: s.Objective},
-		mapping.Annealing{Iters: s.Budget.SAIters, Seed: s.Seed + 2, Workers: s.Workers, Objective: s.Objective},
+		mapping.MonteCarlo{Samples: s.Budget.MCSamples, Seed: s.Seed + 1, Objective: s.Objective},
+		mapping.Annealing{Iters: s.Budget.SAIters, Seed: s.Seed + 2, Objective: s.Objective},
 		mapping.SortSelectSwap{Objective: s.Objective},
 	}
 }

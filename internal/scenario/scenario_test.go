@@ -235,36 +235,6 @@ func TestStandardMappers(t *testing.T) {
 	}
 }
 
-// TestSpecWorkersInvariantKeys enforces the execution-shape contract:
-// Spec.Workers flows into the parallel mappers but must never reach a
-// fingerprint — and therefore never a cache key — so artifacts computed
-// on different machine shapes share slots, and a warm cache serves the
-// same artifact whatever -workers the run was started with.
-func TestSpecWorkersInvariantKeys(t *testing.T) {
-	base := Spec{Configs: []string{"C1"}, Budget: DefaultBudget(true), Seed: 1}
-	ms := base.StandardMappers()
-	for _, w := range []int{1, 2, 8, -1} {
-		sp := base
-		sp.Workers = w
-		for i, m := range sp.StandardMappers() {
-			if got, want := m.Fingerprint(), ms[i].Fingerprint(); got != want {
-				t.Errorf("Workers=%d changes mapper %d cache key: %q != %q", w, i, got, want)
-			}
-		}
-	}
-	// The knob does reach the mappers (sanity: it isn't dropped).
-	sp := base
-	sp.Workers = 3
-	mc := sp.StandardMappers()[1].(mapping.MonteCarlo)
-	if mc.Workers != 3 {
-		t.Errorf("Spec.Workers not threaded into MonteCarlo: %+v", mc)
-	}
-	sa := sp.StandardMappers()[2].(mapping.Annealing)
-	if sa.Workers != 3 {
-		t.Errorf("Spec.Workers not threaded into Annealing: %+v", sa)
-	}
-}
-
 func TestCacheDistinguishesObjectives(t *testing.T) {
 	c := NewCache()
 	ctx := context.Background()
@@ -420,14 +390,8 @@ func TestSpecParetoMapper(t *testing.T) {
 	if g.Population != sp.Budget.ParetoPop || g.Generations != sp.Budget.ParetoGens {
 		t.Errorf("budgets not threaded: %+v vs %+v", g, sp.Budget)
 	}
-	// Workers is execution shape: it must not change the cache key.
+	// Seed changes the cache key.
 	alt := sp
-	alt.Workers = 7
-	if alt.ParetoMapper().Fingerprint() != sm.Fingerprint() {
-		t.Error("Workers changes the Pareto mapper cache key")
-	}
-	// Seed does.
-	alt = sp
 	alt.Seed = 2
 	if alt.ParetoMapper().Fingerprint() == sm.Fingerprint() {
 		t.Error("seed missing from the Pareto mapper cache key")

@@ -35,14 +35,12 @@ type ExperimentEntry struct {
 }
 
 // envelopeOptions is the envelope's options block: everything a reader
-// needs to reproduce the run byte-for-byte. Workers matters because
-// Monte-Carlo's sample partition depends on it; seed alone does not pin
-// the run. The cache knobs are execution-shape provenance — results
-// are bit-identical with or without a disk tier.
+// needs to reproduce the run byte-for-byte. The cache knobs are
+// execution-shape provenance — results are bit-identical with or
+// without a disk tier.
 type envelopeOptions struct {
 	Seed      uint64   `json:"seed"`
 	Quick     bool     `json:"quick,omitempty"`
-	Workers   int      `json:"workers,omitempty"`
 	Configs   []string `json:"configs,omitempty"`
 	Objective string   `json:"objective,omitempty"`
 	CacheDir  string   `json:"cachedir,omitempty"`
@@ -91,7 +89,6 @@ func Envelope(req Request, entries []ExperimentEntry, metrics *MetricsBlock) ([]
 		Options: envelopeOptions{
 			Seed:      req.Seed,
 			Quick:     req.Quick,
-			Workers:   req.Workers,
 			Configs:   req.Configs,
 			Objective: req.Objective,
 			CacheDir:  req.CacheDir,

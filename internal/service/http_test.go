@@ -13,6 +13,7 @@ import (
 
 	"obm/internal/engine"
 	"obm/internal/obs"
+	"obm/internal/scenario"
 )
 
 // httpFixture serves a stub-backed manager over httptest.
@@ -139,6 +140,8 @@ func TestHTTPErrorMapping(t *testing.T) {
 	check(http.StatusBadRequest, resp, body)
 	resp, body = doJSON(t, "POST", srv.URL+"/v1/jobs", Request{Experiments: []string{"fig5"}, CacheDir: "/tmp/x"})
 	check(http.StatusBadRequest, resp, body)
+	resp, body = doJSON(t, "POST", srv.URL+"/v1/jobs", Request{Experiments: []string{"fig5"}, Objective: "weighted:max=nan"})
+	check(http.StatusBadRequest, resp, body)
 
 	// 404: unknown job, for status, result, and cancel.
 	for _, probe := range []struct{ method, path string }{
@@ -161,6 +164,42 @@ func TestHTTPErrorMapping(t *testing.T) {
 	doJSON(t, "POST", srv.URL+"/v1/jobs", Request{Experiments: []string{"table3"}})
 	resp, body = doJSON(t, "POST", srv.URL+"/v1/jobs", Request{Experiments: []string{"fig9"}})
 	check(http.StatusTooManyRequests, resp, body)
+}
+
+// TestHTTPIgnoresRetiredWorkersField pins compatibility with clients
+// that still send the retired "workers" field: the decoder ignores it,
+// and a job computed from scratch with it yields the same envelope
+// bytes as one without it, because every mapper runs sequentially.
+func TestHTTPIgnoresRetiredWorkersField(t *testing.T) {
+	t.Cleanup(func() { scenario.ResetShared() })
+	srv, m := httpFixture(t, Config{})
+	var envs [][]byte
+	for _, raw := range []string{
+		`{"experiments":["table4"],"quick":true,"configs":["C1"],"workers":4}`,
+		`{"experiments":["table4"],"quick":true,"configs":["C1"]}`,
+	} {
+		scenario.ResetShared()
+		resp, body := doJSON(t, "POST", srv.URL+"/v1/jobs", json.RawMessage(raw))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: %d %s", raw, resp.StatusCode, body)
+		}
+		var st Status
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, st.ID, StateDone)
+		resp, body = doJSON(t, "GET", srv.URL+"/v1/jobs/"+st.ID+"/result", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("result: %d %s", resp.StatusCode, body)
+		}
+		envs = append(envs, body)
+	}
+	if !bytes.Contains(envs[1], []byte(`"id": "table4"`)) {
+		t.Fatalf("result is not a table4 envelope: %s", envs[1])
+	}
+	if !bytes.Equal(envs[0], envs[1]) {
+		t.Errorf("envelope depends on the retired workers field:\n%s\nvs\n%s", envs[0], envs[1])
+	}
 }
 
 // TestHTTPCancelAndGoneResult cancels a running job over the wire and

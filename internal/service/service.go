@@ -5,7 +5,7 @@
 //
 //   - Request: the one serializable description of a run — which
 //     experiments, quick or full budgets, seed, config subset,
-//     objective, workers, cache knobs — mirroring experiments.Options
+//     objective, cache knobs — mirroring experiments.Options
 //     field for field, with fail-fast resolution into runners;
 //   - Execute + Envelope: the shared execution path that turns a
 //     Request into the obmsim.run/v1 result envelope. Every frontend
@@ -64,11 +64,6 @@ type Request struct {
 	// mappers ("" or "max", "dev", "global", "ratio",
 	// "weighted:max=1,dev=2").
 	Objective string `json:"objective,omitempty"`
-	// Workers schedules Monte-Carlo sampling and annealing restarts
-	// only: 0 serial, -1 all cores. Monte-Carlo's sample partition
-	// depends on (Seed, Workers), so results that use it can change
-	// with the value.
-	Workers int `json:"workers,omitempty"`
 	// CacheDir roots the persistent artifact disk tier. Attaching the
 	// tier is the host's job (cmd/obmsim does it per run; the daemon
 	// once at startup and rejects per-job overrides) — the field here
@@ -105,7 +100,6 @@ func (r Request) Options() (experiments.Options, error) {
 	opts := experiments.Options{
 		Quick:     r.Quick,
 		Seed:      r.Seed,
-		Workers:   r.Workers,
 		CacheDir:  r.CacheDir,
 		CacheSize: r.CacheSize,
 		Stream:    r.Stream,

@@ -12,6 +12,7 @@ import (
 	"obm/internal/mapping"
 	"obm/internal/mesh"
 	"obm/internal/model"
+	"obm/internal/stats"
 	"obm/internal/workload"
 )
 
@@ -84,23 +85,6 @@ func TestGoldenRateDriven(t *testing.T) {
 	}
 }
 
-// TestReplicaSeed checks the contract RateDrivenReplicas relies on:
-// replica 0 reuses the base seed and later replicas get distinct
-// streams.
-func TestReplicaSeed(t *testing.T) {
-	if got := ReplicaSeed(42, 0); got != 42 {
-		t.Fatalf("ReplicaSeed(42, 0) = %d, want the base seed", got)
-	}
-	seen := map[uint64]int{42: 0}
-	for rep := 1; rep < 100; rep++ {
-		s := ReplicaSeed(42, rep)
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("ReplicaSeed(42, %d) collides with replica %d", rep, prev)
-		}
-		seen[s] = rep
-	}
-}
-
 // TestRunReplicasOrdering checks results come back in job order no
 // matter how the workers interleave, and that every index is passed
 // exactly once.
@@ -165,7 +149,7 @@ func TestRateDrivenReplicasDeterminism(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		c := cfg
-		c.Seed = ReplicaSeed(cfg.Seed, i)
+		c.Seed = stats.SplitSeed(cfg.Seed, i)
 		ref, err := RateDriven(context.Background(), p, mp, c)
 		if err != nil {
 			t.Fatal(err)

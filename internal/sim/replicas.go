@@ -122,25 +122,16 @@ func RunReplicas[T any](ctx context.Context, n, workers int, job func(ctx contex
 	return out, errors.Join(errs...)
 }
 
-// ReplicaSeed derives the seed for replica rep from a base seed.
-// Replica 0 uses the base seed unchanged, so a single-replica run
-// reproduces the corresponding serial run exactly; later replicas get
-// well-mixed distinct streams. It is stats.SplitSeed under its
-// historical name — the derivation is shared with every other
-// deterministic fan-out (Monte-Carlo chunks, annealing restarts).
-func ReplicaSeed(base uint64, rep int) uint64 {
-	return stats.SplitSeed(base, rep)
-}
-
 // RateDrivenReplicas runs replicas independent RateDriven simulations
-// of (p, m), identical except for the injector seed (ReplicaSeed of
-// cfg.Seed), spread over the machine's cores. Results come back in
-// replica order regardless of completion order, so downstream
-// aggregation is deterministic.
+// of (p, m), identical except for the injector seed (stats.SplitSeed
+// of cfg.Seed and the replica index; replica 0 keeps cfg.Seed), spread
+// over the machine's cores. Results come back in replica order
+// regardless of completion order, so downstream aggregation is
+// deterministic.
 func RateDrivenReplicas(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDrivenConfig, replicas int) ([]Result, error) {
 	return RunReplicas(ctx, replicas, 0, func(ctx context.Context, i int) (Result, error) {
 		c := cfg
-		c.Seed = ReplicaSeed(cfg.Seed, i)
+		c.Seed = stats.SplitSeed(cfg.Seed, i)
 		return RateDriven(ctx, p, m, c)
 	})
 }

@@ -122,11 +122,12 @@ func (r *Rand) Split() *Rand {
 // SplitSeed derives the seed of sub-stream i from a base seed. Stream 0
 // is the base seed unchanged, so a single-stream run reproduces the
 // corresponding serial run exactly; later streams are splitmix64-mixed
-// into well-separated states. This is the canonical derivation for
-// deterministic worker fan-out — simulation replicas (sim.ReplicaSeed),
-// Monte-Carlo sample chunks and annealing restart portfolios all derive
-// their per-worker streams this way, so a fixed (seed, partition) is
-// reproducible regardless of scheduling.
+// into well-separated states. Its callers: sim.RateDrivenReplicas
+// seeds replica i with stream i, sched.Generator draws each timeline
+// dimension (arrival times, sizes, rates, lifetimes) from its own
+// stream, and NSGA-II splits initialization from evolution. Each
+// stream is a pure function of (base, i), so results never depend on
+// scheduling.
 func SplitSeed(base uint64, i int) uint64 {
 	if i == 0 {
 		return base

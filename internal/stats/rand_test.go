@@ -173,3 +173,20 @@ func TestSplitIndependence(t *testing.T) {
 		t.Errorf("split streams overlap: %d/100 identical", same)
 	}
 }
+
+// TestSplitSeed checks the contract every caller relies on: stream 0 is
+// the base seed unchanged (one replica reproduces the serial run), and
+// later streams never collide.
+func TestSplitSeed(t *testing.T) {
+	if got := SplitSeed(42, 0); got != 42 {
+		t.Fatalf("SplitSeed(42, 0) = %d, want the base seed", got)
+	}
+	seen := map[uint64]int{42: 0}
+	for i := 1; i < 100; i++ {
+		s := SplitSeed(42, i)
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("SplitSeed(42, %d) collides with stream %d", i, prev)
+		}
+		seen[s] = i
+	}
+}
