@@ -21,15 +21,7 @@ import (
 func (p *Problem) SolveSAM(lo, hi int, tiles []mesh.Tile) (assign []mesh.Tile, cost float64, err error) {
 	var s SAMSolver
 	s.p = p
-	rowToCol, total, err := s.solve(lo, hi, tiles)
-	if err != nil {
-		return nil, 0, err
-	}
-	assign = make([]mesh.Tile, len(tiles))
-	for x, y := range rowToCol {
-		assign[x] = tiles[y]
-	}
-	return assign, total, nil
+	return s.SolveSAM(lo, hi, tiles)
 }
 
 // SAMSolver solves repeated SAM instances for one Problem, reusing the
@@ -88,6 +80,21 @@ func (s *SAMSolver) solve(lo, hi int, tiles []mesh.Tile) ([]int, float64, error)
 		return nil, 0, fmt.Errorf("core: SAM: %w", err)
 	}
 	return rowToCol, total, nil
+}
+
+// SolveSAM is Problem.SolveSAM with reused scratch. The returned
+// assignment is freshly allocated, so the caller may keep it across
+// later solves.
+func (s *SAMSolver) SolveSAM(lo, hi int, tiles []mesh.Tile) (assign []mesh.Tile, cost float64, err error) {
+	rowToCol, total, err := s.solve(lo, hi, tiles)
+	if err != nil {
+		return nil, 0, err
+	}
+	assign = make([]mesh.Tile, len(tiles))
+	for x, y := range rowToCol {
+		assign[x] = tiles[y]
+	}
+	return assign, total, nil
 }
 
 // SolveInto is Problem.SolveSAMInto with reused scratch: it solves SAM

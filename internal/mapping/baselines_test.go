@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"obm/internal/core"
+	"obm/internal/mesh"
+	"obm/internal/model"
 	"obm/internal/stats"
+	"obm/internal/workload"
 )
 
 func TestGreedyValid(t *testing.T) {
@@ -106,7 +109,52 @@ func TestClusterSARejectsBadGeometry(t *testing.T) {
 	}
 }
 
-// TestClusterSABetterThanRandomWorseThanSSS places ClusterSA where the
+// TestClusterSAGoldenMappings pins the exact mapping ClusterSA returns,
+// not just its objective value: the default objective on every paper
+// configuration, one non-default objective, and a geometry with more
+// than 64 clusters (a 10x10 mesh at cluster size 1), whose ownership
+// sets do not fit a 64-bit mask.
+func TestClusterSAGoldenMappings(t *testing.T) {
+	wide := workload.MustGenerate(workload.GenSpec{
+		Name: "wide", NumApps: 4, ThreadsPer: 25,
+		Cache: workload.Stats{Mean: 8, Std: 10}, Mem: workload.Stats{Mean: 1.2, Std: 3},
+		Seed: 5,
+	})
+	wideP := core.MustNewProblem(model.MustNew(mesh.MustNew(10, 10), model.DefaultParams()), wide)
+	dev, err := core.ParseObjective("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		p    *core.Problem
+		m    ClusterSA
+		want string
+	}{
+		{"C1", paperProblem(t, "C1"), ClusterSA{Seed: 1}, "1c2c393a9b3aab51"},
+		{"C2", paperProblem(t, "C2"), ClusterSA{Seed: 1}, "aa86250115249d67"},
+		{"C3", paperProblem(t, "C3"), ClusterSA{Seed: 1}, "08357d1b17431ca7"},
+		{"C4", paperProblem(t, "C4"), ClusterSA{Seed: 1}, "2939055cad2c19bb"},
+		{"C5", paperProblem(t, "C5"), ClusterSA{Seed: 1}, "df842c87935010c3"},
+		{"C6", paperProblem(t, "C6"), ClusterSA{Seed: 1}, "37e8ed7c7861770d"},
+		{"C7", paperProblem(t, "C7"), ClusterSA{Seed: 1}, "b56ae29e40e34ecd"},
+		{"C8", paperProblem(t, "C8"), ClusterSA{Seed: 1}, "5ea4e26d0a9dbf83"},
+		{"C3/dev", paperProblem(t, "C3"), ClusterSA{Seed: 4, Objective: dev}, "7ec983aad4408cad"},
+		{"10x10/cs1", wideP, ClusterSA{ClusterSize: 1, Seed: 6}, "2ee8a4daa6c3db91"},
+	}
+	for _, c := range cases {
+		m, err := MapAndCheck(context.Background(), c.m, c.p)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if got := mappingFingerprint(m); got != c.want {
+			t.Errorf("%s: mapping fingerprint %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestClusterSAOrdering places ClusterSA where the
 // literature puts it: clearly better than random on balance, but not
 // able to out-fine-tune SSS.
 func TestClusterSAOrdering(t *testing.T) {

@@ -58,8 +58,11 @@ func (c ClusterSA) Fingerprint() string {
 	return fmt.Sprintf("clustersa(cs=%d,iters=%d,seed=%d%s)", cs, iters, c.Seed, objFingerprint(c.Objective))
 }
 
-// Map implements Mapper. Every iteration includes at least one
-// Hungarian solve, so the loop polls cancellation each move.
+// Map implements Mapper. Each application's SAM result is memoized by
+// the set of clusters it owns, so a revisited set costs a map lookup
+// instead of a Hungarian solve; the same set always yields the same
+// tile list and hence the same result. A memo miss still runs up to two
+// O(n³) solves, so the loop polls cancellation each move.
 func (c ClusterSA) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 	cs := c.ClusterSize
 	if cs <= 0 {
@@ -125,42 +128,78 @@ func (c ClusterSA) Map(ctx context.Context, p *core.Problem) (core.Mapping, erro
 		}
 	}
 
+	// owns[i] is application i's cluster-ownership bitset. A swap of
+	// clusters a and b between their two owners toggles both bits in
+	// both sets, so the same toggle undoes it.
+	setBytes := (numClusters + 7) / 8
+	owns := make([][]byte, p.NumApps())
+	for i := range owns {
+		owns[i] = make([]byte, setBytes)
+	}
+	for ci, a := range owner {
+		owns[a][ci/8] |= 1 << (ci % 8)
+	}
+
+	// memo[i] maps an ownership set of application i to its SAM result;
+	// it gains at most two entries per move. num[i] is the cost for
+	// owns[i], the per-app APL numerator every objective scores from
+	// (for the default max-APL this is the same cost/weight division and
+	// max as a fresh evaluation, bit for bit).
+	type samResult struct {
+		assign []mesh.Tile
+		cost   float64
+	}
+	memo := make([]map[string]samResult, p.NumApps())
+	for i := range memo {
+		memo[i] = make(map[string]samResult)
+	}
 	objv := core.ObjectiveOrDefault(c.Objective)
 	num := make([]float64, p.NumApps())
-	evaluate := func() (core.Mapping, float64, error) {
-		m := make(core.Mapping, n)
-		// Collect each app's tiles, then SAM. The raw SAM totals are the
-		// per-app APL numerators, which every objective scores from (for
-		// the default max-APL this is the same cost/weight division and
-		// max as before, bit for bit).
-		tilesOf := make([][]mesh.Tile, p.NumApps())
-		for ci, a := range owner {
-			tilesOf[a] = append(tilesOf[a], clusterTiles[ci]...)
+	sam := p.NewSAMSolver()
+	var tiles []mesh.Tile
+	// solveApp sets num[i] for owns[i], solving SAM over the owned
+	// clusters' tiles in cluster-index order on a memo miss.
+	solveApp := func(i int) error {
+		if clustersPer[i] == 0 {
+			return nil
 		}
-		for i := 0; i < p.NumApps(); i++ {
-			num[i] = 0
-			if len(tilesOf[i]) == 0 {
-				continue
+		r, ok := memo[i][string(owns[i])]
+		if !ok {
+			tiles = tiles[:0]
+			for ci := range clusterTiles {
+				if owns[i][ci/8]&(1<<(ci%8)) != 0 {
+					tiles = append(tiles, clusterTiles[ci]...)
+				}
 			}
 			lo, hi := p.AppThreads(i)
-			assign, cost, err := p.SolveSAM(lo, hi, tilesOf[i])
-			if err != nil {
-				return nil, 0, err
+			var err error
+			if r.assign, r.cost, err = sam.SolveSAM(lo, hi, tiles); err != nil {
+				return err
 			}
-			for x, t := range assign {
-				m[lo+x] = t
-			}
-			num[i] = cost
+			memo[i][string(owns[i])] = r
 		}
-		return m, objv.Value(p, num), nil
+		num[i] = r.cost
+		return nil
+	}
+	// mappingOf assembles the current sets' memoized assignments.
+	mappingOf := func() core.Mapping {
+		m := make(core.Mapping, n)
+		for i := range memo {
+			lo, _ := p.AppThreads(i)
+			copy(m[lo:], memo[i][string(owns[i])].assign)
+		}
+		return m
 	}
 
 	rng := stats.NewRand(c.Seed)
 	rep := engine.StartStage(ctx, c.Name())
-	bestM, bestObj, err := evaluate()
-	if err != nil {
-		return nil, err
+	for i := range num {
+		if err := solveApp(i); err != nil {
+			return nil, err
+		}
 	}
+	bestObj := objv.Value(p, num)
+	bestM := mappingOf()
 	curObj := bestObj
 	temp := 0.05 * bestObj
 	cooling := math.Exp(math.Log(1e-3) / float64(iters))
@@ -172,15 +211,27 @@ func (c ClusterSA) Map(ctx context.Context, p *core.Problem) (core.Mapping, erro
 		// Swap ownership of two clusters with different owners.
 		a := rng.Intn(numClusters)
 		b := rng.Intn(numClusters)
-		if owner[a] == owner[b] {
+		x, y := owner[a], owner[b]
+		if x == y {
 			temp *= cooling
 			continue
 		}
-		owner[a], owner[b] = owner[b], owner[a]
-		m, obj, err := evaluate()
-		if err != nil {
+		swap := func() {
+			owner[a], owner[b] = owner[b], owner[a]
+			for _, ci := range [2]int{a, b} {
+				owns[x][ci/8] ^= 1 << (ci % 8)
+				owns[y][ci/8] ^= 1 << (ci % 8)
+			}
+		}
+		prevX, prevY := num[x], num[y]
+		swap()
+		if err := solveApp(x); err != nil {
 			return nil, err
 		}
+		if err := solveApp(y); err != nil {
+			return nil, err
+		}
+		obj := objv.Value(p, num)
 		accept := obj <= curObj
 		if !accept && temp > 0 {
 			accept = rng.Float64() < math.Exp((curObj-obj)/temp)
@@ -189,10 +240,11 @@ func (c ClusterSA) Map(ctx context.Context, p *core.Problem) (core.Mapping, erro
 			curObj = obj
 			if obj < bestObj {
 				bestObj = obj
-				bestM = m
+				bestM = mappingOf()
 			}
 		} else {
-			owner[a], owner[b] = owner[b], owner[a]
+			swap()
+			num[x], num[y] = prevX, prevY
 		}
 		temp *= cooling
 	}
