@@ -43,12 +43,14 @@ check: vet staticcheck build test
 	go test -race ./internal/core/... ./internal/engine/... ./internal/experiments/... ./internal/mapping/... ./internal/noc/... ./internal/sim/... ./internal/obs/... ./internal/scenario/... ./internal/sched/... ./internal/artifact/... ./internal/service/... ./cmd/obmsim/... ./cmd/obmsimd/...
 
 # Fuzz the parsers that read untrusted input, each for FUZZTIME: the
-# -objective spec (CLI flag and HTTP job field) and the binary trace
-# format. One target per invocation, as go test -fuzz requires.
+# -objective spec (CLI flag and HTTP job field) and the -workload JSON
+# file. One target per invocation, as go test -fuzz requires. Workload
+# inputs run to kilobytes, and minimizing one for the default 60s would
+# stall the whole run, so that target minimizes for 1s at most.
 FUZZTIME ?= 10s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/core
-	go test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/trace
+	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -parallel 2 ./internal/workload
 
 # staticcheck is optional locally (CI installs it); skip with a note
 # rather than failing on machines that don't have it.

@@ -652,24 +652,6 @@ func BenchmarkClusterSAMap(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheDrivenSim times the closed-loop hierarchy per simulated
-// 10k cycles.
-func BenchmarkCacheDrivenSim(b *testing.B) {
-	p := paperProblem(b, "C1")
-	mp, err := mapping.MapAndCheck(context.Background(), mapping.SortSelectSwap{}, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.DefaultCacheDrivenConfig()
-	cfg.Cycles = 10_000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.CacheDriven(context.Background(), p, mp, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExactSolve12 times branch and bound on a 12-tile instance.
 func BenchmarkExactSolve12(b *testing.B) {
 	lm := model.MustNew(mesh.MustNew(3, 4), model.DefaultParams())

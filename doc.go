@@ -11,8 +11,8 @@
 // The implementation lives under internal/ (see DESIGN.md for the full
 // inventory): the analytic mesh latency model, the Hungarian assignment
 // solver, the OBM/SAM core, all four mapping algorithms from the
-// evaluation, a flit-level wormhole NoC simulator, a cache-hierarchy
-// and memory-controller model, a DSENT-style power model, the
+// evaluation, a flit-level wormhole NoC simulator driven at each
+// thread's request rates, a DSENT-style power model, the
 // synthetic PARSEC-like workload generator, and an experiment harness
 // that regenerates every table and figure of the paper (cmd/obmsim).
 //
@@ -20,7 +20,8 @@
 //
 //	cmd/obmsim    regenerate any table/figure: obmsim -exp table1
 //	cmd/mapviz    map a configuration and inspect placements
-//	cmd/tracegen  generate and inspect workload traces
+//	cmd/obmsimd   the same experiments as an HTTP/JSON job service
+//	cmd/benchjson record go test -bench output as BENCH_*.json
 //	examples/     runnable walkthroughs of the public surfaces
 //	bench_test.go benchmark per table/figure plus ablations
 package obm

@@ -2,9 +2,8 @@
 // runtime of sort-select-swap makes it usable when applications come
 // and go at runtime — collect (c_j, m_j) statistics for an interval,
 // re-solve, remap. This example simulates such a lifecycle: workload
-// epochs where applications are replaced, with per-epoch rate
-// measurement from a generated trace, comparing "remap every epoch with
-// SSS" against "keep the initial Global mapping".
+// epochs where applications are replaced, comparing "remap every epoch
+// with SSS" against "keep the initial Global mapping".
 //
 // Run with: go run ./examples/dynamic
 package main
@@ -19,7 +18,6 @@ import (
 	"obm/internal/mapping"
 	"obm/internal/mesh"
 	"obm/internal/model"
-	"obm/internal/trace"
 	"obm/internal/workload"
 )
 
@@ -36,31 +34,7 @@ func main() {
 	var static core.Mapping // Global mapping frozen at epoch 0
 	fmt.Println("epoch  workload  static-Global(max/dev)   SSS-remap(max/dev)   remap-runtime")
 	for e, cfg := range epochs {
-		w := workload.MustConfig(cfg)
-
-		// Measure the epoch's rates the way a runtime system would: from
-		// an observed event trace rather than oracle knowledge.
-		h, events, err := trace.Generate(w, 100_000, 2000, uint64(e+1))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cRates, mRates, err := trace.Rates(h, events, 2000)
-		if err != nil {
-			log.Fatal(err)
-		}
-		measured := &workload.Workload{Name: cfg + "-measured"}
-		b := w.Boundaries()
-		for i := range w.Apps {
-			app := workload.Application{Name: w.Apps[i].Name}
-			for j := b[i]; j < b[i+1]; j++ {
-				app.Threads = append(app.Threads, workload.Thread{
-					CacheRate: cRates[j], MemRate: mRates[j],
-				})
-			}
-			measured.Apps = append(measured.Apps, app)
-		}
-
-		p, err := core.NewProblem(lm, measured)
+		p, err := core.NewProblem(lm, workload.MustConfig(cfg))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,28 +1,21 @@
-// Package sim drives the flit-level NoC with CMP traffic, closing the
-// loop the paper closes with Simics+GEMS+Garnet: threads on tiles issue
-// shared-cache and memory-controller requests, banks and controllers
-// answer them, and per-application packet latency statistics come out.
+// Package sim drives the flit-level NoC with CMP traffic, standing in
+// for the loop the paper closes with Simics+GEMS+Garnet: threads on
+// tiles issue shared-cache and memory-controller requests, banks and
+// controllers answer them, and per-application packet latency
+// statistics come out.
 //
-// Two drivers are provided:
-//
-//   - RateDriven: threads inject requests as Bernoulli processes at
-//     exactly the per-thread rates (c_j, m_j) of the OBM problem; L2
-//     banks and memory controllers generate the replies. This is the
-//     mode the mapping experiments use — it feeds the network the same
-//     statistics the analytic model consumes, so measured APLs validate
-//     the model and the power numbers (Figure 11) reflect each mapping.
-//
-//   - CacheDriven: threads run synthetic address streams through real
-//     L1/L2/directory/memory-controller models; request rates emerge
-//     from cache behaviour. This exercises the full substrate and backs
-//     the coherence-traffic examples.
+// RateDriven is the one driver: threads inject requests as Bernoulli
+// processes at exactly the per-thread rates (c_j, m_j) of the OBM
+// problem; L2 banks and the corner memory controllers generate the
+// replies. It feeds the network the same statistics the analytic model
+// consumes, so measured APLs validate the model and the power numbers
+// (Figure 11) reflect each mapping.
 package sim
 
 import (
 	"context"
 	"fmt"
 
-	"obm/internal/cache"
 	"obm/internal/core"
 	"obm/internal/engine"
 	"obm/internal/mesh"
@@ -40,6 +33,30 @@ const simPollMask = 4095
 // microsecond at the 2 GHz clock of Table 2) into per-cycle injection
 // probabilities: rate r means r/2000 requests per cycle.
 const CyclesPerRateUnit = 2000
+
+// Memory-system latencies of Table 2, in cycles: an L2 bank access, an
+// off-chip access, and the minimum gap between requests entering
+// service at one memory controller.
+const (
+	l2Latency  = 6
+	memLatency = 128
+	memGap     = 4
+)
+
+// memController is one corner memory controller: a FIFO served at one
+// request per memGap cycles, each completing memLatency cycles after it
+// enters service.
+type memController struct {
+	nextStart int64 // earliest cycle the next request may enter service
+}
+
+// Submit enqueues a request at cycle now and returns the cycle its data
+// is ready to be sent back on-chip.
+func (mc *memController) Submit(now int64) (ready int64) {
+	start := max(now, mc.nextStart)
+	mc.nextStart = start + memGap
+	return start + memLatency
+}
 
 // Result carries everything an experiment reads from one simulation.
 type Result struct {
@@ -150,7 +167,6 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	if err != nil {
 		return Result{}, err
 	}
-	ccfg := cache.DefaultConfig(p.N())
 
 	// Reply generation: when a request arrives, schedule the reply after
 	// the service latency.
@@ -160,14 +176,14 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	}
 	replies := make(map[int64][]pendingReply)
 	placement := p.Model().Placement()
-	mcs := make(map[mesh.Tile]*cache.MemoryController)
+	mcs := make(map[mesh.Tile]*memController)
 	for _, c := range placement.Tiles() {
-		mcs[c] = cache.NewMemoryController(ccfg, int(c))
+		mcs[c] = &memController{}
 	}
 	net.SetDeliveryHandler(func(pkt *noc.Packet) {
 		switch pkt.Type {
 		case noc.CacheRequest:
-			at := net.Cycle() + int64(ccfg.L2Latency)
+			at := net.Cycle() + l2Latency
 			reply := net.AllocPacket()
 			reply.Src, reply.Dst, reply.Type, reply.App = pkt.Dst, pkt.Src, noc.CacheReply, pkt.App
 			replies[at] = append(replies[at], pendingReply{at, reply})

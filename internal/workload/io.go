@@ -51,6 +51,9 @@ func ReadJSON(r io.Reader) (*Workload, error) {
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("workload: decoding: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("workload: trailing data after the JSON object")
+	}
 	wl := &Workload{Name: in.Name}
 	for _, app := range in.Apps {
 		a := Application{Name: app.Name}

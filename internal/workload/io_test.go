@@ -34,16 +34,21 @@ func TestWriteJSONRejectsInvalid(t *testing.T) {
 	}
 }
 
+// invalidJSON lists inputs ReadJSON must reject; FuzzReadJSON seeds
+// its corpus with them too.
+var invalidJSON = []string{
+	``,
+	`{`,
+	`{"name":"x","apps":[]}`,
+	`{"name":"x","apps":[{"name":"a","threads":[]}]}`,
+	`{"name":"x","apps":[{"name":"a","threads":[{"cache":-1,"mem":0}]}]}`,
+	`{"name":"x","bogus":1,"apps":[{"name":"a","threads":[{"cache":1,"mem":0}]}]}`,
+	`{"name":"x","apps":[{"name":"a","threads":[{"cache":1,"mem":0}]}]} trailing garbage {`,
+	`{"name":"x","apps":[{"name":"a","threads":[{"cache":1e308,"mem":0}]}]}`,
+}
+
 func TestReadJSONValidation(t *testing.T) {
-	cases := []string{
-		``,
-		`{`,
-		`{"name":"x","apps":[]}`,
-		`{"name":"x","apps":[{"name":"a","threads":[]}]}`,
-		`{"name":"x","apps":[{"name":"a","threads":[{"cache":-1,"mem":0}]}]}`,
-		`{"name":"x","bogus":1,"apps":[{"name":"a","threads":[{"cache":1,"mem":0}]}]}`,
-	}
-	for i, c := range cases {
+	for i, c := range invalidJSON {
 		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted: %s", i, c)
 		}

@@ -138,7 +138,15 @@ func (w *Workload) MemRates() []float64 {
 	return out
 }
 
-// Validate reports an error for empty workloads or negative rates.
+// maxRate bounds a valid request rate. C1–C8's rates stay below 100.
+// Every model quantity is a sum of rates times latencies of a few
+// hundred cycles, or a variance of such sums, so with rates this
+// bounded they stay far inside float64's range instead of overflowing
+// to an Inf that no mapper can minimize.
+const maxRate = 1e12
+
+// Validate reports an error for empty workloads and for rates that are
+// negative, NaN, infinite or above maxRate.
 func (w *Workload) Validate() error {
 	if len(w.Apps) == 0 {
 		return fmt.Errorf("workload %q: no applications", w.Name)
@@ -151,6 +159,11 @@ func (w *Workload) Validate() error {
 		for j, t := range a.Threads {
 			if t.CacheRate < 0 || t.MemRate < 0 {
 				return fmt.Errorf("workload %q: app %q thread %d has negative rate", w.Name, a.Name, j)
+			}
+			// The negated test also catches NaN.
+			if !(t.CacheRate <= maxRate && t.MemRate <= maxRate) {
+				return fmt.Errorf("workload %q: app %q thread %d has rate (%g, %g) outside [0, %g]",
+					w.Name, a.Name, j, t.CacheRate, t.MemRate, maxRate)
 			}
 		}
 	}

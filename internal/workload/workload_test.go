@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -85,6 +86,16 @@ func TestValidate(t *testing.T) {
 	neg.Apps[0].Threads[0].CacheRate = -1
 	if err := neg.Validate(); err == nil {
 		t.Error("negative rate accepted")
+	}
+	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308} {
+		bad := twoAppWorkload()
+		bad.Apps[1].Threads[0].MemRate = r
+		err := bad.Validate()
+		if err == nil {
+			t.Errorf("rate %g accepted", r)
+		} else if !strings.Contains(err.Error(), `app "`+bad.Apps[1].Name+`" thread 0`) {
+			t.Errorf("rate %g: error %q does not name the app and thread", r, err)
+		}
 	}
 }
 
