@@ -228,7 +228,57 @@ func TestGoldenDeterminism(t *testing.T) {
 			cycles: 5000,
 			want:   9114097653744048704,
 		},
+		// Routers with more than 12 VCs per port: the flattened
+		// (input port, VC) index space then spans more than 64 entries,
+		// and 21 VCs per class (63 VCs) puts a VC on bit 62, the highest
+		// bit of a port's 64-bit masks that any valid config uses.
+		{
+			name:   "mesh4x4-15vcs",
+			cfg:    manyVCConfig(5, false),
+			seed:   5150,
+			rate:   0.35,
+			cycles: 3000,
+			want:   3987219930926503333,
+		},
+		{
+			name:   "torus4x4-15vcs",
+			cfg:    manyVCConfig(5, true),
+			seed:   5150,
+			rate:   0.35,
+			cycles: 3000,
+			want:   542999309884240526,
+		},
+		{
+			name:   "mesh4x4-63vcs",
+			cfg:    manyVCConfig(21, false),
+			seed:   5150,
+			rate:   0.35,
+			cycles: 3000,
+			want:   11368103888898459513,
+		},
+		{
+			name:   "torus4x4-63vcs",
+			cfg:    manyVCConfig(21, true),
+			seed:   5150,
+			rate:   0.35,
+			cycles: 3000,
+			want:   5493051409400148431,
+		},
 	})
+}
+
+// manyVCConfig returns a 4x4 config with vcsPerClass VCs per protocol
+// class, shallow buffers and a one-cycle credit delay.
+func manyVCConfig(vcsPerClass int, torus bool) func() Config {
+	return func() Config {
+		c := DefaultConfig()
+		c.Rows, c.Cols = 4, 4
+		c.VCsPerClass = vcsPerClass
+		c.BufDepth = 2
+		c.CreditDelay = 1
+		c.Torus = torus
+		return c
+	}
 }
 
 // TestHandlerDeterminism pins fingerprints of the handler-reinjection

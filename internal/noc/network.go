@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"obm/internal/mesh"
 )
@@ -372,22 +373,21 @@ func (n *Network) Step() {
 	}
 	n.actScratch = act
 	// 3. Route computation for newly exposed heads, then VC allocation.
-	// Each busy router first snapshots its occupied VCs once; the three
-	// stages then scan only that candidate list.
+	// Each busy router first builds its per-output request masks once;
+	// VC allocation and switch arbitration then walk only the VCs that
+	// request each output.
 	for _, id := range act {
 		n.routers[id].gather(now)
 	}
 	for _, id := range act {
-		n.routers[id].allocateVCs(now)
+		n.routers[id].allocateVCs()
 	}
 	// 4. Switch allocation and traversal.
 	for _, id := range act {
 		r := n.routers[id]
 		var inputUsed [numPorts]bool
-		for p := Port(0); p < numPorts; p++ {
-			if r.outReq[p] != 0 {
-				r.arbitrate(now, p, &inputUsed)
-			}
+		for o := r.reqOuts; o != 0; o &= o - 1 {
+			r.arbitrate(now, Port(bits.TrailingZeros8(o)), &inputUsed)
 		}
 	}
 	n.cycle++

@@ -71,25 +71,25 @@ type router struct {
 	// occ counts buffered flits across all input VCs; idle routers
 	// (occ == 0) skip the per-cycle allocation scans entirely, which is
 	// what makes paper-scale loads (~0.25 packets/cycle chip-wide)
-	// simulate quickly. portOcc breaks the count down by input port so
-	// the allocation scans skip empty ports.
-	occ     int
-	portOcc [numPorts]int
+	// simulate quickly.
+	occ int
 	// occMask[p] has bit v set when input VC v of port p holds flits,
 	// letting gather enumerate occupied VCs with one bit-scan per VC
 	// instead of probing every buffer (Config.Validate caps VCs at 64).
 	occMask [numPorts]uint64
-	// cand is scratch space listing the occupied (port, vc) flattened
-	// indices, rebuilt once per cycle so the allocation stages scan only
-	// real work instead of every buffer.
-	cand []int
-	// outReq[p] counts candidate VCs routed toward output port p this
-	// cycle and vaNeed[p] flags ports where some ready head still lacks
-	// a downstream VC — both rebuilt by routeHeads so the allocation and
-	// arbitration stages skip ports nobody is requesting (at paper-scale
-	// loads a busy router usually feeds exactly one output).
-	outReq [numPorts]uint8
-	vaNeed [numPorts]bool
+	// req[out][in] has bit v set when input VC (in, v) holds a routed
+	// front flit toward output out that is eligible this cycle, and
+	// vaReq[out][in] is the subset of those that are heads still lacking
+	// a downstream VC (never set for Local). gather rebuilds both once
+	// per cycle, so VC allocation and switch arbitration visit only the
+	// VCs that request their output instead of every occupied one (at
+	// paper-scale loads a busy router usually feeds exactly one output).
+	req   [numPorts][numPorts]uint64
+	vaReq [numPorts][numPorts]uint64
+	// reqOuts and vaOuts have bit out set when req[out] (vaReq[out])
+	// holds any request, so the stages skip idle outputs and gather
+	// clears only the rows it filled last time.
+	reqOuts, vaOuts uint8
 	// vcs and total cache cfg.VCs() and numPorts*vcs.
 	vcs, total int
 	// queued reports whether this router is on the network's active
@@ -190,7 +190,6 @@ func newRouter(id mesh.Tile, n *Network) *router {
 func (r *router) accept(p Port, vc int, f flit) {
 	r.in[p][vc].push(f)
 	r.occ++
-	r.portOcc[p]++
 	r.occMask[p] |= 1 << uint(vc)
 	if !r.queued {
 		r.queued = true
@@ -205,24 +204,22 @@ func (r *router) vcFree(p Port, v int) bool {
 	return !r.owned[p][v] && r.credits[p][v] == r.n.cfg.BufDepth
 }
 
-// gather rebuilds the occupied-VC candidate list for this cycle by
-// scanning the occupancy bitmasks, routes any newly exposed heads (the
-// look-ahead route step), and rebuilds the per-output demand counters
-// the allocation and arbitration stages use to skip idle ports.
+// gather routes any newly exposed heads (the look-ahead route step) and
+// rebuilds the per-output request masks for this cycle by scanning the
+// occupancy bitmasks. A front flit that is not yet eligible
+// (f.ready > now) requests nothing this cycle.
 func (r *router) gather(now int64) {
-	r.cand = r.cand[:0]
-	r.outReq = [numPorts]uint8{}
-	r.vaNeed = [numPorts]bool{}
+	for o := r.reqOuts; o != 0; o &= o - 1 {
+		out := bits.TrailingZeros8(o)
+		r.req[out] = [numPorts]uint64{}
+		r.vaReq[out] = [numPorts]uint64{}
+	}
+	r.reqOuts, r.vaOuts = 0, 0
 	for p := Port(0); p < numPorts; p++ {
 		occ := r.occMask[p]
-		if occ == 0 {
-			continue
-		}
-		base := int(p) * r.vcs
 		for occ != 0 {
 			v := bits.TrailingZeros64(occ)
 			occ &= occ - 1
-			r.cand = append(r.cand, base+v)
 			b := &r.in[p][v]
 			f := b.front()
 			if !b.routed {
@@ -232,57 +229,69 @@ func (r *router) gather(now int64) {
 				b.outPort = r.n.cfg.route(r.n.mesh, r.id, f.pkt.Dst)
 				b.routed = true
 			}
-			r.outReq[b.outPort]++
-			if b.outVC < 0 && b.outPort != Local && f.isHead() && f.ready <= now {
-				r.vaNeed[b.outPort] = true
+			if f.ready > now {
+				continue
+			}
+			bit := uint64(1) << uint(v)
+			r.req[b.outPort][p] |= bit
+			r.reqOuts |= 1 << uint(b.outPort)
+			if b.outVC < 0 && b.outPort != Local && f.isHead() {
+				r.vaReq[b.outPort][p] |= bit
+				r.vaOuts |= 1 << uint(b.outPort)
 			}
 		}
 	}
 }
 
-// rotatedScan visits the candidate indices starting at the first one
-// >= start (wrapping), calling f until it reports done. This preserves
-// the round-robin pointer semantics over the sparse candidate list.
-func rotatedScan(cand []int, start int, f func(idx int) (done bool)) {
-	for _, idx := range cand {
-		if idx >= start && f(idx) {
-			return
-		}
+// rotatedBits returns step k (0 <= k <= numPorts) of the round-robin
+// walk over one output's per-input request masks, starting at the
+// flattened index sp*vcs+sv: step 0 is port sp from VC sv upward, steps
+// 1..numPorts-1 are the following ports whole (wrapping), and step
+// numPorts is port sp below sv. Walking each step's bits in ascending
+// order visits the requesters in ascending flattened (port, VC) index
+// order from the pointer, wrapping once.
+func rotatedBits(masks *[numPorts]uint64, sp, sv, k int) (Port, uint64) {
+	in := sp + k
+	if in >= int(numPorts) {
+		in -= int(numPorts)
 	}
-	for _, idx := range cand {
-		if idx < start && f(idx) {
-			return
-		}
+	m := masks[in]
+	switch k {
+	case 0:
+		m &= ^uint64(0) << uint(sv)
+	case int(numPorts):
+		m &= uint64(1)<<uint(sv) - 1
 	}
+	return Port(in), m
 }
 
-// allocateVCs performs VC allocation for head flits that are routed but
-// lack a downstream VC; round-robin over requesting input VCs. Ports
-// with no pending request (vaNeed, set by routeHeads) are skipped.
-func (r *router) allocateVCs(now int64) {
-	for p := Port(1); p < numPorts; p++ { // Local needs no VC
-		if !r.vaNeed[p] || r.neighbors[p] == nil {
+// allocateVCs performs VC allocation for the head flits gather found
+// routed but lacking a downstream VC; round-robin over the requesting
+// input VCs of each output port.
+func (r *router) allocateVCs() {
+	for o := r.vaOuts; o != 0; o &= o - 1 { // never Local: it needs no VC
+		p := Port(bits.TrailingZeros8(o))
+		if r.neighbors[p] == nil {
 			continue
 		}
-		rotatedScan(r.cand, r.vaPtr[p], func(idx int) bool {
-			inPort := Port(idx / r.vcs)
-			inVC := idx % r.vcs
-			b := &r.in[inPort][inVC]
-			f := b.front()
-			if f == nil || !f.isHead() || f.ready > now || !b.routed || b.outPort != p || b.outVC >= 0 {
-				return false
-			}
-			lo, hi := r.allowedVCs(p, f.pkt)
-			for v := lo; v < hi; v++ {
-				if r.vcFree(p, v) {
-					b.outVC = v
-					r.owned[p][v] = true
-					r.vaPtr[p] = (idx + 1) % r.total
-					break
+		sp, sv := r.vaPtr[p]/r.vcs, r.vaPtr[p]%r.vcs
+		for k := 0; k <= int(numPorts); k++ {
+			inPort, m := rotatedBits(&r.vaReq[p], sp, sv, k)
+			for m != 0 {
+				inVC := bits.TrailingZeros64(m)
+				m &= m - 1
+				b := &r.in[inPort][inVC]
+				lo, hi := r.allowedVCs(p, b.front().pkt)
+				for v := lo; v < hi; v++ {
+					if r.vcFree(p, v) {
+						b.outVC = v
+						r.owned[p][v] = true
+						r.vaPtr[p] = (int(inPort)*r.vcs + inVC + 1) % r.total
+						break
+					}
 				}
 			}
-			return false
-		})
+		}
 	}
 }
 
@@ -291,43 +300,37 @@ func (r *router) allocateVCs(now int64) {
 // leaves each input port (crossbar constraint). inputUsed is shared
 // across the router's output ports for the cycle.
 func (r *router) arbitrate(now int64, p Port, inputUsed *[numPorts]bool) {
-	if r.outReq[p] == 0 {
-		return // nobody routed toward this output this cycle
-	}
-	rotatedScan(r.cand, r.saPtr[p], func(idx int) bool {
-		inPort := Port(idx / r.vcs)
+	sp, sv := r.saPtr[p]/r.vcs, r.saPtr[p]%r.vcs
+	for k := 0; k <= int(numPorts); k++ {
+		inPort, m := rotatedBits(&r.req[p], sp, sv, k)
 		if inputUsed[inPort] {
-			return false
+			continue
 		}
-		inVC := idx % r.vcs
-		b := &r.in[inPort][inVC]
-		f := b.front()
-		if f == nil || f.ready > now || !b.routed || b.outPort != p {
-			return false
-		}
-		if p == Local {
-			// Ejection: consume the flit now. dequeue returns the popped
-			// flit by value; the front pointer is invalidated by the pop.
+		for m != 0 {
+			inVC := bits.TrailingZeros64(m)
+			m &= m - 1
+			b := &r.in[inPort][inVC]
+			if p != Local && (b.outVC < 0 || r.credits[p][b.outVC] == 0) {
+				continue // head awaiting VC, or no credit downstream
+			}
+			outVC := b.outVC
+			// dequeue returns the popped flit by value and resets the
+			// VC's wormhole state after a tail.
 			granted := r.dequeue(inPort, inVC)
 			inputUsed[inPort] = true
-			r.saPtr[p] = (idx + 1) % r.total
-			r.n.eject(now, granted.pkt, granted.seq)
-			return true
+			r.saPtr[p] = (int(inPort)*r.vcs + inVC + 1) % r.total
+			if p == Local {
+				r.n.eject(now, granted.pkt, granted.seq)
+				return
+			}
+			r.credits[p][outVC]--
+			if granted.isTail() {
+				r.owned[p][outVC] = false
+			}
+			r.n.sendFlit(now, r, p, outVC, granted)
+			return
 		}
-		if b.outVC < 0 || r.credits[p][b.outVC] == 0 {
-			return false // head awaiting VC, or no credit downstream
-		}
-		outVC := b.outVC
-		granted := r.dequeue(inPort, inVC)
-		inputUsed[inPort] = true
-		r.saPtr[p] = (idx + 1) % r.total
-		r.credits[p][outVC]--
-		if granted.isTail() {
-			r.owned[p][outVC] = false
-		}
-		r.n.sendFlit(now, r, p, outVC, granted)
-		return true
-	})
+	}
 }
 
 // dequeue removes and returns the front flit of input VC (port, vc),
@@ -337,7 +340,6 @@ func (r *router) dequeue(p Port, vc int) flit {
 	b := &r.in[p][vc]
 	f := b.pop()
 	r.occ--
-	r.portOcc[p]--
 	if b.n == 0 {
 		r.occMask[p] &^= 1 << uint(vc)
 	}
