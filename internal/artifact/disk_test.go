@@ -89,7 +89,7 @@ func TestDiskWrongSchemaRecovers(t *testing.T) {
 	}
 	wu := unitFor(2)
 	path := d.path(wu.Key())
-	if err := WriteFileAtomic(path, encodeVersion(wu, synthetic(2), SchemaVersion+1), 0o644); err != nil {
+	if err := WriteFileAtomic(path, encodeFrame(wu.Key(), SchemaVersion+1, synthetic(2)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d.Get(wu); ok {

@@ -73,13 +73,14 @@ func (e *SchemaError) Is(target error) bool { return target == ErrSchema }
 // Encode serializes the artifact for wu into the versioned binary
 // form. The inverse is Decode; Encode(wu, a) round-trips bit-exactly.
 func Encode(wu WorkUnit, a Artifact) []byte {
-	return encodeVersion(wu, a, uint32(wu.schemaOrDefault()))
+	return encodeFrame(wu.Key(), uint32(wu.schemaOrDefault()), a)
 }
 
-// encodeVersion is Encode with an explicit schema version; the tests
-// use it to craft wrong-version files with valid checksums.
-func encodeVersion(wu WorkUnit, a Artifact, version uint32) []byte {
-	key := wu.Key()
+// encodeFrame is Encode with the key and schema version given
+// explicitly; the tests use it to craft wrong-version files with valid
+// checksums and to re-encode decoded frames whose key no WorkUnit
+// spells.
+func encodeFrame(key string, version uint32, a Artifact) []byte {
 	n, ap := len(a.Mapping), len(a.Eval.APLs)
 	size := 4 + 4 + 4 + len(key) + 4 + 4*n + 4 + 8*ap + 8*4 + 4 + 8
 	for _, m := range a.Set {

@@ -135,7 +135,7 @@ func TestDecodeBitRot(t *testing.T) {
 
 func TestDecodeWrongSchema(t *testing.T) {
 	wu, a := testArtifact()
-	data := encodeVersion(wu, a, SchemaVersion+41)
+	data := encodeFrame(wu.Key(), SchemaVersion+41, a)
 	_, _, err := Decode(data)
 	if !errors.Is(err, ErrSchema) {
 		t.Fatalf("err = %v, want ErrSchema", err)

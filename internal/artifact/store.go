@@ -13,7 +13,6 @@ import (
 var (
 	mMemHits  = obs.Default().Counter("artifact.mem.hits")
 	mComputed = obs.Default().Counter("artifact.store.computed")
-	mBypass   = obs.Default().Counter("artifact.store.bypass")
 	mInflight = obs.Default().Gauge("artifact.store.inflight")
 )
 
@@ -50,8 +49,6 @@ type Stats struct {
 	MemHits  uint64 `json:"mem_hits"`
 	DiskHits uint64 `json:"disk_hits"`
 	Computed uint64 `json:"computed"`
-	// Bypass counts explicit no-cache requests (timing harnesses).
-	Bypass uint64 `json:"bypass,omitempty"`
 	// Disk-tier occupancy and failure accounting; zero when no disk
 	// tier is attached. DiskSchema counts stale-schema files discarded
 	// after an encoding bump (expected, unlike DiskCorrupt).
@@ -95,9 +92,6 @@ type Store struct {
 func NewStore(disk *DiskTier) *Store {
 	return &Store{disk: disk, entries: make(map[string]*entry)}
 }
-
-// Disk returns the attached disk tier (nil for memory-only stores).
-func (s *Store) Disk() *DiskTier { return s.disk }
 
 // Get returns the artifact for wu, serving it from the memory tier,
 // then the disk tier, and only then running compute — at most once per
@@ -192,20 +186,6 @@ func (s *Store) compute(ctx context.Context, key string, e *entry, wu WorkUnit, 
 		_ = s.disk.Put(wu, art)
 	}
 	return art.Clone(), SourceComputed, nil
-}
-
-// Bypass is the store's explicit no-cache mode: it runs compute
-// directly, touching neither tier — no lookup, no singleflight, no
-// write-back — and counts the request so harnesses can prove a timing
-// path really bypassed the cache (and that cached paths never do).
-// Runners that measure mapper wall time use this instead of silently
-// skipping the store.
-func (s *Store) Bypass(ctx context.Context, compute func(context.Context) (Artifact, error)) (Artifact, error) {
-	s.mu.Lock()
-	s.stats.Bypass++
-	s.mu.Unlock()
-	mBypass.Inc()
-	return compute(ctx)
 }
 
 // Stats returns one coherent snapshot of the request accounting, with

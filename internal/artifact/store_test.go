@@ -86,33 +86,6 @@ func TestStoreMemorySingleflight(t *testing.T) {
 	}
 }
 
-func TestStoreBypassTouchesNoTier(t *testing.T) {
-	dir := t.TempDir()
-	disk, err := OpenDisk(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(disk)
-	var calls atomic.Int64
-	for i := 0; i < 3; i++ {
-		a, err := s.Bypass(context.Background(), computeSynthetic(7, &calls))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSynthetic(t, a, 7)
-	}
-	if calls.Load() != 3 {
-		t.Errorf("bypass memoized: %d compute calls for 3 requests", calls.Load())
-	}
-	st := s.Stats()
-	if st.Bypass != 3 || st.Computed != 0 || st.MemHits != 0 || st.DiskHits != 0 {
-		t.Errorf("stats = %+v, want bypass-only traffic", st)
-	}
-	if s.Len() != 0 || disk.Len() != 0 {
-		t.Errorf("bypass populated a tier: mem %d, disk %d entries", s.Len(), disk.Len())
-	}
-}
-
 // TestStoreDiskPromotion is the two-tier contract: a fresh store over
 // a warmed directory serves from disk without computing, and promotes
 // the artifact into its memory tier so the repeat is a memory hit.

@@ -200,18 +200,6 @@ func mapEvalSet(ctx context.Context, p *core.Problem, sm mapping.SetMapper) (cor
 	return scenario.Shared().MapEvalSet(ctx, p, sm)
 }
 
-// mapEvalUncached is the explicit no-cache path for runners that
-// measure mapper wall time (ext_ablation, ext_scaling): the mapper
-// always runs for real, nothing is read from or written to either
-// store tier, and the bypass is counted so TestTimingRunnersBypass can
-// enforce the policy — a future runner can neither silently reuse the
-// cache (its timings would measure lookups) nor silently skip the
-// store (its traffic would be invisible). Never call
-// mapping.MapAndCheck directly from a runner.
-func mapEvalUncached(ctx context.Context, p *core.Problem, m mapping.Mapper) (core.Mapping, core.Evaluation, error) {
-	return scenario.Shared().MapEvalUncached(ctx, p, m)
-}
-
 // parallelConfigs runs fn once per configuration concurrently — each
 // builds its own Problem, so the fan-out is share-nothing — and joins
 // any errors. Callers write results into per-index slots, keeping the

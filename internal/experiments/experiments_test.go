@@ -301,6 +301,19 @@ func TestOptionsSpec(t *testing.T) {
 	}
 }
 
+// TestOptionsSpecThreadsCacheKnobs: the cache knobs ride Options into
+// scenario.Spec verbatim, so run manifests record them.
+func TestOptionsSpecThreadsCacheKnobs(t *testing.T) {
+	o := Options{Quick: true, CacheDir: "/tmp/artifacts", CacheSize: 123}
+	sp, err := o.Spec("C1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.CacheDir != o.CacheDir || sp.CacheSizeBytes != o.CacheSize {
+		t.Errorf("Spec dropped cache knobs: %+v", sp)
+	}
+}
+
 func TestStreamOptionValidation(t *testing.T) {
 	o := quickOpts()
 	o.Stream = "load=0.8,maxthreads=24"

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"obm/internal/mapping"
 	"obm/internal/workload"
@@ -14,7 +13,7 @@ func init() { register(extAblation{}) }
 // extAblation is an extension experiment: the contribution of each
 // phase and design choice of sort-select-swap (the studies DESIGN.md
 // calls out). Every variant maps all configurations; the table reports
-// the average max-APL, dev-APL, and wall time.
+// the average max-APL, dev-APL, and swap-phase work per pass.
 type extAblation struct{}
 
 func (extAblation) ID() string { return "ablation" }
@@ -27,7 +26,10 @@ type AblationRow struct {
 	Variant        string
 	MaxAPL, DevAPL float64
 	GAPL           float64
-	Runtime        time.Duration
+	// Probes is the swap probes one pass scores
+	// (mapping.SortSelectSwap.SwapProbes), averaged over configurations;
+	// -1 for variants that are not sort-select-swap.
+	Probes int
 }
 
 // AblationResult is the whole study.
@@ -58,24 +60,25 @@ func (a extAblation) Run(ctx context.Context, o Options) (Result, error) {
 	res := &AblationResult{}
 	for _, m := range variants {
 		row := AblationRow{Variant: m.Name()}
-		start := time.Now()
+		sss, isSSS := m.(mapping.SortSelectSwap)
 		for _, cfg := range cfgs {
 			p, err := problemFor(cfg)
 			if err != nil {
 				return nil, err
 			}
-			// Explicit store bypass: the runtime column must time real
-			// mapper work, not cache lookups (test-enforced by
-			// TestTimingRunnersBypass).
-			_, ev, err := mapEvalUncached(ctx, p, m)
+			_, ev, err := mapEval(ctx, p, m)
 			if err != nil {
 				return nil, err
 			}
 			row.MaxAPL += ev.MaxAPL
 			row.DevAPL += ev.DevAPL
 			row.GAPL += ev.GlobalAPL
+			row.Probes += sss.SwapProbes(p.N())
 		}
-		row.Runtime = time.Since(start) / time.Duration(len(cfgs))
+		row.Probes /= len(cfgs)
+		if !isSSS {
+			row.Probes = -1
+		}
 		n := float64(len(cfgs))
 		row.MaxAPL /= n
 		row.DevAPL /= n
@@ -87,13 +90,17 @@ func (a extAblation) Run(ctx context.Context, o Options) (Result, error) {
 
 func (r *AblationResult) table() *Table {
 	t := newTable("SSS ablations (averages over configurations)",
-		"Variant", "max-APL", "dev-APL", "g-APL", "runtime")
+		"Variant", "max-APL", "dev-APL", "g-APL", "probes/pass")
 	for _, row := range r.Rows {
+		probes := "-"
+		if row.Probes >= 0 {
+			probes = fmt.Sprint(row.Probes)
+		}
 		t.addRow(row.Variant,
 			fmt.Sprintf("%.3f", row.MaxAPL),
 			fmt.Sprintf("%.4f", row.DevAPL),
 			fmt.Sprintf("%.3f", row.GAPL),
-			row.Runtime.Round(10*time.Microsecond).String())
+			probes)
 	}
 	return t
 }

@@ -5,8 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"regexp"
-	"strings"
 	"testing"
 )
 
@@ -15,28 +13,9 @@ import (
 // -update-golden` after an intentional output change.
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden experiment outputs")
 
-// durationToken matches Go duration strings (the only nondeterministic
-// content an experiment renders: measured wall times in the ablation
-// and scaling tables).
-var durationToken = regexp.MustCompile(`\b[0-9]+(\.[0-9]+)?(ns|µs|us|ms|s)\b`)
-
-// normalizeRender replaces wall-clock durations with a fixed token.
-// Because tabwriter pads columns to their widest cell, a different
-// duration width also shifts alignment spaces, so when any duration was
-// present the run of spaces is collapsed too. Experiments that render
-// no durations compare byte-for-byte.
-func normalizeRender(s string) string {
-	out := durationToken.ReplaceAllString(s, "<dur>")
-	if out == s {
-		return s
-	}
-	return regexp.MustCompile(` +`).ReplaceAllString(out, " ")
-}
-
 // TestGoldenRenders pins every experiment's human-readable output: the
-// quick-mode seed-1 Render() string must stay byte-identical (modulo
-// measured durations) across refactors of the rendering and scenario
-// layers. The same captures also gate the artifact cache: a second run
+// quick-mode seed-1 Render() string must stay byte-identical across
+// refactors of the rendering and scenario layers. The same captures also gate the artifact cache: a second run
 // served from the cache must render the same bytes as the cold run.
 func TestGoldenRenders(t *testing.T) {
 	if testing.Short() {
@@ -49,7 +28,7 @@ func TestGoldenRenders(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", r.ID(), err)
 			}
-			got := normalizeRender(res.Render())
+			got := res.Render()
 			path := filepath.Join("testdata", "golden", r.ID()+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -83,20 +62,4 @@ func firstDiff(a, b string) int {
 		}
 	}
 	return n
-}
-
-// TestGoldenNormalize pins the normalization helper itself.
-func TestGoldenNormalize(t *testing.T) {
-	in := "runtime  1.23ms  done"
-	want := "runtime <dur> done"
-	if got := normalizeRender(in); got != want {
-		t.Errorf("normalizeRender(%q) = %q, want %q", in, got, want)
-	}
-	plain := "no  durations   here 10.42% a3s"
-	if got := normalizeRender(plain); got != plain {
-		t.Errorf("normalizeRender should not touch %q, got %q", plain, got)
-	}
-	if !strings.Contains(normalizeRender("54.3µs"), "<dur>") {
-		t.Error("µs duration not normalized")
-	}
 }

@@ -80,9 +80,9 @@ func ObjectiveFingerprint(m Mapper) string {
 // this so a buggy mapper can never silently corrupt results. Each
 // invocation is recorded in the process metrics registry — a per-
 // algorithm call counter and wall-time histogram — so a run's mapper
-// budget is visible without one-off timing code (the ablation/scaling
-// experiments still measure their own wall time; these metrics observe,
-// never replace, that).
+// budget is visible without one-off timing code (the ablation and
+// scaling experiments render swap-probe counts, so this timer is where
+// their wall time lives).
 func MapAndCheck(ctx context.Context, m Mapper, p *core.Problem) (core.Mapping, error) {
 	name := m.Name()
 	reg := obs.Default()

@@ -351,6 +351,45 @@ func TestSSSWindowValidation(t *testing.T) {
 	}
 }
 
+// TestSwapProbesCountsSlideWindows: SwapProbes is the exact number of
+// permutations one slideWindows pass scores, for every legal window and
+// both step caps, and 0 with the swap phase disabled.
+func TestSwapProbesCountsSlideWindows(t *testing.T) {
+	ctx := context.Background()
+	for _, dim := range []int{4, 6, 8, 12, 16} {
+		p := tinyProblem(t, dim, dim, 4, uint64(dim))
+		sorted := sortedSlotsByTC(p)
+		for w := 2; w <= 5; w++ {
+			for _, maxStep := range []int{0, 1} {
+				s := SortSelectSwap{WindowSize: w, MaxStep: maxStep}
+				m := make(core.Mapping, p.N())
+				for j := range m {
+					m[j] = mesh.Tile(j)
+				}
+				var sw swapScratch
+				got, err := s.slideWindows(ctx, p, m, sorted, w, &sw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := s.SwapProbes(p.N()); got != want {
+					t.Errorf("n=%d w=%d maxstep=%d: slideWindows scored %d probes, SwapProbes says %d",
+						p.N(), w, maxStep, got, want)
+				}
+			}
+		}
+		if got := (SortSelectSwap{DisableSwap: true}).SwapProbes(p.N()); got != 0 {
+			t.Errorf("n=%d: DisableSwap gives %d probes, want 0", p.N(), got)
+		}
+	}
+	// The published configuration's counts on the scaling experiment's
+	// meshes (4x4, 8x8, 12x12, 16x16).
+	for n, want := range map[int]int{16: 782, 64: 14168, 144: 73278, 256: 233312} {
+		if got := (SortSelectSwap{}).SwapProbes(n); got != want {
+			t.Errorf("SwapProbes(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
 // TestSSSPhasesMonotone: enabling the swap phase and the final SAM must
 // not hurt the objective relative to coarse tuning alone.
 func TestSSSPhasesMonotone(t *testing.T) {

@@ -121,10 +121,6 @@ func (s SortSelectSwap) Name() string {
 // Passes 0 and 1 are both the published single-pass algorithm and the
 // seed only feeds SelectRandom, so both normalize before printing.
 func (s SortSelectSwap) Fingerprint() string {
-	window := s.WindowSize
-	if window == 0 {
-		window = 4
-	}
 	passes := s.Passes
 	if passes < 1 {
 		passes = 1
@@ -134,17 +130,14 @@ func (s SortSelectSwap) Fingerprint() string {
 		seed = 0
 	}
 	return fmt.Sprintf("sss(swap=%t,finalsam=%t,sel=%s,win=%d,step=%d,passes=%d,seed=%d%s)",
-		!s.DisableSwap, !s.DisableFinalSAM, s.Select, window, s.MaxStep, passes, seed, objFingerprint(s.Objective))
+		!s.DisableSwap, !s.DisableFinalSAM, s.Select, s.window(), s.MaxStep, passes, seed, objFingerprint(s.Objective))
 }
 
 // Map implements Mapper. The sliding-window phase (the only
 // super-linear part) polls cancellation between window steps and
 // reports step progress.
 func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
-	window := s.WindowSize
-	if window == 0 {
-		window = 4
-	}
+	window := s.window()
 	if window < 2 || window > 5 {
 		return nil, fmt.Errorf("sss: window size %d out of range [2,5]", window)
 	}
@@ -196,7 +189,7 @@ func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping,
 			return nil, fmt.Errorf("sss: interrupted in pass %d/%d: %w", pass+1, passes, err)
 		}
 		if !s.DisableSwap {
-			if err := s.slideWindows(ctx, p, m, sorted, window, &sw); err != nil {
+			if _, err := s.slideWindows(ctx, p, m, sorted, window, &sw); err != nil {
 				return nil, err
 			}
 		}
@@ -217,6 +210,47 @@ func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping,
 		}
 	}
 	return m, nil
+}
+
+// window resolves WindowSize's default, the paper's 4-tile window.
+func (s SortSelectSwap) window() int {
+	if s.WindowSize == 0 {
+		return 4
+	}
+	return s.WindowSize
+}
+
+// maxStep resolves MaxStep's default, the paper's n/window, for an
+// n-thread problem.
+func (s SortSelectSwap) maxStep(n, window int) int {
+	if s.MaxStep <= 0 {
+		return n / window
+	}
+	return s.MaxStep
+}
+
+// SwapProbes returns the number of non-identity window permutations one
+// swap pass scores on an n-thread problem: step size 1..maxStep slides
+// the window over every start whose last tile still fits in the sorted
+// list, max(0, n-(window-1)*step) positions, and each position tries
+// window!-1 permutations. It is the swap phase's exact work count, a
+// deterministic stand-in for its wall time; 0 when DisableSwap is set.
+func (s SortSelectSwap) SwapProbes(n int) int {
+	if s.DisableSwap {
+		return 0
+	}
+	window := s.window()
+	perms := 1
+	for k := 2; k <= window; k++ {
+		perms *= k
+	}
+	probes := 0
+	for step := 1; step <= s.maxStep(n, window); step++ {
+		if starts := n - (window-1)*step; starts > 0 {
+			probes += starts * (perms - 1)
+		}
+	}
+	return probes
 }
 
 // sortedSlotsByTC returns every slot of the problem sorted ascending by
@@ -316,8 +350,9 @@ func (sw *swapScratch) ensure(n, window int) {
 
 // slideWindows performs the greedy permutation search of step 3 in
 // place, polling cancellation between window steps (each step is a full
-// sweep of the sorted list, i.e. O(N * window!) objective probes).
-func (s SortSelectSwap) slideWindows(ctx context.Context, p *core.Problem, m core.Mapping, sorted []mesh.Tile, window int, sw *swapScratch) error {
+// sweep of the sorted list, i.e. O(N * window!) objective probes). It
+// returns the number of probes scored, SwapProbes(N) for a full pass.
+func (s SortSelectSwap) slideWindows(ctx context.Context, p *core.Problem, m core.Mapping, sorted []mesh.Tile, window int, sw *swapScratch) (int, error) {
 	n := p.N()
 	tr := newObjectiveTracker(p, m, s.Objective)
 	sw.ensure(n, window)
@@ -330,15 +365,13 @@ func (s SortSelectSwap) slideWindows(ctx context.Context, p *core.Problem, m cor
 	}
 	perms := permutations(window)
 
-	maxStep := s.MaxStep
-	if maxStep <= 0 {
-		maxStep = n / window
-	}
+	maxStep := s.maxStep(n, window)
+	probes := 0
 	rep := engine.StartStage(ctx, s.Name()+"/swap")
 	tiles, threads, trial := sw.tiles, sw.threads, sw.trial
 	for step := 1; step <= maxStep; step++ {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("sss: interrupted at window step %d/%d: %w", step, maxStep, err)
+			return probes, fmt.Errorf("sss: interrupted at window step %d/%d: %w", step, maxStep, err)
 		}
 		rep.Report(step-1, maxStep)
 		span := (window - 1) * step
@@ -348,7 +381,9 @@ func (s SortSelectSwap) slideWindows(ctx context.Context, p *core.Problem, m cor
 				threads[x] = inv[tiles[x]]
 			}
 			// Try every permutation; keep the best (identity included, so
-			// the objective never worsens).
+			// the objective never worsens). Every non-identity one is
+			// scored, so the probes are counted per window.
+			probes += len(perms) - 1
 			bestObj := tr.value()
 			bestPerm := -1
 			for pi, perm := range perms {
@@ -380,7 +415,7 @@ func (s SortSelectSwap) slideWindows(ctx context.Context, p *core.Problem, m cor
 		}
 	}
 	rep.Finish(maxStep, maxStep)
-	return nil
+	return probes, nil
 }
 
 // permTables memoizes the permutation lists for every legal window size

@@ -24,10 +24,7 @@ import (
 // *increase* spread-sensitive objectives like dev-APL — the final
 // mapping is compared against base and base wins ties or regressions.
 func (s SortSelectSwap) WarmStart(ctx context.Context, p *core.Problem, base core.Mapping) (core.Mapping, error) {
-	window := s.WindowSize
-	if window == 0 {
-		window = 4
-	}
+	window := s.window()
 	if window < 2 || window > 5 {
 		return nil, fmt.Errorf("sss: window size %d out of range [2,5]", window)
 	}
@@ -50,7 +47,7 @@ func (s SortSelectSwap) WarmStart(ctx context.Context, p *core.Problem, base cor
 			return nil, fmt.Errorf("sss: warm start interrupted in pass %d/%d: %w", pass+1, passes, err)
 		}
 		if !s.DisableSwap {
-			if err := s.slideWindows(ctx, p, m, sorted, window, &sw); err != nil {
+			if _, err := s.slideWindows(ctx, p, m, sorted, window, &sw); err != nil {
 				return nil, err
 			}
 		}

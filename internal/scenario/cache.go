@@ -129,35 +129,8 @@ func (c *Cache) MapEvalSet(ctx context.Context, p *core.Problem, sm mapping.SetM
 	return set, nil
 }
 
-// MapEvalUncached is the explicit no-cache path for harnesses that
-// measure mapper wall time: it runs the mapper and evaluation directly,
-// touching neither store tier, and counts the bypass so tests can
-// enforce that timing runners really skip the cache (and that cached
-// runners never do). Silent cache bypasses — calling
-// mapping.MapAndCheck directly from a runner — are a bug; route
-// through here instead.
-func (c *Cache) MapEvalUncached(ctx context.Context, p *core.Problem, m mapping.Mapper) (core.Mapping, core.Evaluation, error) {
-	art, err := c.store.Bypass(ctx, computeFn(p, m))
-	if err != nil {
-		return nil, core.Evaluation{}, err
-	}
-	return art.Mapping, art.Eval, nil
-}
-
-// Stats returns the cumulative hit and miss counts of the legacy
-// (hits, misses) shape: hits are requests served without computing
-// (memory or disk tier), misses are compute callbacks started. Use
-// StoreStats for the per-tier breakdown.
-func (c *Cache) Stats() (hits, misses uint64) {
-	st := c.store.Stats()
-	return st.MemHits + st.DiskHits, st.Computed
-}
-
 // StoreStats returns the per-tier request accounting.
 func (c *Cache) StoreStats() artifact.Stats { return c.store.Stats() }
-
-// Store returns the underlying two-tier store.
-func (c *Cache) Store() *artifact.Store { return c.store }
 
 // Len returns the number of completed-or-in-flight artifacts held in
 // the memory tier.

@@ -116,35 +116,6 @@ func TestConfigureSharedInstallsAndRejects(t *testing.T) {
 	}
 }
 
-// TestMapEvalUncachedBypassesTiers: the explicit no-cache path neither
-// reads nor populates either tier, and is counted so harnesses can
-// assert their timing loops really bypass.
-func TestMapEvalUncachedBypassesTiers(t *testing.T) {
-	c, err := ConfigureShared(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ResetShared()
-	ctx := context.Background()
-	p := testProblem(t, "C1")
-	for i := 0; i < 2; i++ {
-		if _, _, err := c.MapEvalUncached(ctx, p, mapping.Global{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.StoreStats()
-	if st.Bypass != 2 || st.Computed != 0 || st.MemHits != 0 || st.DiskHits != 0 {
-		t.Errorf("stats = %+v, want pure bypass traffic", st)
-	}
-	if c.Len() != 0 || st.DiskEntries != 0 {
-		t.Errorf("bypass populated a tier: mem %d, disk %d", c.Len(), st.DiskEntries)
-	}
-	// Errors propagate unchanged.
-	if _, _, err := c.MapEvalUncached(ctx, p, mapping.Annealing{Iters: -1}); err == nil {
-		t.Error("invalid mapper accepted by the bypass path")
-	}
-}
-
 // TestSpecCacheKnobsInvariantKeys enforces the execution-shape
 // contract promised in the Spec docs: CacheDir and CacheSizeBytes
 // configure where artifacts live, never which artifact a work unit

@@ -108,7 +108,7 @@ func TestPanickingMapperCannotDeadlockWaiters(t *testing.T) {
 	if err := mp.Validate(p.N()); err != nil {
 		t.Errorf("retry returned invalid mapping: %v", err)
 	}
-	hits, misses := c.Stats()
+	hits, misses := hitsMisses(c)
 	if misses != 2 {
 		t.Errorf("misses = %d, want 2 (panicked attempt + retry)", misses)
 	}
@@ -137,7 +137,7 @@ func TestStatsCoherentUnderConcurrency(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				h, ms := c.Stats()
+				h, ms := hitsMisses(c)
 				if h+ms > served.Load()+callers {
 					snapErr.Store("hits+misses ran ahead of requests")
 					return
@@ -159,7 +159,7 @@ func TestStatsCoherentUnderConcurrency(t *testing.T) {
 	if e := snapErr.Load(); e != nil {
 		t.Fatal(e)
 	}
-	h, ms := c.Stats()
+	h, ms := hitsMisses(c)
 	if h+ms != callers || ms != 1 {
 		t.Errorf("final stats %d hits + %d misses, want %d total with 1 miss", h, ms, callers)
 	}

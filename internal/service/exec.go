@@ -136,9 +136,9 @@ func statsDelta(before, after artifact.Stats) artifact.Stats {
 		MemHits:       after.MemHits - before.MemHits,
 		DiskHits:      after.DiskHits - before.DiskHits,
 		Computed:      after.Computed - before.Computed,
-		Bypass:        after.Bypass - before.Bypass,
 		DiskEvictions: after.DiskEvictions - before.DiskEvictions,
 		DiskCorrupt:   after.DiskCorrupt - before.DiskCorrupt,
+		DiskSchema:    after.DiskSchema - before.DiskSchema,
 		DiskEntries:   after.DiskEntries,
 		DiskBytes:     after.DiskBytes,
 	}

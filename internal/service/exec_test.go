@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"obm/internal/artifact"
@@ -179,5 +180,27 @@ func TestExecuteCancelKeepsPartial(t *testing.T) {
 	}
 	if err := json.Unmarshal(out.Envelope, &doc); err != nil || len(doc.Experiments) != 1 {
 		t.Errorf("partial envelope: %v, %d entries", err, len(doc.Experiments))
+	}
+}
+
+// TestStatsDelta: every counter of a job's artifact stats is the
+// difference of the two readings, and the occupancy levels keep the
+// after-reading.
+func TestStatsDelta(t *testing.T) {
+	before := artifact.Stats{MemHits: 1, DiskHits: 2, Computed: 3, DiskEvictions: 4,
+		DiskCorrupt: 5, DiskSchema: 6, DiskEntries: 7, DiskBytes: 8}
+	after := artifact.Stats{MemHits: 11, DiskHits: 13, Computed: 17, DiskEvictions: 23,
+		DiskCorrupt: 29, DiskSchema: 37, DiskEntries: 41, DiskBytes: 43}
+	// Every field is set, so a field added to Stats must join this test.
+	v := reflect.ValueOf(after)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("after.%s unset", v.Type().Field(i).Name)
+		}
+	}
+	want := artifact.Stats{MemHits: 10, DiskHits: 11, Computed: 14, DiskEvictions: 19,
+		DiskCorrupt: 24, DiskSchema: 31, DiskEntries: 41, DiskBytes: 43}
+	if got := statsDelta(before, after); got != want {
+		t.Errorf("statsDelta = %+v, want %+v", got, want)
 	}
 }
