@@ -44,7 +44,8 @@ check: vet staticcheck build test
 
 # Fuzz the parsers that read untrusted input, each for FUZZTIME: the
 # -objective spec (CLI flag and HTTP job field), the -workload JSON
-# file and the OBMA artifact files read from the cache directory. One
+# file, the OBMA artifact files read from the cache directory, the
+# -stream spec (CLI flag and HTTP job field) and the HTTP job body. One
 # target per invocation, as go test -fuzz requires. Workload
 # inputs run to kilobytes, and minimizing one for the default 60s would
 # stall the whole run, so that target minimizes for 1s at most.
@@ -53,6 +54,8 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/core
 	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -parallel 2 ./internal/workload
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/artifact
+	go test -run '^$$' -fuzz '^FuzzStreamOverrides$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/sched
+	go test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/service
 
 # staticcheck is optional locally (CI installs it); skip with a note
 # rather than failing on machines that don't have it.

@@ -17,8 +17,8 @@ import (
 type runEnvelope struct {
 	Schema  string `json:"schema"`
 	Options struct {
-		CacheDir  string `json:"cachedir"`
-		CacheSize int64  `json:"cachesize"`
+		Dir  string `json:"cachedir"`
+		Size int64  `json:"cachesize"`
 	} `json:"options"`
 	Cache struct {
 		Dir       string `json:"dir"`
@@ -63,7 +63,7 @@ func TestCacheDirColdWarm(t *testing.T) {
 	}
 
 	cold, coldRaw, coldStats := do(filepath.Join(out, "cold.json"))
-	if cold.Cache.Dir != cache || cold.Cache.SizeBytes != 256<<20 || cold.Options.CacheDir != cache {
+	if cold.Cache.Dir != cache || cold.Cache.SizeBytes != 256<<20 || cold.Options.Dir != cache {
 		t.Errorf("disk tier not recorded in envelope: %+v", cold.Cache)
 	}
 	if cold.Cache.Schema != artifact.SchemaVersion {

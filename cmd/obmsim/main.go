@@ -212,9 +212,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	printed := 0
 	var writeErr error
 	cfg := service.ExecConfig{
-		Timeout: *timeout,
 		Metrics: *metrics,
-		OnResult: func(res engine.Result, raw json.RawMessage) {
+		OnResult: func(res service.ExperimentResult, raw json.RawMessage) {
 			if res.Err != nil || writeErr != nil {
 				return
 			}
@@ -222,14 +221,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stdout)
 			}
 			printed++
-			r := res.Value.(experiments.Result)
+			r := res.Result
 			fmt.Fprint(stdout, r.Render())
-			fmt.Fprintf(stdout, "[%s in %v]\n", res.Name, res.Elapsed.Round(time.Millisecond))
+			fmt.Fprintf(stdout, "[%s in %v]\n", res.ID, res.Elapsed.Round(time.Millisecond))
 			if *csvPath != "" {
-				fmt.Fprintf(&csv, "# %s: %s\n%s", res.Name, titles[res.Name], r.CSV())
+				fmt.Fprintf(&csv, "# %s: %s\n%s", res.ID, titles[res.ID], r.CSV())
 			}
 			if *jsonDir != "" && raw != nil {
-				writeErr = writeJSONArtifact(stdout, *jsonDir, res.Name, raw)
+				writeErr = writeJSONArtifact(stdout, *jsonDir, res.ID, raw)
 				if writeErr != nil {
 					return
 				}
@@ -245,6 +244,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg.Sink = engine.Throttled(&progressWriter{w: stderr}, 250*time.Millisecond)
 	}
 
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	out, err := service.Execute(ctx, req, cfg)
 	if out == nil {
 		out = &service.Outcome{}

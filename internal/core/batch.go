@@ -89,26 +89,3 @@ func (b *BatchEvaluator) EvaluateBatch(ms []Mapping, out []float64) {
 		out[k] = b.obj.Value(b.p, nums[k*apps:(k+1)*apps])
 	}
 }
-
-// Score scores a single mapping through the batch machinery (table
-// path included), for callers that mix batched and one-off evaluation.
-func (b *BatchEvaluator) Score(m Mapping) float64 {
-	apps := b.p.NumApps()
-	if cap(b.nums) < apps {
-		b.nums = make([]float64, apps)
-	}
-	num := b.nums[:apps]
-	for i := range num {
-		num[i] = 0
-	}
-	if b.cost != nil {
-		for j, t := range m {
-			num[b.p.appOf[j]] += b.cost[j*b.n+int(t)]
-		}
-	} else {
-		for j, t := range m {
-			num[b.p.appOf[j]] += b.p.ThreadCost(j, t)
-		}
-	}
-	return b.obj.Value(b.p, num)
-}

@@ -1,16 +1,17 @@
-// Package engine is the cancellable execution substrate every
-// long-running layer of the repository runs on: the iterative mappers
-// (Monte Carlo, SA, cluster SA, SSS refinement), the experiment
-// runners, and the replica-sharded simulator all accept a
-// context.Context and consult this package for two services:
+// Package engine is the progress plumbing every long-running layer of
+// the repository shares: the iterative mappers (Monte Carlo, SA,
+// cluster SA, SSS refinement), the experiment runners, and the
+// replica-sharded simulator all accept a context.Context, poll it for
+// cancellation and deadlines, and report structured progress through
+// this package — a pluggable Sink carried in the context receives
+// Progress events (stage, done/total, elapsed) so a CLI ticker, a log
+// shipper, or a serving API can observe work in flight without the
+// workers knowing who is watching.
 //
-//   - cancellation and deadlines — callers cancel a context (or set a
-//     deadline) and every layer unwinds promptly, returning whatever
-//     partial results it has together with a ctx.Err()-wrapped error;
-//   - structured progress — a pluggable Sink carried in the context
-//     receives Progress events (stage, done/total, elapsed) so a CLI
-//     ticker, a log shipper, or a serving API can observe work in
-//     flight without the workers knowing who is watching.
+// The package is context plumbing only: Sink, Reporter, Throttled and
+// ReportSkipped. The loop over a request's experiments lives in
+// service.Execute, and the per-job event numbering in the service's
+// Journal.
 //
 // The design rule that keeps results reproducible: context plumbing
 // must never perturb an algorithm's random stream. Cancellation polls
@@ -27,12 +28,10 @@ import (
 
 // Progress is one structured progress event for a named stage.
 type Progress struct {
-	// Seq is the event's monotonic per-job sequence number, stamped by
-	// the Sequenced sink wrapper (the Runner installs one around its
-	// Sink automatically). Numbering starts at 1 and has no gaps, so a
-	// consumer that saw event Seq=n can poll "everything after n" and
-	// resume without loss; 0 means the event never passed through a
-	// sequencer.
+	// Seq is the event's per-job sequence number, stamped by the job
+	// service's journal as it buffers the event (1, 2, 3, … with no
+	// gaps), so a consumer that saw event Seq=n can poll "everything
+	// after n" and resume without loss. Producers leave it 0.
 	Seq uint64
 	// Stage names the unit of work, e.g. "MC(10000)", "fig9", or
 	// "replicas".
@@ -158,34 +157,6 @@ func (r *Reporter) Finish(done, total int) {
 	r.last = now
 	r.mu.Unlock()
 	r.sink.Event(Progress{Stage: r.stage, Done: done, Total: total, Elapsed: now.Sub(r.start), Final: true})
-}
-
-// Sequenced wraps s so every event is stamped with a monotonically
-// increasing Seq (1, 2, 3, …) before being forwarded. Stamping and
-// forwarding happen under one lock, so events reach s in sequence
-// order even when several stages report concurrently — a journal that
-// appends in arrival order can serve "events after cursor n" by slice
-// position. The Runner wraps its Sink in one sequencer per batch, which
-// is what gives a job's event stream its per-job numbering.
-func Sequenced(s Sink) Sink {
-	if s == nil {
-		return nil
-	}
-	return &seqSink{sink: s}
-}
-
-type seqSink struct {
-	mu   sync.Mutex
-	n    uint64
-	sink Sink
-}
-
-func (q *seqSink) Event(p Progress) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.n++
-	p.Seq = q.n
-	q.sink.Event(p)
 }
 
 // Throttled wraps s with a global spacing filter: at most one ordinary

@@ -2,11 +2,8 @@ package engine
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // recordSink collects events; safe for concurrent use.
@@ -93,111 +90,5 @@ func TestReporterOrderingAndThrottle(t *testing.T) {
 	// The throttle must have dropped the bulk of the 5000 reports.
 	if len(evs) > n/2 {
 		t.Errorf("throttle ineffective: %d events for %d reports", len(evs), n)
-	}
-}
-
-func TestRunnerRunsJobsInOrder(t *testing.T) {
-	var order []string
-	jobs := []Job{
-		{Name: "a", Run: func(context.Context) (any, error) { order = append(order, "a"); return 1, nil }},
-		{Name: "b", Run: func(context.Context) (any, error) { order = append(order, "b"); return 2, nil }},
-	}
-	var streamed []string
-	r := Runner{OnResult: func(res Result) { streamed = append(streamed, res.Name) }}
-	results, err := r.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Value != 1 || results[1].Value != 2 {
-		t.Fatalf("results = %+v", results)
-	}
-	if fmt.Sprint(order) != "[a b]" || fmt.Sprint(streamed) != "[a b]" {
-		t.Errorf("order %v, streamed %v", order, streamed)
-	}
-}
-
-func TestRunnerStopsOnFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	ran := 0
-	jobs := []Job{
-		{Name: "ok", Run: func(context.Context) (any, error) { ran++; return nil, nil }},
-		{Name: "bad", Run: func(context.Context) (any, error) { ran++; return nil, boom }},
-		{Name: "never", Run: func(context.Context) (any, error) { ran++; return nil, nil }},
-	}
-	results, err := Runner{}.Run(context.Background(), jobs)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if ran != 2 || len(results) != 2 {
-		t.Errorf("ran %d jobs, got %d results; want 2, 2", ran, len(results))
-	}
-
-	ran = 0
-	results, err = Runner{KeepGoing: true}.Run(context.Background(), jobs)
-	if !errors.Is(err, boom) {
-		t.Fatalf("KeepGoing err = %v, want wrapped boom", err)
-	}
-	if ran != 3 || len(results) != 3 {
-		t.Errorf("KeepGoing ran %d jobs, got %d results; want 3, 3", ran, len(results))
-	}
-}
-
-func TestRunnerTimeoutReturnsPartialResults(t *testing.T) {
-	jobs := []Job{
-		{Name: "fast", Run: func(context.Context) (any, error) { return "done", nil }},
-		{Name: "slow", Run: func(ctx context.Context) (any, error) {
-			<-ctx.Done() // honours cancellation
-			return nil, ctx.Err()
-		}},
-		{Name: "never", Run: func(context.Context) (any, error) { return nil, nil }},
-	}
-	r := Runner{Timeout: 20 * time.Millisecond}
-	start := time.Now()
-	results, err := r.Run(context.Background(), jobs)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("runner took %v to honour a 20ms deadline", elapsed)
-	}
-	// The fast job completed and is preserved; the slow job's failed
-	// result is recorded; "never" did not run.
-	if len(results) != 2 || results[0].Value != "done" || results[1].Err == nil {
-		t.Fatalf("partial results = %+v", results)
-	}
-}
-
-func TestRunnerCancelBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, err := Runner{}.Run(ctx, []Job{{Name: "x", Run: func(context.Context) (any, error) {
-		t.Error("job ran under a cancelled context")
-		return nil, nil
-	}}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want canceled", err)
-	}
-	if len(results) != 0 {
-		t.Errorf("results = %+v, want none", results)
-	}
-}
-
-func TestRunnerInstallsSink(t *testing.T) {
-	var sink recordSink
-	r := Runner{Sink: &sink}
-	_, err := r.Run(context.Background(), []Job{{Name: "probe", Run: func(ctx context.Context) (any, error) {
-		rep := StartStage(ctx, "inner")
-		rep.Report(1, 1)
-		return nil, nil
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := map[string]bool{}
-	for _, ev := range sink.all() {
-		stages[ev.Stage] = true
-	}
-	if !stages["inner"] || !stages["batch"] {
-		t.Errorf("stages seen: %v, want inner and batch", stages)
 	}
 }

@@ -172,31 +172,3 @@ func TestProgressSinkSeesOrderedStageEvents(t *testing.T) {
 		}
 	}
 }
-
-// TestRunnerTimeoutBoundsRealJobs drives engine.Runner over real
-// mapping jobs: the cheap job's result survives a timeout the expensive
-// job cannot meet.
-func TestRunnerTimeoutBoundsRealJobs(t *testing.T) {
-	p := c1Problem(t)
-	r := engine.Runner{Timeout: 150 * time.Millisecond}
-	results, err := r.Run(context.Background(), []engine.Job{
-		{Name: "sss", Run: func(ctx context.Context) (any, error) {
-			return mapping.SortSelectSwap{}.Map(ctx, p)
-		}},
-		{Name: "sa-huge", Run: func(ctx context.Context) (any, error) {
-			return mapping.Annealing{Iters: 50_000_000, Seed: 1}.Map(ctx, p)
-		}},
-	})
-	if err == nil {
-		t.Fatal("batch with a 50M-iteration anneal met a 150ms timeout")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
-	}
-	if len(results) == 0 || results[0].Name != "sss" || results[0].Err != nil {
-		t.Fatalf("cheap job's result not preserved: %+v", results)
-	}
-	if m, ok := results[0].Value.(core.Mapping); !ok || len(m) == 0 {
-		t.Errorf("cheap job's value not a mapping: %#v", results[0].Value)
-	}
-}

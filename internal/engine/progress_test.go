@@ -2,74 +2,9 @@ package engine
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 )
-
-// TestSequencedMonotonicUnderConcurrency hammers one sequencer from
-// many goroutines and checks the sink received a gapless 1..N sequence
-// in arrival order — the property the service journal's cursor polling
-// depends on.
-func TestSequencedMonotonicUnderConcurrency(t *testing.T) {
-	var sink recordSink
-	seq := Sequenced(&sink)
-	const workers, per = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				seq.Event(Progress{Stage: "s", Done: i})
-			}
-		}(w)
-	}
-	wg.Wait()
-	evs := sink.all()
-	if len(evs) != workers*per {
-		t.Fatalf("%d events, want %d", len(evs), workers*per)
-	}
-	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has Seq %d, want %d (gapless, in arrival order)", i, ev.Seq, i+1)
-		}
-	}
-}
-
-// TestSequencedNil mirrors the package's nil-sink conventions.
-func TestSequencedNil(t *testing.T) {
-	if Sequenced(nil) != nil {
-		t.Error("Sequenced(nil) should be nil")
-	}
-}
-
-// TestRunnerStampsSequence checks Runner.Run installs a sequencer, so
-// every event a batch emits carries a per-batch Seq starting at 1.
-func TestRunnerStampsSequence(t *testing.T) {
-	for round := 0; round < 2; round++ { // numbering restarts per batch
-		var sink recordSink
-		r := Runner{Sink: &sink}
-		_, err := r.Run(context.Background(), []Job{{Name: "probe", Run: func(ctx context.Context) (any, error) {
-			rep := StartStage(ctx, "inner")
-			rep.Report(1, 2)
-			rep.Finish(2, 2)
-			return nil, nil
-		}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs := sink.all()
-		if len(evs) == 0 {
-			t.Fatal("no events")
-		}
-		for i, ev := range evs {
-			if ev.Seq != uint64(i+1) {
-				t.Fatalf("round %d: event %d Seq = %d, want %d", round, i, ev.Seq, i+1)
-			}
-		}
-	}
-}
 
 // TestFinishMarksFinalAndSurvivesThrottle is the Finish-is-never-lost
 // contract: a Finish immediately after a Report must pass a spacing

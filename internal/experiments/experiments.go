@@ -20,7 +20,6 @@ import (
 	"obm/internal/mesh"
 	"obm/internal/model"
 	"obm/internal/scenario"
-	"obm/internal/sched"
 	"obm/internal/workload"
 )
 
@@ -37,16 +36,6 @@ type Options struct {
 	// Objective selects the cost the optimizing mappers minimize; nil
 	// keeps the paper's max-APL everywhere.
 	Objective core.Objective
-	// CacheDir roots the persistent disk tier of the shared artifact
-	// store ("" keeps it memory-only). The option is recorded and
-	// threaded into scenario.Spec for run manifests; attaching the tier
-	// to the process-wide store is the host's job (cmd/obmsim does it
-	// from -cachedir before running). Execution-shape only: it never
-	// reaches a fingerprint, an artifact key, or a result.
-	CacheDir string
-	// CacheSize bounds the disk tier in bytes (LRU-evicted); <= 0
-	// means unbounded. Execution-shape only, like CacheDir.
-	CacheSize int64
 	// Stream overrides the dynstream experiment's timeline generator:
 	// a comma-separated key=value list over sched.GenConfig's load
 	// shape (load, gap, minthreads, maxthreads, appsigma, threadsigma),
@@ -71,10 +60,13 @@ func (o Options) Validate() error {
 			return fmt.Errorf("experiments: unknown config %q (valid: %s)", c, strings.Join(names, ", "))
 		}
 	}
-	// Parse (not apply) the stream override spec, so a typo exits 2 up
-	// front instead of failing deep inside the dynstream runner.
-	if _, err := (sched.GenConfig{}).WithOverrides(o.Stream); err != nil {
-		return err
+	// Resolve and validate the stream overrides exactly as the dynstream
+	// runner will, so a typo or an out-of-range value exits 2 up front
+	// instead of failing (or never finishing) deep inside the runner.
+	if o.Stream != "" {
+		if _, err := o.streamConfig(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -88,8 +80,7 @@ func (o Options) Spec(def ...string) (scenario.Spec, error) {
 	if err != nil {
 		return scenario.Spec{}, err
 	}
-	return scenario.Spec{Configs: cfgs, Budget: scenario.DefaultBudget(o.Quick), Seed: o.Seed, Objective: o.Objective,
-		CacheDir: o.CacheDir, CacheSizeBytes: o.CacheSize}, nil
+	return scenario.Spec{Configs: cfgs, Budget: scenario.DefaultBudget(o.Quick), Seed: o.Seed, Objective: o.Objective}, nil
 }
 
 // Result is what every experiment returns.

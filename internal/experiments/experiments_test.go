@@ -267,8 +267,9 @@ func TestRenderHelpers(t *testing.T) {
 	if !strings.Contains(hm, "range") {
 		t.Errorf("heatmap render: %q", hm)
 	}
-	mr := multi{parts: []Result{text("x"), text("y")}}
-	if mr.Render() != "x\ny" || mr.CSV() != "x\ny" {
+	// Notes are render-only, so the CSV form is just the separator.
+	mr := multi{parts: []Result{newDoc().add(Note("x")), newDoc().add(Note("y"))}}
+	if mr.Render() != "x\ny" || mr.CSV() != "\n" {
 		t.Error("multi render broken")
 	}
 }
@@ -298,19 +299,6 @@ func TestOptionsSpec(t *testing.T) {
 	}
 	if _, err := (Options{Configs: []string{"nope"}}).Spec("C1"); err == nil {
 		t.Error("unknown config accepted")
-	}
-}
-
-// TestOptionsSpecThreadsCacheKnobs: the cache knobs ride Options into
-// scenario.Spec verbatim, so run manifests record them.
-func TestOptionsSpecThreadsCacheKnobs(t *testing.T) {
-	o := Options{Quick: true, CacheDir: "/tmp/artifacts", CacheSize: 123}
-	sp, err := o.Spec("C1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.CacheDir != o.CacheDir || sp.CacheSizeBytes != o.CacheSize {
-		t.Errorf("Spec dropped cache knobs: %+v", sp)
 	}
 }
 

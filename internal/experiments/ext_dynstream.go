@@ -89,22 +89,36 @@ func dynstreamSchemes(interval int64) []dynstreamScheme {
 	}
 }
 
+// streamConfig is the dynstream timeline generator's configuration:
+// the experiment's scale (1M events, 10k under Quick) on the paper
+// chip, seeded from o.Seed, with o.Stream's load-shape overrides
+// applied and validated.
+func (o Options) streamConfig() (sched.GenConfig, error) {
+	events := 1_000_000
+	if o.Quick {
+		events = 10_000
+	}
+	gen, err := sched.GenConfig{Events: events, Tiles: paperModel().NumTiles(), Seed: o.Seed}.WithOverrides(o.Stream)
+	if err != nil {
+		return gen, err
+	}
+	return gen, gen.Validate()
+}
+
 func (e extDynstream) Run(ctx context.Context, o Options) (Result, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	events := 1_000_000
 	interval := int64(20_000)
 	if o.Quick {
-		events = 10_000
 		interval = 5_000
 	}
-	lm := paperModel()
-	gen, err := sched.GenConfig{Events: events, Tiles: lm.NumTiles(), Seed: o.Seed}.WithOverrides(o.Stream)
+	gen, err := o.streamConfig()
 	if err != nil {
 		return nil, err
 	}
-	res := &DynstreamResult{Events: events, Stream: o.Stream}
+	lm := paperModel()
+	res := &DynstreamResult{Events: gen.Events, Stream: o.Stream}
 	for _, s := range dynstreamSchemes(interval) {
 		src, err := sched.NewGenerator(gen)
 		if err != nil {

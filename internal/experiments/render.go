@@ -394,12 +394,3 @@ func (m multi) JSON() ([]byte, error) {
 	}
 	return json.Marshal(parts)
 }
-
-// text is a Result that is plain prose in both textual forms.
-type text string
-
-func (t text) Render() string { return string(t) }
-func (t text) CSV() string    { return string(t) }
-func (t text) JSON() ([]byte, error) {
-	return json.Marshal(Document{Schema: SchemaVersion, Blocks: []BlockJSON{{Kind: "text", Text: string(t)}}})
-}

@@ -139,7 +139,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 
 	// multi results emit an array of part documents.
-	raw, err := multi{parts: []Result{text("x"), d}}.JSON()
+	raw, err := multi{parts: []Result{newDoc().add(Note("x")), d}}.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &parts); err != nil {
 		t.Fatalf("multi JSON: %v", err)
 	}
-	if len(parts) != 2 || parts[0].Blocks[0].Kind != "text" || parts[1].Schema != SchemaVersion {
+	if len(parts) != 2 || parts[0].Blocks[0].Kind != "note" || parts[1].Schema != SchemaVersion {
 		t.Errorf("multi parts = %+v", parts)
 	}
 }

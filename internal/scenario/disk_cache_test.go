@@ -116,34 +116,6 @@ func TestConfigureSharedInstallsAndRejects(t *testing.T) {
 	}
 }
 
-// TestSpecCacheKnobsInvariantKeys enforces the execution-shape
-// contract promised in the Spec docs: CacheDir and CacheSizeBytes
-// configure where artifacts live, never which artifact a work unit
-// resolves to — no fingerprint may move when they change.
-func TestSpecCacheKnobsInvariantKeys(t *testing.T) {
-	base := Spec{Configs: []string{"C1"}, Budget: DefaultBudget(true), Seed: 1}
-	ms := base.StandardMappers()
-	for _, tc := range []Spec{
-		{CacheDir: "/tmp/a"},
-		{CacheDir: "/tmp/b", CacheSizeBytes: 1 << 20},
-		{CacheSizeBytes: 42},
-	} {
-		sp := base
-		sp.CacheDir, sp.CacheSizeBytes = tc.CacheDir, tc.CacheSizeBytes
-		for i, m := range sp.StandardMappers() {
-			if got, want := m.Fingerprint(), ms[i].Fingerprint(); got != want {
-				t.Errorf("cache knobs %+v change mapper %d key: %q != %q", tc, i, got, want)
-			}
-		}
-	}
-	// Problems built from such specs are cache-knob-invariant too: the
-	// problem fingerprint depends only on platform and workload.
-	p1, p2 := testProblem(t, "C1"), testProblem(t, "C1")
-	if p1.Fingerprint() != p2.Fingerprint() {
-		t.Error("problem fingerprint unstable across builds")
-	}
-}
-
 // TestObjectiveFingerprintCoversMappers pins the objective component
 // of the work-unit key for each mapper family: optimizing mappers
 // report their configured objective, Global is objective-fixed, and

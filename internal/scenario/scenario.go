@@ -80,16 +80,6 @@ type Spec struct {
 	// every mapper fingerprint (and therefore every cache key), so
 	// artifacts optimized under different objectives never conflate.
 	Objective core.Objective
-	// CacheDir roots the persistent disk tier of the artifact store
-	// ("" keeps the store memory-only). It is an execution-shape knob:
-	// it must never reach a mapper fingerprint or artifact key, so the
-	// same artifacts are served whatever directory — or no directory —
-	// a run was started with (TestSpecCacheKnobsInvariantKeys enforces
-	// this).
-	CacheDir string
-	// CacheSizeBytes bounds the disk tier (LRU-evicted); <= 0 means
-	// unbounded. Execution-shape only, like CacheDir.
-	CacheSizeBytes int64
 }
 
 // ParetoMapper returns the spec's set-valued mapper: NSGA-II under

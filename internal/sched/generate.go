@@ -3,6 +3,7 @@ package sched
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -171,16 +172,52 @@ func (c GenConfig) withDefaults() GenConfig {
 	return c
 }
 
-// Validate reports configuration errors after default resolution.
+// Extremes of the generator's random draws, which bound every value an
+// accepted GenConfig can generate.
+var (
+	// maxNormal is the largest |z| stats.Rand.NormFloat64 returns: the
+	// Box–Muller radius sqrt(-2 ln u) peaks at the smallest nonzero
+	// uniform draw, 2^-53.
+	maxNormal = math.Sqrt(-2 * math.Log(0x1p-53))
+	// maxExp is the largest stats.Rand.ExpFloat64 draw, -ln 2^-53.
+	maxExp = -math.Log(0x1p-53)
+	// maxSigma bounds AppSigma+ThreadSigma. A thread's cache rate is
+	// exp(AppSigma·z1)·exp(ThreadSigma·z2) ≤ exp((AppSigma+ThreadSigma)·maxNormal),
+	// and its memory rate is a fraction of that, so at this bound every
+	// generated rate stays within workload.MaxRate (about 3.22; the
+	// defaults sum to 1.5).
+	maxSigma = math.Log(workload.MaxRate) / maxNormal
+)
+
+// Validate reports configuration errors in c as the generator runs it,
+// with zero fields resolved to their defaults. Beyond the structural
+// checks it bounds the load shape so that every accepted config
+// terminates with finite output:
+//
+//   - TargetLoad lies in (0, 1];
+//   - MeanGap is at least one tick. Lifetimes are at least one tick,
+//     and while the chip is full arrivals balk about 1/MeanGap times per
+//     tick, so a vanishing gap never reaches the next departure;
+//   - AppSigma and ThreadSigma are non-negative with a sum of at most
+//     maxSigma, so every rate stays finite and within workload.MaxRate;
+//   - the latest possible event time stays inside int64 ticks. Each
+//     event advances the generator's horizon by at most two arrival gaps
+//     and one lifetime, each drawn at its maximum.
+//
+// The negated comparisons also reject NaN.
 func (c GenConfig) Validate() error {
+	c = c.withDefaults()
 	if c.Events <= 0 {
 		return fmt.Errorf("sched: generator needs Events > 0, got %d", c.Events)
 	}
 	if c.Tiles <= 0 {
 		return fmt.Errorf("sched: generator needs Tiles > 0, got %d", c.Tiles)
 	}
-	if c.MeanGap < 0 || c.TargetLoad < 0 || c.TargetLoad > 1 {
-		return fmt.Errorf("sched: bad generator load shape (gap %v, load %v)", c.MeanGap, c.TargetLoad)
+	if !(c.TargetLoad > 0 && c.TargetLoad <= 1) {
+		return fmt.Errorf("sched: generator load %v outside (0, 1]", c.TargetLoad)
+	}
+	if !(c.MeanGap >= 1 && c.MeanGap <= math.MaxFloat64) {
+		return fmt.Errorf("sched: generator gap %v is not a finite number of ticks >= 1", c.MeanGap)
 	}
 	if c.MinThreads < 1 || c.MaxThreads < c.MinThreads {
 		return fmt.Errorf("sched: bad thread range [%d,%d]", c.MinThreads, c.MaxThreads)
@@ -188,7 +225,24 @@ func (c GenConfig) Validate() error {
 	if c.MinThreads > c.Tiles {
 		return fmt.Errorf("sched: MinThreads %d exceeds chip capacity %d", c.MinThreads, c.Tiles)
 	}
+	if !(c.AppSigma >= 0 && c.ThreadSigma >= 0 && c.AppSigma+c.ThreadSigma <= maxSigma) {
+		return fmt.Errorf("sched: generator sigmas (app %v, thread %v) must be >= 0 with a sum of at most %.4g",
+			c.AppSigma, c.ThreadSigma, maxSigma)
+	}
+	gap := maxExp * c.MeanGap
+	life := maxExp*c.meanLife() + 1
+	n := float64(c.Events)
+	if horizon := gap*(2*n+1) + n*life + c.MeanGap + 1; !(horizon < 0x1p62) {
+		return fmt.Errorf("sched: generator gap %v can push %d events past int64 ticks", c.MeanGap, c.Events)
+	}
 	return nil
+}
+
+// meanLife is the mean application lifetime that holds the chip at
+// TargetLoad occupancy by Little's law.
+func (c GenConfig) meanLife() float64 {
+	meanThreads := (float64(c.MinThreads) + float64(c.MaxThreads)) / 2
+	return c.TargetLoad * float64(c.Tiles) * c.MeanGap / meanThreads
 }
 
 // pendingDep is a scheduled departure.
@@ -246,7 +300,6 @@ func NewGenerator(cfg GenConfig) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	meanThreads := float64(cfg.MinThreads+cfg.MaxThreads) / 2
 	g := &Generator{
 		cfg:      cfg,
 		times:    stats.NewRand(stats.SplitSeed(cfg.Seed, 1)),
@@ -254,7 +307,7 @@ func NewGenerator(cfg GenConfig) (*Generator, error) {
 		rates:    stats.NewRand(stats.SplitSeed(cfg.Seed, 3)),
 		lives:    stats.NewRand(stats.SplitSeed(cfg.Seed, 4)),
 		free:     cfg.Tiles,
-		meanLife: cfg.TargetLoad * float64(cfg.Tiles) * cfg.MeanGap / meanThreads,
+		meanLife: cfg.meanLife(),
 	}
 	g.nextArrival = g.times.ExpFloat64() * cfg.MeanGap
 	return g, nil

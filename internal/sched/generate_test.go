@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"math"
 	"testing"
+
+	"obm/internal/workload"
 )
 
 func TestGeneratorProducesValidScenario(t *testing.T) {
@@ -140,11 +143,29 @@ func TestGenConfigValidate(t *testing.T) {
 		{Events: 10, Tiles: 64, MinThreads: 8, MaxThreads: 4},
 		{Events: 10, Tiles: 4, MinThreads: 8, MaxThreads: 8},
 		{Events: 10, Tiles: 64, TargetLoad: 1.5},
+		{Events: 10, Tiles: 64, TargetLoad: -1},
+		{Events: 10, Tiles: 64, TargetLoad: math.NaN()},
+		{Events: 10, Tiles: 64, MeanGap: math.NaN()},
+		{Events: 10, Tiles: 64, MeanGap: math.Inf(1)},
+		{Events: 10, Tiles: 64, MeanGap: 1e-300},
+		{Events: 10, Tiles: 64, MeanGap: 1e300},
+		{Events: 10, Tiles: 64, AppSigma: math.NaN()},
+		{Events: 10, Tiles: 64, AppSigma: -1},
+		{Events: 10, Tiles: 64, ThreadSigma: 1e6},
 	}
 	for i, cfg := range bad {
 		if _, err := NewGenerator(cfg); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
+	}
+	// The sigma bound is inclusive: at it, the largest possible draw
+	// still yields a rate within workload.MaxRate.
+	edge := GenConfig{Events: 10, Tiles: 64, AppSigma: maxSigma / 2, ThreadSigma: maxSigma / 2}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("sigma sum at the bound rejected: %v", err)
+	}
+	if r := math.Exp(maxSigma * maxNormal); r > 1.0000001*workload.MaxRate {
+		t.Errorf("largest rate at the sigma bound %g exceeds %g", r, workload.MaxRate)
 	}
 }
 

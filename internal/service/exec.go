@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"obm/internal/artifact"
@@ -13,20 +14,18 @@ import (
 	"obm/internal/scenario"
 )
 
-// ExecConfig tunes one Execute call. The zero value runs silently with
-// no deadline and no metrics block.
+// ExecConfig tunes one Execute call. The zero value runs silently and
+// embeds no metrics block; deadlines come from ctx.
 type ExecConfig struct {
-	// Timeout bounds the whole run; 0 means no deadline beyond ctx.
-	Timeout time.Duration
-	// Sink, when non-nil, receives the run's progress events (the
-	// engine Runner wraps it in a per-run sequencer, so events arrive
-	// with monotonic Seq).
+	// Sink, when non-nil, receives the run's progress events: the
+	// "batch" stage (experiments completed / total) and every stage the
+	// experiments report below it.
 	Sink engine.Sink
 	// OnResult, when non-nil, streams each experiment's result as soon
 	// as it completes — successes and failures both. raw is the
 	// experiment's JSON document on success (nil on failure), so
 	// streaming consumers never re-encode.
-	OnResult func(res engine.Result, raw json.RawMessage)
+	OnResult func(res ExperimentResult, raw json.RawMessage)
 	// Metrics embeds an obs.Default() snapshot (taken after the run) in
 	// the envelope. Process-global and cumulative: meaningful for a
 	// one-shot host like cmd/obmsim, deliberately off for daemon jobs,
@@ -34,13 +33,28 @@ type ExecConfig struct {
 	Metrics bool
 }
 
+// ExperimentResult records one experiment that ran, finished or failed.
+type ExperimentResult struct {
+	// ID is the experiment's registry ID.
+	ID string
+	// Result is what the experiment returned; meaningful only when Err
+	// is nil.
+	Result experiments.Result
+	// Err is the experiment's error, nil on success. A panic becomes an
+	// error carrying the panic value and stack.
+	Err error
+	// Elapsed is the experiment's wall time.
+	Elapsed time.Duration
+}
+
 // Outcome is everything one Execute produced.
 type Outcome struct {
 	// Entries holds the successful experiments' envelope slots, in
 	// execution order.
 	Entries []ExperimentEntry
-	// Results holds every engine result that ran, including failures.
-	Results []engine.Result
+	// Results holds every experiment that ran, including a failed last
+	// one.
+	Results []ExperimentResult
 	// Envelope is the assembled obmsim.run/v1 document over Entries.
 	Envelope []byte
 	// Metrics is the snapshot embedded in the envelope when
@@ -57,15 +71,14 @@ type Outcome struct {
 
 // Execute runs a request's experiments under ctx and assembles the
 // result envelope. It is the one execution path behind every frontend:
-// resolve the request, run the experiments through the engine batch
-// runner (streaming each result to cfg.OnResult), collect the
-// successful results' JSON documents, and build the envelope.
+// resolve the request, run the experiments in order (streaming each
+// result to cfg.OnResult), collect the successful results' JSON
+// documents, and build the envelope.
 //
-// The returned error is the batch error (first experiment failure, or
-// a ctx.Err()-wrapped interruption) joined with any result-encoding
-// failure; the Outcome is returned alongside it, so callers keep the
-// completed prefix of an interrupted run — exactly the partial-results
-// contract cmd/obmsim has always had.
+// The returned error is the first experiment failure or a
+// ctx.Err()-wrapped interruption; the Outcome is returned alongside
+// it, so callers keep the completed prefix of an interrupted run —
+// exactly the partial-results contract cmd/obmsim has always had.
 func Execute(ctx context.Context, req Request, cfg ExecConfig) (*Outcome, error) {
 	req = req.Normalized()
 	opts, runners, err := req.Resolve()
@@ -73,42 +86,9 @@ func Execute(ctx context.Context, req Request, cfg ExecConfig) (*Outcome, error)
 		return nil, err
 	}
 
-	jobs := make([]engine.Job, len(runners))
-	titles := make(map[string]string, len(runners))
-	for i, r := range runners {
-		r := r
-		titles[r.ID()] = r.Title()
-		jobs[i] = engine.Job{
-			Name: r.ID(),
-			Run:  func(ctx context.Context) (any, error) { return r.Run(ctx, opts) },
-		}
-	}
-
 	out := &Outcome{}
-	var encodeErr error
 	before := scenario.Shared().StoreStats()
-	runner := engine.Runner{
-		Timeout: cfg.Timeout,
-		Sink:    cfg.Sink,
-		OnResult: func(res engine.Result) {
-			var raw json.RawMessage
-			if res.Err == nil && encodeErr == nil {
-				r := res.Value.(experiments.Result)
-				var jerr error
-				raw, jerr = r.JSON()
-				if jerr != nil {
-					encodeErr = fmt.Errorf("service: encoding %s result: %w", res.Name, jerr)
-				} else {
-					out.Entries = append(out.Entries, ExperimentEntry{ID: res.Name, Title: titles[res.Name], Result: raw})
-				}
-			}
-			if cfg.OnResult != nil {
-				cfg.OnResult(res, raw)
-			}
-		},
-	}
-	results, runErr := runner.Run(ctx, jobs)
-	out.Results = results
+	runErr := out.run(ctx, opts, runners, cfg)
 	out.Stats = statsDelta(before, scenario.Shared().StoreStats())
 
 	if cfg.Metrics {
@@ -116,16 +96,69 @@ func Execute(ctx context.Context, req Request, cfg ExecConfig) (*Outcome, error)
 	}
 	env, envErr := Envelope(req, out.Entries, out.Metrics)
 	out.Envelope = env
-
-	switch {
-	case runErr != nil:
+	if runErr != nil {
 		return out, runErr
-	case encodeErr != nil:
-		return out, encodeErr
-	case envErr != nil:
-		return out, envErr
 	}
-	return out, nil
+	return out, envErr
+}
+
+// run executes runners in order under ctx, appending each one's result
+// to out.Results and each success's document to out.Entries. It checks
+// ctx before every experiment, reports the "batch" stage, times each
+// experiment under engine.job.<id>.seconds, and stops at the first
+// failure.
+func (out *Outcome) run(ctx context.Context, opts experiments.Options, runners []experiments.Runner, cfg ExecConfig) error {
+	ctx = engine.WithSink(ctx, cfg.Sink)
+	rep := engine.StartStage(ctx, "batch")
+	n := len(runners)
+	for i, r := range runners {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("service: batch interrupted after %d/%d experiments: %w", i, n, err)
+		}
+		res := runOne(ctx, r, opts)
+		var raw json.RawMessage
+		if res.Err == nil {
+			if raw, res.Err = res.Result.JSON(); res.Err != nil {
+				res.Err = fmt.Errorf("encoding result: %w", res.Err)
+			} else {
+				out.Entries = append(out.Entries, ExperimentEntry{ID: res.ID, Title: r.Title(), Result: raw})
+			}
+		}
+		out.Results = append(out.Results, res)
+		if cfg.OnResult != nil {
+			cfg.OnResult(res, raw)
+		}
+		rep.Report(i+1, n)
+		if res.Err != nil {
+			if ctx.Err() != nil {
+				// The experiment died of the caller's deadline or cancel;
+				// report how far the batch got.
+				return fmt.Errorf("service: batch interrupted during experiment %d/%d: %w", i+1, n, res.Err)
+			}
+			return fmt.Errorf("service: experiment %s: %w", res.ID, res.Err)
+		}
+	}
+	rep.Finish(n, n)
+	return nil
+}
+
+// runOne runs one experiment and times it, converting a panic into an
+// error that carries the panic value and stack. Lower layers re-raise
+// panics (programmer error stays loud); this boundary turns them into
+// a failed result so the run's bookkeeping — OnResult streaming, the
+// batch stage, the partial envelope — stays consistent.
+func runOne(ctx context.Context, r experiments.Runner, opts experiments.Options) (res ExperimentResult) {
+	res.ID = r.ID()
+	start := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			res.Result, res.Err = nil, fmt.Errorf("panicked: %v\n%s", p, debug.Stack())
+		}
+		res.Elapsed = time.Since(start)
+		obs.Default().Timer("engine.job." + res.ID + ".seconds").Observe(res.Elapsed)
+	}()
+	res.Result, res.Err = r.Run(ctx, opts)
+	return res
 }
 
 // statsDelta subtracts the counter fields of two store-stats readings;

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -28,17 +29,9 @@ func Handler(m *Manager, reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
-			return
-		}
-		if req.CacheDir != "" || req.CacheSize != 0 {
-			// The artifact disk tier is attached once at daemon startup
-			// (-cachedir); accepting a per-job override here would record a
-			// tier in the envelope that the process never used.
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: cachedir/cachesize are configured at daemon startup, not per job", ErrBadRequest))
+		req, err := decodeSubmit(r.Body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		st, err := m.Submit(req)
@@ -168,6 +161,22 @@ func errStatus(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// decodeSubmit reads a POST /v1/jobs body into a Request. It rejects
+// malformed JSON, and per-job cache knobs with ErrBadRequest: the
+// artifact disk tier is attached once at daemon startup (-cachedir),
+// and accepting a per-job override would record a tier in the envelope
+// that the process never used.
+func decodeSubmit(body io.Reader) (Request, error) {
+	var req Request
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return Request{}, fmt.Errorf("decoding request body: %w", err)
+	}
+	if req.CacheDir != "" || req.CacheSize != 0 {
+		return Request{}, fmt.Errorf("%w: cachedir/cachesize are configured at daemon startup, not per job", ErrBadRequest)
+	}
+	return req, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

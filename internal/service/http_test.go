@@ -57,8 +57,7 @@ func TestHTTPLifecycle(t *testing.T) {
 	release := make(chan struct{})
 	close(release)
 	exec := func(ctx context.Context, req Request, ec ExecConfig) (*Outcome, error) {
-		sink := engine.Sequenced(ec.Sink)
-		sink.Event(engine.Progress{Stage: "stage", Done: 1, Total: 1, Final: true})
+		ec.Sink.Event(engine.Progress{Stage: "stage", Done: 1, Total: 1, Final: true})
 		env, err := Envelope(req, nil, nil)
 		return &Outcome{Envelope: env}, err
 	}
@@ -141,6 +140,8 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp, body = doJSON(t, "POST", srv.URL+"/v1/jobs", Request{Experiments: []string{"fig5"}, CacheDir: "/tmp/x"})
 	check(http.StatusBadRequest, resp, body)
 	resp, body = doJSON(t, "POST", srv.URL+"/v1/jobs", Request{Experiments: []string{"fig5"}, Objective: "weighted:max=nan"})
+	check(http.StatusBadRequest, resp, body)
+	resp, body = doJSON(t, "POST", srv.URL+"/v1/jobs", Request{Experiments: []string{"dynstream"}, Stream: "gap=NaN"})
 	check(http.StatusBadRequest, resp, body)
 
 	// 404: unknown job, for status, result, and cancel.

@@ -1,26 +1,19 @@
 package service
 
 import (
-	"sort"
 	"sync"
 
 	"obm/internal/engine"
 )
 
 // Journal buffers one job's progress events for cursor-based polling.
-// It is the Sink a Manager installs per job: the engine batch runner
-// stamps every event with a monotonic per-job Seq (1, 2, 3, … — see
-// engine.Sequenced) and forwards them in sequence order, so the journal
-// can serve "everything after cursor n" losslessly, however often a
-// consumer polls.
-//
-// The journal does not trust its producer, though: a sink wired without
-// engine.Sequenced delivers zero or out-of-order Seq values, and
-// cursor math that assumes Seq == slice index + 1 would then silently
-// duplicate or skip events. Event therefore re-stamps any incoming Seq
-// that is not strictly greater than the last stored one, keeping the
-// buffered sequence strictly increasing, and Since locates cursors by
-// binary search over Seq rather than by slice position.
+// It is the Sink a Manager installs per job, and the only place an
+// event's Seq is stamped: Event numbers each event len+1 under the
+// journal's lock, so a job's events carry Seq 1, 2, 3, … with no gaps
+// in arrival order, whatever Seq the producer left on them. "Everything
+// after cursor n" is then the slice from index n, and a consumer that
+// keeps the returned cursor sees every event exactly once, however
+// often it polls.
 //
 // The buffer is bounded only by the job's lifetime: upstream Reporter
 // throttling caps the event rate (~10/s per concurrent stage), jobs are
@@ -28,24 +21,15 @@ import (
 // cursor, so dropping events here would buy little and break the
 // no-loss contract.
 type Journal struct {
-	mu      sync.Mutex
-	events  []engine.Progress
-	lastSeq uint64
+	mu     sync.Mutex
+	events []engine.Progress
 }
 
-// Event implements engine.Sink. Events whose Seq does not strictly
-// increase the journal's sequence (zero, duplicate, or out-of-order —
-// a sink wired without engine.Sequenced) are re-stamped with the next
-// sequence number; correctly sequenced producers pass through
-// untouched.
+// Event implements engine.Sink, stamping p with the next sequence
+// number.
 func (j *Journal) Event(p engine.Progress) {
 	j.mu.Lock()
-	if p.Seq > j.lastSeq {
-		j.lastSeq = p.Seq
-	} else {
-		j.lastSeq++
-		p.Seq = j.lastSeq
-	}
+	p.Seq = uint64(len(j.events)) + 1
 	j.events = append(j.events, p)
 	j.mu.Unlock()
 }
@@ -56,17 +40,10 @@ func (j *Journal) Event(p engine.Progress) {
 func (j *Journal) Since(cursor uint64) ([]engine.Progress, uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// Stored Seq is strictly increasing (Event enforces it), so the
-	// first event after the cursor is found by binary search — even
-	// when the producer left gaps.
-	i := sort.Search(len(j.events), func(k int) bool {
-		return j.events[k].Seq > cursor
-	})
-	if i == len(j.events) {
+	if cursor >= uint64(len(j.events)) {
 		return nil, cursor
 	}
-	out := append([]engine.Progress(nil), j.events[i:]...)
-	return out, out[len(out)-1].Seq
+	return append([]engine.Progress(nil), j.events[cursor:]...), uint64(len(j.events))
 }
 
 // Len returns the number of buffered events.

@@ -9,7 +9,7 @@ import (
 func TestJournalSinceSequenced(t *testing.T) {
 	j := &Journal{}
 	for i := 1; i <= 5; i++ {
-		j.Event(engine.Progress{Seq: uint64(i), Stage: "s"})
+		j.Event(engine.Progress{Stage: "s"})
 	}
 	all, cur := j.Since(0)
 	if len(all) != 5 || cur != 5 {
@@ -25,16 +25,16 @@ func TestJournalSinceSequenced(t *testing.T) {
 	}
 }
 
-// TestJournalUnsequencedSink: a sink wired without engine.Sequenced
-// delivers Seq 0 (or repeated/out-of-order values). The journal must
-// re-stamp those so cursor polling still sees every event exactly once
-// — the old index-by-cursor math silently replayed the whole buffer
-// forever (cursor never advanced past 0).
+// TestJournalUnsequencedSink: producers leave Seq 0, and the journal
+// stamps every event, so cursor polling sees each one exactly once, in
+// arrival order — an index-by-cursor journal that trusted the
+// producer's Seq replayed the whole buffer forever (its cursor never
+// advanced past 0).
 func TestJournalUnsequencedSink(t *testing.T) {
 	j := &Journal{}
 	stages := []string{"a", "b", "c", "d"}
 	for _, s := range stages {
-		j.Event(engine.Progress{Stage: s}) // Seq 0: unsequenced producer
+		j.Event(engine.Progress{Stage: s}) // Seq 0, as every producer leaves it
 	}
 	var got []string
 	cursor := uint64(0)
@@ -61,55 +61,40 @@ func TestJournalUnsequencedSink(t *testing.T) {
 	}
 }
 
-// TestJournalOutOfOrderSeq: duplicate and regressing Seq values are
-// re-stamped to keep the stored sequence strictly increasing.
+// TestJournalOutOfOrderSeq: duplicate and regressing producer Seq
+// values are overwritten; the journal's own numbering runs 1..n.
 func TestJournalOutOfOrderSeq(t *testing.T) {
 	j := &Journal{}
 	for _, seq := range []uint64{1, 1, 5, 3, 6} {
 		j.Event(engine.Progress{Seq: seq})
 	}
 	evs, cur := j.Since(0)
-	if len(evs) != 5 {
-		t.Fatalf("stored %d events, want 5", len(evs))
+	if len(evs) != 5 || cur != 5 {
+		t.Fatalf("Since(0) = %d events, cursor %d; want 5, 5", len(evs), cur)
 	}
-	prev := uint64(0)
 	for i, e := range evs {
-		if e.Seq <= prev {
-			t.Fatalf("event %d Seq %d not strictly increasing after %d", i, e.Seq, prev)
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d Seq %d, want %d", i, e.Seq, i+1)
 		}
-		prev = e.Seq
 	}
-	if cur != prev {
-		t.Fatalf("cursor %d != last Seq %d", cur, prev)
-	}
-	// After re-stamping the stored Seq values are 1,2,5,6,7; a cursor
-	// that matches no stored Seq must neither duplicate nor skip.
 	tail, _ := j.Since(4)
-	if len(tail) != 3 || tail[0].Seq != 5 {
-		t.Fatalf("Since(4) = %+v, want seqs 5,6,7", tail)
+	if len(tail) != 1 || tail[0].Seq != 5 {
+		t.Fatalf("Since(4) = %+v, want seq 5", tail)
 	}
 }
 
-// TestJournalSeqGaps: a producer with gaps in Seq (e.g. a Throttled
-// sink upstream of Sequenced... or events filtered before the journal)
-// must still poll correctly by Seq, not by slice index.
+// TestJournalSeqGaps: gaps in the producer's Seq (events filtered
+// upstream, say) never reach the cursor space, and a cursor past the
+// end returns nothing.
 func TestJournalSeqGaps(t *testing.T) {
 	j := &Journal{}
 	for _, seq := range []uint64{10, 20, 30} {
 		j.Event(engine.Progress{Seq: seq})
 	}
-	evs, cur := j.Since(10)
-	if len(evs) != 2 || evs[0].Seq != 20 || cur != 30 {
-		t.Fatalf("Since(10) = %+v cursor %d, want seqs 20,30 cursor 30", evs, cur)
+	evs, cur := j.Since(1)
+	if len(evs) != 2 || evs[0].Seq != 2 || evs[1].Seq != 3 || cur != 3 {
+		t.Fatalf("Since(1) = %+v cursor %d, want seqs 2,3 cursor 3", evs, cur)
 	}
-	// A cursor inside a gap returns the next event after it.
-	evs, _ = j.Since(15)
-	if len(evs) != 2 || evs[0].Seq != 20 {
-		t.Fatalf("Since(15) = %+v, want seqs 20,30", evs)
-	}
-	// The old implementation indexed the slice by cursor: Since(10)
-	// would have skipped everything (10 >= len(3)). Guard the regression
-	// the other way too: a large cursor past the end returns nothing.
 	evs, cur = j.Since(99)
 	if len(evs) != 0 || cur != 99 {
 		t.Fatalf("Since(99) = %+v cursor %d, want empty, 99", evs, cur)

@@ -299,7 +299,7 @@ func TestEventsCursorResume(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	exec := func(ctx context.Context, req Request, ec ExecConfig) (*Outcome, error) {
-		sink := engine.Sequenced(ec.Sink) // what the real engine runner does
+		sink := ec.Sink // the job's journal, which stamps Seq
 		for i := 1; i <= 5; i++ {
 			sink.Event(engine.Progress{Stage: "work", Done: i, Total: 5})
 		}

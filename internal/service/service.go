@@ -5,10 +5,13 @@
 //
 //   - Request: the one serializable description of a run — which
 //     experiments, quick or full budgets, seed, config subset,
-//     objective, cache knobs — mirroring experiments.Options
-//     field for field, with fail-fast resolution into runners;
+//     objective, stream overrides, and the disk tier's provenance —
+//     with fail-fast resolution into experiments.Options and runners;
 //   - Execute + Envelope: the shared execution path that turns a
-//     Request into the obmsim.run/v1 result envelope. Every frontend
+//     Request into the obmsim.run/v1 result envelope. Execute runs the
+//     experiments itself, in order, under the caller's context (a ctx
+//     check before each, panics turned into failed results, stop at
+//     the first failure keeping the completed prefix). Every frontend
 //     goes through the same assembly, so a daemon job, a CLI run, and
 //     any future transport emit byte-identical envelopes for the same
 //     request (the envelope is a pure function of the request and the
@@ -16,9 +19,9 @@
 //     in the envelope);
 //   - Manager: the submit → queued → running → (done | failed |
 //     cancelled) job lifecycle for long-running hosts — per-job IDs, a
-//     bounded admission queue with a concurrency limit, a sequenced
-//     per-job progress journal consumers poll by cursor, cancellation,
-//     result retention, and graceful drain.
+//     bounded admission queue with a concurrency limit, a per-job
+//     progress journal that numbers events and is polled by cursor,
+//     cancellation, result retention, and graceful drain.
 //
 // cmd/obmsim is a thin synchronous client of Execute; cmd/obmsimd
 // fronts a Manager with the HTTP/JSON API in Handler.
@@ -46,9 +49,8 @@ const DefaultCacheSize int64 = 256 << 20
 
 // Request is the transport-neutral description of one run: the JSON
 // body of the daemon's POST /v1/jobs, and what cmd/obmsim assembles
-// from its flags. Fields mirror experiments.Options; the JSON names
-// match the envelope's options block, so a stored request and the
-// envelope it produced read the same way.
+// from its flags. The JSON names match the envelope's options block,
+// so a stored request and the envelope it produced read the same way.
 type Request struct {
 	// Experiments lists experiment IDs (see experiments.All); the
 	// single element "all" expands to every registered experiment.
@@ -98,11 +100,9 @@ func (r Request) Normalized() Request {
 func (r Request) Options() (experiments.Options, error) {
 	r = r.Normalized()
 	opts := experiments.Options{
-		Quick:     r.Quick,
-		Seed:      r.Seed,
-		CacheDir:  r.CacheDir,
-		CacheSize: r.CacheSize,
-		Stream:    r.Stream,
+		Quick:  r.Quick,
+		Seed:   r.Seed,
+		Stream: r.Stream,
 	}
 	if len(r.Configs) > 0 {
 		opts.Configs = append([]string(nil), r.Configs...)

@@ -138,15 +138,15 @@ func (w *Workload) MemRates() []float64 {
 	return out
 }
 
-// maxRate bounds a valid request rate. C1–C8's rates stay below 100.
+// MaxRate bounds a valid request rate. C1–C8's rates stay below 100.
 // Every model quantity is a sum of rates times latencies of a few
 // hundred cycles, or a variance of such sums, so with rates this
 // bounded they stay far inside float64's range instead of overflowing
 // to an Inf that no mapper can minimize.
-const maxRate = 1e12
+const MaxRate = 1e12
 
 // Validate reports an error for empty workloads and for rates that are
-// negative, NaN, infinite or above maxRate.
+// negative, NaN, infinite or above MaxRate.
 func (w *Workload) Validate() error {
 	if len(w.Apps) == 0 {
 		return fmt.Errorf("workload %q: no applications", w.Name)
@@ -161,9 +161,9 @@ func (w *Workload) Validate() error {
 				return fmt.Errorf("workload %q: app %q thread %d has negative rate", w.Name, a.Name, j)
 			}
 			// The negated test also catches NaN.
-			if !(t.CacheRate <= maxRate && t.MemRate <= maxRate) {
+			if !(t.CacheRate <= MaxRate && t.MemRate <= MaxRate) {
 				return fmt.Errorf("workload %q: app %q thread %d has rate (%g, %g) outside [0, %g]",
-					w.Name, a.Name, j, t.CacheRate, t.MemRate, maxRate)
+					w.Name, a.Name, j, t.CacheRate, t.MemRate, MaxRate)
 			}
 		}
 	}
