@@ -354,6 +354,40 @@ func BenchmarkSSSMap(b *testing.B) {
 	}
 }
 
+// BenchmarkSSSMapPadded times one sort-select-swap solve on a 64-tile
+// instance that is 40% zero-rate padding, the shape the streaming
+// scheduler remaps: C1's first 38 threads, padded with idle threads by
+// Workload.PadTo. A pad thread prices every tile at 0, so this tracks
+// the swap phase's flat-row skip, which BenchmarkSSSMap never takes.
+func BenchmarkSSSMapPadded(b *testing.B) {
+	lm := model.MustNew(mesh.MustNew(8, 8), model.DefaultParams())
+	w := &workload.Workload{Name: "padded"}
+	live := 38
+	for _, app := range workload.MustConfig("C1").Apps {
+		k := min(live, len(app.Threads))
+		if k == 0 {
+			break
+		}
+		app.Threads = app.Threads[:k]
+		w.Apps = append(w.Apps, app)
+		live -= k
+	}
+	if err := w.PadTo(lm.NumTiles()); err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.NewProblem(lm, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := mapping.SortSelectSwap{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Map(context.Background(), p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGlobalMap times the chip-wide Hungarian solve.
 func BenchmarkGlobalMap(b *testing.B) {
 	p := paperProblem(b, "C1")

@@ -67,15 +67,6 @@ func (e Energy) Value(p *Problem, num []float64) float64 {
 	return e.cost(p, total)
 }
 
-// ValueWith implements Objective.
-func (e Energy) ValueWith(p *Problem, num []float64, apps []int, trial []float64) float64 {
-	var total float64
-	for i := range num {
-		total += effNum(num, apps, trial, i)
-	}
-	return e.cost(p, total)
-}
-
 // cost converts a chip-wide total packet latency into pJ.
 func (e Energy) cost(p *Problem, totalNum float64) float64 {
 	mp := p.lm.Params()

@@ -17,10 +17,10 @@ import (
 // Every objective is a pure function of the per-application APL
 // numerators — application i's total packet latency num[i] = sum over
 // its threads of c_j*TC + m_j*TM — because all of the paper's candidate
-// metrics are. That shared domain is what makes the incremental delta
-// API possible: a swap or window move touches O(window) threads, so a
-// mapper updates O(window) numerators and re-scores in O(A) instead of
-// re-walking all N threads.
+// metrics are. That shared domain is what makes incremental moves
+// cheap: a swap or window move touches O(window) threads, so a mapper
+// patches O(window) numerators, re-scores with Value in O(A) instead of
+// re-walking all N threads, and restores them.
 //
 // Values are costs: lower is always better, and mappers minimize
 // unconditionally. Metrics that want maximizing express themselves as
@@ -36,13 +36,8 @@ type Objective interface {
 	Fingerprint() string
 	// Value scores per-application APL numerators (len == p.NumApps();
 	// applications with zero request rate are ignored). Lower is better.
+	// It must not retain or modify num.
 	Value(p *Problem, num []float64) float64
-	// ValueWith scores as if num[apps[x]] were replaced by trial[x],
-	// without mutating num. apps and trial are parallel slices and may
-	// list the same application more than once (later entries win),
-	// mirroring the tracker's historical maxAPLWith contract. This is
-	// the O(A) incremental path swap/window moves ride.
-	ValueWith(p *Problem, num []float64, apps []int, trial []float64) float64
 }
 
 // DefaultObjective is the paper's objective, the max-APL (eq. 7). A nil
@@ -63,18 +58,6 @@ func ObjectiveOrDefault(o Objective) Objective {
 // byte-identical to the pre-objective era.
 func IsDefaultObjective(o Objective) bool {
 	return o == nil || o == DefaultObjective
-}
-
-// effNum returns application i's effective numerator under the
-// ValueWith substitution: the last matching entry of apps wins, else
-// num[i].
-func effNum(num []float64, apps []int, trial []float64, i int) float64 {
-	for x := len(apps) - 1; x >= 0; x-- {
-		if apps[x] == i {
-			return trial[x]
-		}
-	}
-	return num[i]
 }
 
 // MaxAPL is the paper's objective: the largest per-application APL
@@ -100,19 +83,6 @@ func (MaxAPL) Value(p *Problem, num []float64) float64 {
 	return mx
 }
 
-// ValueWith implements Objective.
-func (MaxAPL) ValueWith(p *Problem, num []float64, apps []int, trial []float64) float64 {
-	var mx float64
-	for i := range num {
-		if w := p.appWeight[i]; w > 0 {
-			if apl := effNum(num, apps, trial, i) / w; apl > mx {
-				mx = apl
-			}
-		}
-	}
-	return mx
-}
-
 // DevAPL is the population standard deviation of the active
 // applications' APLs — the dev-APL the paper reports in Table 4 and
 // discusses as a candidate balance objective in Section III.A. Lower is
@@ -126,24 +96,15 @@ func (DevAPL) Name() string { return "dev-APL" }
 func (DevAPL) Fingerprint() string { return "devapl" }
 
 // Value implements Objective.
-func (DevAPL) Value(p *Problem, num []float64) float64 {
-	return devAPL(p, num, nil, nil)
-}
-
-// ValueWith implements Objective.
-func (DevAPL) ValueWith(p *Problem, num []float64, apps []int, trial []float64) float64 {
-	return devAPL(p, num, apps, trial)
-}
-
-// devAPL computes the population standard deviation of the active APLs
-// with the same two-pass arithmetic as stats.StdDev over the active
+//
+// It uses the same two-pass arithmetic as stats.StdDev over the active
 // slice, so the objective agrees bit-for-bit with Evaluation.DevAPL.
-func devAPL(p *Problem, num []float64, apps []int, trial []float64) float64 {
+func (DevAPL) Value(p *Problem, num []float64) float64 {
 	var sum float64
 	active := 0
-	for i := range num {
+	for i, n := range num {
 		if w := p.appWeight[i]; w > 0 {
-			sum += effNum(num, apps, trial, i) / w
+			sum += n / w
 			active++
 		}
 	}
@@ -152,9 +113,9 @@ func devAPL(p *Problem, num []float64, apps []int, trial []float64) float64 {
 	}
 	mean := sum / float64(active)
 	var ss float64
-	for i := range num {
+	for i, n := range num {
 		if w := p.appWeight[i]; w > 0 {
-			d := effNum(num, apps, trial, i)/w - mean
+			d := n/w - mean
 			ss += d * d
 		}
 	}
@@ -186,18 +147,6 @@ func (GAPL) Value(p *Problem, num []float64) float64 {
 	return total / p.totalRate
 }
 
-// ValueWith implements Objective.
-func (GAPL) ValueWith(p *Problem, num []float64, apps []int, trial []float64) float64 {
-	if p.totalRate == 0 {
-		return 0
-	}
-	var total float64
-	for i := range num {
-		total += effNum(num, apps, trial, i)
-	}
-	return total / p.totalRate
-}
-
 // MinMaxRatio is the min/max-APL balance ratio of Section III.A, a
 // maximization metric (1 is perfect balance) expressed as the cost
 // 1 - min/max so that lower is better like every other Objective. An
@@ -213,20 +162,11 @@ func (MinMaxRatio) Fingerprint() string { return "minmaxratio" }
 
 // Value implements Objective.
 func (MinMaxRatio) Value(p *Problem, num []float64) float64 {
-	return minMaxCost(p, num, nil, nil)
-}
-
-// ValueWith implements Objective.
-func (MinMaxRatio) ValueWith(p *Problem, num []float64, apps []int, trial []float64) float64 {
-	return minMaxCost(p, num, apps, trial)
-}
-
-func minMaxCost(p *Problem, num []float64, apps []int, trial []float64) float64 {
 	mn, mx := math.Inf(1), 0.0
 	active := false
-	for i := range num {
+	for i, n := range num {
 		if w := p.appWeight[i]; w > 0 {
-			apl := effNum(num, apps, trial, i) / w
+			apl := n / w
 			if apl < mn {
 				mn = apl
 			}
@@ -242,7 +182,7 @@ func minMaxCost(p *Problem, num []float64, apps []int, trial []float64) float64 
 	return 1 - mn/mx
 }
 
-// Weighted is a linear composite of the four base metrics — e.g.
+// Weighted is a linear composite of the five base metrics — e.g.
 // α·max-APL + β·dev-APL trades worst-case latency against spread, the
 // energy/latency-style multi-objective blend the related NoC-mapping
 // literature optimizes. Zero-weight terms cost nothing. The zero value
@@ -284,26 +224,21 @@ func (w Weighted) params() string {
 
 // Value implements Objective.
 func (w Weighted) Value(p *Problem, num []float64) float64 {
-	return w.ValueWith(p, num, nil, nil)
-}
-
-// ValueWith implements Objective.
-func (w Weighted) ValueWith(p *Problem, num []float64, apps []int, trial []float64) float64 {
 	var v float64
 	if w.Max != 0 {
-		v += w.Max * (MaxAPL{}).ValueWith(p, num, apps, trial)
+		v += w.Max * (MaxAPL{}).Value(p, num)
 	}
 	if w.Dev != 0 {
-		v += w.Dev * (DevAPL{}).ValueWith(p, num, apps, trial)
+		v += w.Dev * (DevAPL{}).Value(p, num)
 	}
 	if w.Global != 0 {
-		v += w.Global * (GAPL{}).ValueWith(p, num, apps, trial)
+		v += w.Global * (GAPL{}).Value(p, num)
 	}
 	if w.Ratio != 0 {
-		v += w.Ratio * (MinMaxRatio{}).ValueWith(p, num, apps, trial)
+		v += w.Ratio * (MinMaxRatio{}).Value(p, num)
 	}
 	if w.Energy != 0 {
-		v += w.Energy * (Energy{}).ValueWith(p, num, apps, trial)
+		v += w.Energy * (Energy{}).Value(p, num)
 	}
 	return v
 }

@@ -53,29 +53,6 @@ func TestObjectivesMatchEvaluation(t *testing.T) {
 	}
 }
 
-// TestObjectiveValueWith: the substitution path equals Value on copied
-// numerators, with later duplicate entries winning.
-func TestObjectiveValueWith(t *testing.T) {
-	p := objTestProblem(t)
-	rng := stats.NewRand(11)
-	m := RandomMapping(p.N(), rng)
-	num := make([]float64, p.NumApps())
-	p.Numerators(m, num)
-	objs := append(Objectives(), Weighted{Max: 1, Dev: 2.5})
-	apps := []int{1, 3, 1} // app 1 listed twice; the last entry wins
-	trial := []float64{num[1] * 2, num[3] * 0.5, num[1] * 3}
-	sub := append([]float64(nil), num...)
-	sub[1] = trial[2]
-	sub[3] = trial[1]
-	for _, o := range objs {
-		want := o.Value(p, sub)
-		got := o.ValueWith(p, num, apps, trial)
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("%s: ValueWith %v != Value on substituted nums %v", o.Name(), got, want)
-		}
-	}
-}
-
 // TestScorerMatchesScalarPaths: Scorer.Score equals the allocation-free
 // Problem scalar paths and allocates nothing.
 func TestScorerMatchesScalarPaths(t *testing.T) {

@@ -120,7 +120,6 @@ func (bg BalancedGreedy) Map(ctx context.Context, p *core.Problem) (core.Mapping
 
 	objDefault := core.IsDefaultObjective(bg.Objective)
 	var objv core.Objective
-	var pickApp, pickTrial = []int{0}, []float64{0}
 	var curCost float64
 	if !objDefault {
 		objv = core.ObjectiveOrDefault(bg.Objective)
@@ -144,8 +143,11 @@ func (bg BalancedGreedy) Map(ctx context.Context, p *core.Problem) (core.Mapping
 					score = num[i] / w
 				}
 			} else {
-				pickApp[0], pickTrial[0] = i, 0
-				score = curCost - objv.ValueWith(p, num, pickApp, pickTrial)
+				// Forgive i's numerator, score, and restore it.
+				saved := num[i]
+				num[i] = 0
+				score = curCost - objv.Value(p, num)
+				num[i] = saved
 			}
 			if pick < 0 || score > worst {
 				pick, worst = i, score

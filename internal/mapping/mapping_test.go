@@ -367,7 +367,7 @@ func TestSwapProbesCountsSlideWindows(t *testing.T) {
 					m[j] = mesh.Tile(j)
 				}
 				var sw swapScratch
-				got, err := s.slideWindows(ctx, p, m, sorted, w, &sw)
+				got, err := s.slideWindows(ctx, newTracker(p, m), sorted, w, &sw)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,27 +8,22 @@ import (
 // tracker maintains the per-application APL numerators of a mapping so
 // that swap-style moves can be evaluated and applied in O(A) instead of
 // O(N). It carries the core.Objective being optimized (nil means the
-// paper's max-APL): the numerators are objective-agnostic state, and
-// every probe delegates scoring to the objective's incremental
-// ValueWith path. The annealer, the sliding-window phase of
-// sort-select-swap, and budgeted refinement all use it.
+// paper's max-APL): the numerators are objective-agnostic state. Every
+// probe patches and restores: it saves the numerators of the
+// applications the move touches, adds the move's per-thread deltas to
+// num in thread order, scores num with the objective's Value, and
+// writes the saved values back, so num is bit-identical afterwards. The
+// annealer, the sliding-window phase of sort-select-swap, budgeted
+// refinement and NSGA-II's polish all use it.
 type tracker struct {
 	p   *core.Problem
 	obj core.Objective
 	m   core.Mapping
 	num []float64 // per-application total packet latency (APL numerator)
 
-	// scratch backs fullAssignObjective's trial numerators (allocated
-	// lazily; the fallback only triggers for windows spanning >4
-	// applications).
-	scratch []float64
-
-	// probeApps/probeTrial back the slices handed to the objective's
-	// ValueWith on every probe. Literal slices would escape through the
-	// interface call and put one allocation on every annealing step and
-	// window permutation; these fields keep probes allocation-free.
-	probeApps  [4]int
-	probeTrial [4]float64
+	// saved holds the numerators a probe overwrites, one per patched
+	// thread (a window holds at most maxWindow threads).
+	saved [maxWindow]float64
 }
 
 func newTracker(p *core.Problem, m core.Mapping) *tracker {
@@ -48,28 +43,33 @@ func (t *tracker) value() float64 {
 	return t.obj.Value(t.p, t.num)
 }
 
-// valueWith returns the objective cost if the numerators of the given
-// applications were replaced by trial values; apps and trial are parallel
-// slices and may list the same app more than once (later entries win).
-func (t *tracker) valueWith(apps []int, trial []float64) float64 {
-	return t.obj.ValueWith(t.p, t.num, apps, trial)
+// probe returns the objective cost if d[x] were added to num[apps[x]]
+// for each x in order, without changing num. apps and d are parallel
+// slices of at most maxWindow entries and may list an application more
+// than once; the saved values are restored in reverse, so a repeated
+// application gets its original numerator back.
+func (t *tracker) probe(apps []int, d []float64) float64 {
+	for x, a := range apps {
+		t.saved[x] = t.num[a]
+		t.num[a] += d[x]
+	}
+	v := t.obj.Value(t.p, t.num)
+	for x := len(apps) - 1; x >= 0; x-- {
+		t.num[apps[x]] = t.saved[x]
+	}
+	return v
 }
 
 // swapValue returns the objective cost after hypothetically swapping
 // the tiles of threads j1 and j2, without mutating state.
 func (t *tracker) swapValue(j1, j2 int) float64 {
-	a1, a2 := t.p.AppOfThread(j1), t.p.AppOfThread(j2)
 	t1, t2 := t.m[j1], t.m[j2]
-	d1 := t.p.ThreadCost(j1, t2) - t.p.ThreadCost(j1, t1)
-	d2 := t.p.ThreadCost(j2, t1) - t.p.ThreadCost(j2, t2)
-	if a1 == a2 {
-		t.probeApps[0] = a1
-		t.probeTrial[0] = t.num[a1] + d1 + d2
-		return t.valueWith(t.probeApps[:1], t.probeTrial[:1])
+	apps := [2]int{t.p.AppOfThread(j1), t.p.AppOfThread(j2)}
+	d := [2]float64{
+		t.p.ThreadCost(j1, t2) - t.p.ThreadCost(j1, t1),
+		t.p.ThreadCost(j2, t1) - t.p.ThreadCost(j2, t2),
 	}
-	t.probeApps[0], t.probeApps[1] = a1, a2
-	t.probeTrial[0], t.probeTrial[1] = t.num[a1]+d1, t.num[a2]+d2
-	return t.valueWith(t.probeApps[:2], t.probeTrial[:2])
+	return t.probe(apps[:], d[:])
 }
 
 // swap applies the tile swap between threads j1 and j2.
@@ -82,52 +82,17 @@ func (t *tracker) swap(j1, j2 int) {
 }
 
 // assignValue returns the objective cost after hypothetically
-// re-assigning threads js to tiles ts (parallel slices; each thread
-// currently occupies its own tile in t.m, and the multiset of tiles must
-// be preserved by the caller — it is, since callers permute within a
-// window).
+// re-assigning threads js to tiles ts (parallel slices of at most
+// maxWindow distinct threads; the caller preserves the multiset of
+// tiles, as every window permutation does).
 func (t *tracker) assignValue(js []int, ts []mesh.Tile) float64 {
-	// Accumulate per-app deltas over the affected threads.
-	cnt := 0
+	var apps [maxWindow]int
+	var d [maxWindow]float64
 	for x, j := range js {
-		a := t.p.AppOfThread(j)
-		d := t.p.ThreadCost(j, ts[x]) - t.p.ThreadCost(j, t.m[j])
-		found := false
-		for y := 0; y < cnt; y++ {
-			if t.probeApps[y] == a {
-				t.probeTrial[y] += d
-				found = true
-				break
-			}
-		}
-		if !found {
-			if cnt == len(t.probeApps) {
-				// More than 4 distinct apps cannot occur for 4-thread
-				// windows; 5-thread windows can reach 5, so fall back to
-				// the unbounded path.
-				return t.fullAssignObjective(js, ts)
-			}
-			t.probeApps[cnt] = a
-			t.probeTrial[cnt] = t.num[a] + d
-			cnt++
-		}
+		apps[x] = t.p.AppOfThread(j)
+		d[x] = t.p.ThreadCost(j, ts[x]) - t.p.ThreadCost(j, t.m[j])
 	}
-	return t.valueWith(t.probeApps[:cnt], t.probeTrial[:cnt])
-}
-
-// fullAssignObjective is the fallback used only if a window touches
-// more than four applications: it builds the full trial numerator
-// vector (O(A + window)) and scores it directly, which is correct for
-// any window size and any objective.
-func (t *tracker) fullAssignObjective(js []int, ts []mesh.Tile) float64 {
-	if t.scratch == nil {
-		t.scratch = make([]float64, len(t.num))
-	}
-	copy(t.scratch, t.num)
-	for x, j := range js {
-		t.scratch[t.p.AppOfThread(j)] += t.p.ThreadCost(j, ts[x]) - t.p.ThreadCost(j, t.m[j])
-	}
-	return t.obj.Value(t.p, t.scratch)
+	return t.probe(apps[:len(js)], d[:len(js)])
 }
 
 // assign applies the re-assignment of threads js to tiles ts.

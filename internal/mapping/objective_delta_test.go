@@ -21,9 +21,8 @@ func allObjectives() []core.Objective {
 }
 
 // fiveAppProblem builds a 3x3-mesh instance with five applications, the
-// smallest shape where a 5-thread window can span more than four
-// distinct applications and force the tracker's fullAssignObjective
-// fallback.
+// smallest shape where a 5-thread window can span five distinct
+// applications.
 func fiveAppProblem(t testing.TB) *core.Problem {
 	t.Helper()
 	lm := model.MustNew(mesh.MustNew(3, 3), model.DefaultParams())
@@ -40,11 +39,11 @@ func fiveAppProblem(t testing.TB) *core.Problem {
 	return core.MustNewProblem(lm, w)
 }
 
-// TestFullAssignObjectiveFiveApps pins the >4-distinct-apps fallback:
-// a window of one thread from each of five applications must be scored
-// by fullAssignObjective, and its prediction must match the brute-force
-// evaluation of the permuted mapping for every objective.
-func TestFullAssignObjectiveFiveApps(t *testing.T) {
+// TestAssignValueFiveApps: a window of one thread from each of five
+// applications patches five numerators, and its prediction must match
+// the brute-force evaluation of the permuted mapping for every
+// objective.
+func TestAssignValueFiveApps(t *testing.T) {
 	p := fiveAppProblem(t)
 	rng := stats.NewRand(77)
 	for _, obj := range allObjectives() {
@@ -73,11 +72,6 @@ func TestFullAssignObjectiveFiveApps(t *testing.T) {
 				if got := tr.assignValue(js, ts); math.Abs(got-want) > 1e-9 {
 					t.Fatalf("trial %d: assignValue %v != brute force %v", trial, got, want)
 				}
-				// The direct fallback must agree as well (assignValue may
-				// reach it only after filling its 4-app fast path).
-				if got := tr.fullAssignObjective(js, ts); math.Abs(got-want) > 1e-9 {
-					t.Fatalf("trial %d: fullAssignObjective %v != brute force %v", trial, got, want)
-				}
 				// And applying the move must land on the predicted value.
 				tr.assign(js, ts)
 				if got := tr.value(); math.Abs(got-want) > 1e-9 {
@@ -88,9 +82,9 @@ func TestFullAssignObjectiveFiveApps(t *testing.T) {
 	}
 }
 
-// TestSSSWindow5FiveApps drives the fallback end-to-end: a 5-tile swap
-// window over a 5-application instance produces a valid mapping whose
-// tracker value matches a from-scratch evaluation.
+// TestSSSWindow5FiveApps drives five-application windows end to end: a
+// 5-tile swap window over a 5-application instance produces a valid
+// mapping.
 func TestSSSWindow5FiveApps(t *testing.T) {
 	p := fiveAppProblem(t)
 	for _, obj := range []core.Objective{nil, core.DevAPL{}} {
@@ -157,5 +151,62 @@ func TestPropertyObjectiveDeltaConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTrackerProbeMatchesSubstitutedValue: a swap or window probe
+// returns exactly Value on a copy of the numerators with the move's
+// deltas added, also when two moved threads share an application, and
+// leaves the tracker's numerators bit-identical.
+func TestTrackerProbeMatchesSubstitutedValue(t *testing.T) {
+	p := fiveAppProblem(t)
+	rng := stats.NewRand(23)
+	for _, obj := range append(allObjectives(), core.Weighted{Max: 1, Dev: 2}) {
+		o := core.ObjectiveOrDefault(obj)
+		tr := newObjectiveTracker(p, core.RandomMapping(p.N(), rng), obj)
+		// Substituted scores js moving to ts on a copy of the numerators.
+		substituted := func(js []int, ts []mesh.Tile) float64 {
+			sub := append([]float64(nil), tr.num...)
+			for x, j := range js {
+				sub[p.AppOfThread(j)] += p.ThreadCost(j, ts[x]) - p.ThreadCost(j, tr.m[j])
+			}
+			return o.Value(p, sub)
+		}
+		unchanged := func(what string, before []float64) {
+			t.Helper()
+			for a := range before {
+				if math.Float64bits(tr.num[a]) != math.Float64bits(before[a]) {
+					t.Fatalf("%s %s: num[%d] %v after probe, %v before", o.Name(), what, a, tr.num[a], before[a])
+				}
+			}
+		}
+		// Threads 0 and 1 share application 0; 0 and 2 do not.
+		for _, pair := range [][2]int{{0, 1}, {0, 2}, {8, 3}} {
+			j1, j2 := pair[0], pair[1]
+			before := append([]float64(nil), tr.num...)
+			want := substituted([]int{j1, j2}, []mesh.Tile{tr.m[j2], tr.m[j1]})
+			if got := tr.swapValue(j1, j2); got != want {
+				t.Errorf("%s swap %d,%d: probe %v, substituted Value %v", o.Name(), j1, j2, got, want)
+			}
+			unchanged("swap", before)
+		}
+		for trial := 0; trial < 20; trial++ {
+			// Up to maxWindow threads, always including 0 and 1 (one app).
+			k := 2 + rng.Intn(maxWindow-1)
+			js := append([]int{0, 1}, rng.Perm(p.N() - 2)[:k-2]...)
+			for x := 2; x < k; x++ {
+				js[x] += 2
+			}
+			ts := make([]mesh.Tile, k)
+			for x, y := range rng.Perm(k) {
+				ts[x] = tr.m[js[y]]
+			}
+			before := append([]float64(nil), tr.num...)
+			want := substituted(js, ts)
+			if got := tr.assignValue(js, ts); got != want {
+				t.Errorf("%s window %v: probe %v, substituted Value %v", o.Name(), js, got, want)
+			}
+			unchanged("window", before)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"obm/internal/core"
 	"obm/internal/engine"
@@ -138,8 +139,8 @@ func (s SortSelectSwap) Fingerprint() string {
 // reports step progress.
 func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 	window := s.window()
-	if window < 2 || window > 5 {
-		return nil, fmt.Errorf("sss: window size %d out of range [2,5]", window)
+	if window < 2 || window > maxWindow {
+		return nil, fmt.Errorf("sss: window size %d out of range [2,%d]", window, maxWindow)
 	}
 	n := p.N()
 	var rng *stats.Rand
@@ -189,7 +190,7 @@ func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping,
 			return nil, fmt.Errorf("sss: interrupted in pass %d/%d: %w", pass+1, passes, err)
 		}
 		if !s.DisableSwap {
-			if _, err := s.slideWindows(ctx, p, m, sorted, window, &sw); err != nil {
+			if _, err := s.slideWindows(ctx, newObjectiveTracker(p, m, s.Objective), sorted, window, &sw); err != nil {
 				return nil, err
 			}
 		}
@@ -212,6 +213,10 @@ func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping,
 	return m, nil
 }
 
+// maxWindow is the largest swap window Map accepts; a w-tile window
+// tries w! permutations per position.
+const maxWindow = 5
+
 // window resolves WindowSize's default, the paper's 4-tile window.
 func (s SortSelectSwap) window() int {
 	if s.WindowSize == 0 {
@@ -230,11 +235,14 @@ func (s SortSelectSwap) maxStep(n, window int) int {
 }
 
 // SwapProbes returns the number of non-identity window permutations one
-// swap pass scores on an n-thread problem: step size 1..maxStep slides
+// swap pass covers on an n-thread problem: step size 1..maxStep slides
 // the window over every start whose last tile still fits in the sorted
-// list, max(0, n-(window-1)*step) positions, and each position tries
-// window!-1 permutations. It is the swap phase's exact work count, a
-// deterministic stand-in for its wall time; 0 when DisableSwap is set.
+// list, max(0, n-(window-1)*step) positions, and each position covers
+// window!-1 permutations. A permutation is covered when it is scored or
+// proven to score the same as a scored one (see slideWindows), so the
+// count does not depend on the workload. It is the swap phase's
+// deterministic work count, a stand-in for its wall time; 0 when
+// DisableSwap is set.
 func (s SortSelectSwap) SwapProbes(n int) int {
 	if s.DisableSwap {
 		return 0
@@ -328,35 +336,38 @@ func (sc *selectScratch) selectFromSections(list []mesh.Tile, need int, strat Se
 // passes moves threads) and the per-window work arrays. The zero value
 // is ready.
 type swapScratch struct {
-	inv          []int
-	tiles, trial []mesh.Tile
-	threads      []int
-}
-
-func (sw *swapScratch) ensure(n, window int) {
-	if cap(sw.inv) < n {
-		sw.inv = make([]int, n)
-	}
-	sw.inv = sw.inv[:n]
-	if cap(sw.tiles) < window {
-		sw.tiles = make([]mesh.Tile, window)
-		sw.trial = make([]mesh.Tile, window)
-		sw.threads = make([]int, window)
-	}
-	sw.tiles = sw.tiles[:window]
-	sw.trial = sw.trial[:window]
-	sw.threads = sw.threads[:window]
+	inv     []int
+	tiles   [maxWindow]mesh.Tile
+	threads [maxWindow]int
+	apps    [maxWindow]int
+	// cost[x*window+y] is thread x's cost on the window's tile y.
+	cost [maxWindow * maxWindow]float64
+	d    [maxWindow]float64
 }
 
 // slideWindows performs the greedy permutation search of step 3 in
-// place, polling cancellation between window steps (each step is a full
-// sweep of the sorted list, i.e. O(N * window!) objective probes). It
-// returns the number of probes scored, SwapProbes(N) for a full pass.
-func (s SortSelectSwap) slideWindows(ctx context.Context, p *core.Problem, m core.Mapping, sorted []mesh.Tile, window int, sw *swapScratch) (int, error) {
+// place on tr's mapping and numerators, polling cancellation between
+// window steps (each step is a full sweep of the sorted list, i.e.
+// O(N * window!) objective probes). It returns the number of
+// permutations covered, SwapProbes(N) for a full pass.
+//
+// Each window position fills a window x window cost table once, so a
+// probe's per-thread delta is a table lookup. A row whose entries are
+// all equal (a zero-rate pad thread, or a thread whose candidate tiles
+// price it the same) adds a zero delta under every permutation, so two
+// permutations that agree on the other rows score bit-identically; the
+// search keeps only strict improvements in permutation order, so it
+// scores just the first permutation of each such class (canonPerms) and
+// skips the identity's class, whose value is the incumbent's. Applying
+// a move adds the same deltas in the same order as its probe, so the
+// incumbent's value is carried from window to window, not re-scored.
+func (s SortSelectSwap) slideWindows(ctx context.Context, tr *tracker, sorted []mesh.Tile, window int, sw *swapScratch) (int, error) {
+	p, m := tr.p, tr.m
 	n := p.N()
-	tr := newObjectiveTracker(p, m, s.Objective)
-	sw.ensure(n, window)
-	inv := sw.inv // tile -> thread
+	if cap(sw.inv) < n {
+		sw.inv = make([]int, n)
+	}
+	inv := sw.inv[:n] // tile -> thread
 	for i := range inv {
 		inv[i] = -1
 	}
@@ -364,11 +375,14 @@ func (s SortSelectSwap) slideWindows(ctx context.Context, p *core.Problem, m cor
 		inv[t] = j
 	}
 	perms := permutations(window)
+	canon := canonPerms(window)
 
 	maxStep := s.maxStep(n, window)
 	probes := 0
+	cur := tr.value()
 	rep := engine.StartStage(ctx, s.Name()+"/swap")
-	tiles, threads, trial := sw.tiles, sw.threads, sw.trial
+	tiles, threads, apps := sw.tiles[:window], sw.threads[:window], sw.apps[:window]
+	cost, d := sw.cost[:window*window], sw.d[:window]
 	for step := 1; step <= maxStep; step++ {
 		if err := ctx.Err(); err != nil {
 			return probes, fmt.Errorf("sss: interrupted at window step %d/%d: %w", step, maxStep, err)
@@ -379,38 +393,41 @@ func (s SortSelectSwap) slideWindows(ctx context.Context, p *core.Problem, m cor
 			for x := 0; x < window; x++ {
 				tiles[x] = sorted[i+x*step]
 				threads[x] = inv[tiles[x]]
+				apps[x] = p.AppOfThread(threads[x])
 			}
-			// Try every permutation; keep the best (identity included, so
-			// the objective never worsens). Every non-identity one is
-			// scored, so the probes are counted per window.
+			flat := 0
+			for x, j := range threads {
+				row := cost[x*window : (x+1)*window]
+				same := true
+				for y, t := range tiles {
+					row[y] = p.ThreadCost(j, t)
+					same = same && row[y] == row[0]
+				}
+				if same {
+					flat |= 1 << x
+				}
+			}
+			// Try one permutation per class; keep the best (the identity
+			// is the starting point, so the objective never worsens).
 			probes += len(perms) - 1
-			bestObj := tr.value()
+			bestObj := cur
 			bestPerm := -1
-			for pi, perm := range perms {
-				identity := true
-				for x, y := range perm {
-					trial[x] = tiles[y]
-					if y != x {
-						identity = false
-					}
+			for _, pi := range canon[flat] {
+				for x, y := range perms[pi] {
+					d[x] = cost[x*window+y] - cost[x*window+x]
 				}
-				if identity {
-					continue
-				}
-				if obj := tr.assignValue(threads, trial); obj < bestObj {
+				if obj := tr.probe(apps, d); obj < bestObj {
 					bestObj = obj
 					bestPerm = pi
 				}
 			}
 			if bestPerm >= 0 {
-				perm := perms[bestPerm]
-				for x, y := range perm {
-					trial[x] = tiles[y]
+				for x, y := range perms[bestPerm] {
+					tr.num[apps[x]] += cost[x*window+y] - cost[x*window+x]
+					m[threads[x]] = tiles[y]
+					inv[tiles[y]] = threads[x]
 				}
-				tr.assign(threads, trial)
-				for x := range threads {
-					inv[trial[x]] = threads[x]
-				}
+				cur = bestObj
 			}
 		}
 	}
@@ -418,11 +435,64 @@ func (s SortSelectSwap) slideWindows(ctx context.Context, p *core.Problem, m cor
 	return probes, nil
 }
 
+// canonTables[w][flat] lists, ascending, the indices into
+// permutations(w) that slideWindows scores when the rows in bitmask
+// flat are flat: the first permutation of each class of permutations
+// that agree on every non-flat row, leaving out the identity's class.
+// Tables are built on first use per window size, not at start-up, so
+// processes that never run the swap phase do not pay for them.
+var (
+	canonOnce   [maxWindow + 1]sync.Once
+	canonTables [maxWindow + 1][][]int
+)
+
+// canonPerms returns the canonical-permutation table for window size w
+// (2..maxWindow), indexed by flat-row bitmask. The result is shared —
+// callers must not mutate it.
+func canonPerms(w int) [][]int {
+	canonOnce[w].Do(func() { canonTables[w] = buildCanonPerms(w) })
+	return canonTables[w]
+}
+
+func buildCanonPerms(w int) [][]int {
+	perms := permutations(w)
+	size := 1
+	for x := 0; x < w; x++ {
+		size *= w
+	}
+	// key encodes a permutation's targets on the non-flat rows as w
+	// base-w digits (flat rows read as 0), so equal keys are one class.
+	key := func(perm []int, flat int) int {
+		k := 0
+		for x := w - 1; x >= 0; x-- {
+			k *= w
+			if flat&(1<<x) == 0 {
+				k += perm[x]
+			}
+		}
+		return k
+	}
+	identity := perms[0] // Heap's algorithm starts from the identity
+	seen := make([]bool, size)
+	table := make([][]int, 1<<w)
+	for flat := range table {
+		clear(seen)
+		seen[key(identity, flat)] = true
+		for pi, perm := range perms {
+			if k := key(perm, flat); !seen[k] {
+				seen[k] = true
+				table[flat] = append(table[flat], pi)
+			}
+		}
+	}
+	return table
+}
+
 // permTables memoizes the permutation lists for every legal window size
 // (2..5), built once at init; a full sort-select-swap solve then reads
 // them with zero allocations. Read-only after init, so safe to share
 // between concurrent mappers.
-var permTables [6][][]int
+var permTables [maxWindow + 1][][]int
 
 func init() {
 	for k := 2; k < len(permTables); k++ {

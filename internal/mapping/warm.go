@@ -25,8 +25,8 @@ import (
 // mapping is compared against base and base wins ties or regressions.
 func (s SortSelectSwap) WarmStart(ctx context.Context, p *core.Problem, base core.Mapping) (core.Mapping, error) {
 	window := s.window()
-	if window < 2 || window > 5 {
-		return nil, fmt.Errorf("sss: window size %d out of range [2,5]", window)
+	if window < 2 || window > maxWindow {
+		return nil, fmt.Errorf("sss: window size %d out of range [2,%d]", window, maxWindow)
 	}
 	if err := base.Validate(p.N()); err != nil {
 		return nil, fmt.Errorf("sss: warm start: %w", err)
@@ -47,7 +47,7 @@ func (s SortSelectSwap) WarmStart(ctx context.Context, p *core.Problem, base cor
 			return nil, fmt.Errorf("sss: warm start interrupted in pass %d/%d: %w", pass+1, passes, err)
 		}
 		if !s.DisableSwap {
-			if _, err := s.slideWindows(ctx, p, m, sorted, window, &sw); err != nil {
+			if _, err := s.slideWindows(ctx, newObjectiveTracker(p, m, s.Objective), sorted, window, &sw); err != nil {
 				return nil, err
 			}
 		}
