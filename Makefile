@@ -19,7 +19,7 @@ bench:
 # Record the simulator and mapper benchmarks (best of $(BENCH_COUNT))
 # as BENCH_noc.json and BENCH_mapping.json.
 BENCH_COUNT ?= 3
-NOC_BENCH = 'NoC|Fig8|Fig9|Worklist'
+NOC_BENCH = 'NoC|Fig8|Fig9|Worklist|RateDriven'
 NOC_BENCH_PKGS = . ./internal/noc
 MAPPING_BENCH = '^BenchmarkSSSMap$$|^BenchmarkSSSMapPadded$$|^BenchmarkAnnealingMap$$|^BenchmarkMonteCarlo$$|^BenchmarkEvaluateBatch$$|^BenchmarkDynamicStream$$|^BenchmarkNSGAII$$|^BenchmarkClusterSAMap$$'
 bench-json:

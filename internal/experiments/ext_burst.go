@@ -51,27 +51,31 @@ func (e extBurst) Run(ctx context.Context, o Options) (Result, error) {
 	if o.Quick {
 		scfg.MeasureCycles = 60_000
 	}
-	res := &BurstResult{Config: cfgName}
-	for _, factor := range []float64{1, 4, 12} {
-		for _, m := range []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}} {
-			mp, _, err := mapEval(ctx, p, m)
-			if err != nil {
-				return nil, err
-			}
-			c := scfg
-			c.BurstFactor = factor
-			sr, err := sim.RateDriven(ctx, p, mp, c)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, BurstRow{
-				Mapper: shortName(m), BurstFactor: factor,
-				MaxAPL: sr.MaxAPL, DevAPL: sr.DevAPL,
-				QueuingPerHop: sr.Net.AvgQueuingPerHop(),
-			})
+	// One job per (factor, mapper) simulation, rows in that order.
+	factors := []float64{1, 4, 12}
+	mappers := []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}}
+	rows, err := sim.RunReplicas(ctx, len(factors)*len(mappers), 0, func(ctx context.Context, i int) (BurstRow, error) {
+		factor, m := factors[i/len(mappers)], mappers[i%len(mappers)]
+		mp, _, err := mapEval(ctx, p, m)
+		if err != nil {
+			return BurstRow{}, err
 		}
+		c := scfg
+		c.BurstFactor = factor
+		sr, err := sim.RateDriven(ctx, p, mp, c)
+		if err != nil {
+			return BurstRow{}, err
+		}
+		return BurstRow{
+			Mapper: shortName(m), BurstFactor: factor,
+			MaxAPL: sr.MaxAPL, DevAPL: sr.DevAPL,
+			QueuingPerHop: sr.Net.AvgQueuingPerHop(),
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &BurstResult{Config: cfgName, Rows: rows}, nil
 }
 
 func (r *BurstResult) table() *Table {

@@ -53,15 +53,17 @@ func (e extCongestion) Run(ctx context.Context, o Options) (Result, error) {
 	if o.Quick {
 		scfg.MeasureCycles = 60_000
 	}
-	res := &CongestionResult{Config: cfgName}
-	for _, m := range []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}} {
-		mp, _, err := mapEval(ctx, p, m)
+	// One job per mapper, each simulating its own Network; rows come
+	// back in mapper order.
+	mappers := []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}}
+	rows, err := sim.RunReplicas(ctx, len(mappers), 0, func(ctx context.Context, i int) (CongestionRow, error) {
+		mp, _, err := mapEval(ctx, p, mappers[i])
 		if err != nil {
-			return nil, err
+			return CongestionRow{}, err
 		}
 		sr, err := sim.RateDriven(ctx, p, mp, scfg)
 		if err != nil {
-			return nil, err
+			return CongestionRow{}, err
 		}
 		var utils []float64
 		for _, row := range sr.Net.LinkFlits {
@@ -71,7 +73,7 @@ func (e extCongestion) Run(ctx context.Context, o Options) (Result, error) {
 				}
 			}
 		}
-		row := CongestionRow{Mapper: shortName(m)}
+		row := CongestionRow{Mapper: shortName(mappers[i])}
 		if len(utils) > 0 {
 			row.MaxLinkUtil = stats.MustMax(utils)
 			row.MeanUtil = stats.Mean(utils)
@@ -80,9 +82,12 @@ func (e extCongestion) Run(ctx context.Context, o Options) (Result, error) {
 		if hot := sr.Net.HottestLinks(1); len(hot) > 0 {
 			row.HotTile = hot[0].Tile
 		}
-		res.Rows = append(res.Rows, row)
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &CongestionResult{Config: cfgName, Rows: rows}, nil
 }
 
 func (r *CongestionResult) table() *Table {

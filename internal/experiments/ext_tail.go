@@ -53,31 +53,40 @@ func (e extTail) Run(ctx context.Context, o Options) (Result, error) {
 	if o.Quick {
 		scfg.MeasureCycles = 60_000
 	}
+	// Every (mapper, replica) pair is an independent simulation, so the
+	// mappers' replicas run as one flat batch across cores: job i maps
+	// with mappers[i/reps] and seeds replica i%reps with stream i%reps
+	// of scfg.Seed (replica 0 keeps scfg.Seed, so a single replica
+	// reproduces the unreplicated measurement). Percentiles are
+	// averaged per application, tightening the tail estimates.
 	reps := sp.Budget.SimReplicas
+	mappers := []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}}
+	srs, err := sim.RunReplicas(ctx, len(mappers)*reps, 0, func(ctx context.Context, i int) (sim.Result, error) {
+		mp, _, err := mapEval(ctx, p, mappers[i/reps])
+		if err != nil {
+			return sim.Result{}, err
+		}
+		c := scfg
+		c.Seed = stats.SplitSeed(scfg.Seed, i%reps)
+		return sim.RateDriven(ctx, p, mp, c)
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &TailResult{Config: cfgName, SpreadP99: map[string]float64{}}
-	for _, m := range []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}} {
-		mp, _, err := mapEval(ctx, p, m)
-		if err != nil {
-			return nil, err
-		}
-		// Independent seeded replicas sharded across cores; percentiles
-		// are averaged per application, tightening the tail estimates
-		// (a single replica reproduces the unreplicated measurement).
-		srs, err := sim.RateDrivenReplicas(ctx, p, mp, scfg, reps)
-		if err != nil {
-			return nil, err
-		}
+	for mi, m := range mappers {
+		mine := srs[mi*reps : (mi+1)*reps]
 		var p99s []float64
 		for a := 0; a < p.NumApps(); a++ {
 			row := TailRow{Mapper: shortName(m), App: a + 1}
-			for _, sr := range srs {
+			for _, sr := range mine {
 				row.P50 += sr.Net.AppPercentile(a, 50)
 				row.P95 += sr.Net.AppPercentile(a, 95)
 				row.P99 += sr.Net.AppPercentile(a, 99)
 			}
-			row.P50 /= float64(len(srs))
-			row.P95 /= float64(len(srs))
-			row.P99 /= float64(len(srs))
+			row.P50 /= float64(reps)
+			row.P95 /= float64(reps)
+			row.P99 /= float64(reps)
 			res.Rows = append(res.Rows, row)
 			p99s = append(p99s, row.P99)
 		}

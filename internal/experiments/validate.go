@@ -42,8 +42,9 @@ func (v validate) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var parts []Result
-	for _, cfg := range sp.Configs {
+	// One job per config, each building its own Problem and Network.
+	parts, err := sim.RunReplicas(ctx, len(sp.Configs), 0, func(ctx context.Context, ci int) (Result, error) {
+		cfg := sp.Configs[ci]
 		p, err := problemFor(cfg)
 		if err != nil {
 			return nil, err
@@ -71,7 +72,10 @@ func (v validate) Run(ctx context.Context, o Options) (Result, error) {
 			res.MeanAbsErr += math.Abs(row.Measured - row.Model)
 		}
 		res.MeanAbsErr /= float64(len(res.Rows))
-		parts = append(parts, res)
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(parts) == 1 {
 		return parts[0], nil

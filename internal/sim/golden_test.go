@@ -121,20 +121,28 @@ func TestRunReplicasErrors(t *testing.T) {
 	}
 }
 
-// TestRateDrivenReplicasDeterminism checks the two guarantees the
-// experiments build on: one replica is bit-identical to the serial
-// RateDriven call, and a parallel N-replica run equals N serial runs of
-// the per-replica seeds.
-func TestRateDrivenReplicasDeterminism(t *testing.T) {
+// TestRunReplicasRateDrivenDeterminism checks the two guarantees the
+// experiments build on when they fan RateDriven jobs out over
+// RunReplicas: a one-job batch is bit-identical to the serial RateDriven
+// call, and a parallel N-job batch seeding job i with stream i equals N
+// serial runs of those seeds.
+func TestRunReplicasRateDrivenDeterminism(t *testing.T) {
 	p, mp := goldenProblem(t)
 	cfg := goldenCfg()
 	cfg.MeasureCycles = 5_000
+	replicas := func(n int) ([]Result, error) {
+		return RunReplicas(context.Background(), n, 0, func(ctx context.Context, i int) (Result, error) {
+			c := cfg
+			c.Seed = stats.SplitSeed(cfg.Seed, i)
+			return RateDriven(ctx, p, mp, c)
+		})
+	}
 
 	serial, err := RateDriven(context.Background(), p, mp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RateDrivenReplicas(context.Background(), p, mp, cfg, 1)
+	one, err := replicas(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +151,7 @@ func TestRateDrivenReplicasDeterminism(t *testing.T) {
 	}
 
 	const n = 3
-	par, err := RateDrivenReplicas(context.Background(), p, mp, cfg, n)
+	par, err := replicas(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
-	"obm/internal/core"
 	"obm/internal/engine"
 	"obm/internal/obs"
-	"obm/internal/stats"
 )
 
 // Replica-runner metrics: completed/failed job counts and per-job busy
@@ -24,17 +23,24 @@ var (
 	mJobSeconds    = obs.Default().Timer("sim.replicas.job.seconds")
 )
 
-// runJob executes one replica job with metrics around it.
-func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, i int) (T, error)) (T, error) {
+// runJob executes one replica job with metrics around it. A panic
+// becomes the job's error: unrecovered on a worker goroutine it would
+// kill the process.
+func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, i int) (T, error)) (v T, err error) {
 	start := time.Now()
-	v, err := job(ctx, i)
-	mJobSeconds.Since(start)
-	if err != nil {
-		mJobsFailed.Inc()
-	} else {
-		mJobsCompleted.Inc()
-	}
-	return v, err
+	defer func() {
+		if r := recover(); r != nil {
+			var zero T
+			v, err = zero, fmt.Errorf("sim: replica job %d panicked: %v\n%s", i, r, debug.Stack())
+		}
+		mJobSeconds.Since(start)
+		if err != nil {
+			mJobsFailed.Inc()
+		} else {
+			mJobsCompleted.Inc()
+		}
+	}()
+	return job(ctx, i)
 }
 
 // RunReplicas runs n independent jobs across at most workers goroutines
@@ -43,7 +49,9 @@ func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, i i
 // the simulator types are not safe for concurrent use) — sharding whole
 // seeded replicas is the share-nothing decomposition that keeps the
 // parallel run bit-identical to running the same jobs serially. Jobs
-// that fail contribute a zero result; the errors are joined.
+// that fail contribute a zero result; the errors are joined. A job that
+// panics fails the same way, whatever the worker count: its error
+// carries the panic value and stack.
 //
 // Cancellation: when ctx is done, no further jobs are dispatched and
 // each in-flight job sees the same ctx (jobs are expected to poll it
@@ -120,18 +128,4 @@ func RunReplicas[T any](ctx context.Context, n, workers int, job func(ctx contex
 		rep.Finish(n, n)
 	}
 	return out, errors.Join(errs...)
-}
-
-// RateDrivenReplicas runs replicas independent RateDriven simulations
-// of (p, m), identical except for the injector seed (stats.SplitSeed
-// of cfg.Seed and the replica index; replica 0 keeps cfg.Seed), spread
-// over the machine's cores. Results come back in replica order
-// regardless of completion order, so downstream aggregation is
-// deterministic.
-func RateDrivenReplicas(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDrivenConfig, replicas int) ([]Result, error) {
-	return RunReplicas(ctx, replicas, 0, func(ctx context.Context, i int) (Result, error) {
-		c := cfg
-		c.Seed = stats.SplitSeed(cfg.Seed, i)
-		return RateDriven(ctx, p, m, c)
-	})
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -119,5 +121,29 @@ func TestReplicasMetrics(t *testing.T) {
 	}
 	if got, want := h1.Count-h0.Count, uint64(n); got != want {
 		t.Errorf("busy-time samples delta = %d, want %d", got, want)
+	}
+}
+
+// TestRunReplicasPanicBecomesError checks a panicking job fails alone:
+// on a multi-worker pool the panic must not kill the process, the
+// other slots keep their results, the joined error names the panic,
+// and the job counts as failed.
+func TestRunReplicasPanicBecomesError(t *testing.T) {
+	f0, _ := obs.Default().Snapshot().Counter("sim.replicas.jobs.failed")
+	out, err := RunReplicas(context.Background(), 4, 2, func(_ context.Context, i int) (int, error) {
+		if i == 1 {
+			panic("replica boom")
+		}
+		return 10 + i, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "panicked: replica boom") {
+		t.Fatalf("err = %v, want it to name the panic", err)
+	}
+	if want := []int{10, 0, 12, 13}; !reflect.DeepEqual(out, want) {
+		t.Errorf("results = %v, want %v", out, want)
+	}
+	f1, _ := obs.Default().Snapshot().Counter("sim.replicas.jobs.failed")
+	if f1-f0 != 1 {
+		t.Errorf("failed delta = %d, want 1", f1-f0)
 	}
 }

@@ -209,12 +209,20 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 
 	rng := stats.NewRand(cfg.Seed)
 	n := p.N()
-	// Per-thread per-cycle injection probabilities.
+	// Per-thread invariants of the cycle loop: per-cycle injection
+	// probabilities, source tile, nearest memory controller and
+	// application.
 	pc := make([]float64, n)
 	pm := make([]float64, n)
+	srcs := make([]mesh.Tile, n)
+	mcOf := make([]mesh.Tile, n)
+	apps := make([]int, n)
 	for j := 0; j < n; j++ {
 		pc[j] = p.CacheRate(j) / CyclesPerRateUnit
 		pm[j] = p.MemRate(j) / CyclesPerRateUnit
+		srcs[j] = p.TileOfSlot(m[j])
+		mcOf[j], _ = placement.Nearest(msh, srcs[j])
+		apps[j] = p.AppOfThread(j)
 	}
 	// Optional on/off burst modulation: scale rates up during ON phases
 	// and gate them off otherwise, preserving the long-run mean.
@@ -268,21 +276,19 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 					continue
 				}
 			}
-			src := p.TileOfSlot(m[j])
 			if pc[j] > 0 && rng.Float64() < pc[j] {
 				pkt := net.AllocPacket() // recycled after delivery; nothing retains it
-				pkt.Src = src
+				pkt.Src = srcs[j]
 				pkt.Dst = mesh.Tile(rng.Intn(msh.NumTiles())) // uniform bank hash
-				pkt.Type, pkt.App = noc.CacheRequest, p.AppOfThread(j)
+				pkt.Type, pkt.App = noc.CacheRequest, apps[j]
 				if err := net.Inject(pkt); err != nil {
 					return Result{}, err
 				}
 			}
 			if pm[j] > 0 && rng.Float64() < pm[j] {
 				pkt := net.AllocPacket()
-				pkt.Src = src
-				pkt.Dst, _ = placement.Nearest(msh, src)
-				pkt.Type, pkt.App = noc.MemRequest, p.AppOfThread(j)
+				pkt.Src, pkt.Dst = srcs[j], mcOf[j]
+				pkt.Type, pkt.App = noc.MemRequest, apps[j]
 				if err := net.Inject(pkt); err != nil {
 					return Result{}, err
 				}

@@ -122,10 +122,10 @@ func (r *Rand) Split() *Rand {
 // SplitSeed derives the seed of sub-stream i from a base seed. Stream 0
 // is the base seed unchanged, so a single-stream run reproduces the
 // corresponding serial run exactly; later streams are splitmix64-mixed
-// into well-separated states. Its callers: sim.RateDrivenReplicas
-// seeds replica i with stream i, sched.Generator draws each timeline
-// dimension (arrival times, sizes, rates, lifetimes) from its own
-// stream, and NSGA-II splits initialization from evolution. Each
+// into well-separated states. Its callers: the tail experiment seeds
+// each mapper's replica i with stream i, sched.Generator draws each
+// timeline dimension (arrival times, sizes, rates, lifetimes) from its
+// own stream, and NSGA-II splits initialization from evolution. Each
 // stream is a pure function of (base, i), so results never depend on
 // scheduling.
 func SplitSeed(base uint64, i int) uint64 {
