@@ -1,6 +1,11 @@
 package core
 
-import "obm/internal/mesh"
+import (
+	"fmt"
+
+	"obm/internal/mesh"
+	"obm/internal/stats"
+)
 
 // batchTableMaxN caps the instance size for which BatchEvaluator
 // precomputes the full thread x slot cost table: N*N float64s is 32 KiB
@@ -37,15 +42,24 @@ type BatchEvaluator struct {
 func (p *Problem) BatchEvaluator(obj Objective) *BatchEvaluator {
 	b := &BatchEvaluator{p: p, obj: ObjectiveOrDefault(obj), n: p.N()}
 	if b.n <= batchTableMaxN {
-		b.cost = make([]float64, b.n*b.n)
-		for j := 0; j < b.n; j++ {
-			row := b.cost[j*b.n : (j+1)*b.n]
-			for s := range row {
-				row[s] = p.ThreadCost(j, mesh.Tile(s))
-			}
-		}
+		b.cost = p.costTable()
 	}
 	return b
+}
+
+// costTable returns the flat thread x slot cost matrix,
+// cost[j*N+s] = ThreadCost(j, s): the one table builder behind
+// BatchEvaluator, RandomAverages and LowerBound.
+func (p *Problem) costTable() []float64 {
+	n := p.N()
+	cost := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		row := cost[j*n : (j+1)*n]
+		for s := range row {
+			row[s] = p.ThreadCost(j, mesh.Tile(s))
+		}
+	}
+	return cost
 }
 
 // Objective returns the objective the evaluator scores.
@@ -88,4 +102,75 @@ func (b *BatchEvaluator) EvaluateBatch(ms []Mapping, out []float64) {
 	for k := range ms {
 		out[k] = b.obj.Value(b.p, nums[k*apps:(k+1)*apps])
 	}
+}
+
+// RandomAverage is the mean of Evaluate's g-APL, max-APL and dev-APL
+// over a run of uniformly random mappings of one problem: the "random
+// mapping" baseline of the paper's Table 1.
+type RandomAverage struct {
+	GlobalAPL, MaxAPL, DevAPL float64
+}
+
+// RandomAverages scores draws uniformly random permutations, taken from
+// one stats.NewRand(seed) stream, against every problem in ps and
+// returns each problem's mean metrics. Every problem must have
+// the same N: a permutation of N slots is then one draw for all of them,
+// and the result for ps[k] equals drawing from a fresh NewRand(seed) for
+// ps[k] alone, because the draws never depend on the problem.
+//
+// The result is bit-identical to summing p.Evaluate(RandomMapping(N,
+// rng)) in draw order and dividing by draws: each draw fills one reused
+// Mapping through RandomMappingInto, accumulates the per-application
+// numerators and their total in ascending thread order from the
+// problem's cost table, and ends in Evaluate's own summarize. Nothing
+// is allocated per draw; each problem costs one N x N table.
+func RandomAverages(ps []*Problem, seed uint64, draws int) ([]RandomAverage, error) {
+	if draws <= 0 {
+		return nil, fmt.Errorf("core: random averages need draws > 0, got %d", draws)
+	}
+	if len(ps) == 0 {
+		return nil, nil
+	}
+	n := ps[0].N()
+	costs := make([][]float64, len(ps))
+	maxApps := 0
+	for k, p := range ps {
+		if p.N() != n {
+			return nil, fmt.Errorf("core: random averages need one N, got %d and %d", n, p.N())
+		}
+		costs[k] = p.costTable()
+		maxApps = max(maxApps, p.NumApps())
+	}
+	num := make([]float64, maxApps)
+	active := make([]float64, 0, maxApps)
+	m := make(Mapping, n)
+	rng := stats.NewRand(seed)
+	out := make([]RandomAverage, len(ps))
+	for d := 0; d < draws; d++ {
+		RandomMappingInto(m, rng)
+		for k, p := range ps {
+			cost := costs[k]
+			num := num[:p.NumApps()]
+			var total float64
+			for i := range num {
+				var sum float64
+				for j := p.boundaries[i]; j < p.boundaries[i+1]; j++ {
+					c := cost[j*n+int(m[j])]
+					sum += c
+					total += c
+				}
+				num[i] = sum
+			}
+			ev := p.summarize(num, total, active)
+			out[k].GlobalAPL += ev.GlobalAPL
+			out[k].MaxAPL += ev.MaxAPL
+			out[k].DevAPL += ev.DevAPL
+		}
+	}
+	for k := range out {
+		out[k].GlobalAPL /= float64(draws)
+		out[k].MaxAPL /= float64(draws)
+		out[k].DevAPL /= float64(draws)
+	}
+	return out, nil
 }

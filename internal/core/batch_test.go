@@ -4,7 +4,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"obm/internal/mesh"
+	"obm/internal/model"
 	"obm/internal/stats"
+	"obm/internal/workload"
 )
 
 // TestEvaluateBatchMatchesEvaluate pins the batch evaluator to the
@@ -84,5 +87,101 @@ func TestEvaluateBatchNoAlloc(t *testing.T) {
 	be.EvaluateBatch(ms, out) // warm the numerator buffer
 	if allocs := testing.AllocsPerRun(50, func() { be.EvaluateBatch(ms, out) }); allocs != 0 {
 		t.Errorf("EvaluateBatch allocates %v per run, want 0", allocs)
+	}
+}
+
+// randomAveragesProblems returns the problems the random baseline is
+// drawn for: C1–C8 on the paper's 8x8 mesh, C1–C8 on the 8x8 torus with
+// corner controllers, and the 128-thread capacity-2 chip holding C1's
+// and C3's applications.
+func randomAveragesProblems(t *testing.T) (mesh64, torus64 []*Problem, capacity2 *Problem) {
+	t.Helper()
+	msh := mesh.MustNew(8, 8)
+	torus, err := model.NewTorus(msh, model.DefaultParams(), model.CornersPlacement(msh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range workload.ConfigNames() {
+		mesh64 = append(mesh64, paperProblem(t, cfg))
+		torus64 = append(torus64, MustNewProblem(torus, workload.MustConfig(cfg)))
+	}
+	w := &workload.Workload{Name: "capacity"}
+	for _, cfg := range []string{"C1", "C3"} {
+		w.Apps = append(w.Apps, workload.MustConfig(cfg).Apps...)
+	}
+	capacity2, err = NewProblemWithCapacity(model.MustNew(msh, model.DefaultParams()), w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mesh64, torus64, capacity2
+}
+
+// TestRandomAveragesMatchesReference pins the shared-draw kernel to the
+// loop it replaced: a fresh NewRand(seed) per problem, Evaluate on each
+// RandomMapping, sums in draw order divided by draws. Equality is ==,
+// field by field.
+func TestRandomAveragesMatchesReference(t *testing.T) {
+	mesh64, torus64, capacity2 := randomAveragesProblems(t)
+	groups := map[string][]*Problem{
+		"mesh":       mesh64,
+		"mesh+torus": append(append([]*Problem(nil), mesh64...), torus64...),
+		"capacity2":  {capacity2},
+	}
+	for name, ps := range groups {
+		for seed := uint64(1); seed <= 5; seed++ {
+			for _, draws := range []int{1, 257} {
+				got, err := RandomAverages(ps, seed, draws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, p := range ps {
+					var want RandomAverage
+					rng := stats.NewRand(seed)
+					for d := 0; d < draws; d++ {
+						ev := p.Evaluate(RandomMapping(p.N(), rng))
+						want.GlobalAPL += ev.GlobalAPL
+						want.MaxAPL += ev.MaxAPL
+						want.DevAPL += ev.DevAPL
+					}
+					want.GlobalAPL /= float64(draws)
+					want.MaxAPL /= float64(draws)
+					want.DevAPL /= float64(draws)
+					if got[k] != want {
+						t.Errorf("%s problem %d seed %d draws %d: got %+v, want %+v", name, k, seed, draws, got[k], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRandomAveragesErrors: the kernel refuses problems of different
+// sizes (one permutation cannot serve both) and a draw count that would
+// divide by zero.
+func TestRandomAveragesErrors(t *testing.T) {
+	mesh64, _, capacity2 := randomAveragesProblems(t)
+	if _, err := RandomAverages([]*Problem{mesh64[0], capacity2}, 1, 10); err == nil {
+		t.Error("problems with N 64 and 128 accepted")
+	}
+	for _, draws := range []int{0, -1} {
+		if _, err := RandomAverages(mesh64[:1], 1, draws); err == nil {
+			t.Errorf("draws %d accepted", draws)
+		}
+	}
+}
+
+// TestRandomAveragesNoAllocPerDraw: the allocation count does not grow
+// with the number of draws.
+func TestRandomAveragesNoAllocPerDraw(t *testing.T) {
+	mesh64, _, _ := randomAveragesProblems(t)
+	allocs := func(draws int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RandomAverages(mesh64, 1, draws); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(500); many != one {
+		t.Errorf("RandomAverages allocates %v at 1 draw and %v at 500", one, many)
 	}
 }

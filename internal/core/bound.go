@@ -1,9 +1,6 @@
 package core
 
-import (
-	"obm/internal/hungarian"
-	"obm/internal/mesh"
-)
+import "obm/internal/hungarian"
 
 // LowerBound returns a provable lower bound on the optimal max-APL of
 // the problem, computed from two relaxations (both Hungarian solves,
@@ -29,6 +26,15 @@ import (
 // likewise only prunes with it under the default objective). A g-APL
 // lower bound is the second relaxation alone.
 func (p *Problem) LowerBound() (float64, error) {
+	// Every solve reads rows of one flat cost table (application i's
+	// threads are the contiguous rows lo..hi) and reuses one solver.
+	n := p.N()
+	flat := p.costTable()
+	rows := make([][]float64, n)
+	for j := range rows {
+		rows[j] = flat[j*n : (j+1)*n]
+	}
+	var solver hungarian.Solver
 	best := 0.0
 	// Relaxation 1: each application alone on the chip.
 	for i := 0; i < p.NumApps(); i++ {
@@ -37,16 +43,7 @@ func (p *Problem) LowerBound() (float64, error) {
 			continue
 		}
 		lo, hi := p.AppThreads(i)
-		na := hi - lo
-		cost := make([][]float64, na)
-		for x := 0; x < na; x++ {
-			row := make([]float64, p.N())
-			for k := 0; k < p.N(); k++ {
-				row[k] = p.ThreadCost(lo+x, mesh.Tile(k))
-			}
-			cost[x] = row
-		}
-		_, total, err := hungarian.Solve(cost)
+		_, total, err := solver.Solve(rows[lo:hi])
 		if err != nil {
 			return 0, err
 		}
@@ -56,17 +53,7 @@ func (p *Problem) LowerBound() (float64, error) {
 	}
 	// Relaxation 2: optimal g-APL.
 	if p.totalRate > 0 {
-		n := p.N()
-		cost := make([][]float64, n)
-		flat := make([]float64, n*n)
-		for j := 0; j < n; j++ {
-			row := flat[j*n : (j+1)*n]
-			for k := 0; k < n; k++ {
-				row[k] = p.ThreadCost(j, mesh.Tile(k))
-			}
-			cost[j] = row
-		}
-		_, total, err := hungarian.Solve(cost)
+		_, total, err := solver.Solve(rows)
 		if err != nil {
 			return 0, err
 		}

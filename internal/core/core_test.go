@@ -128,6 +128,33 @@ func TestRandomMappingValid(t *testing.T) {
 	}
 }
 
+// TestRandomMappingIntoMatchesShuffle: the inlined Fisher–Yates draws
+// the same permutation as rng.Shuffle over the identity and leaves the
+// generator in the same state.
+func TestRandomMappingIntoMatchesShuffle(t *testing.T) {
+	for _, n := range []int{1, 2, 64, 128} {
+		for seed := uint64(0); seed < 8; seed++ {
+			got, want := make(Mapping, n), IdentityMapping(n)
+			rng, ref := stats.NewRand(seed), stats.NewRand(seed)
+			for round := 0; round < 3; round++ {
+				RandomMappingInto(got, rng)
+				for j := range want {
+					want[j] = mesh.Tile(j)
+				}
+				ref.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("n=%d seed=%d round %d: got %v, want %v", n, seed, round, got, want)
+					}
+				}
+			}
+			if rng.Uint64() != ref.Uint64() {
+				t.Errorf("n=%d seed=%d: generator states diverged", n, seed)
+			}
+		}
+	}
+}
+
 func TestInverse(t *testing.T) {
 	m := Mapping{2, 0, 1}
 	inv := m.InverseOn(3)

@@ -56,13 +56,19 @@ func RandomMapping(n int, rng *stats.Rand) Mapping {
 // RandomMappingInto fills m with a uniformly random permutation drawn
 // from rng, allocating nothing. It consumes exactly the same random
 // draws as RandomMapping, so the two produce identical permutations
-// from equal generator states — batch samplers (Monte Carlo) reuse one
-// buffer across trials without perturbing any published stream.
+// from equal generator states — batch samplers (Monte Carlo,
+// RandomAverages) reuse one buffer across trials without perturbing any
+// published stream. The loop is rng.Shuffle's descending Fisher–Yates
+// over the identity, with the same Intn(i+1) calls in the same order,
+// inlined to save a closure call per swap.
 func RandomMappingInto(m Mapping, rng *stats.Rand) {
 	for j := range m {
 		m[j] = mesh.Tile(j)
 	}
-	rng.Shuffle(len(m), func(i, j int) { m[i], m[j] = m[j], m[i] })
+	for i := len(m) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		m[i], m[j] = m[j], m[i]
+	}
 }
 
 // InverseOn returns the tile-to-thread inverse of m (length N).
@@ -117,14 +123,25 @@ func (p *Problem) Evaluate(m Mapping) Evaluation {
 		num[p.appOf[j]] += c
 		totalNum += c
 	}
-	ev := Evaluation{APLs: make([]float64, a)}
-	active := make([]float64, 0, a)
-	for i := 0; i < a; i++ {
-		if p.appWeight[i] == 0 {
-			continue // idle pseudo-application
+	return p.summarize(num, totalNum, make([]float64, 0, a))
+}
+
+// summarize turns one mapping's per-application packet-latency
+// numerators (len NumApps) and their total into its Evaluation. It
+// divides num in place into the APLs, which the result's APLs then
+// aliases, and collects the active APLs in active's backing array, so a
+// caller that reuses both allocates nothing. Evaluate and RandomAverages
+// both end here, so their arithmetic cannot drift apart.
+func (p *Problem) summarize(num []float64, total float64, active []float64) Evaluation {
+	ev := Evaluation{APLs: num}
+	active = active[:0]
+	for i, w := range p.appWeight {
+		if w == 0 {
+			num[i] = 0 // idle pseudo-application
+			continue
 		}
-		ev.APLs[i] = num[i] / p.appWeight[i]
-		active = append(active, ev.APLs[i])
+		num[i] /= w
+		active = append(active, num[i])
 	}
 	if len(active) > 0 {
 		ev.MaxAPL = stats.MustMax(active)
@@ -132,7 +149,7 @@ func (p *Problem) Evaluate(m Mapping) Evaluation {
 		ev.MinMaxRatio = stats.MinMaxRatio(active)
 	}
 	if p.totalRate > 0 {
-		ev.GlobalAPL = totalNum / p.totalRate
+		ev.GlobalAPL = total / p.totalRate
 	}
 	return ev
 }

@@ -319,7 +319,7 @@ func ParseObjective(s string) (Objective, error) {
 
 // Scorer evaluates one objective over many mappings of one problem with
 // zero per-call allocation — the scalar path batch mappers (Monte
-// Carlo's per-trial scoring) use instead of building a full Evaluation (3 slices) per call. Not safe
+// Carlo's per-trial scoring) use instead of building a full Evaluation (2 slices) per call. Not safe
 // for concurrent use; give each goroutine its own.
 type Scorer struct {
 	p   *Problem

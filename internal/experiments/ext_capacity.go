@@ -8,7 +8,6 @@ import (
 	"obm/internal/mapping"
 	"obm/internal/mesh"
 	"obm/internal/model"
-	"obm/internal/stats"
 	"obm/internal/workload"
 )
 
@@ -66,18 +65,11 @@ func (e extCapacity) Run(ctx context.Context, o Options) (Result, error) {
 		Apps: p.NumApps(), Threads: p.N(),
 		Tiles: lm.NumTiles(), Capacity: p.Capacity(),
 	}
-	rng := stats.NewRand(sp.Seed + 71)
-	draws := sp.Budget.RandomDraws / 10
-	if draws < 100 {
-		draws = 100
+	rand, err := core.RandomAverages([]*core.Problem{p}, sp.Seed+71, max(sp.Budget.RandomDraws/10, 100))
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < draws; i++ {
-		ev := p.Evaluate(core.RandomMapping(p.N(), rng))
-		res.RandMax += ev.MaxAPL
-		res.RandDev += ev.DevAPL
-	}
-	res.RandMax /= float64(draws)
-	res.RandDev /= float64(draws)
+	res.RandMax, res.RandDev = rand[0].MaxAPL, rand[0].DevAPL
 
 	for _, m := range []mapping.Mapper{
 		mapping.Global{},

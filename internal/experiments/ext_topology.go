@@ -56,7 +56,10 @@ func (e extTopology) Run(ctx context.Context, o Options) (Result, error) {
 		}
 		return model.New(msh, model.DefaultParams())
 	}
+	// Build every (topology, config) problem first: all are 64-thread
+	// problems, so one random draw stream serves them all.
 	res := &TopologyResult{}
+	var ps []*core.Problem
 	for _, torus := range []bool{false, true} {
 		lm, err := build(torus)
 		if err != nil {
@@ -73,25 +76,27 @@ func (e extTopology) Run(ctx context.Context, o Options) (Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row := TopologyRow{Topology: lm.Topology().String(), Config: cfg, TCSpread: spread}
-			rng := stats.NewRand(sp.Seed + 61)
-			draws := 300
-			for i := 0; i < draws; i++ {
-				row.RandDev += p.Evaluate(core.RandomMapping(p.N(), rng)).DevAPL
-			}
-			row.RandDev /= float64(draws)
-			_, evG, err := mapEval(ctx, p, mapping.Global{})
-			if err != nil {
-				return nil, err
-			}
-			_, evS, err := mapEval(ctx, p, mapping.SortSelectSwap{})
-			if err != nil {
-				return nil, err
-			}
-			row.GlobalMax, row.GlobalDev = evG.MaxAPL, evG.DevAPL
-			row.SSSMax, row.SSSDev = evS.MaxAPL, evS.DevAPL
-			res.Rows = append(res.Rows, row)
+			res.Rows = append(res.Rows, TopologyRow{Topology: lm.Topology().String(), Config: cfg, TCSpread: spread})
+			ps = append(ps, p)
 		}
+	}
+	rand, err := core.RandomAverages(ps, sp.Seed+61, 300)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range ps {
+		_, evG, err := mapEval(ctx, p, mapping.Global{})
+		if err != nil {
+			return nil, err
+		}
+		_, evS, err := mapEval(ctx, p, mapping.SortSelectSwap{})
+		if err != nil {
+			return nil, err
+		}
+		row := &res.Rows[i]
+		row.RandDev = rand[i].DevAPL
+		row.GlobalMax, row.GlobalDev = evG.MaxAPL, evG.DevAPL
+		row.SSSMax, row.SSSDev = evS.MaxAPL, evS.DevAPL
 	}
 	return res, nil
 }

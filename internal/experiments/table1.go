@@ -6,7 +6,6 @@ import (
 
 	"obm/internal/core"
 	"obm/internal/mapping"
-	"obm/internal/stats"
 )
 
 func init() { register(table1{}) }
@@ -41,25 +40,26 @@ func (t table1) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Table1Result{}
-	for _, cfg := range sp.Configs {
-		p, err := problemFor(cfg)
-		if err != nil {
+	ps := make([]*core.Problem, len(sp.Configs))
+	for i, cfg := range sp.Configs {
+		if ps[i], err = problemFor(cfg); err != nil {
 			return nil, err
 		}
-		row := Table1Row{Config: cfg}
-		rng := stats.NewRand(sp.Seed + 100)
-		draws := sp.Budget.RandomDraws
-		for i := 0; i < draws; i++ {
-			ev := p.Evaluate(core.RandomMapping(p.N(), rng))
-			row.RandGAPL += ev.GlobalAPL
-			row.RandMaxAPL += ev.MaxAPL
-			row.RandDevAPL += ev.DevAPL
+	}
+	// Every config is a 64-thread problem, so one draw stream serves
+	// them all (see core.RandomAverages).
+	rand, err := core.RandomAverages(ps, sp.Seed+100, sp.Budget.RandomDraws)
+	if err != nil {
+		return nil, err
+	}
+	res := &Table1Result{}
+	for i, p := range ps {
+		row := Table1Row{
+			Config:     sp.Configs[i],
+			RandGAPL:   rand[i].GlobalAPL,
+			RandMaxAPL: rand[i].MaxAPL,
+			RandDevAPL: rand[i].DevAPL,
 		}
-		row.RandGAPL /= float64(draws)
-		row.RandMaxAPL /= float64(draws)
-		row.RandDevAPL /= float64(draws)
-
 		_, ev, err := mapEval(ctx, p, mapping.Global{})
 		if err != nil {
 			return nil, err

@@ -63,48 +63,7 @@ func Generate(spec GenSpec) (*Workload, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rng := stats.NewRand(spec.Seed)
-	n := spec.NumApps * spec.ThreadsPer
-	appSigma := spec.AppSigma
-	if appSigma == 0 {
-		appSigma = 1.2
-	}
-	threadSigma := spec.ThreadSigma
-	if threadSigma == 0 {
-		threadSigma = 0.3
-	}
-
-	// Hierarchical rates: one intensity multiplier per application (the
-	// benchmark's character) times per-thread variation within it.
-	cache := make([]float64, n)
-	for a := 0; a < spec.NumApps; a++ {
-		mul := rng.LogNormal(0, appSigma)
-		for t := 0; t < spec.ThreadsPer; t++ {
-			cache[a*spec.ThreadsPer+t] = mul * rng.LogNormal(0, threadSigma)
-		}
-	}
-	// Memory rates proportional to cache rates with lognormal noise: keeps
-	// the paper's observed cache:memory rate ratio per thread while letting
-	// the two vectors have their own moments after correction. Table 3's
-	// memory rates are substantially more skewed than the cache rates
-	// (CV ~3.5 vs ~1.3), so the noise sigma is derived from the target
-	// coefficients of variation: for independent lognormals the log-domain
-	// variances add, sigma_mem^2 = sigma_cache^2 + sigma_noise^2.
-	mem := make([]float64, n)
-	ratio := spec.Cache.Mean / math.Max(spec.Mem.Mean, 1e-12)
-	noiseSigma := 0.35
-	if spec.Cache.Mean > 0 && spec.Mem.Mean > 0 {
-		cvC := spec.Cache.Std / spec.Cache.Mean
-		cvM := spec.Mem.Std / spec.Mem.Mean
-		if extra := math.Log(1+cvM*cvM) - math.Log(1+cvC*cvC); extra > noiseSigma*noiseSigma {
-			noiseSigma = math.Sqrt(extra)
-		}
-	}
-	for i := range mem {
-		noise := rng.LogNormal(0, noiseSigma)
-		mem[i] = cache[i] / ratio * noise
-	}
-
+	cache, mem := drawRates(spec)
 	momentCorrect(cache, spec.Cache, nil)
 	// Every memory request is an L2 miss, i.e. a subset of the thread's L2
 	// accesses; we bound the per-thread L2 miss ratio at 50%
@@ -113,7 +72,7 @@ func Generate(spec GenSpec) (*Workload, error) {
 	// memory share of traffic at 1/3, so differences in memory intensity
 	// remain compensable by tile placement instead of creating an
 	// unbalanceable APL floor.
-	ub := make([]float64, n)
+	ub := make([]float64, len(cache))
 	for i := range ub {
 		ub[i] = 0.5 * cache[i]
 	}
@@ -133,6 +92,54 @@ func Generate(spec GenSpec) (*Workload, error) {
 		w.Apps[i].Name = fmt.Sprintf("%s-app%d", spec.Name, i+1)
 	}
 	return w, nil
+}
+
+// drawRates draws the raw, uncorrected cache and memory rate vectors of
+// spec (validated by the caller): Generate's input to momentCorrect.
+func drawRates(spec GenSpec) (cache, mem []float64) {
+	rng := stats.NewRand(spec.Seed)
+	n := spec.NumApps * spec.ThreadsPer
+	appSigma := spec.AppSigma
+	if appSigma == 0 {
+		appSigma = 1.2
+	}
+	threadSigma := spec.ThreadSigma
+	if threadSigma == 0 {
+		threadSigma = 0.3
+	}
+
+	// Hierarchical rates: one intensity multiplier per application (the
+	// benchmark's character) times per-thread variation within it.
+	cache = make([]float64, n)
+	for a := 0; a < spec.NumApps; a++ {
+		mul := rng.LogNormal(0, appSigma)
+		for t := 0; t < spec.ThreadsPer; t++ {
+			cache[a*spec.ThreadsPer+t] = mul * rng.LogNormal(0, threadSigma)
+		}
+	}
+	// Memory rates proportional to cache rates with lognormal noise: keeps
+	// the paper's observed cache:memory rate ratio per thread while letting
+	// the two vectors have their own moments after correction. Table 3's
+	// memory rates are substantially more skewed than the cache rates
+	// (CV ~3.5 vs ~1.3), so the noise sigma is derived from the target
+	// coefficients of variation: for independent lognormals the log-domain
+	// variances add, sigma_mem^2 = sigma_cache^2 + sigma_noise^2.
+	mem = make([]float64, n)
+	ratio := spec.Cache.Mean / math.Max(spec.Mem.Mean, 1e-12)
+	noiseSigma := 0.35
+	if spec.Cache.Mean > 0 && spec.Mem.Mean > 0 {
+		cvC := spec.Cache.Std / spec.Cache.Mean
+		cvM := spec.Mem.Std / spec.Mem.Mean
+		if extra := math.Log(1+cvM*cvM) - math.Log(1+cvC*cvC); extra > noiseSigma*noiseSigma {
+			noiseSigma = math.Sqrt(extra)
+		}
+	}
+	for i := range mem {
+		noise := rng.LogNormal(0, noiseSigma)
+		mem[i] = cache[i] / ratio * noise
+	}
+	return cache, mem
+
 }
 
 // MustGenerate is Generate but panics on error; for the fixed paper specs.
@@ -173,15 +180,18 @@ func momentCorrect(xs []float64, target Stats, ub []float64) {
 	// the mean; clamping at ub lowers it), so aim for a compensated target
 	// that an integral-style update steers until the *achieved* moments
 	// match the true target.
+	// m and s are always the moments of xs as it stands: computed once
+	// here and again after each change to xs, then reused by the
+	// convergence test, the aim update and the next correction.
 	aim := target
+	m, s := stats.Mean(xs), stats.StdDev(xs)
 	for iter := 0; iter < 500; iter++ {
-		m := stats.Mean(xs)
-		s := stats.StdDev(xs)
 		if s == 0 {
 			// Degenerate (all-equal) vector: nudge one element to create
 			// spread, then continue correcting.
 			xs[0] = clamp(0, xs[0]+target.Std)
-			if stats.StdDev(xs) == 0 {
+			m, s = stats.Mean(xs), stats.StdDev(xs)
+			if s == 0 {
 				return // bounds leave no room for spread
 			}
 			continue
@@ -190,11 +200,12 @@ func momentCorrect(xs []float64, target Stats, ub []float64) {
 		for i := range xs {
 			xs[i] = clamp(i, aim.Mean+(xs[i]-m)*scale)
 		}
-		if closeEnough(xs, target) {
+		m, s = stats.Mean(xs), stats.StdDev(xs)
+		if closeEnough(m, s, target) {
 			return
 		}
-		aim.Mean += 0.5 * (target.Mean - stats.Mean(xs))
-		aim.Std += 0.5 * (target.Std - stats.StdDev(xs))
+		aim.Mean += 0.5 * (target.Mean - m)
+		aim.Std += 0.5 * (target.Std - s)
 		if aim.Mean < 0 {
 			aim.Mean = 0
 		}
@@ -204,10 +215,8 @@ func momentCorrect(xs []float64, target Stats, ub []float64) {
 	}
 }
 
-func closeEnough(xs []float64, target Stats) bool {
+func closeEnough(m, s float64, target Stats) bool {
 	const tol = 1e-9
-	m := stats.Mean(xs)
-	s := stats.StdDev(xs)
 	return math.Abs(m-target.Mean) <= tol*math.Max(1, target.Mean) &&
 		math.Abs(s-target.Std) <= tol*math.Max(1, target.Std)
 }

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"obm/internal/stats"
 )
 
 func TestGenerateMomentMatch(t *testing.T) {
@@ -108,4 +111,110 @@ func TestGenerateZeroStd(t *testing.T) {
 			t.Fatalf("zero-std workload not constant: %+v", th)
 		}
 	}
+}
+
+// momentCorrectReference is momentCorrect as it was before it kept its
+// moments between steps: every mean and standard deviation is
+// recomputed from xs where it is read. TestMomentCorrectMatchesReference
+// holds the current version bit-equal to it.
+func momentCorrectReference(xs []float64, target Stats, ub []float64) {
+	if len(xs) == 0 {
+		return
+	}
+	clamp := func(i int, v float64) float64 {
+		if v < 0 {
+			v = 0
+		}
+		if ub != nil && v > ub[i] {
+			v = ub[i]
+		}
+		return v
+	}
+	if target.Std == 0 {
+		for i := range xs {
+			xs[i] = clamp(i, target.Mean)
+		}
+		return
+	}
+	aim := target
+	for iter := 0; iter < 500; iter++ {
+		m := stats.Mean(xs)
+		s := stats.StdDev(xs)
+		if s == 0 {
+			xs[0] = clamp(0, xs[0]+target.Std)
+			if stats.StdDev(xs) == 0 {
+				return
+			}
+			continue
+		}
+		scale := aim.Std / s
+		for i := range xs {
+			xs[i] = clamp(i, aim.Mean+(xs[i]-m)*scale)
+		}
+		if closeEnoughReference(xs, target) {
+			return
+		}
+		aim.Mean += 0.5 * (target.Mean - stats.Mean(xs))
+		aim.Std += 0.5 * (target.Std - stats.StdDev(xs))
+		if aim.Mean < 0 {
+			aim.Mean = 0
+		}
+		if aim.Std < 0 {
+			aim.Std = 0
+		}
+	}
+}
+
+func closeEnoughReference(xs []float64, target Stats) bool {
+	const tol = 1e-9
+	m := stats.Mean(xs)
+	s := stats.StdDev(xs)
+	return math.Abs(m-target.Mean) <= tol*math.Max(1, target.Mean) &&
+		math.Abs(s-target.Std) <= tol*math.Max(1, target.Std)
+}
+
+// TestMomentCorrectMatchesReference runs momentCorrect and the reference
+// on copies of the same input and requires bit-equal output: on
+// Generate's own raw vectors (the unbounded cache call, then the
+// ub-bounded memory call) for every Table 3 target and 200 seeds, and
+// on the zero-std and degenerate edge cases.
+func TestMomentCorrectMatchesReference(t *testing.T) {
+	check := func(name string, xs []float64, target Stats, ub []float64) []float64 {
+		t.Helper()
+		got := append([]float64(nil), xs...)
+		want := append([]float64(nil), xs...)
+		momentCorrect(got, target, ub)
+		momentCorrectReference(want, target, ub)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: xs[%d] = %v, reference %v", name, i, got[i], want[i])
+			}
+		}
+		return got
+	}
+	generate := func(name string, spec GenSpec) {
+		t.Helper()
+		cache, mem := drawRates(spec)
+		cache = check(name+"/cache", cache, spec.Cache, nil)
+		ub := make([]float64, len(cache))
+		for i := range ub {
+			ub[i] = 0.5 * cache[i]
+		}
+		check(name+"/mem", mem, spec.Mem, ub)
+	}
+	names := ConfigNames()
+	for _, name := range names {
+		target := Table3[name]
+		generate(name, GenSpec{Name: name, NumApps: 4, ThreadsPer: 16,
+			Cache: target.Cache, Mem: target.Mem, Seed: paperConfigSeed(name)})
+	}
+	for seed := uint64(0); seed < 200; seed++ {
+		name := names[seed%uint64(len(names))]
+		target := Table3[name]
+		generate(fmt.Sprintf("%s seed %d", name, seed), GenSpec{Name: name, NumApps: 4, ThreadsPer: 16,
+			Cache: target.Cache, Mem: target.Mem, Seed: seed})
+	}
+	check("zero std", []float64{0.5, 3, 9}, Stats{Mean: 2, Std: 0}, []float64{1, 4, 4})
+	check("all equal", []float64{2, 2, 2, 2}, Stats{Mean: 5, Std: 1.5}, nil)
+	check("all equal, no room", []float64{1, 1, 1}, Stats{Mean: 1, Std: 1}, []float64{1, 1, 1})
 }
