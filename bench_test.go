@@ -419,6 +419,32 @@ func BenchmarkHungarian64(b *testing.B) {
 	}
 }
 
+// BenchmarkHungarianSAM times the solver on the shapes SAM and
+// core.LowerBound feed it: one C1 application's threads against 16
+// tiles (a square SAM instance with rank-2 costs c_j*TC + m_j*TM) and
+// against the whole 64-tile chip (LowerBound's per-application rows).
+func BenchmarkHungarianSAM(b *testing.B) {
+	p := paperProblem(b, "C1")
+	lo, hi := p.AppThreads(0)
+	for _, tiles := range []int{hi - lo, p.N()} {
+		cost := make([][]float64, hi-lo)
+		for x := range cost {
+			cost[x] = make([]float64, tiles)
+			for t := range cost[x] {
+				cost[x][t] = p.ThreadCost(lo+x, mesh.Tile(t))
+			}
+		}
+		b.Run(fmt.Sprintf("%dx%d", hi-lo, tiles), func(b *testing.B) {
+			var s hungarian.Solver
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.Solve(cost); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEvaluate times one full mapping evaluation (eq. 5 over all
 // applications).
 func BenchmarkEvaluate(b *testing.B) {

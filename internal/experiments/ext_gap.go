@@ -49,23 +49,26 @@ func (g extGap) Run(ctx context.Context, o Options) (Result, error) {
 	for mi := range res.Obj {
 		res.Obj[mi] = make([]float64, len(cfgs))
 	}
-	for ci, cfg := range cfgs {
+	res.Bounds = make([]float64, len(cfgs))
+	err = parallelConfigs(ctx, cfgs, func(ci int, cfg string) error {
 		p, err := problemFor(cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		lb, err := p.LowerBound()
-		if err != nil {
-			return nil, err
+		if res.Bounds[ci], err = p.LowerBound(); err != nil {
+			return err
 		}
-		res.Bounds = append(res.Bounds, lb)
 		for mi, m := range mappers {
 			_, ev, err := mapEval(ctx, p, m)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			res.Obj[mi][ci] = ev.MaxAPL
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

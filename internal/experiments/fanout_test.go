@@ -9,10 +9,12 @@ import (
 	"obm/internal/scenario"
 )
 
-// simFanOutCases are the experiments that fan independent simulations
-// out over sim.RunReplicas. tail runs once at full budget so its
-// mappers' replicas really form one flat multi-replica batch.
-var simFanOutCases = []struct {
+// fanOutCases are experiments that run independent work side by side:
+// the first four fan simulations out over sim.RunReplicas, gap fans
+// its configurations out with parallelConfigs. tail runs once at full
+// budget so its mappers' replicas really form one flat multi-replica
+// batch.
+var fanOutCases = []struct {
 	id string
 	o  Options
 }{
@@ -20,6 +22,7 @@ var simFanOutCases = []struct {
 	{"tail", Options{Seed: 1}},
 	{"validate", Options{Quick: true, Seed: 1, Configs: []string{"C1", "C4", "C7"}}},
 	{"burst", quickOpts()},
+	{"gap", quickOpts()},
 }
 
 // TestSimFanOutIndependentOfCores checks a fanned-out experiment's
@@ -33,7 +36,7 @@ func TestSimFanOutIndependentOfCores(t *testing.T) {
 	}
 	t.Cleanup(func() { scenario.ResetShared() })
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, c := range simFanOutCases {
+	for _, c := range fanOutCases {
 		t.Run(c.id, func(t *testing.T) {
 			r, err := Get(c.id)
 			if err != nil {
@@ -69,7 +72,7 @@ func TestSimFanOutIndependentOfCores(t *testing.T) {
 func TestSimFanOutCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, c := range simFanOutCases {
+	for _, c := range fanOutCases {
 		r, err := Get(c.id)
 		if err != nil {
 			t.Fatal(err)

@@ -36,6 +36,7 @@ type Solver struct {
 	u, v, minv []float64
 	p, way     []int
 	used       []bool
+	usedCols   []int
 	rowToCol   []int
 }
 
@@ -73,6 +74,7 @@ func (s *Solver) Solve(cost [][]float64) (rowToCol []int, total float64, err err
 		s.p = make([]int, m+1)
 		s.way = make([]int, m+1)
 		s.used = make([]bool, m+1)
+		s.usedCols = make([]int, 0, m+1)
 	}
 	if cap(s.u) < n+1 {
 		s.u = make([]float64, n+1)
@@ -91,7 +93,25 @@ func (s *Solver) Solve(cost [][]float64) (rowToCol []int, total float64, err err
 		v[j] = 0
 		p[j] = 0
 	}
+	// Column-indexed views shifted by one, so the scan below indexes
+	// them and the cost row with the same 0-based j.
+	v1 := v[1:][:m]
+	minv1 := minv[1:][:m]
+	used1 := used[1:][:m]
+	way1 := way[1:][:m]
 
+	// Each step of a row's search differs from the textbook loop in
+	// where, not how, it does its float work, so the results stay
+	// bit-identical:
+	//   - the textbook ends a step by lowering minv of every unused
+	//     column by delta; here that delta is held as pending and
+	//     subtracted just before the column's next compare. The one
+	//     column that turns used is never read again, so skipping it
+	//     is exact;
+	//   - the potential updates u[p[j]] += delta, v[j] -= delta run over
+	//     a list of the used columns instead of a scan of all columns.
+	//     Their rows are distinct, so every element receives the same
+	//     deltas in the same order.
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
@@ -99,22 +119,28 @@ func (s *Solver) Solve(cost [][]float64) (rowToCol []int, total float64, err err
 			minv[j] = math.Inf(1)
 			used[j] = false
 		}
+		usedCols := s.usedCols[:0]
+		pending := 0.0
 		for {
 			used[j0] = true
+			usedCols = append(usedCols, j0)
 			i0 := p[j0]
+			row := cost[i0-1][:m]
+			ui := u[i0]
 			delta := math.Inf(1)
 			j1 := -1
-			for j := 1; j <= m; j++ {
-				if used[j] {
+			for j, c := range row {
+				if used1[j] {
 					continue
 				}
-				cur := cost[i0-1][j-1] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
+				mv := minv1[j] - pending
+				if cur := c - ui - v1[j]; cur < mv {
+					mv = cur
+					way1[j] = j0
 				}
-				if minv[j] < delta {
-					delta = minv[j]
+				minv1[j] = mv
+				if mv < delta {
+					delta = mv
 					j1 = j
 				}
 			}
@@ -122,15 +148,12 @@ func (s *Solver) Solve(cost [][]float64) (rowToCol []int, total float64, err err
 				// Unreachable for finite costs; guards +Inf-only rows.
 				return nil, 0, fmt.Errorf("%w: no augmenting path (all-Inf row?)", ErrInvalidCost)
 			}
-			for j := 0; j <= m; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
+			for _, j := range usedCols {
+				u[p[j]] += delta
+				v[j] -= delta
 			}
-			j0 = j1
+			pending = delta
+			j0 = j1 + 1
 			if p[j0] == 0 {
 				break
 			}
@@ -152,18 +175,4 @@ func (s *Solver) Solve(cost [][]float64) (rowToCol []int, total float64, err err
 		total += cost[i][rowToCol[i]]
 	}
 	return rowToCol, total, nil
-}
-
-// SolveMax finds the assignment maximizing total cost, by negating the
-// matrix. Provided for completeness (e.g. reward-form formulations).
-func SolveMax(cost [][]float64) (rowToCol []int, total float64, err error) {
-	neg := make([][]float64, len(cost))
-	for i, row := range cost {
-		neg[i] = make([]float64, len(row))
-		for j, c := range row {
-			neg[i][j] = -c
-		}
-	}
-	rowToCol, negTotal, err := Solve(neg)
-	return rowToCol, -negTotal, err
 }

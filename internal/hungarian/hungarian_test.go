@@ -90,20 +90,6 @@ func TestSolveNegativeCosts(t *testing.T) {
 	}
 }
 
-func TestSolveMax(t *testing.T) {
-	cost := [][]float64{
-		{1, 9},
-		{9, 1},
-	}
-	_, total, err := SolveMax(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 18 {
-		t.Errorf("max total = %v, want 18", total)
-	}
-}
-
 // bruteForce finds the optimal assignment by enumerating permutations.
 func bruteForce(cost [][]float64) float64 {
 	n := len(cost)
