@@ -597,6 +597,9 @@ func BenchmarkExtPlacement(b *testing.B) { benchExt(b, "placement") }
 // BenchmarkExtDynamic regenerates the churn/remapping-policy study.
 func BenchmarkExtDynamic(b *testing.B) { benchExt(b, "dynamic") }
 
+// BenchmarkExtDynstream regenerates the streaming-scheme study.
+func BenchmarkExtDynstream(b *testing.B) { benchExt(b, "dynstream") }
+
 // BenchmarkExtLoadSweep regenerates the NoC load characterization.
 func BenchmarkExtLoadSweep(b *testing.B) { benchExt(b, "loadsweep") }
 

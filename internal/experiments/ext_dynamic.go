@@ -85,49 +85,48 @@ func churnScenario() (sched.Scenario, error) {
 	return sc, nil
 }
 
+// dynamicSchemes lists the compared policies, each with its own
+// first-fit placement: four firing policies driving full SSS
+// re-solves, then on-change with a per-remap migration budget, the
+// deployment-shaped compromise.
+func dynamicSchemes() []streamScheme {
+	full := sched.FullRemap{Mapper: mapping.SortSelectSwap{}}
+	var schemes []streamScheme
+	for _, pol := range []sched.Policy{
+		sched.Never{},
+		sched.Every{Interval: 300},
+		sched.WhenUnbalanced{Threshold: 0.5},
+		sched.OnChange{},
+	} {
+		schemes = append(schemes, streamScheme{pol.Name(), sched.StreamConfig{
+			Placement: &sched.FirstFitPlacement{}, Policy: pol, Remapper: full,
+		}})
+	}
+	return append(schemes, streamScheme{"on-change<=16mig", sched.StreamConfig{
+		Placement: &sched.FirstFitPlacement{}, Policy: sched.OnChange{}, Remapper: sched.BudgetRemap{Budget: 16},
+	}})
+}
+
 func (e extDynamic) Run(ctx context.Context, o Options) (Result, error) {
 	sc, err := churnScenario()
 	if err != nil {
 		return nil, err
 	}
-	lm := paperModel()
+	schemes := dynamicSchemes()
+	mets, err := runStreams(ctx, "dynamic", paperModel(), schemes, func() (sched.Source, error) {
+		return sched.NewSliceSource(sc), nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &DynamicResult{}
-	run := func(name string, pol sched.Policy, rm sched.Remapper) error {
-		r, err := sched.NewStreamRunner(lm, sched.StreamConfig{
-			Placement: &sched.FirstFitPlacement{},
-			Policy:    pol,
-			Remapper:  rm,
-		})
-		if err != nil {
-			return err
-		}
-		met, err := r.Run(ctx, sched.NewSliceSource(sc))
-		if err != nil {
-			return err
-		}
+	for i, met := range mets {
 		res.Rows = append(res.Rows, DynamicRow{
-			Policy: name,
+			Policy: schemes[i].name,
 			MaxAPL: met.TimeWeightedMaxAPL,
 			DevAPL: met.TimeWeightedDevAPL,
 			Remaps: met.Remaps, Migrations: met.Migrations,
 		})
-		return nil
-	}
-	policies := []sched.Policy{
-		sched.Never{},
-		sched.Every{Interval: 300},
-		sched.WhenUnbalanced{Threshold: 0.5},
-		sched.OnChange{},
-	}
-	for _, pol := range policies {
-		if err := run(pol.Name(), pol, sched.FullRemap{Mapper: mapping.SortSelectSwap{}}); err != nil {
-			return nil, err
-		}
-	}
-	// On-change with a per-remap migration budget: the deployment-shaped
-	// compromise.
-	if err := run("on-change<=16mig", sched.OnChange{}, sched.BudgetRemap{Budget: 16}); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

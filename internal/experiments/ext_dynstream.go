@@ -43,28 +43,22 @@ type DynstreamResult struct {
 	Rows   []DynstreamRow
 }
 
-// dynstreamScheme pairs a label with a fully assembled stream
-// configuration.
-type dynstreamScheme struct {
-	name string
-	cfg  sched.StreamConfig
-}
-
 // dynstreamSchemes builds the ladder of schemes: placement-only
 // baselines, then periodic remapping — warm-started SSS at a dense
-// cadence versus full re-solves at a sparse one, the configurations
-// BenchmarkDynamicStream shows cost roughly the same wall-clock — and
-// finally the adaptive dev-threshold policy, debounced so a drift
-// period cannot trigger a solve at every event group. Every remapping
-// scheme shares the same composite objective (balance-weighted, with a
-// per-thread migration charge) so adoption decisions are comparable.
-func dynstreamSchemes(interval int64) []dynstreamScheme {
+// cadence versus full re-solves at a sparse one, where the dense warm
+// cadence still costs less wall-clock (BenchmarkDynamicStream's /warm
+// against /full in BENCH_mapping.json) — and finally the adaptive
+// dev-threshold policy, debounced so a drift period cannot trigger a
+// solve at every event group. Every remapping scheme shares the same
+// composite objective (balance-weighted, with a per-thread migration
+// charge) so adoption decisions are comparable.
+func dynstreamSchemes(interval int64) []streamScheme {
 	obj := core.Weighted{Max: 1, Dev: 2}
 	cost := sched.CompositeCost{Objective: obj, PerMigration: 0.01}
 	warm := sched.WarmRemap{SSS: mapping.SortSelectSwap{Objective: obj, MaxStep: 4, Passes: 1}}
 	full := sched.FullRemap{Mapper: mapping.SortSelectSwap{Objective: obj}}
 	dense := interval / 2
-	return []dynstreamScheme{
+	return []streamScheme{
 		{"spiral/never", sched.StreamConfig{
 			Placement: &sched.SpiralPlacement{},
 		}},
@@ -117,23 +111,17 @@ func (e extDynstream) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lm := paperModel()
+	schemes := dynstreamSchemes(interval)
+	mets, err := runStreams(ctx, "dynstream", paperModel(), schemes, func() (sched.Source, error) {
+		return sched.NewGenerator(gen)
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &DynstreamResult{Events: gen.Events, Stream: o.Stream}
-	for _, s := range dynstreamSchemes(interval) {
-		src, err := sched.NewGenerator(gen)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sched.NewStreamRunner(lm, s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		met, err := r.Run(ctx, src)
-		if err != nil {
-			return nil, fmt.Errorf("dynstream scheme %s: %w", s.name, err)
-		}
+	for i, met := range mets {
 		res.Rows = append(res.Rows, DynstreamRow{
-			Scheme: s.name,
+			Scheme: schemes[i].name,
 			Events: met.Events,
 			Remaps: met.Remaps, Rejected: met.RemapsRejected,
 			Migrations: met.Migrations,

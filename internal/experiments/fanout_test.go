@@ -11,9 +11,10 @@ import (
 
 // fanOutCases are experiments that run independent work side by side:
 // the first four fan simulations out over sim.RunReplicas, gap fans
-// its configurations out with parallelConfigs. tail runs once at full
-// budget so its mappers' replicas really form one flat multi-replica
-// batch.
+// its configurations out with parallelConfigs, and dynstream and
+// dynamic run each remapping scheme as its own sim.RunReplicas job.
+// tail runs once at full budget so its mappers' replicas really form
+// one flat multi-replica batch.
 var fanOutCases = []struct {
 	id string
 	o  Options
@@ -23,6 +24,8 @@ var fanOutCases = []struct {
 	{"validate", Options{Quick: true, Seed: 1, Configs: []string{"C1", "C4", "C7"}}},
 	{"burst", quickOpts()},
 	{"gap", quickOpts()},
+	{"dynstream", quickOpts()},
+	{"dynamic", quickOpts()},
 }
 
 // TestSimFanOutIndependentOfCores checks a fanned-out experiment's
