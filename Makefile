@@ -43,16 +43,13 @@ check: vet staticcheck build test
 	go test -race ./internal/core/... ./internal/engine/... ./internal/experiments/... ./internal/mapping/... ./internal/noc/... ./internal/sim/... ./internal/obs/... ./internal/scenario/... ./internal/sched/... ./internal/artifact/... ./internal/service/... ./cmd/obmsim/... ./cmd/obmsimd/...
 
 # Fuzz the parsers that read untrusted input, each for FUZZTIME: the
-# -objective spec (CLI flag and HTTP job field), the -workload JSON
-# file, the OBMA artifact files read from the cache directory, the
-# -stream spec (CLI flag and HTTP job field) and the HTTP job body. One
-# target per invocation, as go test -fuzz requires. Workload
-# inputs run to kilobytes, and minimizing one for the default 60s would
-# stall the whole run, so that target minimizes for 1s at most.
+# -objective spec (CLI flag and HTTP job field), the OBMA artifact
+# files read from the cache directory, the -stream spec (CLI flag and
+# HTTP job field) and the HTTP job body. One target per invocation, as
+# go test -fuzz requires.
 FUZZTIME ?= 10s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/core
-	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -parallel 2 ./internal/workload
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/artifact
 	go test -run '^$$' -fuzz '^FuzzStreamOverrides$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/sched
 	go test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/service

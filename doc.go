@@ -19,7 +19,6 @@
 // Entry points:
 //
 //	cmd/obmsim    regenerate any table/figure: obmsim -exp table1
-//	cmd/mapviz    map a configuration and inspect placements
 //	cmd/obmsimd   the same experiments as an HTTP/JSON job service
 //	cmd/benchjson record go test -bench output as BENCH_*.json
 //	examples/     runnable walkthroughs of the public surfaces

@@ -156,14 +156,6 @@ func (p *Problem) AppWeight(i int) float64 { return p.appWeight[i] }
 // denominator).
 func (p *Problem) TotalRate() float64 { return p.totalRate }
 
-// TotalCacheRate returns the chip-wide shared-cache request rate
-// (sum of c_j over every thread).
-func (p *Problem) TotalCacheRate() float64 { return p.totalCache }
-
-// TotalMemRate returns the chip-wide memory request rate (sum of m_j
-// over every thread).
-func (p *Problem) TotalMemRate() float64 { return p.totalMem }
-
 // ThreadCost returns the total packet latency contributed by thread j
 // when placed on slot t: c_j*TC + m_j*TM of the slot's tile (eq. 13).
 func (p *Problem) ThreadCost(j int, t mesh.Tile) float64 {

@@ -1,6 +1,6 @@
 // Package mesh models the geometry of a 2D-mesh NoC-based chip
 // multiprocessor: tile numbering, coordinates, XY (dimension-order)
-// routing distances, chip quadrants, and memory-controller placement.
+// routing distances, and the chip corners memory controllers sit at.
 //
 // The paper (Section II.C) numbers tiles 1..N with
 //
@@ -47,9 +47,6 @@ func MustNew(rows, cols int) *Mesh {
 	}
 	return m
 }
-
-// Square returns an n x n mesh.
-func Square(n int) (*Mesh, error) { return New(n, n) }
 
 // Rows returns the number of rows.
 func (m *Mesh) Rows() int { return m.rows }
@@ -126,100 +123,6 @@ func (m *Mesh) Corners() [4]Tile {
 	}
 }
 
-// Quadrant identifies one of the four chip quadrants relative to center.
-type Quadrant int
-
-// Quadrants in reading order.
-const (
-	TopLeft Quadrant = iota
-	TopRight
-	BottomLeft
-	BottomRight
-)
-
-func (q Quadrant) String() string {
-	switch q {
-	case TopLeft:
-		return "top-left"
-	case TopRight:
-		return "top-right"
-	case BottomLeft:
-		return "bottom-left"
-	case BottomRight:
-		return "bottom-right"
-	default:
-		return fmt.Sprintf("Quadrant(%d)", int(q))
-	}
-}
-
-// QuadrantOf returns the quadrant containing tile t. The chip is divided
-// into four quadrants relative to its center (paper Section II.C); for odd
-// dimensions the middle row/column is assigned to the top/left half, a
-// documented tie-break the paper (even-sized meshes only) never exercises.
-func (m *Mesh) QuadrantOf(t Tile) Quadrant {
-	c := m.Coord(t)
-	top := c.Row < (m.rows+1)/2
-	left := c.Col < (m.cols+1)/2
-	switch {
-	case top && left:
-		return TopLeft
-	case top && !left:
-		return TopRight
-	case !top && left:
-		return BottomLeft
-	default:
-		return BottomRight
-	}
-}
-
-// CornerOfQuadrant returns the corner tile belonging to quadrant q.
-func (m *Mesh) CornerOfQuadrant(q Quadrant) Tile {
-	switch q {
-	case TopLeft:
-		return m.TileAt(0, 0)
-	case TopRight:
-		return m.TileAt(0, m.cols-1)
-	case BottomLeft:
-		return m.TileAt(m.rows-1, 0)
-	default:
-		return m.TileAt(m.rows-1, m.cols-1)
-	}
-}
-
-// NearestCorner returns the corner tile closest to t (the memory
-// controller that serves t under the proximity principle). This equals
-// CornerOfQuadrant(QuadrantOf(t)) on even meshes.
-func (m *Mesh) NearestCorner(t Tile) Tile {
-	corners := m.Corners()
-	best := corners[0]
-	bestHops := m.Hops(t, best)
-	for _, c := range corners[1:] {
-		if h := m.Hops(t, c); h < bestHops {
-			best, bestHops = c, h
-		}
-	}
-	return best
-}
-
-// XYRoute returns the ordered list of tiles a packet traverses from src to
-// dst under XY routing, inclusive of both endpoints. The X (column)
-// dimension is resolved first, as in the paper's dimension-order routing.
-func (m *Mesh) XYRoute(src, dst Tile) []Tile {
-	cs, cd := m.Coord(src), m.Coord(dst)
-	path := make([]Tile, 0, m.Hops(src, dst)+1)
-	row, col := cs.Row, cs.Col
-	path = append(path, m.TileAt(row, col))
-	for col != cd.Col {
-		col += sign(cd.Col - col)
-		path = append(path, m.TileAt(row, col))
-	}
-	for row != cd.Row {
-		row += sign(cd.Row - row)
-		path = append(path, m.TileAt(row, col))
-	}
-	return path
-}
-
 // Tiles returns all tile indices 0..N-1 in row-major order.
 func (m *Mesh) Tiles() []Tile {
 	ts := make([]Tile, m.NumTiles())
@@ -239,17 +142,6 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func sign(x int) int {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	default:
-		return 0
-	}
 }
 
 // TorusHops returns the hop count between a and b when the mesh's rows

@@ -31,16 +31,6 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(0, 0)
 }
 
-func TestSquare(t *testing.T) {
-	m, err := Square(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumTiles() != 64 {
-		t.Errorf("8x8 should have 64 tiles, got %d", m.NumTiles())
-	}
-}
-
 func TestPaperNumbering(t *testing.T) {
 	// Paper example (Section II.C): tile number 29 on an 8x8 mesh is at
 	// the fourth row, fifth column (1-based).
@@ -153,70 +143,6 @@ func TestCorners(t *testing.T) {
 	want := [4]Tile{0, 3, 8, 11}
 	if c != want {
 		t.Errorf("Corners = %v, want %v", c, want)
-	}
-}
-
-func TestQuadrants(t *testing.T) {
-	m := MustNew(8, 8)
-	cases := []struct {
-		row, col int
-		want     Quadrant
-	}{
-		{0, 0, TopLeft}, {0, 7, TopRight}, {7, 0, BottomLeft}, {7, 7, BottomRight},
-		{3, 3, TopLeft}, {3, 4, TopRight}, {4, 3, BottomLeft}, {4, 4, BottomRight},
-	}
-	for _, c := range cases {
-		if got := m.QuadrantOf(m.TileAt(c.row, c.col)); got != c.want {
-			t.Errorf("QuadrantOf(%d,%d) = %v, want %v", c.row, c.col, got, c.want)
-		}
-	}
-	for _, q := range []Quadrant{TopLeft, TopRight, BottomLeft, BottomRight} {
-		corner := m.CornerOfQuadrant(q)
-		if got := m.QuadrantOf(corner); got != q {
-			t.Errorf("corner of %v is in quadrant %v", q, got)
-		}
-		if q.String() == "" {
-			t.Error("empty quadrant name")
-		}
-	}
-}
-
-func TestNearestCornerMatchesQuadrantOnEvenMesh(t *testing.T) {
-	m := MustNew(8, 8)
-	for _, tl := range m.Tiles() {
-		want := m.CornerOfQuadrant(m.QuadrantOf(tl))
-		if got := m.NearestCorner(tl); m.Hops(tl, got) != m.Hops(tl, want) {
-			t.Fatalf("tile %d: NearestCorner %d (%d hops) vs quadrant corner %d (%d hops)",
-				tl, got, m.Hops(tl, got), want, m.Hops(tl, want))
-		}
-	}
-}
-
-func TestXYRoute(t *testing.T) {
-	m := MustNew(4, 4)
-	src, dst := m.TileAt(0, 0), m.TileAt(2, 3)
-	path := m.XYRoute(src, dst)
-	if len(path) != m.Hops(src, dst)+1 {
-		t.Fatalf("path length %d, want %d", len(path), m.Hops(src, dst)+1)
-	}
-	if path[0] != src || path[len(path)-1] != dst {
-		t.Fatal("path endpoints wrong")
-	}
-	// X first: the first moves change only the column.
-	c0, c1 := m.Coord(path[0]), m.Coord(path[1])
-	if c0.Row != c1.Row {
-		t.Error("XY routing should resolve X (column) first")
-	}
-	// Consecutive tiles are 1 hop apart.
-	for i := 1; i < len(path); i++ {
-		if m.Hops(path[i-1], path[i]) != 1 {
-			t.Fatal("path not contiguous")
-		}
-	}
-	// Self route.
-	self := m.XYRoute(src, src)
-	if len(self) != 1 || self[0] != src {
-		t.Errorf("self route = %v", self)
 	}
 }
 

@@ -26,10 +26,9 @@ func ExampleNetwork() {
 }
 
 // Characterize the network under uniform random traffic.
-func ExampleLoadSweep() {
+func ExampleMeasureLoadPoint() {
 	cfg := noc.DefaultConfig()
-	pts, err := noc.LoadSweep(cfg, noc.UniformRandom{}, noc.SweepConfig{
-		Rates:  []float64{0.02},
+	pt, err := noc.MeasureLoadPoint(cfg, noc.UniformRandom{}, 0.02, noc.SweepConfig{
 		Cycles: 2000,
 		Type:   noc.CacheRequest,
 		Seed:   1,
@@ -41,7 +40,7 @@ func ExampleLoadSweep() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("near zero-load bound: %v\n", pts[0].AvgLatency < zero*1.1)
+	fmt.Printf("near zero-load bound: %v\n", pt.AvgLatency < zero*1.1)
 	// Output:
 	// near zero-load bound: true
 }

@@ -95,10 +95,23 @@ type LoadPoint struct {
 	AvgLatency float64
 	// Throughput is delivered packets per tile per cycle.
 	Throughput float64
-	// Saturated reports that the network failed to keep up (packets
-	// still queued when the window closed grew beyond bound).
+	// Saturated reports that the network could not carry the offered
+	// load: Throughput fell below saturationAccepted times
+	// InjectionRate, or the network failed to drain within
+	// sweepDrainCycles after the window closed.
 	Saturated bool
 }
+
+const (
+	// saturationAccepted is the accepted-to-offered throughput ratio
+	// below which a load point counts as saturated, the working
+	// definition of Dally & Towles (Principles and Practices of
+	// Interconnection Networks, ch. 23).
+	saturationAccepted = 0.9
+	// sweepDrainCycles bounds the drain after a point's injection
+	// window; a point that cannot drain is saturated.
+	sweepDrainCycles = 200_000
+)
 
 // SweepConfig controls a load-latency sweep.
 type SweepConfig struct {
@@ -110,56 +123,29 @@ type SweepConfig struct {
 	Type PacketType
 	// Seed drives the injectors.
 	Seed uint64
-	// DrainCycles bounds the post-injection drain; a point that cannot
-	// drain is marked Saturated.
-	DrainCycles int64
 }
 
 // DefaultSweepConfig returns a standard characterization sweep.
 func DefaultSweepConfig() SweepConfig {
 	return SweepConfig{
-		Rates:       []float64{0.005, 0.01, 0.02, 0.04, 0.08, 0.12, 0.16, 0.20},
-		Cycles:      20_000,
-		Type:        CacheRequest,
-		Seed:        1,
-		DrainCycles: 200_000,
+		Rates:  []float64{0.005, 0.01, 0.02, 0.04, 0.08, 0.12, 0.16, 0.20},
+		Cycles: 20_000,
+		Type:   CacheRequest,
+		Seed:   1,
 	}
-}
-
-// LoadSweep measures average latency and throughput across offered
-// loads for a traffic pattern on a fresh network per point. Each point
-// is an independent MeasureLoadPoint call, so callers that want the
-// sweep faster can fan the points out themselves (see the loadsweep
-// experiment, which shards points over sim.RunReplicas).
-func LoadSweep(cfg Config, pat Pattern, sw SweepConfig) ([]LoadPoint, error) {
-	if len(sw.Rates) == 0 {
-		return nil, fmt.Errorf("noc: sweep needs rates and a positive window")
-	}
-	var out []LoadPoint
-	for _, rate := range sw.Rates {
-		pt, err := MeasureLoadPoint(cfg, pat, rate, sw)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-	}
-	return out, nil
 }
 
 // MeasureLoadPoint measures one (pattern, offered-load) point on a
 // fresh seeded network: sw.Cycles of Bernoulli injection at the given
-// per-tile rate, then a bounded drain. Every point of a sweep is
-// independent and deterministic in (cfg, pat, rate, sw), which is what
-// lets experiments spread the points across workers.
+// per-tile rate, then a drain bounded by sweepDrainCycles. Every point
+// of a sweep is independent and deterministic in (cfg, pat, rate, sw),
+// which is what lets experiments spread the points across workers.
 func MeasureLoadPoint(cfg Config, pat Pattern, rate float64, sw SweepConfig) (LoadPoint, error) {
 	if err := cfg.Validate(); err != nil {
 		return LoadPoint{}, err
 	}
 	if sw.Cycles <= 0 {
-		return LoadPoint{}, fmt.Errorf("noc: sweep needs rates and a positive window")
-	}
-	if sw.DrainCycles <= 0 {
-		sw.DrainCycles = 200_000
+		return LoadPoint{}, fmt.Errorf("noc: sweep needs a positive window")
 	}
 	n, err := New(cfg)
 	if err != nil {
@@ -180,14 +166,13 @@ func MeasureLoadPoint(cfg Config, pat Pattern, rate float64, sw SweepConfig) (Lo
 		n.Step()
 	}
 	pt := LoadPoint{InjectionRate: rate}
-	if err := n.Drain(sw.DrainCycles); err != nil {
-		pt.Saturated = true
-	}
+	drained := n.Drain(sweepDrainCycles) == nil
 	st := n.Stats()
 	pt.AvgLatency = st.AvgLatency()
 	if st.Cycles > 0 {
 		pt.Throughput = float64(st.DeliveredPackets) / float64(st.Cycles) / float64(m.NumTiles())
 	}
+	pt.Saturated = !drained || pt.Throughput < saturationAccepted*rate
 	return pt, nil
 }
 

@@ -64,12 +64,12 @@ func TestHotspotFraction(t *testing.T) {
 
 func TestLoadSweepValidation(t *testing.T) {
 	cfg := testConfig()
-	if _, err := LoadSweep(cfg, UniformRandom{}, SweepConfig{}); err == nil {
+	if _, err := MeasureLoadPoint(cfg, UniformRandom{}, 0.01, SweepConfig{}); err == nil {
 		t.Error("empty sweep accepted")
 	}
 	bad := cfg
 	bad.Rows = 0
-	if _, err := LoadSweep(bad, UniformRandom{}, DefaultSweepConfig()); err == nil {
+	if _, err := MeasureLoadPoint(bad, UniformRandom{}, 0.01, DefaultSweepConfig()); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -83,15 +83,18 @@ func TestLoadSweepShape(t *testing.T) {
 	}
 	cfg := testConfig()
 	sw := SweepConfig{
-		Rates:       []float64{0.01, 0.05, 0.15, 0.30},
-		Cycles:      5_000,
-		Type:        CacheRequest,
-		Seed:        2,
-		DrainCycles: 300_000,
+		Rates:  []float64{0.01, 0.05, 0.15, 0.30},
+		Cycles: 5_000,
+		Type:   CacheRequest,
+		Seed:   2,
 	}
-	pts, err := LoadSweep(cfg, UniformRandom{}, sw)
-	if err != nil {
-		t.Fatal(err)
+	var pts []LoadPoint
+	for _, rate := range sw.Rates {
+		pt, err := MeasureLoadPoint(cfg, UniformRandom{}, rate, sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, pt)
 	}
 	if len(pts) != len(sw.Rates) {
 		t.Fatalf("%d points", len(pts))
@@ -114,6 +117,36 @@ func TestLoadSweepShape(t *testing.T) {
 	if !pts[0].Saturated {
 		if pts[0].Throughput < pts[0].InjectionRate*0.9 {
 			t.Errorf("throughput %.4f below offered %.4f pre-saturation", pts[0].Throughput, pts[0].InjectionRate)
+		}
+	}
+}
+
+// TestLoadPointSaturated pins the saturated verdict on the loadsweep
+// experiment's quick window and seed: a 20% hotspot on the default mesh
+// cannot carry 0.12 packets/tile/cycle, while light uniform traffic is
+// carried in full.
+func TestLoadPointSaturated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep simulates; skip under -short")
+	}
+	cfg := DefaultConfig()
+	sw := SweepConfig{Cycles: 8_000, Type: CacheRequest, Seed: 42}
+	cases := []struct {
+		pat  Pattern
+		rate float64
+		want bool
+	}{
+		{Hotspot{Hot: 27, Frac: 0.2}, 0.12, true},
+		{UniformRandom{}, 0.01, false},
+	}
+	for _, c := range cases {
+		pt, err := MeasureLoadPoint(cfg, c.pat, c.rate, sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Saturated != c.want {
+			t.Errorf("%s at %.2f: saturated %v, want %v (throughput %.4f, latency %.2f)",
+				c.pat.Name(), c.rate, pt.Saturated, c.want, pt.Throughput, pt.AvgLatency)
 		}
 	}
 }

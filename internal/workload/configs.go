@@ -3,8 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-
-	"obm/internal/stats"
 )
 
 // PARSECNames lists the PARSEC 2.0 benchmark names; the synthetic
@@ -148,68 +146,4 @@ func Figure5Workload() *Workload {
 		w.Apps = append(w.Apps, app)
 	}
 	return w
-}
-
-// parsecProfile holds a benchmark's characteristic per-thread request
-// intensities (requests per microsecond at 2 GHz), loosely ranked from
-// the PARSEC characterization literature: compute-bound kernels barely
-// touch the network, data-movement kernels hammer it.
-type parsecProfile struct {
-	cache, mem float64
-}
-
-// parsecProfiles maps benchmark names to intensities.
-var parsecProfiles = map[string]parsecProfile{
-	"blackscholes":  {0.6, 0.05},
-	"swaptions":     {0.9, 0.08},
-	"freqmine":      {2.2, 0.25},
-	"raytrace":      {2.8, 0.3},
-	"bodytrack":     {3.5, 0.45},
-	"vips":          {4.8, 0.6},
-	"x264":          {6.5, 0.9},
-	"ferret":        {7.5, 1.0},
-	"dedup":         {9.0, 1.3},
-	"fluidanimate":  {10.0, 1.5},
-	"facesim":       {11.5, 1.7},
-	"streamcluster": {16.0, 2.4},
-	"canneal":       {20.0, 3.2},
-}
-
-// PARSECProfileNames lists the benchmarks FromPARSEC accepts, in
-// ascending network intensity.
-func PARSECProfileNames() []string {
-	return []string{
-		"blackscholes", "swaptions", "freqmine", "raytrace", "bodytrack",
-		"vips", "x264", "ferret", "dedup", "fluidanimate", "facesim",
-		"streamcluster", "canneal",
-	}
-}
-
-// FromPARSEC builds a workload from named benchmark profiles, one
-// application per name (repeats allowed), threadsPer threads each with
-// mild deterministic per-thread variation. It gives examples and tools
-// a quick way to assemble realistic mixes without moment-matching
-// machinery.
-func FromPARSEC(names []string, threadsPer int, seed uint64) (*Workload, error) {
-	if len(names) == 0 || threadsPer <= 0 {
-		return nil, fmt.Errorf("workload: need benchmarks and positive threads per app")
-	}
-	rng := stats.NewRand(seed)
-	w := &Workload{Name: "parsec-mix"}
-	for i, name := range names {
-		prof, ok := parsecProfiles[name]
-		if !ok {
-			return nil, fmt.Errorf("workload: unknown PARSEC benchmark %q (see PARSECProfileNames)", name)
-		}
-		app := Application{Name: fmt.Sprintf("%s-%d", name, i+1)}
-		for t := 0; t < threadsPer; t++ {
-			f := rng.LogNormal(0, 0.25)
-			app.Threads = append(app.Threads, Thread{
-				CacheRate: prof.cache * f,
-				MemRate:   prof.mem * f,
-			})
-		}
-		w.Apps = append(w.Apps, app)
-	}
-	return w, nil
 }

@@ -132,57 +132,3 @@ func TestFigure5Workload(t *testing.T) {
 		}
 	}
 }
-
-func TestFromPARSEC(t *testing.T) {
-	w, err := FromPARSEC([]string{"blackscholes", "canneal", "x264", "ferret"}, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if w.NumApps() != 4 || w.NumThreads() != 64 {
-		t.Fatalf("%d apps %d threads", w.NumApps(), w.NumThreads())
-	}
-	// canneal is the network hog; blackscholes barely registers.
-	var light, heavy float64
-	for i := range w.Apps {
-		switch {
-		case w.Apps[i].Name == "blackscholes-1":
-			light = w.Apps[i].TotalRate()
-		case w.Apps[i].Name == "canneal-2":
-			heavy = w.Apps[i].TotalRate()
-		}
-	}
-	if !(heavy > 10*light) {
-		t.Errorf("canneal (%.1f) should dwarf blackscholes (%.1f)", heavy, light)
-	}
-	if _, err := FromPARSEC([]string{"doom"}, 4, 1); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-	if _, err := FromPARSEC(nil, 4, 1); err == nil {
-		t.Error("empty mix accepted")
-	}
-	for _, name := range PARSECProfileNames() {
-		if _, ok := parsecProfiles[name]; !ok {
-			t.Errorf("profile list names unknown benchmark %s", name)
-		}
-	}
-}
-
-func TestFromPARSECDeterministic(t *testing.T) {
-	a, err := FromPARSEC([]string{"dedup", "vips"}, 8, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromPARSEC([]string{"dedup", "vips"}, 8, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, bt := a.Threads(), b.Threads()
-	for i := range at {
-		if at[i] != bt[i] {
-			t.Fatal("not deterministic")
-		}
-	}
-}

@@ -20,16 +20,3 @@ func ExampleConfig() {
 	// 4 applications, 64 threads
 	// cache rate mean 7.008 (paper target 7.008)
 }
-
-// Assemble a custom mix from named PARSEC benchmark profiles.
-func ExampleFromPARSEC() {
-	w, err := workload.FromPARSEC([]string{"blackscholes", "canneal"}, 4, 1)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("apps:", w.NumApps(), "threads:", w.NumThreads())
-	fmt.Println("canneal heavier:", w.Apps[1].TotalRate() > w.Apps[0].TotalRate())
-	// Output:
-	// apps: 2 threads: 8
-	// canneal heavier: true
-}
