@@ -18,6 +18,12 @@ func init() { register(extLoadSweep{}) }
 // loads, graceful rise, saturation under adversarial patterns.
 type extLoadSweep struct{}
 
+// Offered loads (packets/tile/cycle) of the full and the quick sweep.
+var (
+	loadSweepRates      = []float64{0.005, 0.01, 0.02, 0.04, 0.08, 0.12, 0.16, 0.20}
+	loadSweepQuickRates = []float64{0.01, 0.04, 0.12}
+)
+
 func (extLoadSweep) ID() string { return "loadsweep" }
 func (extLoadSweep) Title() string {
 	return "Extension: NoC latency/throughput vs offered load (simulator validation)"
@@ -35,8 +41,9 @@ func (e extLoadSweep) Run(ctx context.Context, o Options) (Result, error) {
 	cfg := noc.DefaultConfig()
 	sw := noc.DefaultSweepConfig()
 	sw.Seed = o.Seed + 41
+	rates := loadSweepRates
 	if o.Quick {
-		sw.Rates = []float64{0.01, 0.04, 0.12}
+		rates = loadSweepQuickRates
 		sw.Cycles = 8_000
 	}
 	// The hotspot sits on the center-most tile of whatever mesh the
@@ -55,13 +62,13 @@ func (e extLoadSweep) Run(ctx context.Context, o Options) (Result, error) {
 	type job struct{ pi, ri int }
 	var jobs []job
 	for pi := range pats {
-		for ri := range sw.Rates {
+		for ri := range rates {
 			jobs = append(jobs, job{pi, ri})
 		}
 	}
 	pts, err := sim.RunReplicas(ctx, len(jobs), 0, func(ctx context.Context, i int) (noc.LoadPoint, error) {
 		j := jobs[i]
-		return noc.MeasureLoadPoint(cfg, pats[j.pi], sw.Rates[j.ri], sw)
+		return noc.MeasureLoadPoint(cfg, pats[j.pi], rates[j.ri], sw)
 	})
 	if err != nil {
 		return nil, err
@@ -74,7 +81,7 @@ func (e extLoadSweep) Run(ctx context.Context, o Options) (Result, error) {
 		}
 		res.Patterns = append(res.Patterns, pat.Name())
 		res.ZeroLoad = append(res.ZeroLoad, zl)
-		res.Points = append(res.Points, pts[pi*len(sw.Rates):(pi+1)*len(sw.Rates)])
+		res.Points = append(res.Points, pts[pi*len(rates):(pi+1)*len(rates)])
 	}
 	return res, nil
 }

@@ -59,7 +59,7 @@ func (a Annealing) Map(ctx context.Context, p *core.Problem) (core.Mapping, erro
 	rng := stats.NewRand(a.Seed)
 	n := p.N()
 	cur := core.RandomMapping(n, rng)
-	tr := newObjectiveTracker(p, cur, a.Objective)
+	tr := newTracker(p, cur, a.Objective)
 
 	t0 := a.T0
 	if t0 <= 0 {

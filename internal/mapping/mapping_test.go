@@ -367,7 +367,7 @@ func TestSwapProbesCountsSlideWindows(t *testing.T) {
 					m[j] = mesh.Tile(j)
 				}
 				var sw swapScratch
-				got, err := s.slideWindows(ctx, newTracker(p, m), sorted, w, &sw)
+				got, err := s.slideWindows(ctx, newTracker(p, m, nil), sorted, w, &sw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -498,7 +498,7 @@ func TestTrackerConsistency(t *testing.T) {
 	p := paperProblem(t, "C5")
 	rng := stats.NewRand(31)
 	m := core.RandomMapping(p.N(), rng)
-	tr := newTracker(p, m)
+	tr := newTracker(p, m, nil)
 	for i := 0; i < 500; i++ {
 		j1, j2 := rng.Intn(p.N()), rng.Intn(p.N())
 		if j1 == j2 {
@@ -520,20 +520,15 @@ func TestTrackerAssign(t *testing.T) {
 	p := paperProblem(t, "C7")
 	rng := stats.NewRand(37)
 	m := core.RandomMapping(p.N(), rng)
-	tr := newTracker(p, m)
+	tr := newTracker(p, m, nil)
 	for i := 0; i < 100; i++ {
 		// Pick 4 distinct threads and permute their tiles.
-		perm := rng.Perm(p.N())[:4]
-		tiles := make([]mesh.Tile, 4)
-		order := rng.Perm(4)
-		for x := range perm {
-			tiles[x] = tr.m[perm[order[x]]]
-		}
-		want := tr.assignValue(perm, tiles)
-		tr.assign(perm, tiles)
+		mv := newWindowMove(tr, rng.Perm(p.N())[:4], rng.Perm(4))
+		want := mv.probe()
+		mv.apply()
 		got := p.MaxAPL(tr.m)
 		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("assignValue predicted %.9f, actual %.9f", want, got)
+			t.Fatalf("window probe predicted %.9f, actual %.9f", want, got)
 		}
 		if err := tr.m.Validate(p.N()); err != nil {
 			t.Fatal(err)

@@ -197,7 +197,7 @@ func (g NSGAII) polish(p *core.Problem, sc *core.VectorScorer, archive *core.Par
 				best = i
 			}
 		}
-		t := newObjectiveTracker(p, set.Members[best].Mapping.Clone(), comp)
+		t := newTracker(p, set.Members[best].Mapping.Clone(), comp)
 		cur := t.value()
 		for pass := 0; pass < maxPasses; pass++ {
 			improved := false

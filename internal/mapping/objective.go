@@ -1,9 +1,6 @@
 package mapping
 
-import (
-	"obm/internal/core"
-	"obm/internal/mesh"
-)
+import "obm/internal/core"
 
 // tracker maintains the per-application APL numerators of a mapping so
 // that swap-style moves can be evaluated and applied in O(A) instead of
@@ -26,11 +23,9 @@ type tracker struct {
 	saved [maxWindow]float64
 }
 
-func newTracker(p *core.Problem, m core.Mapping) *tracker {
-	return newObjectiveTracker(p, m, nil)
-}
-
-func newObjectiveTracker(p *core.Problem, m core.Mapping, obj core.Objective) *tracker {
+// newTracker returns a tracker of m's numerators under obj (nil is the
+// paper's max-APL). The tracker shares m: moves it applies rewrite m.
+func newTracker(p *core.Problem, m core.Mapping, obj core.Objective) *tracker {
 	t := &tracker{p: p, obj: core.ObjectiveOrDefault(obj), m: m, num: make([]float64, p.NumApps())}
 	for j, tile := range m {
 		t.num[p.AppOfThread(j)] += p.ThreadCost(j, tile)
@@ -79,29 +74,6 @@ func (t *tracker) swap(j1, j2 int) {
 	t.num[a1] += t.p.ThreadCost(j1, t2) - t.p.ThreadCost(j1, t1)
 	t.num[a2] += t.p.ThreadCost(j2, t1) - t.p.ThreadCost(j2, t2)
 	t.m[j1], t.m[j2] = t2, t1
-}
-
-// assignValue returns the objective cost after hypothetically
-// re-assigning threads js to tiles ts (parallel slices of at most
-// maxWindow distinct threads; the caller preserves the multiset of
-// tiles, as every window permutation does).
-func (t *tracker) assignValue(js []int, ts []mesh.Tile) float64 {
-	var apps [maxWindow]int
-	var d [maxWindow]float64
-	for x, j := range js {
-		apps[x] = t.p.AppOfThread(j)
-		d[x] = t.p.ThreadCost(j, ts[x]) - t.p.ThreadCost(j, t.m[j])
-	}
-	return t.probe(apps[:len(js)], d[:len(js)])
-}
-
-// assign applies the re-assignment of threads js to tiles ts.
-func (t *tracker) assign(js []int, ts []mesh.Tile) {
-	for x, j := range js {
-		a := t.p.AppOfThread(j)
-		t.num[a] += t.p.ThreadCost(j, ts[x]) - t.p.ThreadCost(j, t.m[j])
-		t.m[j] = ts[x]
-	}
 }
 
 // objName returns the mapper-name suffix for a non-default objective

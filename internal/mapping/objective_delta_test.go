@@ -39,6 +39,45 @@ func fiveAppProblem(t testing.TB) *core.Problem {
 	return core.MustNewProblem(lm, w)
 }
 
+// windowMove sends thread threads[x] to the tile of threads[perm[x]],
+// priced through the window kernel the swap phase and budgeted
+// refinement share: a fillWindowCost table over the threads' current
+// tiles, windowDeltas for the probe, applyWindow for the move.
+type windowMove struct {
+	tr      *tracker
+	threads []int
+	apps    []int
+	perm    []int
+	tiles   []mesh.Tile
+	cost    []float64
+}
+
+func newWindowMove(tr *tracker, threads, perm []int) *windowMove {
+	w := len(threads)
+	mv := &windowMove{tr: tr, threads: threads, perm: perm,
+		apps: make([]int, w), tiles: make([]mesh.Tile, w), cost: make([]float64, w*w)}
+	for x, j := range threads {
+		mv.apps[x] = tr.p.AppOfThread(j)
+		mv.tiles[x] = tr.m[j]
+	}
+	fillWindowCost(tr.p, threads, mv.tiles, mv.cost)
+	return mv
+}
+
+// probe returns the objective value the move would reach, through
+// tracker.probe.
+func (mv *windowMove) probe() float64 {
+	d := make([]float64, len(mv.perm))
+	windowDeltas(d, mv.cost, mv.perm)
+	return mv.tr.probe(mv.apps, d)
+}
+
+// apply makes the move on the tracker's mapping and numerators.
+func (mv *windowMove) apply() {
+	inv := mv.tr.m.InverseOn(len(mv.tr.m))
+	applyWindow(mv.tr, inv, mv.perm, mv.threads, mv.apps, mv.tiles, mv.cost)
+}
+
 // TestAssignValueFiveApps: a window of one thread from each of five
 // applications patches five numerators, and its prediction must match
 // the brute-force evaluation of the permuted mapping for every
@@ -54,7 +93,7 @@ func TestAssignValueFiveApps(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for trial := 0; trial < 30; trial++ {
 				m := core.RandomMapping(p.N(), rng)
-				tr := newObjectiveTracker(p, m.Clone(), obj)
+				tr := newTracker(p, m.Clone(), obj)
 				// One thread per application: 5 distinct apps in one window.
 				js := []int{0, 2, 4, 6, 8}
 				ts := make([]mesh.Tile, len(js))
@@ -69,13 +108,14 @@ func TestAssignValueFiveApps(t *testing.T) {
 					}
 					return p.ObjectiveValue(m2, obj)
 				}()
-				if got := tr.assignValue(js, ts); math.Abs(got-want) > 1e-9 {
-					t.Fatalf("trial %d: assignValue %v != brute force %v", trial, got, want)
+				mv := newWindowMove(tr, js, order)
+				if got := mv.probe(); math.Abs(got-want) > 1e-9 {
+					t.Fatalf("trial %d: window probe %v != brute force %v", trial, got, want)
 				}
 				// And applying the move must land on the predicted value.
-				tr.assign(js, ts)
+				mv.apply()
 				if got := tr.value(); math.Abs(got-want) > 1e-9 {
-					t.Fatalf("trial %d: value after assign %v != %v", trial, got, want)
+					t.Fatalf("trial %d: value after apply %v != %v", trial, got, want)
 				}
 			}
 		})
@@ -108,7 +148,7 @@ func TestPropertyObjectiveDeltaConsistency(t *testing.T) {
 		rng := stats.NewRand(seed ^ 0xdead)
 		for _, obj := range allObjectives() {
 			m := core.RandomMapping(p.N(), rng)
-			tr := newObjectiveTracker(p, m, obj)
+			tr := newTracker(p, m, obj)
 			for step := 0; step < 20; step++ {
 				j1, j2 := rng.Intn(p.N()), rng.Intn(p.N())
 				if j1 == j2 {
@@ -135,16 +175,17 @@ func TestPropertyObjectiveDeltaConsistency(t *testing.T) {
 				for x := range js {
 					ts[x] = tr.m[js[order[x]]]
 				}
-				predicted := tr.assignValue(js, ts)
+				mv := newWindowMove(tr, js, order)
+				predicted := mv.probe()
 				m2 := tr.m.Clone()
 				for x, j := range js {
 					m2[j] = ts[x]
 				}
 				if want := p.ObjectiveValue(m2, obj); math.Abs(predicted-want) > 1e-9 {
-					t.Logf("seed %d obj %v: assignValue %v != %v", seed, obj, predicted, want)
+					t.Logf("seed %d obj %v: window probe %v != %v", seed, obj, predicted, want)
 					return false
 				}
-				tr.assign(js, ts)
+				mv.apply()
 			}
 		}
 		return true
@@ -163,7 +204,7 @@ func TestTrackerProbeMatchesSubstitutedValue(t *testing.T) {
 	rng := stats.NewRand(23)
 	for _, obj := range append(allObjectives(), core.Weighted{Max: 1, Dev: 2}) {
 		o := core.ObjectiveOrDefault(obj)
-		tr := newObjectiveTracker(p, core.RandomMapping(p.N(), rng), obj)
+		tr := newTracker(p, core.RandomMapping(p.N(), rng), obj)
 		// Substituted scores js moving to ts on a copy of the numerators.
 		substituted := func(js []int, ts []mesh.Tile) float64 {
 			sub := append([]float64(nil), tr.num...)
@@ -198,12 +239,13 @@ func TestTrackerProbeMatchesSubstitutedValue(t *testing.T) {
 				js[x] += 2
 			}
 			ts := make([]mesh.Tile, k)
-			for x, y := range rng.Perm(k) {
+			perm := rng.Perm(k)
+			for x, y := range perm {
 				ts[x] = tr.m[js[y]]
 			}
 			before := append([]float64(nil), tr.num...)
 			want := substituted(js, ts)
-			if got := tr.assignValue(js, ts); got != want {
+			if got := newWindowMove(tr, js, perm).probe(); got != want {
 				t.Errorf("%s window %v: probe %v, substituted Value %v", o.Name(), js, got, want)
 			}
 			unchanged("window", before)

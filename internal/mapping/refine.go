@@ -25,8 +25,11 @@ import (
 // swap phase; with a small budget it spends the moves where the
 // objective gains most.
 //
-// Each best-first round is a full O(N * window!) scan, so the loop
-// polls ctx between rounds and between window steps, returning a
+// Each best-first round visits every window position and permutation,
+// but a window's cost table is kept across rounds while the window
+// holds the same threads, and each class of equal-scoring permutations
+// (see slideWindows) is probed at most once per window and round. The
+// loop polls ctx between rounds and between window steps, returning a
 // wrapped ctx.Err() when interrupted.
 func ImproveWithBudget(ctx context.Context, p *core.Problem, base core.Mapping, maxMoves int, obj core.Objective) (core.Mapping, int, error) {
 	if err := base.Validate(p.N()); err != nil {
@@ -35,101 +38,170 @@ func ImproveWithBudget(ctx context.Context, p *core.Problem, base core.Mapping, 
 	if maxMoves < 0 {
 		return nil, 0, fmt.Errorf("refine: negative migration budget %d", maxMoves)
 	}
-	n := p.N()
 	m := base.Clone()
 	if maxMoves == 0 {
 		return m, 0, nil
 	}
-
-	// Sorted slot list, as in SSS step 1.
-	sorted := sortedSlotsByTC(p)
-
-	tr := newObjectiveTracker(p, m, obj)
-	inv := m.InverseOn(n)
-	perms := permutations(4)
-	moved := map[int]bool{}
-	movedCount := func(js []int, ts []mesh.Tile) int {
-		// Budget usage if threads js were placed on tiles ts.
-		count := len(moved)
-		for x, j := range js {
-			was := moved[j]
-			is := ts[x] != base[j]
-			if is && !was {
-				count++
-			}
-			if !is && was {
-				count--
-			}
-		}
-		return count
+	moved, _, err := refineWithBudget(ctx, newTracker(p, m, obj), base, maxMoves)
+	if err != nil {
+		return nil, 0, err
 	}
+	return m, moved, nil
+}
 
-	// Best-first: each round scans every window and applies only the
-	// single permutation with the largest objective gain that fits the
-	// remaining budget, so a small budget goes to the most valuable
-	// migrations instead of whichever window the sweep meets first.
+// refineWithBudget runs ImproveWithBudget's best-first rounds in place
+// on tr's mapping (which starts equal to base) and numerators. It
+// returns the number of slots moved off base and the number of
+// objective probes made.
+//
+// Each window position owns a w x w ThreadCost table (fillWindowCost),
+// filled in the first round and refilled only when a move has changed
+// the threads the window holds. Per round each window also gets a w x w
+// table of budget deltas: +1 when thread x on tile y would newly leave
+// its base tile, -1 when it would return there, 0 otherwise. A
+// permutation then uses moved + the sum of its deltas (when moved plus
+// every row's largest delta fits, all permutations fit and no sum is
+// taken), and a move applies the table's cost deltas in the order its
+// probe added them.
+//
+// Members of one class of permutations (permClasses) score
+// bit-identically but spend different budget, so every permutation is
+// still visited in order and checked against the budget. Only the first
+// member of a class that fits is probed: the round keeps the first
+// strictly better move by a 1e-12 margin, so a later member, whose gain
+// equals one already compared, can never be chosen. The identity's
+// class is skipped, since its gain is exactly 0.
+func refineWithBudget(ctx context.Context, tr *tracker, base core.Mapping, maxMoves int) (moved, probes int, err error) {
 	const window = 4
-	rep := engine.StartStage(ctx, "refine")
-	tiles := make([]mesh.Tile, window)
-	threads := make([]int, window)
-	trial := make([]mesh.Tile, window)
+	p, m := tr.p, tr.m
+	n := p.N()
+	sorted := sortedSlotsByTC(p)
+	inv := m.InverseOn(n)
+	perms := permutations(window)
+	reps := permClasses(window).rep
+
 	maxStep := n / window
+	windows := 0
+	for step := 1; step <= maxStep; step++ {
+		if starts := n - (window-1)*step; starts > 0 {
+			windows += starts
+		}
+	}
+	// Per-window state in scan order: the threads each cost table was
+	// filled for (-1 before the first fill), their applications, the
+	// table and its flat-row mask.
+	held := make([]int, windows*window)
+	for k := range held {
+		held[k] = -1
+	}
+	heldApps := make([]int, windows*window)
+	costs := make([]float64, windows*window*window)
+	flats := make([]int, windows)
+
+	isMoved := make([]bool, n)
+	var (
+		tiles  [window]mesh.Tile
+		budget [window * window]int
+		d      [window]float64
+		// probed[rep] == stamp marks a class probed in the current
+		// window and round (one entry per permutation of 4).
+		probed [24]int
+		stamp  int
+	)
+	rep := engine.StartStage(ctx, "refine")
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, fmt.Errorf("refine: interrupted in round %d: %w", round+1, err)
+			return 0, probes, fmt.Errorf("refine: interrupted in round %d: %w", round+1, err)
 		}
-		rep.Report(len(moved), maxMoves)
+		rep.Report(moved, maxMoves)
 		curObj := tr.value()
 		bestGain := 0.0
-		var bestThreads [window]int
+		bestWin, bestPerm := -1, -1
 		var bestTiles [window]mesh.Tile
-		found := false
+		k := 0
 		for step := 1; step <= maxStep; step++ {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, fmt.Errorf("refine: interrupted at window step %d/%d: %w", step, maxStep, err)
+				return 0, probes, fmt.Errorf("refine: interrupted at window step %d/%d: %w", step, maxStep, err)
 			}
 			span := (window - 1) * step
-			for i := 0; i+span < n; i++ {
-				for x := 0; x < window; x++ {
+			for i := 0; i+span < n; i, k = i+1, k+1 {
+				threads := held[k*window : (k+1)*window]
+				apps := heldApps[k*window : (k+1)*window]
+				cost := costs[k*window*window : (k+1)*window*window]
+				fresh := true
+				for x := range tiles {
 					tiles[x] = sorted[i+x*step]
-					threads[x] = inv[tiles[x]]
+					fresh = fresh && threads[x] == inv[tiles[x]]
 				}
-				for _, perm := range perms {
-					identity := true
-					for x, y := range perm {
-						trial[x] = tiles[y]
-						if y != x {
-							identity = false
+				if !fresh {
+					for x, t := range tiles {
+						threads[x] = inv[t]
+						apps[x] = p.AppOfThread(threads[x])
+					}
+					flats[k] = fillWindowCost(p, threads, tiles[:], cost)
+				}
+				// maxUse bounds any permutation's budget use; when it
+				// fits, no permutation needs its own sum.
+				maxUse := moved
+				for x, j := range threads {
+					rowMax := -1
+					for y, t := range tiles {
+						delta := 0
+						switch is := t != base[j]; {
+						case is && !isMoved[j]:
+							delta = 1
+						case !is && isMoved[j]:
+							delta = -1
+						}
+						budget[x*window+y] = delta
+						rowMax = max(rowMax, delta)
+					}
+					maxUse += rowMax
+				}
+				allFit := maxUse <= maxMoves
+				classes := reps[flats[k]]
+				stamp++
+				for pi, perm := range perms {
+					c := classes[pi]
+					if c == 0 || probed[c] == stamp {
+						continue // the identity's class (gain exactly 0), or a class already compared
+					}
+					if !allFit {
+						use := moved
+						for x, y := range perm {
+							use += budget[x*window+y]
+						}
+						if use > maxMoves {
+							continue // would blow the migration budget
 						}
 					}
-					if identity {
-						continue
-					}
-					if movedCount(threads, trial) > maxMoves {
-						continue // would blow the migration budget
-					}
-					if gain := curObj - tr.assignValue(threads, trial); gain > bestGain+1e-12 {
-						bestGain = gain
-						copy(bestThreads[:], threads)
-						copy(bestTiles[:], trial)
-						found = true
+					probed[c] = stamp
+					probes++
+					windowDeltas(d[:], cost, perm)
+					if gain := curObj - tr.probe(apps, d[:]); gain > bestGain+1e-12 {
+						bestGain, bestWin, bestPerm = gain, k, pi
+						bestTiles = tiles
 					}
 				}
 			}
 		}
-		if !found {
+		if bestPerm < 0 {
 			break
 		}
-		tr.assign(bestThreads[:], bestTiles[:])
-		for x := range bestThreads {
-			inv[bestTiles[x]] = bestThreads[x]
-			if bestTiles[x] != base[bestThreads[x]] {
-				moved[bestThreads[x]] = true
-			} else {
-				delete(moved, bestThreads[x])
+		threads := held[bestWin*window : (bestWin+1)*window]
+		applyWindow(tr, inv, perms[bestPerm], threads, heldApps[bestWin*window:(bestWin+1)*window],
+			bestTiles[:], costs[bestWin*window*window:(bestWin+1)*window*window])
+		for _, j := range threads {
+			if is := m[j] != base[j]; is != isMoved[j] {
+				isMoved[j] = is
+				if is {
+					moved++
+				} else {
+					moved--
+				}
 			}
 		}
 	}
-	rep.Finish(len(moved), maxMoves)
-	return m, len(moved), nil
+	rep.Finish(moved, maxMoves)
+	return moved, probes, nil
 }

@@ -190,7 +190,7 @@ func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping,
 			return nil, fmt.Errorf("sss: interrupted in pass %d/%d: %w", pass+1, passes, err)
 		}
 		if !s.DisableSwap {
-			if _, err := s.slideWindows(ctx, newObjectiveTracker(p, m, s.Objective), sorted, window, &sw); err != nil {
+			if _, err := s.slideWindows(ctx, newTracker(p, m, s.Objective), sorted, window, &sw); err != nil {
 				return nil, err
 			}
 		}
@@ -395,38 +395,21 @@ func (s SortSelectSwap) slideWindows(ctx context.Context, tr *tracker, sorted []
 				threads[x] = inv[tiles[x]]
 				apps[x] = p.AppOfThread(threads[x])
 			}
-			flat := 0
-			for x, j := range threads {
-				row := cost[x*window : (x+1)*window]
-				same := true
-				for y, t := range tiles {
-					row[y] = p.ThreadCost(j, t)
-					same = same && row[y] == row[0]
-				}
-				if same {
-					flat |= 1 << x
-				}
-			}
+			flat := fillWindowCost(p, threads, tiles, cost)
 			// Try one permutation per class; keep the best (the identity
 			// is the starting point, so the objective never worsens).
 			probes += len(perms) - 1
 			bestObj := cur
 			bestPerm := -1
 			for _, pi := range canon[flat] {
-				for x, y := range perms[pi] {
-					d[x] = cost[x*window+y] - cost[x*window+x]
-				}
+				windowDeltas(d, cost, perms[pi])
 				if obj := tr.probe(apps, d); obj < bestObj {
 					bestObj = obj
 					bestPerm = pi
 				}
 			}
 			if bestPerm >= 0 {
-				for x, y := range perms[bestPerm] {
-					tr.num[apps[x]] += cost[x*window+y] - cost[x*window+x]
-					m[threads[x]] = tiles[y]
-					inv[tiles[y]] = threads[x]
-				}
+				applyWindow(tr, inv, perms[bestPerm], threads, apps, tiles, cost)
 				cur = bestObj
 			}
 		}
@@ -435,26 +418,81 @@ func (s SortSelectSwap) slideWindows(ctx context.Context, tr *tracker, sorted []
 	return probes, nil
 }
 
-// canonTables[w][flat] lists, ascending, the indices into
-// permutations(w) that slideWindows scores when the rows in bitmask
-// flat are flat: the first permutation of each class of permutations
-// that agree on every non-flat row, leaving out the identity's class.
-// Tables are built on first use per window size, not at start-up, so
-// processes that never run the swap phase do not pay for them.
-var (
-	canonOnce   [maxWindow + 1]sync.Once
-	canonTables [maxWindow + 1][][]int
-)
-
-// canonPerms returns the canonical-permutation table for window size w
-// (2..maxWindow), indexed by flat-row bitmask. The result is shared —
-// callers must not mutate it.
-func canonPerms(w int) [][]int {
-	canonOnce[w].Do(func() { canonTables[w] = buildCanonPerms(w) })
-	return canonTables[w]
+// fillWindowCost sets cost[x*w+y] to thread threads[x]'s cost on
+// tiles[y] for a w-tile window (w = len(threads)) and returns the mask
+// of flat rows: bit x is set when row x's w entries are all equal, so
+// that thread's delta is zero under every permutation.
+func fillWindowCost(p *core.Problem, threads []int, tiles []mesh.Tile, cost []float64) (flat int) {
+	w := len(threads)
+	for x, j := range threads {
+		row := cost[x*w : (x+1)*w]
+		same := true
+		for y, t := range tiles {
+			row[y] = p.ThreadCost(j, t)
+			same = same && row[y] == row[0]
+		}
+		if same {
+			flat |= 1 << x
+		}
+	}
+	return flat
 }
 
-func buildCanonPerms(w int) [][]int {
+// windowDeltas sets d[x] to window thread x's cost change when perm
+// moves it from window tile x to window tile perm[x], read from a
+// fillWindowCost table.
+func windowDeltas(d, cost []float64, perm []int) {
+	w := len(perm)
+	for x, y := range perm {
+		d[x] = cost[x*w+y] - cost[x*w+x]
+	}
+}
+
+// applyWindow moves window thread x to window tile perm[x] for every x.
+// It adds the same deltas windowDeltas gives, in thread order, to tr's
+// numerators, so the applied move's value is bit-identical to its
+// probe's, and keeps inv (tile -> thread) in step with tr's mapping.
+func applyWindow(tr *tracker, inv, perm, threads, apps []int, tiles []mesh.Tile, cost []float64) {
+	w := len(perm)
+	for x, y := range perm {
+		tr.num[apps[x]] += cost[x*w+y] - cost[x*w+x]
+		tr.m[threads[x]] = tiles[y]
+		inv[tiles[y]] = threads[x]
+	}
+}
+
+// permClassTable groups the permutations of one window size into
+// classes that agree on every non-flat row: under a given flat-row
+// mask, the members of a class score bit-identically.
+type permClassTable struct {
+	// rep[flat][pi] is the index into permutations(w) of the first
+	// permutation of pi's class; the identity's class has rep 0.
+	rep [][]int
+	// canon[flat] lists, ascending, every rep other than the
+	// identity's: the permutations slideWindows scores.
+	canon [][]int
+}
+
+// Class tables are built on first use per window size, not at
+// start-up, so processes that never run a window search do not pay for
+// them.
+var (
+	classOnce   [maxWindow + 1]sync.Once
+	classTables [maxWindow + 1]permClassTable
+)
+
+// permClasses returns the class table for window size w (2..maxWindow).
+// The result is shared — callers must not mutate it.
+func permClasses(w int) *permClassTable {
+	classOnce[w].Do(func() { classTables[w] = buildPermClasses(w) })
+	return &classTables[w]
+}
+
+// canonPerms returns, per flat-row mask, the class representatives
+// slideWindows scores (permClassTable.canon).
+func canonPerms(w int) [][]int { return permClasses(w).canon }
+
+func buildPermClasses(w int) permClassTable {
 	perms := permutations(w)
 	size := 1
 	for x := 0; x < w; x++ {
@@ -472,20 +510,25 @@ func buildCanonPerms(w int) [][]int {
 		}
 		return k
 	}
-	identity := perms[0] // Heap's algorithm starts from the identity
-	seen := make([]bool, size)
-	table := make([][]int, 1<<w)
-	for flat := range table {
-		clear(seen)
-		seen[key(identity, flat)] = true
+	first := make([]int, size) // key -> rep + 1, 0 when unseen
+	t := permClassTable{rep: make([][]int, 1<<w), canon: make([][]int, 1<<w)}
+	for flat := range t.rep {
+		clear(first)
+		t.rep[flat] = make([]int, len(perms))
+		// Heap's algorithm starts from the identity, so perms[0] opens
+		// the identity's class.
 		for pi, perm := range perms {
-			if k := key(perm, flat); !seen[k] {
-				seen[k] = true
-				table[flat] = append(table[flat], pi)
+			k := key(perm, flat)
+			if first[k] == 0 {
+				first[k] = pi + 1
+				if pi > 0 {
+					t.canon[flat] = append(t.canon[flat], pi)
+				}
 			}
+			t.rep[flat][pi] = first[k] - 1
 		}
 	}
-	return table
+	return t
 }
 
 // permTables memoizes the permutation lists for every legal window size

@@ -133,7 +133,7 @@ func TestSlideWindowsMatchesReference(t *testing.T) {
 					sam := p.NewSAMSolver()
 					var sw swapScratch
 					for pass := 0; pass < 2; pass++ {
-						tr := newObjectiveTracker(p, got, obj)
+						tr := newTracker(p, got, obj)
 						if _, err := s.slideWindows(ctx, tr, sorted, w, &sw); err != nil {
 							t.Fatal(err)
 						}

@@ -47,7 +47,7 @@ func (s SortSelectSwap) WarmStart(ctx context.Context, p *core.Problem, base cor
 			return nil, fmt.Errorf("sss: warm start interrupted in pass %d/%d: %w", pass+1, passes, err)
 		}
 		if !s.DisableSwap {
-			if _, err := s.slideWindows(ctx, newObjectiveTracker(p, m, s.Objective), sorted, window, &sw); err != nil {
+			if _, err := s.slideWindows(ctx, newTracker(p, m, s.Objective), sorted, window, &sw); err != nil {
 				return nil, err
 			}
 		}

@@ -113,10 +113,9 @@ const (
 	sweepDrainCycles = 200_000
 )
 
-// SweepConfig controls a load-latency sweep.
+// SweepConfig controls each point of a load-latency sweep; the caller
+// picks the offered loads and passes each to MeasureLoadPoint.
 type SweepConfig struct {
-	// Rates lists the offered loads (packets/tile/cycle).
-	Rates []float64
 	// Cycles is the injection window per point.
 	Cycles int64
 	// Type is the packet type injected (sets flit count and class).
@@ -125,10 +124,10 @@ type SweepConfig struct {
 	Seed uint64
 }
 
-// DefaultSweepConfig returns a standard characterization sweep.
+// DefaultSweepConfig returns the standard per-point settings: a
+// 20,000-cycle injection window of cache requests.
 func DefaultSweepConfig() SweepConfig {
 	return SweepConfig{
-		Rates:  []float64{0.005, 0.01, 0.02, 0.04, 0.08, 0.12, 0.16, 0.20},
 		Cycles: 20_000,
 		Type:   CacheRequest,
 		Seed:   1,

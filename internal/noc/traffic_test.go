@@ -82,21 +82,17 @@ func TestLoadSweepShape(t *testing.T) {
 		t.Skip("sweep simulates; skip under -short")
 	}
 	cfg := testConfig()
-	sw := SweepConfig{
-		Rates:  []float64{0.01, 0.05, 0.15, 0.30},
-		Cycles: 5_000,
-		Type:   CacheRequest,
-		Seed:   2,
-	}
+	rates := []float64{0.01, 0.05, 0.15, 0.30}
+	sw := SweepConfig{Cycles: 5_000, Type: CacheRequest, Seed: 2}
 	var pts []LoadPoint
-	for _, rate := range sw.Rates {
+	for _, rate := range rates {
 		pt, err := MeasureLoadPoint(cfg, UniformRandom{}, rate, sw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pts = append(pts, pt)
 	}
-	if len(pts) != len(sw.Rates) {
+	if len(pts) != len(rates) {
 		t.Fatalf("%d points", len(pts))
 	}
 	zero, err := ZeroLoadLatency(cfg, UniformRandom{}, 100000, 2)
