@@ -64,8 +64,8 @@ func ReportSkipped(ctx context.Context, stage string) {
 }
 
 // Sink receives progress events. Implementations must be safe for
-// concurrent use: per-configuration goroutines and replica workers
-// report through one sink.
+// concurrent use: the workers of a sim.RunReplicas pool report through
+// one sink.
 type Sink interface {
 	Event(Progress)
 }

@@ -7,6 +7,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -73,11 +74,12 @@ func TestDeadlineStopsAnnealingMidRun(t *testing.T) {
 // and checks the finished work is kept while the batch reports the
 // interruption.
 func TestCancelDuringRunReplicas(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	first := make(chan struct{})
 	var once sync.Once
-	vals, err := sim.RunReplicas(ctx, 8, 2, func(ctx context.Context, i int) (int, error) {
+	vals, err := sim.RunReplicas(ctx, 8, func(ctx context.Context, i int) (int, error) {
 		if i == 0 {
 			once.Do(func() { close(first); cancel() })
 			return 100, nil

@@ -73,46 +73,3 @@ func TestSharedCacheDeduplicatesMapperWork(t *testing.T) {
 		t.Errorf("warm re-run recomputed %d artifacts; want 0", misses2-misses)
 	}
 }
-
-// TestAblationScalingWarmRerun: ablation and scaling report work
-// counts, not wall time, so they map through the store like every
-// other runner. A second run on the same store computes nothing and
-// renders the same bytes as the first.
-func TestAblationScalingWarmRerun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real mappers; skip under -short")
-	}
-	// ablation: 12 variants x 8 configurations; scaling: Global and SSS
-	// on 3 quick mesh sizes.
-	for _, tc := range []struct {
-		id       string
-		distinct uint64
-	}{{"ablation", 96}, {"scaling", 6}} {
-		t.Run(tc.id, func(t *testing.T) {
-			scenario.ResetShared()
-			t.Cleanup(func() { scenario.ResetShared() })
-			r, err := Get(tc.id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := r.Run(context.Background(), quickOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			computed := scenario.Shared().StoreStats().Computed
-			if computed != tc.distinct {
-				t.Errorf("cold run computed %d artifacts, want %d", computed, tc.distinct)
-			}
-			warm, err := r.Run(context.Background(), quickOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again := scenario.Shared().StoreStats().Computed - computed; again != 0 {
-				t.Errorf("warm re-run computed %d artifacts, want 0", again)
-			}
-			if cold.Render() != warm.Render() {
-				t.Errorf("warm render differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold.Render(), warm.Render())
-			}
-		})
-	}
-}

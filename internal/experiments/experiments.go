@@ -8,18 +8,16 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 
 	"obm/internal/core"
 	"obm/internal/mapping"
 	"obm/internal/mesh"
 	"obm/internal/model"
 	"obm/internal/scenario"
+	"obm/internal/sim"
 	"obm/internal/workload"
 )
 
@@ -191,40 +189,43 @@ func mapEvalSet(ctx context.Context, p *core.Problem, sm mapping.SetMapper) (cor
 	return scenario.Shared().MapEvalSet(ctx, p, sm)
 }
 
-// parallelConfigs runs fn once per configuration concurrently — each
-// builds its own Problem, so the fan-out is share-nothing — and joins
-// any errors. Callers write results into per-index slots, keeping the
-// output identical to the serial loop. fn closures are expected to
-// poll ctx (via the mappers and simulations they call); when the
-// context fires, the joined error includes its ctx.Err() so callers
-// see the batch was interrupted rather than individually failed.
-func parallelConfigs(ctx context.Context, cfgs []string, fn func(ci int, cfg string) error) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("experiments: interrupted before configs ran: %w", err)
+// evalGrid maps each configuration with every mapper and reads metric
+// off each evaluation, returning grid[m][c]. Each configuration is one
+// sim.RunReplicas job that builds its own Problem, so the fan-out is
+// share-nothing and the grid is the same at any core count.
+func evalGrid(ctx context.Context, cfgs []string, mappers []mapping.Mapper, metric func(core.Evaluation) float64) ([][]float64, error) {
+	cols, err := sim.RunReplicas(ctx, len(cfgs), func(ctx context.Context, ci int) ([]float64, error) {
+		p, err := problemFor(cfgs[ci])
+		if err != nil {
+			return nil, err
+		}
+		col := make([]float64, len(mappers))
+		for mi, m := range mappers {
+			_, ev, err := mapEval(ctx, p, m)
+			if err != nil {
+				return nil, err
+			}
+			col[mi] = metric(ev)
+		}
+		return col, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(cfgs), len(cfgs)+1)
-	for ci, cfg := range cfgs {
-		wg.Add(1)
-		go func(ci int, cfg string) {
-			defer wg.Done()
-			// A panic on a fan-out goroutine would kill the process
-			// before the engine runner's job-level recover could see it;
-			// convert it here so it surfaces as this config's error (the
-			// stack is preserved) and the sibling configs still finish.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[ci] = fmt.Errorf("experiments: config %s panicked: %v\n%s", cfg, r, debug.Stack())
-				}
-			}()
-			errs[ci] = fn(ci, cfg)
-		}(ci, cfg)
+	return mapperMajor(cols, len(mappers)), nil
+}
+
+// mapperMajor transposes per-configuration columns cols[c][m] into the
+// mapper-major rows[m][c] the results store.
+func mapperMajor(cols [][]float64, mappers int) [][]float64 {
+	rows := make([][]float64, mappers)
+	for mi := range rows {
+		rows[mi] = make([]float64, len(cols))
+		for ci, col := range cols {
+			rows[mi][ci] = col[mi]
+		}
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, fmt.Errorf("experiments: config batch interrupted: %w", err))
-	}
-	return errors.Join(errs...)
+	return rows
 }
 
 // shortName maps mapper names to the paper's labels.

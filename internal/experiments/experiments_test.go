@@ -37,34 +37,6 @@ func TestGetUnknown(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRunQuick executes every registered experiment in
-// quick mode and sanity-checks the outputs render.
-func TestAllExperimentsRunQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("even quick mode simulates; skip under -short")
-	}
-	for _, r := range All() {
-		r := r
-		t.Run(r.ID(), func(t *testing.T) {
-			res, err := r.Run(context.Background(), quickOpts())
-			if err != nil {
-				t.Fatalf("%s: %v", r.ID(), err)
-			}
-			out := res.Render()
-			if len(out) < 40 {
-				t.Errorf("%s rendered suspiciously little output: %q", r.ID(), out)
-			}
-			csv := res.CSV()
-			if !strings.Contains(csv, ",") && !strings.Contains(csv, "\n") {
-				t.Errorf("%s CSV output empty", r.ID())
-			}
-			if r.Title() == "" {
-				t.Error("empty title")
-			}
-		})
-	}
-}
-
 // TestTable1Shape pins the paper's Table 1 directional claims.
 func TestTable1Shape(t *testing.T) {
 	res, err := table1{}.Run(context.Background(), quickOpts())

@@ -54,7 +54,7 @@ func (e extBurst) Run(ctx context.Context, o Options) (Result, error) {
 	// One job per (factor, mapper) simulation, rows in that order.
 	factors := []float64{1, 4, 12}
 	mappers := []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}}
-	rows, err := sim.RunReplicas(ctx, len(factors)*len(mappers), 0, func(ctx context.Context, i int) (BurstRow, error) {
+	rows, err := sim.RunReplicas(ctx, len(factors)*len(mappers), func(ctx context.Context, i int) (BurstRow, error) {
 		factor, m := factors[i/len(mappers)], mappers[i%len(mappers)]
 		mp, _, err := mapEval(ctx, p, m)
 		if err != nil {

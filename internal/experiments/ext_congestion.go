@@ -56,7 +56,7 @@ func (e extCongestion) Run(ctx context.Context, o Options) (Result, error) {
 	// One job per mapper, each simulating its own Network; rows come
 	// back in mapper order.
 	mappers := []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}}
-	rows, err := sim.RunReplicas(ctx, len(mappers), 0, func(ctx context.Context, i int) (CongestionRow, error) {
+	rows, err := sim.RunReplicas(ctx, len(mappers), func(ctx context.Context, i int) (CongestionRow, error) {
 		mp, _, err := mapEval(ctx, p, mappers[i])
 		if err != nil {
 			return CongestionRow{}, err

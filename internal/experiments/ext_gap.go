@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"obm/internal/mapping"
+	"obm/internal/sim"
 	"obm/internal/workload"
 )
 
@@ -45,31 +46,29 @@ func (g extGap) Run(ctx context.Context, o Options) (Result, error) {
 	for _, m := range mappers {
 		res.Mappers = append(res.Mappers, shortName(m))
 	}
-	res.Obj = make([][]float64, len(mappers))
-	for mi := range res.Obj {
-		res.Obj[mi] = make([]float64, len(cfgs))
-	}
 	res.Bounds = make([]float64, len(cfgs))
-	err = parallelConfigs(ctx, cfgs, func(ci int, cfg string) error {
-		p, err := problemFor(cfg)
+	cols, err := sim.RunReplicas(ctx, len(cfgs), func(ctx context.Context, ci int) ([]float64, error) {
+		p, err := problemFor(cfgs[ci])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if res.Bounds[ci], err = p.LowerBound(); err != nil {
-			return err
+			return nil, err
 		}
+		col := make([]float64, len(mappers))
 		for mi, m := range mappers {
 			_, ev, err := mapEval(ctx, p, m)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			res.Obj[mi][ci] = ev.MaxAPL
+			col[mi] = ev.MaxAPL
 		}
-		return nil
+		return col, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	res.Obj = mapperMajor(cols, len(mappers))
 	return res, nil
 }
 

@@ -66,7 +66,7 @@ func (e extLoadSweep) Run(ctx context.Context, o Options) (Result, error) {
 			jobs = append(jobs, job{pi, ri})
 		}
 	}
-	pts, err := sim.RunReplicas(ctx, len(jobs), 0, func(ctx context.Context, i int) (noc.LoadPoint, error) {
+	pts, err := sim.RunReplicas(ctx, len(jobs), func(ctx context.Context, i int) (noc.LoadPoint, error) {
 		j := jobs[i]
 		return noc.MeasureLoadPoint(cfg, pats[j.pi], rates[j.ri], sw)
 	})

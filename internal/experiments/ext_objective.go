@@ -6,6 +6,7 @@ import (
 
 	"obm/internal/core"
 	"obm/internal/mapping"
+	"obm/internal/sim"
 )
 
 func init() { register(extObjective{}) }
@@ -59,13 +60,12 @@ func (e extObjective) Run(ctx context.Context, o Options) (Result, error) {
 		return nil, err
 	}
 	objs := core.Objectives()
-	res := &ObjectiveResult{Configs: make([]ObjectiveConfig, len(sp.Configs))}
-	err = parallelConfigs(ctx, sp.Configs, func(ci int, cfg string) error {
-		p, err := problemFor(cfg)
+	grids, err := sim.RunReplicas(ctx, len(sp.Configs), func(ctx context.Context, ci int) (ObjectiveConfig, error) {
+		grid := ObjectiveConfig{Config: sp.Configs[ci]}
+		p, err := problemFor(grid.Config)
 		if err != nil {
-			return err
+			return ObjectiveConfig{}, err
 		}
-		grid := ObjectiveConfig{Config: cfg}
 		// The optimizing mappers of the grid, parameterized by objective.
 		// Global and the other construction heuristics have no cost
 		// function to swap, so they are not rows here.
@@ -85,7 +85,7 @@ func (e extObjective) Run(ctx context.Context, o Options) (Result, error) {
 				m := mappersFor(obj)[mi]
 				mp, ev, err := mapEval(ctx, p, m)
 				if err != nil {
-					return fmt.Errorf("%s under %s: %w", m.Name(), obj.Name(), err)
+					return ObjectiveConfig{}, fmt.Errorf("%s under %s: %w", m.Name(), obj.Name(), err)
 				}
 				p.Numerators(mp, num)
 				grid.Cells = append(grid.Cells, ObjectiveCell{
@@ -99,13 +99,12 @@ func (e extObjective) Run(ctx context.Context, o Options) (Result, error) {
 				})
 			}
 		}
-		res.Configs[ci] = grid
-		return nil
+		return grid, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &ObjectiveResult{Configs: grids}, nil
 }
 
 // ownMetric returns the cell's value under the named objective's own

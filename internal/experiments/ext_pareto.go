@@ -8,6 +8,7 @@ import (
 	"obm/internal/core"
 	"obm/internal/obs"
 	"obm/internal/power"
+	"obm/internal/sim"
 )
 
 func init() { register(extPareto{}) }
@@ -70,19 +71,15 @@ func (e extPareto) Run(ctx context.Context, o Options) (Result, error) {
 		return nil, err
 	}
 	sm := sp.ParetoMapper()
-	res := &ParetoResult{
-		Mapper:     sm.Name(),
-		Objectives: sm.Vector().Name(),
-		Configs:    make([]ParetoConfig, len(sp.Configs)),
-	}
-	err = parallelConfigs(ctx, sp.Configs, func(ci int, cfg string) error {
+	configs, err := sim.RunReplicas(ctx, len(sp.Configs), func(ctx context.Context, ci int) (ParetoConfig, error) {
+		cfg := sp.Configs[ci]
 		p, err := problemFor(cfg)
 		if err != nil {
-			return err
+			return ParetoConfig{}, err
 		}
 		front, err := mapEvalSet(ctx, p, sm)
 		if err != nil {
-			return fmt.Errorf("pareto front on %s: %w", cfg, err)
+			return ParetoConfig{}, fmt.Errorf("pareto front on %s: %w", cfg, err)
 		}
 		knee := kneeIndex(front)
 		pc := ParetoConfig{
@@ -103,13 +100,12 @@ func (e extPareto) Run(ctx context.Context, o Options) (Result, error) {
 		}
 		mFrontSize.Observe(float64(front.Len()))
 		mFrontHV.Observe(pc.Hypervolume)
-		res.Configs[ci] = pc
-		return nil
+		return pc, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &ParetoResult{Mapper: sm.Name(), Objectives: sm.Vector().Name(), Configs: configs}, nil
 }
 
 // kneeIndex returns the front member closest (normalized L2) to the

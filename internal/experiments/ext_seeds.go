@@ -6,6 +6,7 @@ import (
 
 	"obm/internal/core"
 	"obm/internal/mapping"
+	"obm/internal/sim"
 	"obm/internal/stats"
 	"obm/internal/workload"
 )
@@ -49,31 +50,29 @@ func (e extSeeds) Run(ctx context.Context, o Options) (Result, error) {
 		var maxR, devR, gO float64
 		type acc struct{ gMax, sMax, gDev, sDev, gG, sG float64 }
 		var sums acc
-		results := make([]acc, len(cfgs))
-		err := parallelConfigs(ctx, cfgs, func(ci int, cfg string) error {
-			target := workload.Table3[cfg]
+		results, err := sim.RunReplicas(ctx, len(cfgs), func(ctx context.Context, ci int) (acc, error) {
+			target := workload.Table3[cfgs[ci]]
 			w, err := workload.Generate(workload.GenSpec{
-				Name: fmt.Sprintf("%s-seed%d", cfg, s), NumApps: 4, ThreadsPer: 16,
+				Name: fmt.Sprintf("%s-seed%d", cfgs[ci], s), NumApps: 4, ThreadsPer: 16,
 				Cache: target.Cache, Mem: target.Mem,
 				Seed: sp.Seed + uint64(s)*7919 + uint64(ci)*104729 + 1000,
 			})
 			if err != nil {
-				return err
+				return acc{}, err
 			}
 			p, err := core.NewProblem(paperModel(), w)
 			if err != nil {
-				return err
+				return acc{}, err
 			}
 			_, evG, err := mapEval(ctx, p, mapping.Global{})
 			if err != nil {
-				return err
+				return acc{}, err
 			}
 			_, evS, err := mapEval(ctx, p, mapping.SortSelectSwap{})
 			if err != nil {
-				return err
+				return acc{}, err
 			}
-			results[ci] = acc{evG.MaxAPL, evS.MaxAPL, evG.DevAPL, evS.DevAPL, evG.GlobalAPL, evS.GlobalAPL}
-			return nil
+			return acc{evG.MaxAPL, evS.MaxAPL, evG.DevAPL, evS.DevAPL, evG.GlobalAPL, evS.GlobalAPL}, nil
 		})
 		if err != nil {
 			return nil, err

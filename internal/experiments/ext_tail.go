@@ -61,7 +61,7 @@ func (e extTail) Run(ctx context.Context, o Options) (Result, error) {
 	// averaged per application, tightening the tail estimates.
 	reps := sp.Budget.SimReplicas
 	mappers := []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}}
-	srs, err := sim.RunReplicas(ctx, len(mappers)*reps, 0, func(ctx context.Context, i int) (sim.Result, error) {
+	srs, err := sim.RunReplicas(ctx, len(mappers)*reps, func(ctx context.Context, i int) (sim.Result, error) {
 		mp, _, err := mapEval(ctx, p, mappers[i/reps])
 		if err != nil {
 			return sim.Result{}, err

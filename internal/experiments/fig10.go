@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+
+	"obm/internal/core"
 	"obm/internal/workload"
 )
 
@@ -33,24 +35,7 @@ func (f fig10) Run(ctx context.Context, o Options) (Result, error) {
 	for _, m := range mappers {
 		res.Mappers = append(res.Mappers, shortName(m))
 	}
-	res.Values = make([][]float64, len(mappers))
-	for mi := range mappers {
-		res.Values[mi] = make([]float64, len(cfgs))
-	}
-	err = parallelConfigs(ctx, cfgs, func(ci int, cfg string) error {
-		p, err := problemFor(cfg)
-		if err != nil {
-			return err
-		}
-		for mi, m := range mappers {
-			_, ev, err := mapEval(ctx, p, m)
-			if err != nil {
-				return err
-			}
-			res.Values[mi][ci] = ev.GlobalAPL
-		}
-		return nil
-	})
+	res.Values, err = evalGrid(ctx, cfgs, mappers, func(ev core.Evaluation) float64 { return ev.GlobalAPL })
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+
 	"obm/internal/power"
 	"obm/internal/sim"
 )
@@ -47,36 +48,34 @@ func (f fig11) Run(ctx context.Context, o Options) (Result, error) {
 		scfg.MeasureCycles = 40_000
 	}
 	pparams := power.Default45nm()
-	res.Values = make([][]float64, len(mappers))
-	for mi := range mappers {
-		res.Values[mi] = make([]float64, len(cfgs))
-	}
-	err = parallelConfigs(ctx, cfgs, func(ci int, cfg string) error {
+	cols, err := sim.RunReplicas(ctx, len(cfgs), func(ctx context.Context, ci int) ([]float64, error) {
+		p, err := problemFor(cfgs[ci])
+		if err != nil {
+			return nil, err
+		}
+		msh := p.Model().Mesh()
+		col := make([]float64, len(mappers))
 		for mi, m := range mappers {
-			p, err := problemFor(cfg)
-			if err != nil {
-				return err
-			}
 			mp, _, err := mapEval(ctx, p, m)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			sr, err := sim.RateDriven(ctx, p, mp, scfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			msh := p.Model().Mesh()
 			rep, err := power.Estimate(pparams, sr.Net, msh.NumTiles(),
 				power.MeshLinkCount(msh.Rows(), msh.Cols()))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			res.Values[mi][ci] = rep.DynamicW
+			col[mi] = rep.DynamicW
 		}
-		return nil
+		return col, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	res.Values = mapperMajor(cols, len(mappers))
 	return res, nil
 }

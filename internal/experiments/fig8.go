@@ -34,7 +34,7 @@ func (f fig8) Run(ctx context.Context, o Options) (Result, error) {
 		maxAPL float64
 	}
 	mappers := []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}}
-	evs, err := sim.RunReplicas(ctx, len(mappers), 0, func(ctx context.Context, i int) (eval, error) {
+	evs, err := sim.RunReplicas(ctx, len(mappers), func(ctx context.Context, i int) (eval, error) {
 		p, err := problemFor("C1")
 		if err != nil {
 			return eval{}, err

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"obm/internal/sim"
+	"obm/internal/core"
 	"obm/internal/workload"
 )
 
@@ -51,33 +51,9 @@ func (f fig9) Run(ctx context.Context, o Options) (Result, error) {
 	for _, m := range mappers {
 		res.Mappers = append(res.Mappers, shortName(m))
 	}
-	// One job per configuration, each building its own Problem
-	// (share-nothing); RunReplicas returns columns in config order, so
-	// the table is identical to the serial loop's.
-	cols, err := sim.RunReplicas(ctx, len(cfgs), 0, func(ctx context.Context, ci int) ([]float64, error) {
-		p, err := problemFor(cfgs[ci])
-		if err != nil {
-			return nil, err
-		}
-		col := make([]float64, len(mappers))
-		for mi, m := range mappers {
-			_, ev, err := mapEval(ctx, p, m)
-			if err != nil {
-				return nil, err
-			}
-			col[mi] = ev.MaxAPL
-		}
-		return col, nil
-	})
+	res.Values, err = evalGrid(ctx, cfgs, mappers, func(ev core.Evaluation) float64 { return ev.MaxAPL })
 	if err != nil {
 		return nil, err
-	}
-	res.Values = make([][]float64, len(mappers))
-	for mi := range mappers {
-		res.Values[mi] = make([]float64, len(cfgs))
-		for ci := range cfgs {
-			res.Values[mi][ci] = cols[ci][mi]
-		}
 	}
 	return res, nil
 }

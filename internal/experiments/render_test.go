@@ -151,31 +151,3 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("multi parts = %+v", parts)
 	}
 }
-
-// TestEveryExperimentJSONValid runs each registered experiment in quick
-// mode and checks JSON() emits a parseable document (or document array)
-// tagged with the schema.
-func TestEveryExperimentJSONValid(t *testing.T) {
-	if testing.Short() {
-		t.Skip("even quick mode simulates; skip under -short")
-	}
-	for _, r := range All() {
-		r := r
-		t.Run(r.ID(), func(t *testing.T) {
-			res, err := r.Run(t.Context(), quickOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := res.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !json.Valid(raw) {
-				t.Fatalf("invalid JSON: %s", raw)
-			}
-			if !strings.Contains(string(raw), SchemaVersion) {
-				t.Errorf("missing schema tag: %s", raw[:min(len(raw), 120)])
-			}
-		})
-	}
-}

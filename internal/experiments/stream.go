@@ -26,7 +26,7 @@ type streamScheme struct {
 // which the runner copies before placing). A scheme's error is
 // prefixed "<exp> scheme <name>:".
 func runStreams(ctx context.Context, exp string, lm *model.LatencyModel, schemes []streamScheme, open func() (sched.Source, error)) ([]sched.StreamMetrics, error) {
-	mets, err := sim.RunReplicas(ctx, len(schemes), 0, func(ctx context.Context, i int) (sched.StreamMetrics, error) {
+	mets, err := sim.RunReplicas(ctx, len(schemes), func(ctx context.Context, i int) (sched.StreamMetrics, error) {
 		met, err := runStream(ctx, lm, schemes[i].cfg, open)
 		if err != nil {
 			return met, fmt.Errorf("%s scheme %s: %w", exp, schemes[i].name, err)

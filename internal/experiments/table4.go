@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"obm/internal/core"
 	"obm/internal/workload"
 )
 
@@ -36,24 +37,7 @@ func (t table4) Run(ctx context.Context, o Options) (Result, error) {
 	for _, m := range mappers {
 		res.Mappers = append(res.Mappers, shortName(m))
 	}
-	res.Dev = make([][]float64, len(mappers))
-	for mi := range mappers {
-		res.Dev[mi] = make([]float64, len(cfgs))
-	}
-	err = parallelConfigs(ctx, cfgs, func(ci int, cfg string) error {
-		p, err := problemFor(cfg)
-		if err != nil {
-			return err
-		}
-		for mi, m := range mappers {
-			_, ev, err := mapEval(ctx, p, m)
-			if err != nil {
-				return err
-			}
-			res.Dev[mi][ci] = ev.DevAPL
-		}
-		return nil
-	})
+	res.Dev, err = evalGrid(ctx, cfgs, mappers, func(ev core.Evaluation) float64 { return ev.DevAPL })
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func (v validate) Run(ctx context.Context, o Options) (Result, error) {
 		return nil, err
 	}
 	// One job per config, each building its own Problem and Network.
-	parts, err := sim.RunReplicas(ctx, len(sp.Configs), 0, func(ctx context.Context, ci int) (Result, error) {
+	parts, err := sim.RunReplicas(ctx, len(sp.Configs), func(ctx context.Context, ci int) (Result, error) {
 		cfg := sp.Configs[ci]
 		p, err := problemFor(cfg)
 		if err != nil {

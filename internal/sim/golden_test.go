@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -89,7 +90,8 @@ func TestGoldenRateDriven(t *testing.T) {
 // matter how the workers interleave, and that every index is passed
 // exactly once.
 func TestRunReplicasOrdering(t *testing.T) {
-	out, err := RunReplicas(context.Background(), 50, 8, func(_ context.Context, i int) (int, error) { return i * i, nil })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	out, err := RunReplicas(context.Background(), 50, func(_ context.Context, i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestRunReplicasOrdering(t *testing.T) {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
 		}
 	}
-	if out, err := RunReplicas[int](context.Background(), 0, 4, nil); err != nil || out != nil {
+	if out, err := RunReplicas[int](context.Background(), 0, nil); err != nil || out != nil {
 		t.Fatalf("RunReplicas(0) = %v, %v, want nil, nil", out, err)
 	}
 }
@@ -106,8 +108,9 @@ func TestRunReplicasOrdering(t *testing.T) {
 // TestRunReplicasErrors checks failed jobs surface their errors while
 // the rest still complete.
 func TestRunReplicasErrors(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	bad := errors.New("job 3 failed")
-	out, err := RunReplicas(context.Background(), 6, 2, func(_ context.Context, i int) (int, error) {
+	out, err := RunReplicas(context.Background(), 6, func(_ context.Context, i int) (int, error) {
 		if i == 3 {
 			return 0, bad
 		}
@@ -131,7 +134,7 @@ func TestRunReplicasRateDrivenDeterminism(t *testing.T) {
 	cfg := goldenCfg()
 	cfg.MeasureCycles = 5_000
 	replicas := func(n int) ([]Result, error) {
-		return RunReplicas(context.Background(), n, 0, func(ctx context.Context, i int) (Result, error) {
+		return RunReplicas(context.Background(), n, func(ctx context.Context, i int) (Result, error) {
 			c := cfg
 			c.Seed = stats.SplitSeed(cfg.Seed, i)
 			return RateDriven(ctx, p, mp, c)

@@ -43,81 +43,64 @@ func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, i i
 	return job(ctx, i)
 }
 
-// RunReplicas runs n independent jobs across at most workers goroutines
-// and returns their results in job-index order. workers <= 0 selects
-// GOMAXPROCS. Each job must be self-contained (build its own Network;
-// the simulator types are not safe for concurrent use) — sharding whole
-// seeded replicas is the share-nothing decomposition that keeps the
-// parallel run bit-identical to running the same jobs serially. Jobs
-// that fail contribute a zero result; the errors are joined. A job that
-// panics fails the same way, whatever the worker count: its error
-// carries the panic value and stack.
+// RunReplicas runs n independent jobs on a pool of min(GOMAXPROCS, n)
+// goroutines and returns their results in job-index order. A job is
+// any self-contained unit — a seeded simulation replica, one
+// configuration of a paper experiment, one remapping scheme — and must
+// share no mutable state with its siblings (build its own Network; the
+// simulator types are not safe for concurrent use). That share-nothing
+// decomposition keeps the output bit-identical whatever the core
+// count: every job writes only its own slot. Jobs that fail contribute
+// a zero result; the errors are joined. A job that panics fails the
+// same way: its error carries the panic value and stack.
 //
-// Cancellation: when ctx is done, no further jobs are dispatched and
-// each in-flight job sees the same ctx (jobs are expected to poll it
-// and unwind promptly). Completed replicas are still returned in their
-// slots; the joined error then includes the ctx.Err() so callers can
+// Cancellation: once ctx is done no further job starts, and each
+// in-flight job sees the same ctx (jobs are expected to poll it and
+// unwind promptly). Completed jobs are still returned in their slots;
+// the joined error then includes the ctx.Err() so callers can
 // distinguish a cancelled batch from job failures while keeping the
-// partial results. Progress (replicas completed / n) is reported to
-// the context's engine sink, if any; after cancellation the terminal
-// event reports against the dispatched count — completed/dispatched,
-// not k/n with k < n — so no sink is left believing undispatched work
-// is still pending.
-func RunReplicas[T any](ctx context.Context, n, workers int, job func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// partial results. Progress (jobs completed / n) is reported to the
+// context's engine sink, if any; after cancellation the terminal event
+// reports against the dispatched count — completed/dispatched, not k/n
+// with k < n — so no sink is left believing undispatched work is still
+// pending.
+func RunReplicas[T any](ctx context.Context, n int, job func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
 	}
 	rep := engine.StartStage(ctx, "replicas")
 	out := make([]T, n)
 	errs := make([]error, n, n+1)
-	dispatched := n
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	var done sync.Mutex // guards completed under the progress report
 	completed := 0
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				dispatched = i
-				break
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				out[i], errs[i] = runJob(ctx, i, job)
+				done.Lock()
+				completed++
+				c := completed
+				done.Unlock()
+				rep.Report(c, n)
 			}
-			out[i], errs[i] = runJob(ctx, i, job)
-			completed = i + 1
-			rep.Report(completed, n)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		var done sync.Mutex // guards completed under the progress report
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					out[i], errs[i] = runJob(ctx, i, job)
-					done.Lock()
-					completed++
-					c := completed
-					done.Unlock()
-					rep.Report(c, n)
-				}
-			}()
-		}
-	dispatch:
-		for i := 0; i < n; i++ {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				dispatched = i
-				break dispatch
-			}
-		}
-		close(idx)
-		wg.Wait()
+		}()
 	}
+	// A select with both cases ready picks one at random, so ctx is
+	// checked before every send: a cancelled batch starts no new job.
+	dispatched := 0
+	for dispatched < n && ctx.Err() == nil {
+		select {
+		case idx <- dispatched:
+			dispatched++
+		case <-ctx.Done():
+		}
+	}
+	close(idx)
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		// Every dispatched job has finished (workers drained the channel
 		// before wg.Wait returned), so the terminal progress event is

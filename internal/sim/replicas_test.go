@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"obm/internal/engine"
@@ -40,13 +42,15 @@ func (s *recordingSink) last() (engine.Progress, bool) {
 // closed k'/k' stage), never k'/n as if the undispatched replicas were
 // still pending.
 func TestReplicasCancelledProgressReportsDispatched(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			runtime.GOMAXPROCS(workers)
 			sink := &recordingSink{}
 			ctx, cancel := context.WithCancel(engine.WithSink(context.Background(), sink))
 			defer cancel()
 			const n = 16
-			_, err := RunReplicas(ctx, n, workers, func(ctx context.Context, i int) (int, error) {
+			_, err := RunReplicas(ctx, n, func(ctx context.Context, i int) (int, error) {
 				if i == 2 {
 					cancel() // stop dispatch mid-batch
 				}
@@ -70,12 +74,39 @@ func TestReplicasCancelledProgressReportsDispatched(t *testing.T) {
 	}
 }
 
+// TestReplicasPreCancelledRunsNothing checks a batch whose context is
+// already done starts no job at any core count. A dispatch select that
+// is ready on both the send and ctx.Done() picks at random, so this
+// runs many batches to catch an occasional leaked start.
+func TestReplicasPreCancelledRunsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var ran atomic.Int64
+		for b := 0; b < 5000; b++ {
+			_, err := RunReplicas(ctx, 8, func(ctx context.Context, i int) (int, error) {
+				ran.Add(1)
+				return i, nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("GOMAXPROCS(%d) batch %d: err = %v, want context.Canceled", procs, b, err)
+			}
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("GOMAXPROCS(%d): %d jobs ran in 5000 pre-cancelled batches, want 0", procs, n)
+		}
+	}
+}
+
 // TestReplicasUncancelledProgressFinishesFull checks the happy path
 // still closes at n/n.
 func TestReplicasUncancelledProgressFinishesFull(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	sink := &recordingSink{}
 	ctx := engine.WithSink(context.Background(), sink)
-	if _, err := RunReplicas(ctx, 5, 2, func(ctx context.Context, i int) (int, error) { return i, nil }); err != nil {
+	if _, err := RunReplicas(ctx, 5, func(ctx context.Context, i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
 	last, ok := sink.last()
@@ -93,13 +124,14 @@ func TestReplicasUncancelledProgressFinishesFull(t *testing.T) {
 // serves as the cross-subsystem race coverage for obs (make check runs
 // this package under -race).
 func TestReplicasMetrics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	snapBefore := obs.Default().Snapshot()
 	c0, _ := snapBefore.Counter("sim.replicas.jobs.completed")
 	f0, _ := snapBefore.Counter("sim.replicas.jobs.failed")
 	h0, _ := snapBefore.Histogram("sim.replicas.job.seconds")
 
 	const n = 24
-	_, err := RunReplicas(context.Background(), n, 8, func(ctx context.Context, i int) (int, error) {
+	_, err := RunReplicas(context.Background(), n, func(ctx context.Context, i int) (int, error) {
 		if i%6 == 5 {
 			return 0, errors.New("synthetic failure")
 		}
@@ -129,8 +161,9 @@ func TestReplicasMetrics(t *testing.T) {
 // other slots keep their results, the joined error names the panic,
 // and the job counts as failed.
 func TestRunReplicasPanicBecomesError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	f0, _ := obs.Default().Snapshot().Counter("sim.replicas.jobs.failed")
-	out, err := RunReplicas(context.Background(), 4, 2, func(_ context.Context, i int) (int, error) {
+	out, err := RunReplicas(context.Background(), 4, func(_ context.Context, i int) (int, error) {
 		if i == 1 {
 			panic("replica boom")
 		}
