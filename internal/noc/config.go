@@ -6,12 +6,16 @@
 //
 // # Timing model
 //
-// A flit arriving at a router over a link becomes eligible for switch
-// allocation RouterLatency-1 cycles later (buffer write plus VC/switch
-// allocation stages; route computation is folded into the previous hop's
-// pipeline, the look-ahead optimization), then spends one cycle in
-// switch traversal and LinkLatency cycles on the wire. An uncontended
-// hop therefore costs exactly RouterLatency + LinkLatency cycles.
+// A flit granted the switch spends one cycle in switch traversal,
+// LinkLatency cycles on the wire and RouterLatency-1 cycles in the
+// downstream router's buffer-write and VC/switch allocation stages
+// (route computation is folded into the previous hop's pipeline, the
+// look-ahead optimization). The simulator models those stages as delay
+// alone: the flit enters the downstream input buffer
+// LinkLatency+RouterLatency cycles after its grant, on the first cycle
+// it may compete for the switch there, so every buffered flit is
+// eligible. An uncontended hop therefore costs exactly
+// RouterLatency + LinkLatency cycles.
 // Source injection bypasses the source router's pipeline (the NI writes
 // directly into the local input stage), and ejection consumes the flit
 // at its switch-allocation grant, so an uncontended H-hop single-flit

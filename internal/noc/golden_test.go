@@ -213,6 +213,37 @@ func TestGoldenDeterminism(t *testing.T) {
 			cycles: 2500,
 			want:   5253779206098163401,
 		},
+		// The router pipeline depth decides the cycle a flit that
+		// crossed a link may first compete for the switch; these two
+		// cases pin it at its shallowest and at a deep pipeline behind
+		// slow wires and delayed credits.
+		{
+			name: "mesh8x8-router1",
+			cfg: func() Config {
+				c := DefaultConfig()
+				c.RouterLatency = 1
+				return c
+			},
+			seed:   2024,
+			rate:   0.04,
+			cycles: 3000,
+			want:   5268684591690732899,
+		},
+		{
+			name: "mesh4x4-router5-link2-credit1",
+			cfg: func() Config {
+				c := DefaultConfig()
+				c.Rows, c.Cols = 4, 4
+				c.RouterLatency = 5
+				c.LinkLatency = 2
+				c.CreditDelay = 1
+				return c
+			},
+			seed:   4711,
+			rate:   0.08,
+			cycles: 3000,
+			want:   14332979615970138821,
+		},
 		{
 			name: "torus4x4-wraprows",
 			cfg: func() Config {

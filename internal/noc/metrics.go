@@ -16,8 +16,9 @@ var (
 	mInjectedFlits  = obs.Default().Counter("noc.flits.injected")
 	mDeliveredFlits = obs.Default().Counter("noc.flits.delivered")
 	// mRingPeak is the high-water mark of calendar-queue occupancy
-	// (flits simultaneously in flight on links) across all networks —
-	// the load signal for sizing the arrival ring.
+	// across all networks: flits granted a switch but not yet in the
+	// downstream input buffer, whether on the link or in the downstream
+	// router's pipeline — the load signal for sizing the arrival ring.
 	mRingPeak = obs.Default().Gauge("noc.eventring.peak_inflight")
 )
 

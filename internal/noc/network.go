@@ -7,7 +7,8 @@ import (
 	"obm/internal/mesh"
 )
 
-// arrival is a flit in flight on a link.
+// arrival is a flit on a link or in the downstream router's pipeline,
+// not yet in its input buffer.
 type arrival struct {
 	router *router
 	port   Port
@@ -45,12 +46,14 @@ type Network struct {
 	stats   Stats
 
 	// arrRing is the calendar queue of link arrivals: slot cycle&arrMask
-	// holds the flits landing that cycle. Slot backing slices are
-	// recycled (reset to length zero after processing), so steady-state
-	// scheduling never allocates.
-	arrRing  [][]arrival
-	arrMask  int64
-	inFlight int // flits currently on links
+	// holds the flits entering input buffers that cycle. Slot backing
+	// slices are recycled (reset to length zero after processing), so
+	// steady-state scheduling never allocates.
+	arrRing [][]arrival
+	arrMask int64
+	// inFlight counts the flits in arrRing: on a link or in the
+	// downstream router's pipeline, granted but not yet buffered.
+	inFlight int
 
 	// credRing is the calendar queue of delayed credit returns; nil when
 	// CreditDelay is zero (credits return instantaneously).
@@ -77,9 +80,9 @@ type Network struct {
 	pool []*Packet
 
 	// flushed tracks what has already been exported to the obs registry
-	// (see metrics.go); maxInFlight is the calendar-queue occupancy
-	// high-water mark, maintained with a plain compare on the flit-send
-	// path and exported at flush time.
+	// (see metrics.go); maxInFlight is the high-water mark of inFlight,
+	// maintained with a plain compare on the flit-send path and exported
+	// at flush time.
 	flushed struct {
 		cycles, injectedFlits, deliveredFlits int64
 	}
@@ -109,8 +112,9 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{cfg: cfg, mesh: m}
-	// Link arrivals land LinkLatency+1 cycles after the grant.
-	n.arrMask = ringSize(cfg.LinkLatency+1) - 1
+	// Link arrivals land LinkLatency+RouterLatency cycles after the
+	// grant (see sendFlit).
+	n.arrMask = ringSize(cfg.LinkLatency+cfg.RouterLatency) - 1
 	n.arrRing = make([][]arrival, n.arrMask+1)
 	if cfg.CreditDelay > 0 {
 		n.credMask = ringSize(cfg.CreditDelay) - 1
@@ -377,7 +381,7 @@ func (n *Network) Step() {
 	// VC allocation and switch arbitration then walk only the VCs that
 	// request each output.
 	for _, id := range act {
-		n.routers[id].gather(now)
+		n.routers[id].gather()
 	}
 	for _, id := range act {
 		n.routers[id].allocateVCs()
@@ -400,11 +404,13 @@ func (n *Network) sendFlit(now int64, r *router, p Port, outVC int, f flit) {
 	if dest == nil {
 		panic(fmt.Sprintf("noc: flit routed off the mesh at tile %d port %v", r.id, p))
 	}
-	// Switch traversal this cycle plus the wire: the flit lands in the
-	// downstream buffer LinkLatency+1 cycles from the grant and becomes
-	// eligible for the downstream switch RouterLatency-1 cycles later.
-	arr := now + int64(n.cfg.LinkLatency) + 1
-	f.ready = arr + int64(n.cfg.RouterLatency-1)
+	// Switch traversal this cycle, LinkLatency cycles on the wire and
+	// RouterLatency-1 cycles in the downstream pipeline (buffer write
+	// plus VC/switch allocation): the flit enters the downstream buffer
+	// on the first cycle it may compete for the switch there, so every
+	// buffered flit is eligible and an idle router whose flits are all
+	// still in the pipeline stays off the worklist.
+	arr := now + int64(n.cfg.LinkLatency+n.cfg.RouterLatency)
 	// LinkFlits rows are indexed by the sending router; the matrix is
 	// allocated eagerly in New/ResetStats, so no nil check is needed.
 	n.stats.LinkFlits[r.id][p]++
@@ -470,10 +476,11 @@ func (n *Network) deliver(now int64, p *Packet) {
 	}
 }
 
-// Busy reports whether any packet is queued, in a buffer, or on a link.
-// Pending credits also count: the network is not settled until every
-// buffer slot is accounted for. The worklists make this O(busy tiles)
-// rather than O(tiles).
+// Busy reports whether any packet is queued, in a buffer, or on a link
+// or in a router pipeline on its way to one. Pending credits also
+// count: the network is not settled until every buffer slot is
+// accounted for. The worklists make this O(busy tiles) rather than
+// O(tiles).
 func (n *Network) Busy() bool {
 	if n.inFlight > 0 || n.nCred > 0 {
 		return true
@@ -500,7 +507,9 @@ func (n *Network) Drain(maxCycles int64) error {
 }
 
 // Occupancy returns the total number of flits buffered in routers, for
-// tests and load monitoring.
+// tests and load monitoring. A flit still on a link or in the
+// downstream router's pipeline is not counted until it enters the
+// buffer, on the first cycle it may compete for the switch.
 func (n *Network) Occupancy() int {
 	var o int
 	for _, r := range n.routers {

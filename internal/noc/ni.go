@@ -99,7 +99,7 @@ func (q *ni) inject(now int64) {
 	if q.space[q.curVC] == 0 {
 		return // local buffer full; retry next cycle
 	}
-	f := flit{pkt: q.cur, seq: q.curFlit, ready: now}
+	f := flit{pkt: q.cur, seq: q.curFlit}
 	q.n.routers[q.tile].accept(Local, q.curVC, f)
 	q.space[q.curVC]--
 	q.curFlit++

@@ -103,32 +103,38 @@ func TestPacketTypeProperties(t *testing.T) {
 }
 
 // TestUncontendedLatencyMatchesModel is the calibration contract: an
-// isolated packet's latency must equal hops*(router+link) + (flits-1).
+// isolated packet's latency must equal hops*(router+link) + (flits-1)
+// for every router pipeline depth and wire delay.
 func TestUncontendedLatencyMatchesModel(t *testing.T) {
-	cfg := testConfig()
-	m := mesh.MustNew(cfg.Rows, cfg.Cols)
-	for _, pt := range []PacketType{CacheRequest, CacheReply} {
-		for _, dst := range []mesh.Tile{m.TileAt(0, 1), m.TileAt(0, 3), m.TileAt(3, 3), m.TileAt(2, 0)} {
-			n := MustNew(cfg)
-			var delivered *Packet
-			n.SetDeliveryHandler(func(p *Packet) { delivered = p })
-			src := m.TileAt(0, 0)
-			if err := n.Inject(&Packet{Src: src, Dst: dst, Type: pt, App: 0}); err != nil {
-				t.Fatal(err)
-			}
-			if err := n.Drain(10000); err != nil {
-				t.Fatal(err)
-			}
-			if delivered == nil {
-				t.Fatalf("%v to %v: not delivered", pt, dst)
-			}
-			hops := m.Hops(src, dst)
-			want := int64(hops*cfg.PerHopLatency() + pt.Flits() - 1)
-			if got := delivered.Latency(); got != want {
-				t.Errorf("%v to %v (%d hops): latency %d, want %d", pt, dst, hops, got, want)
-			}
-			if delivered.Hops != hops {
-				t.Errorf("%v to %v: counted %d hops, want %d", pt, dst, delivered.Hops, hops)
+	for _, rl := range []int{1, 2, 3, 5} {
+		for _, ll := range []int{1, 3} {
+			cfg := testConfig()
+			cfg.RouterLatency, cfg.LinkLatency = rl, ll
+			m := mesh.MustNew(cfg.Rows, cfg.Cols)
+			for _, pt := range []PacketType{CacheRequest, CacheReply} {
+				for _, dst := range []mesh.Tile{m.TileAt(0, 1), m.TileAt(0, 3), m.TileAt(3, 3), m.TileAt(2, 0)} {
+					n := MustNew(cfg)
+					var delivered *Packet
+					n.SetDeliveryHandler(func(p *Packet) { delivered = p })
+					src := m.TileAt(0, 0)
+					if err := n.Inject(&Packet{Src: src, Dst: dst, Type: pt, App: 0}); err != nil {
+						t.Fatal(err)
+					}
+					if err := n.Drain(10000); err != nil {
+						t.Fatal(err)
+					}
+					if delivered == nil {
+						t.Fatalf("R=%d L=%d %v to %v: not delivered", rl, ll, pt, dst)
+					}
+					hops := m.Hops(src, dst)
+					want := int64(hops*(rl+ll) + pt.Flits() - 1)
+					if got := delivered.Latency(); got != want {
+						t.Errorf("R=%d L=%d %v to %v (%d hops): latency %d, want %d", rl, ll, pt, dst, hops, got, want)
+					}
+					if delivered.Hops != hops {
+						t.Errorf("R=%d L=%d %v to %v: counted %d hops, want %d", rl, ll, pt, dst, delivered.Hops, hops)
+					}
+				}
 			}
 		}
 	}

@@ -116,8 +116,6 @@ type flit struct {
 	pkt *Packet
 	// seq is the flit index within the packet; 0 is the head.
 	seq int
-	// ready is the earliest cycle the flit may compete for the switch.
-	ready int64
 }
 
 func (f flit) isHead() bool { return f.seq == 0 }

@@ -78,12 +78,12 @@ type router struct {
 	// instead of probing every buffer (Config.Validate caps VCs at 64).
 	occMask [numPorts]uint64
 	// req[out][in] has bit v set when input VC (in, v) holds a routed
-	// front flit toward output out that is eligible this cycle, and
-	// vaReq[out][in] is the subset of those that are heads still lacking
-	// a downstream VC (never set for Local). gather rebuilds both once
-	// per cycle, so VC allocation and switch arbitration visit only the
-	// VCs that request their output instead of every occupied one (at
-	// paper-scale loads a busy router usually feeds exactly one output).
+	// front flit toward output out, and vaReq[out][in] is the subset of
+	// those that are heads still lacking a downstream VC (never set for
+	// Local). gather rebuilds both once per cycle, so VC allocation and
+	// switch arbitration visit only the VCs that request their output
+	// instead of every occupied one (at paper-scale loads a busy router
+	// usually feeds exactly one output).
 	req   [numPorts][numPorts]uint64
 	vaReq [numPorts][numPorts]uint64
 	// reqOuts and vaOuts have bit out set when req[out] (vaReq[out])
@@ -206,9 +206,10 @@ func (r *router) vcFree(p Port, v int) bool {
 
 // gather routes any newly exposed heads (the look-ahead route step) and
 // rebuilds the per-output request masks for this cycle by scanning the
-// occupancy bitmasks. A front flit that is not yet eligible
-// (f.ready > now) requests nothing this cycle.
-func (r *router) gather(now int64) {
+// occupancy bitmasks. Flits enter a buffer only once they are eligible
+// for the switch (see Network.sendFlit), so every routed front flit
+// requests its output.
+func (r *router) gather() {
 	for o := r.reqOuts; o != 0; o &= o - 1 {
 		out := bits.TrailingZeros8(o)
 		r.req[out] = [numPorts]uint64{}
@@ -228,9 +229,6 @@ func (r *router) gather(now int64) {
 				}
 				b.outPort = r.n.cfg.route(r.n.mesh, r.id, f.pkt.Dst)
 				b.routed = true
-			}
-			if f.ready > now {
-				continue
 			}
 			bit := uint64(1) << uint(v)
 			r.req[b.outPort][p] |= bit

@@ -29,6 +29,10 @@ import (
 // enough that a cancelled simulation unwinds within microseconds).
 const simPollMask = 4095
 
+// rateDrivenDrainCycles bounds RateDriven's post-injection drain; a
+// simulation that cannot drain within it fails.
+const rateDrivenDrainCycles = 100_000
+
 // CyclesPerRateUnit converts the paper's request rates (requests per
 // microsecond at the 2 GHz clock of Table 2) into per-cycle injection
 // probabilities: rate r means r/2000 requests per cycle.
@@ -104,8 +108,6 @@ type RateDrivenConfig struct {
 	WarmupCycles int64
 	// MeasureCycles is the measured injection window.
 	MeasureCycles int64
-	// DrainCycles bounds the post-injection drain.
-	DrainCycles int64
 	// Seed drives the Bernoulli injectors.
 	Seed uint64
 	// BurstFactor switches injection from memoryless Bernoulli to a
@@ -124,7 +126,6 @@ type RateDrivenConfig struct {
 func DefaultRateDrivenConfig() RateDrivenConfig {
 	return RateDrivenConfig{
 		MeasureCycles: 200_000,
-		DrainCycles:   100_000,
 		Seed:          1,
 	}
 }
@@ -298,11 +299,7 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	}
 	// Drain: keep flushing replies until the network and reply queues are
 	// empty.
-	drain := cfg.DrainCycles
-	if drain <= 0 {
-		drain = 100_000
-	}
-	deadline := net.Cycle() + drain
+	deadline := net.Cycle() + rateDrivenDrainCycles
 	for net.Busy() || len(replies) > 0 {
 		if net.Cycle()&simPollMask == simPollMask {
 			if err := ctx.Err(); err != nil {
@@ -310,7 +307,7 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 			}
 		}
 		if net.Cycle() >= deadline {
-			return Result{}, fmt.Errorf("sim: network failed to drain within %d cycles", drain)
+			return Result{}, fmt.Errorf("sim: network failed to drain within %d cycles", rateDrivenDrainCycles)
 		}
 		if err := flush(net.Cycle()); err != nil {
 			return Result{}, err
