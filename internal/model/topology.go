@@ -6,8 +6,8 @@ import (
 	"obm/internal/mesh"
 )
 
-// Topology selects the interconnect shape the latency model (and the
-// flit-level simulator) assumes.
+// Topology selects the interconnect shape the latency model assumes.
+// The flit-level simulator (internal/noc) runs only the mesh.
 type Topology int
 
 // Topologies.

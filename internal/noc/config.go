@@ -2,7 +2,9 @@
 // network (Table 2): a 2D mesh of canonical 3-stage credit-based
 // wormhole routers with virtual channels, XY dimension-order routing and
 // look-ahead routing optimization. It substitutes for the Garnet
-// simulator used by the paper (see DESIGN.md, substitution 2).
+// simulator used by the paper (see DESIGN.md, substitution 2). The
+// mesh is the only simulated topology: the analytic model's torus
+// (model.NewTorus) is evaluated analytically, never simulated.
 //
 // # Timing model
 //
@@ -55,7 +57,10 @@ const (
 	NumClasses = 3
 )
 
-// Config holds the microarchitectural parameters of the network.
+// Config holds the microarchitectural parameters of the network. The
+// topology and routing are fixed to the paper's: a 2D mesh without
+// wrap-around links, XY dimension-order routing and instantaneous
+// credit return.
 type Config struct {
 	// Rows and Cols give the mesh dimensions.
 	Rows, Cols int
@@ -69,43 +74,6 @@ type Config struct {
 	RouterLatency int
 	// LinkLatency is the wire traversal latency in cycles.
 	LinkLatency int
-	// Routing selects the dimension order (default RoutingXY, the
-	// paper's choice).
-	Routing Routing
-	// Torus adds wrap-around links in both dimensions. Deadlock freedom
-	// on the rings uses dateline virtual-channel layers, so torus mode
-	// requires VCsPerClass >= 2 (the class's VCs split into a
-	// pre-dateline and a post-dateline layer).
-	Torus bool
-	// CreditDelay is the wire delay in cycles before a freed buffer slot
-	// becomes visible upstream. 0 models instantaneous credits (the
-	// documented default simplification); realistic routers see 1-2
-	// cycles, which only matters near saturation.
-	CreditDelay int
-}
-
-// Routing selects the deterministic dimension-order variant. Both are
-// minimal and deadlock-free on a mesh with class-partitioned VCs.
-type Routing int
-
-// Routing algorithms.
-const (
-	// RoutingXY resolves the X (column) dimension first — the paper's
-	// dimension-order routing.
-	RoutingXY Routing = iota
-	// RoutingYX resolves the Y (row) dimension first.
-	RoutingYX
-)
-
-func (r Routing) String() string {
-	switch r {
-	case RoutingXY:
-		return "XY"
-	case RoutingYX:
-		return "YX"
-	default:
-		return fmt.Sprintf("Routing(%d)", int(r))
-	}
 }
 
 // DefaultConfig returns the paper's Table 2 network: 8x8 mesh, 3-stage
@@ -137,14 +105,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("noc: router latency must be >= 1, got %d", c.RouterLatency)
 	case c.LinkLatency < 1:
 		return fmt.Errorf("noc: link latency must be >= 1, got %d", c.LinkLatency)
-	case c.Routing != RoutingXY && c.Routing != RoutingYX:
-		return fmt.Errorf("noc: unknown routing %d", int(c.Routing))
-	case c.Torus && c.VCsPerClass < 2:
-		return fmt.Errorf("noc: torus needs >= 2 VCs per class for dateline layers, got %d", c.VCsPerClass)
-	case c.Torus && (c.Rows < 2 || c.Cols < 2):
-		return fmt.Errorf("noc: torus needs both dimensions >= 2, got %dx%d", c.Rows, c.Cols)
-	case c.CreditDelay < 0:
-		return fmt.Errorf("noc: negative credit delay %d", c.CreditDelay)
 	}
 	return nil
 }
@@ -225,94 +185,5 @@ func xyRoute(m *mesh.Mesh, cur, dst mesh.Tile) Port {
 		return North
 	default:
 		return Local
-	}
-}
-
-// yxRoute resolves the row dimension first.
-func yxRoute(m *mesh.Mesh, cur, dst mesh.Tile) Port {
-	cc, cd := m.Coord(cur), m.Coord(dst)
-	switch {
-	case cd.Row > cc.Row:
-		return South
-	case cd.Row < cc.Row:
-		return North
-	case cd.Col > cc.Col:
-		return East
-	case cd.Col < cc.Col:
-		return West
-	default:
-		return Local
-	}
-}
-
-// route dispatches on the configured algorithm and topology.
-func (c Config) route(m *mesh.Mesh, cur, dst mesh.Tile) Port {
-	if c.Torus {
-		return torusRoute(m, cur, dst, c.Routing == RoutingYX)
-	}
-	if c.Routing == RoutingYX {
-		return yxRoute(m, cur, dst)
-	}
-	return xyRoute(m, cur, dst)
-}
-
-// torusDir picks the direction along one ring: the shorter way around,
-// ties to the positive direction (deterministic minimal routing).
-// Returns 0 when already aligned, +1 for the positive direction, -1 for
-// the negative.
-func torusDir(cur, dst, size int) int {
-	if cur == dst {
-		return 0
-	}
-	forward := ((dst - cur) + size) % size
-	backward := size - forward
-	if forward <= backward {
-		return 1
-	}
-	return -1
-}
-
-// torusRoute is dimension-order routing on the torus: resolve one
-// dimension completely (shorter way around its ring), then the other.
-func torusRoute(m *mesh.Mesh, cur, dst mesh.Tile, yxOrder bool) Port {
-	cc, cd := m.Coord(cur), m.Coord(dst)
-	colPort := func() Port {
-		switch torusDir(cc.Col, cd.Col, m.Cols()) {
-		case 1:
-			return East
-		case -1:
-			return West
-		}
-		return Local
-	}
-	rowPort := func() Port {
-		switch torusDir(cc.Row, cd.Row, m.Rows()) {
-		case 1:
-			return South
-		case -1:
-			return North
-		}
-		return Local
-	}
-	first, second := colPort, rowPort
-	if yxOrder {
-		first, second = rowPort, colPort
-	}
-	if p := first(); p != Local {
-		return p
-	}
-	return second()
-}
-
-// dimOf returns the dimension a port moves in: 0 for X (E/W), 1 for Y
-// (N/S), -1 for Local.
-func dimOf(p Port) int {
-	switch p {
-	case East, West:
-		return 0
-	case North, South:
-		return 1
-	default:
-		return -1
 	}
 }

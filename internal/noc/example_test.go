@@ -30,7 +30,6 @@ func ExampleMeasureLoadPoint() {
 	cfg := noc.DefaultConfig()
 	pt, err := noc.MeasureLoadPoint(cfg, noc.UniformRandom{}, 0.02, noc.SweepConfig{
 		Cycles: 2000,
-		Type:   noc.CacheRequest,
 		Seed:   1,
 	})
 	if err != nil {

@@ -120,42 +120,6 @@ func handlerRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int)
 	return fingerprintStats(n.Stats())
 }
 
-// wrapRun confines traffic to the first and last rows of a torus, which
-// are neighbours only through the wrap links: every packet crosses one
-// wrap hop, in both directions, so credits flow back and forth over the
-// row-0/last-row links every cycle.
-func wrapRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64 {
-	t.Helper()
-	n := MustNew(cfg)
-	last := mesh.Tile((cfg.Rows - 1) * cfg.Cols)
-	rng := stats.NewRand(seed)
-	for cyc := 0; cyc < cycles; cyc++ {
-		for col := mesh.Tile(0); col < mesh.Tile(cfg.Cols); col++ {
-			if rng.Float64() < rate {
-				p := n.AllocPacket()
-				p.Src, p.Dst = col, last+col
-				p.Type, p.App = CacheRequest, 0
-				if err := n.Inject(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if rng.Float64() < rate {
-				p := n.AllocPacket()
-				p.Src, p.Dst = last+col, col
-				p.Type, p.App = CacheReply, 0
-				if err := n.Inject(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		n.Step()
-	}
-	if err := n.Drain(200_000); err != nil {
-		t.Fatal(err)
-	}
-	return fingerprintStats(n.Stats())
-}
-
 // TestGoldenDeterminism pins fixed-seed statistics fingerprints captured
 // from the pre-calendar-queue simulator (map-bucketed events, slice
 // shifting flit queues, full-router scans). Any divergence means the
@@ -169,34 +133,6 @@ func TestGoldenDeterminism(t *testing.T) {
 			rate:   0.02,
 			cycles: 4000,
 			want:   15862206071943193983,
-		},
-		{
-			name: "mesh4x4-creditdelay-yx",
-			cfg: func() Config {
-				c := DefaultConfig()
-				c.Rows, c.Cols = 4, 4
-				c.CreditDelay = 2
-				c.Routing = RoutingYX
-				return c
-			},
-			seed:   777,
-			rate:   0.05,
-			cycles: 3000,
-			want:   18075458078137233062,
-		},
-		{
-			name: "torus4x4-dateline",
-			cfg: func() Config {
-				c := DefaultConfig()
-				c.Rows, c.Cols = 4, 4
-				c.Torus = true
-				c.CreditDelay = 1
-				return c
-			},
-			seed:   31337,
-			rate:   0.04,
-			cycles: 3000,
-			want:   8480573589452264423,
 		},
 		{
 			name: "mesh4x4-deep-contention",
@@ -216,7 +152,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		// The router pipeline depth decides the cycle a flit that
 		// crossed a link may first compete for the switch; these two
 		// cases pin it at its shallowest and at a deep pipeline behind
-		// slow wires and delayed credits.
+		// slow wires.
 		{
 			name: "mesh8x8-router1",
 			cfg: func() Config {
@@ -230,34 +166,18 @@ func TestGoldenDeterminism(t *testing.T) {
 			want:   5268684591690732899,
 		},
 		{
-			name: "mesh4x4-router5-link2-credit1",
+			name: "mesh4x4-router5-link2",
 			cfg: func() Config {
 				c := DefaultConfig()
 				c.Rows, c.Cols = 4, 4
 				c.RouterLatency = 5
 				c.LinkLatency = 2
-				c.CreditDelay = 1
 				return c
 			},
 			seed:   4711,
 			rate:   0.08,
 			cycles: 3000,
-			want:   14332979615970138821,
-		},
-		{
-			name: "torus4x4-wraprows",
-			cfg: func() Config {
-				c := DefaultConfig()
-				c.Rows, c.Cols = 4, 4
-				c.Torus = true
-				c.VCsPerClass = 2
-				return c
-			},
-			run:    wrapRun,
-			seed:   7,
-			rate:   0.4,
-			cycles: 5000,
-			want:   9114097653744048704,
+			want:   2862167330498927236,
 		},
 		// Routers with more than 12 VCs per port: the flattened
 		// (input port, VC) index space then spans more than 64 entries,
@@ -265,49 +185,31 @@ func TestGoldenDeterminism(t *testing.T) {
 		// bit of a port's 64-bit masks that any valid config uses.
 		{
 			name:   "mesh4x4-15vcs",
-			cfg:    manyVCConfig(5, false),
+			cfg:    manyVCConfig(5),
 			seed:   5150,
 			rate:   0.35,
 			cycles: 3000,
-			want:   3987219930926503333,
-		},
-		{
-			name:   "torus4x4-15vcs",
-			cfg:    manyVCConfig(5, true),
-			seed:   5150,
-			rate:   0.35,
-			cycles: 3000,
-			want:   542999309884240526,
+			want:   12403632745201750686,
 		},
 		{
 			name:   "mesh4x4-63vcs",
-			cfg:    manyVCConfig(21, false),
+			cfg:    manyVCConfig(21),
 			seed:   5150,
 			rate:   0.35,
 			cycles: 3000,
-			want:   11368103888898459513,
-		},
-		{
-			name:   "torus4x4-63vcs",
-			cfg:    manyVCConfig(21, true),
-			seed:   5150,
-			rate:   0.35,
-			cycles: 3000,
-			want:   5493051409400148431,
+			want:   2039121174499453914,
 		},
 	})
 }
 
 // manyVCConfig returns a 4x4 config with vcsPerClass VCs per protocol
-// class, shallow buffers and a one-cycle credit delay.
-func manyVCConfig(vcsPerClass int, torus bool) func() Config {
+// class and shallow buffers.
+func manyVCConfig(vcsPerClass int) func() Config {
 	return func() Config {
 		c := DefaultConfig()
 		c.Rows, c.Cols = 4, 4
 		c.VCsPerClass = vcsPerClass
 		c.BufDepth = 2
-		c.CreditDelay = 1
-		c.Torus = torus
 		return c
 	}
 }
@@ -329,20 +231,6 @@ func TestHandlerDeterminism(t *testing.T) {
 			rate:   0.06,
 			cycles: 2000,
 			want:   2936991916634121788,
-		},
-		{
-			name: "mesh6x6-creditdelay",
-			cfg: func() Config {
-				c := DefaultConfig()
-				c.Rows, c.Cols = 6, 6
-				c.CreditDelay = 2
-				return c
-			},
-			run:    handlerRun,
-			seed:   4242,
-			rate:   0.06,
-			cycles: 2000,
-			want:   1319198628378722026,
 		},
 	})
 }

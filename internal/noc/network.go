@@ -16,13 +16,6 @@ type arrival struct {
 	f      flit
 }
 
-// creditReturn is a freed buffer slot on its way back upstream.
-type creditReturn struct {
-	router *router
-	port   Port
-	vc     int
-}
-
 // Network is the whole on-chip network: routers, links, NIs, and the
 // cycle loop. It is not safe for concurrent use; drive it from one
 // goroutine (experiments parallelize across Network instances instead —
@@ -30,12 +23,12 @@ type creditReturn struct {
 // simulators).
 //
 // The cycle loop is engineered to be allocation-free in steady state:
-// future link arrivals and credit returns live in fixed-size
-// calendar-queue rings (delays are small bounded constants from Config,
-// so a power-of-two ring indexed by cycle&mask replaces the old
-// map[int64][]arrival with its per-cycle bucket churn), flit queues are
-// fixed-capacity circular buffers, and Step visits only routers and NIs
-// on the active worklists instead of scanning every tile.
+// future link arrivals live in a fixed-size calendar-queue ring (the
+// delay is a small bounded constant from Config, so a power-of-two ring
+// indexed by cycle&mask replaces the old map[int64][]arrival with its
+// per-cycle bucket churn), flit queues are fixed-capacity circular
+// buffers, and Step visits only routers and NIs on the active worklists
+// instead of scanning every tile.
 type Network struct {
 	cfg     Config
 	mesh    *mesh.Mesh
@@ -54,12 +47,6 @@ type Network struct {
 	// inFlight counts the flits in arrRing: on a link or in the
 	// downstream router's pipeline, granted but not yet buffered.
 	inFlight int
-
-	// credRing is the calendar queue of delayed credit returns; nil when
-	// CreditDelay is zero (credits return instantaneously).
-	credRing [][]creditReturn
-	credMask int64
-	nCred    int
 
 	// actR tracks routers with buffered flits and actNI tracks tiles
 	// whose NI has injection backlog, as per-row bitmaps. Step sweeps
@@ -116,10 +103,6 @@ func New(cfg Config) (*Network, error) {
 	// grant (see sendFlit).
 	n.arrMask = ringSize(cfg.LinkLatency+cfg.RouterLatency) - 1
 	n.arrRing = make([][]arrival, n.arrMask+1)
-	if cfg.CreditDelay > 0 {
-		n.credMask = ringSize(cfg.CreditDelay) - 1
-		n.credRing = make([][]creditReturn, n.credMask+1)
-	}
 	n.routers = make([]*router, m.NumTiles())
 	n.nis = make([]*ni, m.NumTiles())
 	n.actR = newRowWorklist(cfg.Rows, cfg.Cols)
@@ -135,31 +118,21 @@ func New(cfg Config) (*Network, error) {
 		n.nis[t] = newNI(t, n)
 	}
 	mNetworks.Inc()
-	// Wire up neighbours; torus mode wraps the edges.
-	wrap := func(v, size int) (int, bool) {
-		switch {
-		case v >= 0 && v < size:
-			return v, true
-		case cfg.Torus:
-			return (v + size) % size, true
-		default:
-			return 0, false
-		}
-	}
+	// Wire up neighbours; edge routers have no link off the mesh.
 	for _, t := range m.Tiles() {
 		c := m.Coord(t)
 		r := n.routers[t]
-		if row, ok := wrap(c.Row-1, cfg.Rows); ok {
-			r.neighbors[North] = n.routers[m.TileAt(row, c.Col)]
+		if c.Row > 0 {
+			r.neighbors[North] = n.routers[m.TileAt(c.Row-1, c.Col)]
 		}
-		if row, ok := wrap(c.Row+1, cfg.Rows); ok {
-			r.neighbors[South] = n.routers[m.TileAt(row, c.Col)]
+		if c.Row < cfg.Rows-1 {
+			r.neighbors[South] = n.routers[m.TileAt(c.Row+1, c.Col)]
 		}
-		if col, ok := wrap(c.Col-1, cfg.Cols); ok {
-			r.neighbors[West] = n.routers[m.TileAt(c.Row, col)]
+		if c.Col > 0 {
+			r.neighbors[West] = n.routers[m.TileAt(c.Row, c.Col-1)]
 		}
-		if col, ok := wrap(c.Col+1, cfg.Cols); ok {
-			r.neighbors[East] = n.routers[m.TileAt(c.Row, col)]
+		if c.Col < cfg.Cols-1 {
+			r.neighbors[East] = n.routers[m.TileAt(c.Row, c.Col+1)]
 		}
 	}
 	return n, nil
@@ -272,8 +245,6 @@ func (n *Network) Inject(p *Packet) error {
 	p.ID = n.nextID
 	n.nextID++
 	p.InjectCycle = n.cycle
-	p.curDim = -1
-	p.layer = 0
 	n.stats.InjectedPackets++
 	n.stats.InjectedFlits += int64(p.Type.Flits())
 	if p.Src == p.Dst {
@@ -295,33 +266,13 @@ func (n *Network) markNIActive(q *ni) {
 	n.actNI.add(q.row, q.col)
 }
 
-// returnCredit makes a freed slot visible at router up (port, vc),
-// immediately or after the configured credit delay.
-func (n *Network) returnCredit(up *router, p Port, vc int) {
-	if n.cfg.CreditDelay == 0 {
-		up.credits[p][vc]++
-		return
-	}
-	slot := (n.cycle + int64(n.cfg.CreditDelay)) & n.credMask
-	n.credRing[slot] = append(n.credRing[slot], creditReturn{up, p, vc})
-	n.nCred++
-}
-
 // Step advances the simulation by one cycle.
 func (n *Network) Step() {
 	now := n.cycle
-	// 0. Delayed credits become visible. The ring slot was drained the
-	// last time this cycle index came around, so it holds exactly this
-	// cycle's credits; resetting its length recycles the backing array.
-	if n.nCred > 0 {
-		slot := &n.credRing[now&n.credMask]
-		for _, c := range *slot {
-			c.router.credits[c.port][c.vc]++
-		}
-		n.nCred -= len(*slot)
-		*slot = (*slot)[:0]
-	}
-	// 1. Link arrivals scheduled for this cycle enter input buffers.
+	// 1. Link arrivals scheduled for this cycle enter input buffers. The
+	// ring slot was drained the last time this cycle index came around,
+	// so it holds exactly this cycle's arrivals; resetting its length
+	// recycles the backing array.
 	if n.inFlight > 0 {
 		slot := &n.arrRing[now&n.arrMask]
 		for _, a := range *slot {
@@ -416,14 +367,6 @@ func (n *Network) sendFlit(now int64, r *router, p Port, outVC int, f flit) {
 	n.stats.LinkFlits[r.id][p]++
 	if f.isHead() {
 		f.pkt.Hops++
-		if n.cfg.Torus {
-			// Commit the dateline state the VC allocation was based on:
-			// crossing into a new dimension resets the layer; traversing
-			// the wrap link promotes it.
-			layer := int8(r.vcLayerFor(p, f.pkt))
-			f.pkt.curDim = int8(dimOf(p))
-			f.pkt.layer = layer
-		}
 	}
 	slot := arr & n.arrMask
 	n.stats.FlitHops++
@@ -477,12 +420,10 @@ func (n *Network) deliver(now int64, p *Packet) {
 }
 
 // Busy reports whether any packet is queued, in a buffer, or on a link
-// or in a router pipeline on its way to one. Pending credits also
-// count: the network is not settled until every buffer slot is
-// accounted for. The worklists make this O(busy tiles) rather than
-// O(tiles).
+// or in a router pipeline on its way to one. The worklists make this
+// O(busy tiles) rather than O(tiles).
 func (n *Network) Busy() bool {
-	if n.inFlight > 0 || n.nCred > 0 {
+	if n.inFlight > 0 {
 		return true
 	}
 	if n.actNI.anyID(func(id int32) bool { return n.nis[id].pending() > 0 }) {
@@ -504,16 +445,4 @@ func (n *Network) Drain(maxCycles int64) error {
 		n.Step()
 	}
 	return nil
-}
-
-// Occupancy returns the total number of flits buffered in routers, for
-// tests and load monitoring. A flit still on a link or in the
-// downstream router's pipeline is not counted until it enters the
-// buffer, on the first cycle it may compete for the switch.
-func (n *Network) Occupancy() int {
-	var o int
-	for _, r := range n.routers {
-		o += r.occupancy()
-	}
-	return o
 }

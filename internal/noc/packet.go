@@ -97,12 +97,6 @@ type Packet struct {
 	// reply answers). The simulator never touches it.
 	UserData any
 
-	// curDim and layer track torus-dateline state while the packet is in
-	// flight: the dimension currently being traversed (-1 before the
-	// first hop) and the virtual-channel layer within the packet's class
-	// (0 before crossing the ring's dateline, 1 after).
-	curDim int8
-	layer  int8
 	// pooled marks packets handed out by Network.AllocPacket; they are
 	// recycled onto the free list as soon as delivery completes.
 	pooled bool

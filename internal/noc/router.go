@@ -113,57 +113,6 @@ type router struct {
 	vaPtr [numPorts]int
 }
 
-// linkWraps reports whether output port p of this router is a
-// wrap-around (dateline) link of its ring.
-func (r *router) linkWraps(p Port) bool {
-	if !r.n.cfg.Torus {
-		return false
-	}
-	c := r.n.mesh.Coord(r.id)
-	switch p {
-	case East:
-		return c.Col == r.n.cfg.Cols-1
-	case West:
-		return c.Col == 0
-	case South:
-		return c.Row == r.n.cfg.Rows-1
-	case North:
-		return c.Row == 0
-	default:
-		return false
-	}
-}
-
-// vcLayerFor returns the dateline layer a packet must use on output
-// port p: its current layer while continuing in the same dimension
-// (reset on a dimension switch), promoted to the post-dateline layer
-// when the link itself crosses the dateline.
-func (r *router) vcLayerFor(p Port, pkt *Packet) int {
-	layer := 0
-	if int8(dimOf(p)) == pkt.curDim {
-		layer = int(pkt.layer)
-	}
-	if r.linkWraps(p) {
-		layer = 1
-	}
-	return layer
-}
-
-// allowedVCs returns the downstream VC index range a packet may be
-// allocated on output port p: its protocol class's range, halved into
-// dateline layers in torus mode.
-func (r *router) allowedVCs(p Port, pkt *Packet) (lo, hi int) {
-	lo, hi = r.n.cfg.vcRange(pkt.Type.Class())
-	if !r.n.cfg.Torus {
-		return lo, hi
-	}
-	mid := lo + (hi-lo)/2
-	if r.vcLayerFor(p, pkt) == 0 {
-		return lo, mid
-	}
-	return mid, hi
-}
-
 func newRouter(id mesh.Tile, n *Network) *router {
 	r := &router{id: id, n: n, row: int(id) / n.cfg.Cols, col: int(id) % n.cfg.Cols}
 	vcs := n.cfg.VCs()
@@ -227,7 +176,7 @@ func (r *router) gather() {
 				if !f.isHead() {
 					continue
 				}
-				b.outPort = r.n.cfg.route(r.n.mesh, r.id, f.pkt.Dst)
+				b.outPort = xyRoute(r.n.mesh, r.id, f.pkt.Dst)
 				b.routed = true
 			}
 			bit := uint64(1) << uint(v)
@@ -279,7 +228,7 @@ func (r *router) allocateVCs() {
 				inVC := bits.TrailingZeros64(m)
 				m &= m - 1
 				b := &r.in[inPort][inVC]
-				lo, hi := r.allowedVCs(p, b.front().pkt)
+				lo, hi := r.n.cfg.vcRange(b.front().pkt.Type.Class())
 				for v := lo; v < hi; v++ {
 					if r.vcFree(p, v) {
 						b.outVC = v
@@ -342,8 +291,9 @@ func (r *router) dequeue(p Port, vc int) flit {
 		r.occMask[p] &^= 1 << uint(vc)
 	}
 	if p != Local {
+		// Credits return instantaneously (see the package doc).
 		if up := r.neighbors[p]; up != nil {
-			r.n.returnCredit(up, p.opposite(), vc)
+			up.credits[p.opposite()][vc]++
 		}
 	} else {
 		r.n.nis[r.id].creditReturn(vc)
@@ -355,7 +305,3 @@ func (r *router) dequeue(p Port, vc int) flit {
 	}
 	return f
 }
-
-// occupancy returns the number of buffered flits across all input VCs,
-// used by the conservation tests.
-func (r *router) occupancy() int { return r.occ }

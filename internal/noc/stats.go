@@ -20,14 +20,6 @@ func (s TypeStats) AvgLatency() float64 {
 	return float64(s.LatencySum) / float64(s.Packets)
 }
 
-// AvgHops returns the average hop count per packet.
-func (s TypeStats) AvgHops() float64 {
-	if s.Packets == 0 {
-		return 0
-	}
-	return float64(s.HopSum) / float64(s.Packets)
-}
-
 // Stats aggregates everything the experiments read from a simulation.
 type Stats struct {
 	// Cycles simulated so far.

@@ -118,8 +118,6 @@ const (
 type SweepConfig struct {
 	// Cycles is the injection window per point.
 	Cycles int64
-	// Type is the packet type injected (sets flit count and class).
-	Type PacketType
 	// Seed drives the injectors.
 	Seed uint64
 }
@@ -129,14 +127,14 @@ type SweepConfig struct {
 func DefaultSweepConfig() SweepConfig {
 	return SweepConfig{
 		Cycles: 20_000,
-		Type:   CacheRequest,
 		Seed:   1,
 	}
 }
 
 // MeasureLoadPoint measures one (pattern, offered-load) point on a
-// fresh seeded network: sw.Cycles of Bernoulli injection at the given
-// per-tile rate, then a drain bounded by sweepDrainCycles. Every point
+// fresh seeded network: sw.Cycles of Bernoulli injection of cache
+// requests (the packet ZeroLoadLatency assumes) at the given per-tile
+// rate, then a drain bounded by sweepDrainCycles. Every point
 // of a sweep is independent and deterministic in (cfg, pat, rate, sw),
 // which is what lets experiments spread the points across workers.
 func MeasureLoadPoint(cfg Config, pat Pattern, rate float64, sw SweepConfig) (LoadPoint, error) {
@@ -151,12 +149,13 @@ func MeasureLoadPoint(cfg Config, pat Pattern, rate float64, sw SweepConfig) (Lo
 		return LoadPoint{}, err
 	}
 	m := n.Mesh()
+	tiles := m.Tiles()
 	rng := stats.NewRand(sw.Seed)
 	for cyc := int64(0); cyc < sw.Cycles; cyc++ {
-		for _, src := range m.Tiles() {
+		for _, src := range tiles {
 			if rng.Float64() < rate {
 				pkt := n.AllocPacket()
-				pkt.Src, pkt.Dst, pkt.Type = src, pat.Dst(m, src, rng), sw.Type
+				pkt.Src, pkt.Dst, pkt.Type = src, pat.Dst(m, src, rng), CacheRequest
 				if err := n.Inject(pkt); err != nil {
 					return LoadPoint{}, err
 				}

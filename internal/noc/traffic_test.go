@@ -83,7 +83,7 @@ func TestLoadSweepShape(t *testing.T) {
 	}
 	cfg := testConfig()
 	rates := []float64{0.01, 0.05, 0.15, 0.30}
-	sw := SweepConfig{Cycles: 5_000, Type: CacheRequest, Seed: 2}
+	sw := SweepConfig{Cycles: 5_000, Seed: 2}
 	var pts []LoadPoint
 	for _, rate := range rates {
 		pt, err := MeasureLoadPoint(cfg, UniformRandom{}, rate, sw)
@@ -126,7 +126,7 @@ func TestLoadPointSaturated(t *testing.T) {
 		t.Skip("sweep simulates; skip under -short")
 	}
 	cfg := DefaultConfig()
-	sw := SweepConfig{Cycles: 8_000, Type: CacheRequest, Seed: 42}
+	sw := SweepConfig{Cycles: 8_000, Seed: 42}
 	cases := []struct {
 		pat  Pattern
 		rate float64

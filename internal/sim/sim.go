@@ -131,7 +131,8 @@ func DefaultRateDrivenConfig() RateDrivenConfig {
 }
 
 // RateDriven simulates problem p under mapping m and returns measured
-// statistics.
+// statistics. p's model must be a mesh, the only topology the
+// flit-level network simulates.
 //
 // Traffic model per thread j on tile pi(j): with probability c_j/2000
 // per cycle the thread issues a shared-cache transaction — a 1-flit
@@ -150,13 +151,15 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	if err := m.Validate(p.N()); err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
+	if topo := p.Model().Topology(); topo != model.TopologyMesh {
+		return Result{}, fmt.Errorf("sim: the flit-level network is a mesh; cannot simulate a %v model", topo)
+	}
 	msh := p.Model().Mesh()
 	ncfg := cfg.Noc
 	if ncfg == (noc.Config{}) {
 		ncfg = noc.DefaultConfig()
 		ncfg.Rows = msh.Rows()
 		ncfg.Cols = msh.Cols()
-		ncfg.Torus = p.Model().Topology() == model.TopologyTorus
 	}
 	if ncfg.Rows != msh.Rows() || ncfg.Cols != msh.Cols() {
 		return Result{}, fmt.Errorf("sim: NoC %dx%d does not match problem mesh %v", ncfg.Rows, ncfg.Cols, msh)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"obm/internal/core"
@@ -42,6 +43,22 @@ func TestRateDrivenValidation(t *testing.T) {
 	cfg.Noc.RouterLatency, cfg.Noc.LinkLatency = 1, 1
 	if _, err := RateDriven(context.Background(), p, m, cfg); err == nil {
 		t.Error("mesh size mismatch accepted")
+	}
+}
+
+// TestRateDrivenRejectsTorus: the flit-level network is a mesh, so a
+// torus-model problem is refused by name rather than simulated on the
+// wrong topology.
+func TestRateDrivenRejectsTorus(t *testing.T) {
+	msh := mesh.MustNew(8, 8)
+	lm, err := model.NewTorus(msh, model.DefaultParams(), model.CornersPlacement(msh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.MustNewProblem(lm, workload.MustConfig("C1"))
+	_, err = RateDriven(context.Background(), p, core.IdentityMapping(p.N()), shortRateConfig())
+	if err == nil || !strings.Contains(err.Error(), "torus") {
+		t.Fatalf("RateDriven on a torus problem: err = %v, want one naming the torus", err)
 	}
 }
 
