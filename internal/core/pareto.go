@@ -22,24 +22,9 @@ import (
 // VectorObjective is a named tuple of scalar Objectives scored
 // together. All components share the Objective cost convention (lower
 // is better), so dominance is uniformly "component-wise ≤, somewhere
-// <". The zero value is invalid; construct with NewVectorObjective or
-// take DefaultVectorObjective.
+// <". The zero value is invalid; take DefaultVectorObjective.
 type VectorObjective struct {
 	components []Objective
-}
-
-// NewVectorObjective builds a vector objective over the given
-// components (nil entries resolve to the default max-APL). At least
-// two components are required — one would be a scalar objective.
-func NewVectorObjective(components ...Objective) (VectorObjective, error) {
-	if len(components) < 2 {
-		return VectorObjective{}, fmt.Errorf("core: vector objective needs >= 2 components, got %d", len(components))
-	}
-	out := make([]Objective, len(components))
-	for i, o := range components {
-		out[i] = ObjectiveOrDefault(o)
-	}
-	return VectorObjective{components: out}, nil
 }
 
 // DefaultVectorObjective is the repository's standard latency/balance/

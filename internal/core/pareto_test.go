@@ -267,19 +267,12 @@ func TestHypervolumeMonotone(t *testing.T) {
 	}
 }
 
-// TestVectorObjective: construction, naming, fingerprints, defaults.
+// TestVectorObjective: naming, fingerprints, defaults.
 func TestVectorObjective(t *testing.T) {
-	if _, err := NewVectorObjective(MaxAPL{}); err == nil {
-		t.Fatal("single-component vector objective accepted")
-	}
-	v, err := NewVectorObjective(MaxAPL{}, nil, Energy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := v.Name(), "vec(max-APL,max-APL,energy)"; got != want {
-		t.Fatalf("Name = %q, want %q (nil resolves to default)", got, want)
-	}
 	def := DefaultVectorObjective()
+	if got, want := def.Name(), "vec(max-APL,dev-APL,energy)"; got != want {
+		t.Fatalf("Name = %q, want %q", got, want)
+	}
 	if got, want := def.Fingerprint(), "vec(maxapl,devapl,energy)"; got != want {
 		t.Fatalf("default fingerprint = %q, want %q", got, want)
 	}

@@ -26,7 +26,7 @@ func (p *Problem) SolveSAM(lo, hi int, tiles []mesh.Tile) (assign []mesh.Tile, c
 
 // SAMSolver solves repeated SAM instances for one Problem, reusing the
 // cost matrix and Hungarian scratch across solves — the per-call
-// allocations of Problem.SolveSAMInto amortize to zero, which matters
+// allocations of Problem.ReoptimizeApp amortize to zero, which matters
 // for mappers that SAM-polish on a hot path (sort-select-swap runs two
 // solves per application per pass). Results are bit-identical to the
 // Problem methods: the buffers are reused, the float operations and
@@ -97,8 +97,8 @@ func (s *SAMSolver) SolveSAM(lo, hi int, tiles []mesh.Tile) (assign []mesh.Tile,
 	return assign, total, nil
 }
 
-// SolveInto is Problem.SolveSAMInto with reused scratch: it solves SAM
-// for application appIdx over tiles, writes the assignment into m, and
+// SolveInto solves SAM for application appIdx over tiles with reused
+// scratch, writes the assignment into m (which must have length N), and
 // returns the application's resulting APL.
 func (s *SAMSolver) SolveInto(m Mapping, appIdx int, tiles []mesh.Tile) (float64, error) {
 	p := s.p
@@ -128,15 +128,6 @@ func (s *SAMSolver) ReoptimizeApp(m Mapping, appIdx int) error {
 	}
 	_, err := s.SolveInto(m, appIdx, tiles)
 	return err
-}
-
-// SolveSAMInto solves SAM for application i and writes the resulting
-// assignment into mapping m (which must have length N). It returns the
-// application's resulting APL.
-func (p *Problem) SolveSAMInto(m Mapping, appIdx int, tiles []mesh.Tile) (float64, error) {
-	var s SAMSolver
-	s.p = p
-	return s.SolveInto(m, appIdx, tiles)
 }
 
 // ReoptimizeApp re-runs SAM for application i over the tiles it currently

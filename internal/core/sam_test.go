@@ -123,12 +123,12 @@ func bruteForceSAM(p *Problem, lo, hi int, tiles []mesh.Tile) float64 {
 	return best
 }
 
-func TestSolveSAMInto(t *testing.T) {
+func TestSAMSolverSolveInto(t *testing.T) {
 	p := figure5Problem(t)
 	m := IdentityMapping(16)
 	msh := p.Model().Mesh()
 	tiles := []mesh.Tile{msh.TileAt(0, 0), msh.TileAt(0, 1), msh.TileAt(1, 0), msh.TileAt(1, 1)}
-	apl, err := p.SolveSAMInto(m, 0, tiles)
+	apl, err := p.NewSAMSolver().SolveInto(m, 0, tiles)
 	if err != nil {
 		t.Fatal(err)
 	}

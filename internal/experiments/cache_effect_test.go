@@ -7,6 +7,7 @@ import (
 
 	"obm/internal/engine"
 	"obm/internal/scenario"
+	"obm/internal/workload"
 )
 
 // TestSharedCacheDeduplicatesMapperWork is the refactor's effectiveness
@@ -71,5 +72,40 @@ func TestSharedCacheDeduplicatesMapperWork(t *testing.T) {
 	}
 	if misses2 := scenario.Shared().StoreStats().Computed; misses2 != misses {
 		t.Errorf("warm re-run recomputed %d artifacts; want 0", misses2-misses)
+	}
+}
+
+// TestFailedInputsNotMemoized: a request that fails on its inputs
+// leaves the shared input memo as it found it, so a long-lived daemon
+// does not grow per bad request, and a later request builds afresh.
+func TestFailedInputsNotMemoized(t *testing.T) {
+	c := scenario.ResetShared()
+	t.Cleanup(func() { scenario.ResetShared() })
+	for i := 0; i < 2; i++ {
+		if _, err := problemFor("C9"); err == nil {
+			t.Fatal("unknown configuration built a problem")
+		}
+		if _, err := generatedProblem(workload.GenSpec{Name: "empty"}); err == nil {
+			t.Fatal("invalid generator spec built a problem")
+		}
+		for _, id := range []string{"table1", "gap", "seeds"} {
+			r, err := Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(context.Background(), Options{Quick: true, Seed: 1, Configs: []string{"C9"}}); err == nil {
+				t.Fatalf("%s ran on an unknown configuration", id)
+			}
+		}
+	}
+	if n := c.Inputs(); n != 0 {
+		t.Fatalf("failed requests left %d memo entries", n)
+	}
+	p, err := problemFor("C1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, _ := problemFor("C1"); q != p || c.Inputs() != 1 {
+		t.Errorf("a good request is not memoized once: same problem %v, %d entries", q == p, c.Inputs())
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"obm/internal/core"
 	"obm/internal/mapping"
@@ -145,18 +146,48 @@ func All() []Runner {
 	return out
 }
 
-// paperModel returns the 8x8 default-parameter latency model.
-func paperModel() *model.LatencyModel {
+// paperModel returns the 8x8 default-parameter latency model. Models
+// are immutable, so every paper problem shares this one.
+var paperModel = sync.OnceValue(func() *model.LatencyModel {
 	return model.MustNew(mesh.MustNew(8, 8), model.DefaultParams())
+})
+
+// problemFor returns the OBM problem for one paper configuration on the
+// paper model: the one way runners get a paper workload. The shared
+// scenario cache builds it once per configuration name, so a warm job
+// regenerates no workload; an unknown name fails and is not memoized.
+func problemFor(cfg string) (*core.Problem, error) {
+	return scenario.Shared().Problem("config/"+cfg, func() (*core.Problem, error) {
+		w, err := workload.Config(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewProblem(paperModel(), w)
+	})
 }
 
-// problemFor builds the OBM problem for one paper configuration.
-func problemFor(cfg string) (*core.Problem, error) {
-	w, err := workload.Config(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewProblem(paperModel(), w)
+// generatedProblem is problemFor for a workload generated from spec on
+// the paper model, memoized by the spec's full content.
+func generatedProblem(spec workload.GenSpec) (*core.Problem, error) {
+	return scenario.Shared().Problem(fmt.Sprintf("generated/%#v", spec), func() (*core.Problem, error) {
+		w, err := workload.Generate(spec)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewProblem(paperModel(), w)
+	})
+}
+
+// lowerBound returns p.LowerBound(), solved once per problem through
+// the shared scenario cache.
+func lowerBound(p *core.Problem) (float64, error) {
+	return scenario.Shared().LowerBound(p)
+}
+
+// randomAverages returns core.RandomAverages(ps, seed, draws), drawn
+// once per request through the shared scenario cache.
+func randomAverages(ps []*core.Problem, seed uint64, draws int) ([]core.RandomAverage, error) {
+	return scenario.Shared().RandomAverages(ps, seed, draws)
 }
 
 // configsOrDefault resolves the option's config list, failing fast on
@@ -191,8 +222,9 @@ func mapEvalSet(ctx context.Context, p *core.Problem, sm mapping.SetMapper) (cor
 
 // evalGrid maps each configuration with every mapper and reads metric
 // off each evaluation, returning grid[m][c]. Each configuration is one
-// sim.RunReplicas job that builds its own Problem, so the fan-out is
-// share-nothing and the grid is the same at any core count.
+// sim.RunReplicas job; the jobs share only the memoized, immutable
+// problems and the artifact store, so the grid is the same at any core
+// count.
 func evalGrid(ctx context.Context, cfgs []string, mappers []mapping.Mapper, metric func(core.Evaluation) float64) ([][]float64, error) {
 	cols, err := sim.RunReplicas(ctx, len(cfgs), func(ctx context.Context, ci int) ([]float64, error) {
 		p, err := problemFor(cfgs[ci])

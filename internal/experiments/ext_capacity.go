@@ -51,11 +51,11 @@ func (e extCapacity) Run(ctx context.Context, o Options) (Result, error) {
 	// Two paper configurations' worth of applications on one chip.
 	w := &workload.Workload{Name: "capacity"}
 	for _, cfg := range []string{"C1", "C3"} {
-		src, err := workload.Config(cfg)
+		src, err := problemFor(cfg)
 		if err != nil {
 			return nil, err
 		}
-		w.Apps = append(w.Apps, src.Apps...)
+		w.Apps = append(w.Apps, src.Workload().Apps...)
 	}
 	p, err := core.NewProblemWithCapacity(lm, w, 2)
 	if err != nil {
@@ -65,7 +65,7 @@ func (e extCapacity) Run(ctx context.Context, o Options) (Result, error) {
 		Apps: p.NumApps(), Threads: p.N(),
 		Tiles: lm.NumTiles(), Capacity: p.Capacity(),
 	}
-	rand, err := core.RandomAverages([]*core.Problem{p}, sp.Seed+71, max(sp.Budget.RandomDraws/10, 100))
+	rand, err := randomAverages([]*core.Problem{p}, sp.Seed+71, max(sp.Budget.RandomDraws/10, 100))
 	if err != nil {
 		return nil, err
 	}

@@ -37,11 +37,11 @@ type DynamicResult struct {
 // configurations: applications of different intensities come and go.
 func churnScenario() (sched.Scenario, error) {
 	pick := func(cfg string, idx int, name string) (*workload.Application, error) {
-		w, err := workload.Config(cfg)
+		p, err := problemFor(cfg)
 		if err != nil {
 			return nil, err
 		}
-		app := w.Apps[idx]
+		app := p.Workload().Apps[idx]
 		app.Name = name
 		return &app, nil
 	}

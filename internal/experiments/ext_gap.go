@@ -52,7 +52,7 @@ func (g extGap) Run(ctx context.Context, o Options) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if res.Bounds[ci], err = p.LowerBound(); err != nil {
+		if res.Bounds[ci], err = lowerBound(p); err != nil {
 			return nil, err
 		}
 		col := make([]float64, len(mappers))

@@ -8,7 +8,6 @@ import (
 	"obm/internal/mapping"
 	"obm/internal/mesh"
 	"obm/internal/model"
-	"obm/internal/workload"
 )
 
 func init() { register(extPlacement{}) }
@@ -56,11 +55,11 @@ func (e extPlacement) Run(ctx context.Context, o Options) (Result, error) {
 			return nil, err
 		}
 		for _, cfg := range cfgs {
-			w, err := workload.Config(cfg)
+			paper, err := problemFor(cfg)
 			if err != nil {
 				return nil, err
 			}
-			p, err := core.NewProblem(lm, w)
+			p, err := core.NewProblem(lm, paper.Workload())
 			if err != nil {
 				return nil, err
 			}

@@ -82,7 +82,7 @@ func (s extScaling) Run(ctx context.Context, o Options) (Result, error) {
 		}
 		row.SSSProbes = sss.SwapProbes(p.N())
 		row.SSSMax, row.SSSDev = evS.MaxAPL, evS.DevAPL
-		if row.LowerBound, err = p.LowerBound(); err != nil {
+		if row.LowerBound, err = lowerBound(p); err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, row)

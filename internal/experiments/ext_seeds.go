@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"obm/internal/core"
 	"obm/internal/mapping"
 	"obm/internal/sim"
 	"obm/internal/stats"
@@ -52,15 +51,11 @@ func (e extSeeds) Run(ctx context.Context, o Options) (Result, error) {
 		var sums acc
 		results, err := sim.RunReplicas(ctx, len(cfgs), func(ctx context.Context, ci int) (acc, error) {
 			target := workload.Table3[cfgs[ci]]
-			w, err := workload.Generate(workload.GenSpec{
+			p, err := generatedProblem(workload.GenSpec{
 				Name: fmt.Sprintf("%s-seed%d", cfgs[ci], s), NumApps: 4, ThreadsPer: 16,
 				Cache: target.Cache, Mem: target.Mem,
 				Seed: sp.Seed + uint64(s)*7919 + uint64(ci)*104729 + 1000,
 			})
-			if err != nil {
-				return acc{}, err
-			}
-			p, err := core.NewProblem(paperModel(), w)
 			if err != nil {
 				return acc{}, err
 			}

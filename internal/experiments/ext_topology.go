@@ -9,7 +9,6 @@ import (
 	"obm/internal/mesh"
 	"obm/internal/model"
 	"obm/internal/stats"
-	"obm/internal/workload"
 )
 
 func init() { register(extTopology{}) }
@@ -68,11 +67,11 @@ func (e extTopology) Run(ctx context.Context, o Options) (Result, error) {
 		tcs := lm.TCArray()
 		spread := stats.MustMax(tcs) - stats.MustMin(tcs)
 		for _, cfg := range cfgs {
-			w, err := workload.Config(cfg)
+			paper, err := problemFor(cfg)
 			if err != nil {
 				return nil, err
 			}
-			p, err := core.NewProblem(lm, w)
+			p, err := core.NewProblem(lm, paper.Workload())
 			if err != nil {
 				return nil, err
 			}
@@ -80,7 +79,7 @@ func (e extTopology) Run(ctx context.Context, o Options) (Result, error) {
 			ps = append(ps, p)
 		}
 	}
-	rand, err := core.RandomAverages(ps, sp.Seed+61, 300)
+	rand, err := randomAverages(ps, sp.Seed+61, 300)
 	if err != nil {
 		return nil, err
 	}

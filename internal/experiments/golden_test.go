@@ -62,8 +62,10 @@ type registryRun struct {
 	cold, cold4, warm Result
 	err               error
 	// coldComputed and warmComputed count the artifacts the first cold
-	// run and the warm rerun computed.
+	// run and the warm rerun computed; warmInputs counts the inputs
+	// (problems, bounds, random baselines) the warm rerun memoized.
 	coldComputed, warmComputed uint64
+	warmInputs                 int
 	// readers are the subtests that have checked this run.
 	readers map[string]bool
 }
@@ -93,9 +95,11 @@ func runRow(t *testing.T, row registryRow) *registryRun {
 		runtime.GOMAXPROCS(4)
 		scenario.ResetShared()
 		if run.cold4, run.err = row.r.Run(ctx, row.o); run.err == nil {
-			before := scenario.Shared().StoreStats().Computed
+			c := scenario.Shared()
+			before, inputs := c.StoreStats().Computed, c.Inputs()
 			run.warm, run.err = row.r.Run(ctx, row.o)
-			run.warmComputed = scenario.Shared().StoreStats().Computed - before
+			run.warmComputed = c.StoreStats().Computed - before
+			run.warmInputs = c.Inputs() - inputs
 		}
 	}
 	registryRuns[row.name] = run
@@ -191,8 +195,9 @@ func TestSimFanOutIndependentOfCores(t *testing.T) {
 	})
 }
 
-// TestWarmRerun checks a rerun on a warm store computes no artifact and
-// renders and encodes the same bytes as the cold run. ablation and
+// TestWarmRerun checks a rerun on a warm store computes no artifact,
+// builds no input (every problem, lower bound and random baseline is a
+// memo hit), and renders and encodes the same bytes as the cold run. ablation and
 // scaling report work counts, not wall time, so they map through the
 // store like every other runner; their cold counts are pinned too.
 func TestWarmRerun(t *testing.T) {
@@ -205,6 +210,9 @@ func TestWarmRerun(t *testing.T) {
 		}
 		if run.warmComputed != 0 {
 			t.Errorf("warm rerun computed %d artifacts, want 0", run.warmComputed)
+		}
+		if run.warmInputs != 0 {
+			t.Errorf("warm rerun built %d inputs, want 0", run.warmInputs)
 		}
 		sameBytes(t, "cold and warm runs", run.cold4, run.warm)
 	})

@@ -48,7 +48,7 @@ func (t table1) Run(ctx context.Context, o Options) (Result, error) {
 	}
 	// Every config is a 64-thread problem, so one draw stream serves
 	// them all (see core.RandomAverages).
-	rand, err := core.RandomAverages(ps, sp.Seed+100, sp.Budget.RandomDraws)
+	rand, err := randomAverages(ps, sp.Seed+100, sp.Budget.RandomDraws)
 	if err != nil {
 		return nil, err
 	}

@@ -36,11 +36,11 @@ func (t table3) Run(ctx context.Context, o Options) (Result, error) {
 	}
 	res := &Table3Result{}
 	for _, cfg := range sp.Configs {
-		w, err := workload.Config(cfg)
+		p, err := problemFor(cfg)
 		if err != nil {
 			return nil, err
 		}
-		got := w.ComputeRateStats()
+		got := p.Workload().ComputeRateStats()
 		row := Table3Row{Config: cfg, Got: got, Want: workload.Table3[cfg]}
 		if got.Mem.Mean > 0 {
 			row.CacheMemRatio = got.Cache.Mean / got.Mem.Mean

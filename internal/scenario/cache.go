@@ -19,8 +19,14 @@ import (
 // the optional disk tier, eviction, corruption recovery — lives in the
 // store; this layer only knows how to describe and produce mapper
 // artifacts.
+//
+// Beside the store, a Cache memoizes the inputs the mappers run on
+// (Problem, LowerBound, RandomAverages; see inputs.go): in memory only,
+// for as long as the Cache lives, and invisible to StoreStats and the
+// progress sink.
 type Cache struct {
-	store *artifact.Store
+	store  *artifact.Store
+	inputs inputs
 }
 
 // NewCache returns a memory-only cache (the default for tests and
@@ -30,7 +36,7 @@ func NewCache() *Cache { return NewCacheWith(nil) }
 // NewCacheWith returns a cache over the given disk tier; nil means
 // memory-only.
 func NewCacheWith(disk *artifact.DiskTier) *Cache {
-	return &Cache{store: artifact.NewStore(disk)}
+	return &Cache{store: artifact.NewStore(disk), inputs: inputs{m: make(map[string]*input)}}
 }
 
 // workUnit builds the canonical descriptor for one mapper invocation.
@@ -148,8 +154,9 @@ func init() { shared.Store(NewCache()) }
 func Shared() *Cache { return shared.Load() }
 
 // ResetShared installs a fresh empty memory-only shared cache and
-// returns it. Tests use it to measure cold-path behaviour; long-lived
-// servers can use it to bound memory across unrelated batches.
+// returns it: no artifact and no memoized input survives. Tests use it
+// to measure cold-path behaviour; long-lived servers can use it to
+// bound memory across unrelated batches.
 func ResetShared() *Cache {
 	c := NewCache()
 	shared.Store(c)
@@ -160,7 +167,7 @@ func ResetShared() *Cache {
 // tier rooted at dir with the given byte budget (maxBytes <= 0:
 // unbounded), warming it from whatever artifacts earlier processes
 // left there, and returns it. cmd/obmsim calls this for -cachedir; the
-// memory tier starts empty either way.
+// memory tier and the input memo start empty either way.
 func ConfigureShared(dir string, maxBytes int64) (*Cache, error) {
 	disk, err := artifact.OpenDisk(dir, maxBytes)
 	if err != nil {

@@ -14,7 +14,10 @@
 //     fingerprint, objective fingerprint, schema version) and is
 //     computed at most once per process via the singleflight memory
 //     tier — and at most once per machine when a persistent disk tier
-//     is attached — no matter how many experiments ask for it.
+//     is attached — no matter how many experiments ask for it;
+//   - the same Cache memoizes the deterministic inputs runners derive
+//     from a request (problems, lower bounds, random baselines), in
+//     memory and for the Cache's lifetime, so a warm job rebuilds none.
 //
 // The layer preserves reproducibility by construction: mappers are
 // deterministic for a fixed configuration, problems are content-keyed,

@@ -52,15 +52,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// SampleStdDev returns the Bessel-corrected (n-1) standard deviation.
-func SampleStdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	return StdDev(xs) * math.Sqrt(float64(n)/float64(n-1))
-}
-
 // Min returns the minimum of xs, or an error if xs is empty.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -120,20 +111,6 @@ func MinMaxRatio(xs []float64) float64 {
 		return 0
 	}
 	return mn / mx
-}
-
-// Normalize returns xs scaled so that base maps to 1. If base is 0 the
-// input is returned unscaled (copied).
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		copy(out, xs)
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
 }
 
 // Percentile returns the p-th percentile (0..100) of xs using linear

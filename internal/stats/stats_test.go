@@ -45,17 +45,6 @@ func TestVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestSampleStdDev(t *testing.T) {
-	if got := SampleStdDev([]float64{1}); got != 0 {
-		t.Errorf("SampleStdDev single = %v, want 0", got)
-	}
-	xs := []float64{1, 2, 3, 4, 5}
-	want := math.Sqrt(2.5) // sample variance of 1..5 is 2.5
-	if got := SampleStdDev(xs); !almostEqual(got, want, 1e-12) {
-		t.Errorf("SampleStdDev = %v, want %v", got, want)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	if _, err := Min(nil); err == nil {
 		t.Error("Min(nil) should error")
@@ -95,20 +84,6 @@ func TestMinMaxRatio(t *testing.T) {
 	}
 	if got := MinMaxRatio([]float64{2, 4}); got != 0.5 {
 		t.Errorf("MinMaxRatio = %v, want 0.5", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("Normalize = %v, want %v", out, want)
-		}
-	}
-	out = Normalize([]float64{2, 4}, 0)
-	if out[0] != 2 || out[1] != 4 {
-		t.Errorf("Normalize by 0 should copy input, got %v", out)
 	}
 }
 

@@ -123,16 +123,6 @@ func MustConfig(name string) *Workload {
 	return w
 }
 
-// AllConfigs returns the eight paper configurations C1..C8 in order.
-func AllConfigs() []*Workload {
-	names := ConfigNames()
-	out := make([]*Workload, len(names))
-	for i, n := range names {
-		out[i] = MustConfig(n)
-	}
-	return out
-}
-
 // Figure5Workload returns the hand-specified workload of the paper's
 // Figure 5 worked example: four applications of four threads each, with
 // per-thread cache rates 0.1, 0.2, 0.3, 0.4 and zero memory traffic.

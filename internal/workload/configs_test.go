@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -87,14 +88,19 @@ func TestConfigsDiffer(t *testing.T) {
 	}
 }
 
+// TestAllConfigs: the eight paper configurations C1..C8 each build
+// under their own name.
 func TestAllConfigs(t *testing.T) {
-	all := AllConfigs()
-	if len(all) != 8 {
-		t.Fatalf("AllConfigs returned %d", len(all))
+	names := ConfigNames()
+	if len(names) != 8 {
+		t.Fatalf("%d configuration names, want 8", len(names))
 	}
-	for i, w := range all {
-		if w.Name != ConfigNames()[i] {
-			t.Errorf("config %d named %q", i, w.Name)
+	for i, name := range names {
+		if want := fmt.Sprintf("C%d", i+1); name != want {
+			t.Errorf("configuration %d is %q, want %q", i, name, want)
+		}
+		if w := MustConfig(name); w.Name != name {
+			t.Errorf("configuration %s built as %q", name, w.Name)
 		}
 	}
 }
