@@ -361,26 +361,6 @@ func BenchmarkAblationFinalSAM(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSACooling sweeps the SA geometric cooling factor
-// backing Figure 12's runtime/quality tradeoff.
-func BenchmarkAblationSACooling(b *testing.B) {
-	for _, cooling := range []float64{0.999, 0.9995, 0.9999} {
-		b.Run(fmt.Sprintf("cooling=%v", cooling), func(b *testing.B) {
-			p := paperProblem(b, "C4")
-			m := mapping.Annealing{Iters: 18_000, Cooling: cooling, Seed: 3}
-			var obj float64
-			for i := 0; i < b.N; i++ {
-				mp, err := m.Map(context.Background(), p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				obj = p.MaxAPL(mp)
-			}
-			b.ReportMetric(obj, "maxAPL")
-		})
-	}
-}
-
 // --- Microbenchmarks of the substrates -------------------------------
 
 // BenchmarkSSSMap times one full sort-select-swap solve (64 tiles).

@@ -298,9 +298,6 @@ func (d *DiskTier) publishLocked() {
 // Dir returns the tier's root directory.
 func (d *DiskTier) Dir() string { return d.dir }
 
-// MaxBytes returns the configured byte budget (<= 0: unbounded).
-func (d *DiskTier) MaxBytes() int64 { return d.maxBytes }
-
 // Len returns the number of indexed artifacts.
 func (d *DiskTier) Len() int {
 	d.mu.Lock()

@@ -162,8 +162,8 @@ func TestDiskLRUEviction(t *testing.T) {
 		}
 		checkSynthetic(t, a, want)
 	}
-	if d.Bytes() > d.MaxBytes() {
-		t.Errorf("tier over budget: %d > %d", d.Bytes(), d.MaxBytes())
+	if d.Bytes() > d.maxBytes {
+		t.Errorf("tier over budget: %d > %d", d.Bytes(), d.maxBytes)
 	}
 }
 
@@ -332,8 +332,8 @@ func TestDiskConcurrentReadersDuringEviction(t *testing.T) {
 	if evictions, _, _ := d.counters(); evictions == 0 {
 		t.Error("stress run never evicted; budget too generous to exercise the race")
 	}
-	if d.Bytes() > d.MaxBytes() {
-		t.Errorf("tier settled over budget: %d > %d", d.Bytes(), d.MaxBytes())
+	if d.Bytes() > d.maxBytes {
+		t.Errorf("tier settled over budget: %d > %d", d.Bytes(), d.maxBytes)
 	}
 }
 

@@ -1,19 +1,16 @@
 package core
 
-import (
-	"strconv"
-
-	"obm/internal/power"
-)
+import "obm/internal/power"
 
 // Energy is a dynamic NoC energy objective backed by
 // power.EstimateEnergy: the latency-weighted flit-hop volume of a
-// mapping priced at the DSENT-style per-flit-hop energy. It is the
-// energy axis the multi-objective literature (Marcon et al.; the
-// Pareto-Optimization Framework for Automated NoC Design) trades
-// against latency, expressed inside the Objective contract so it can
-// be optimized scalar-wise (-objective energy) and as a component of a
-// VectorObjective.
+// mapping priced at the DSENT-style 45nm per-flit-hop energy
+// (power.Default45nm). It is the energy axis the multi-objective
+// literature (Marcon et al.; the Pareto-Optimization Framework for
+// Automated NoC Design) trades against latency, expressed inside the
+// Objective contract so it can be optimized scalar-wise
+// (-objective energy) and as the third component of the Pareto vector
+// (ParetoObjectives).
 //
 // Derivation: the analytic model prices thread j on tile k at
 // c_j·TC(k) + m_j·TM(k), where TC(k) = avgHops(k)·perHop +
@@ -31,44 +28,21 @@ import (
 //
 // Models without hop structure (perHop == 0, e.g. NewTable instances
 // with zero Params) score 0.
-type Energy struct {
-	// Params are the per-flit-hop energies; the zero value means
-	// power.Default45nm().
-	Params power.Params
-}
-
-// params resolves the zero value to the 45nm defaults.
-func (e Energy) params() power.Params {
-	if e.Params == (power.Params{}) {
-		return power.Default45nm()
-	}
-	return e.Params
-}
+type Energy struct{}
 
 // Name implements Objective.
 func (Energy) Name() string { return "energy" }
 
-// Fingerprint implements Objective. Only the per-flit-hop energy can
-// change the cost, so it is the only parameter printed; the default
-// 45nm parameters keep the bare "energy" key.
-func (e Energy) Fingerprint() string {
-	if e.Params == (power.Params{}) || e.Params == power.Default45nm() {
-		return "energy"
-	}
-	return "energy(pfh=" + strconv.FormatFloat(e.Params.PerFlitHop(), 'g', -1, 64) + ")"
-}
+// Fingerprint implements Objective.
+func (Energy) Fingerprint() string { return "energy" }
 
-// Value implements Objective.
-func (e Energy) Value(p *Problem, num []float64) float64 {
+// Value implements Objective: it converts the chip-wide total packet
+// latency into pJ.
+func (Energy) Value(p *Problem, num []float64) float64 {
 	var total float64
 	for _, n := range num {
 		total += n
 	}
-	return e.cost(p, total)
-}
-
-// cost converts a chip-wide total packet latency into pJ.
-func (e Energy) cost(p *Problem, totalNum float64) float64 {
 	mp := p.lm.Params()
 	perHop := mp.PerHop()
 	if perHop <= 0 {
@@ -76,9 +50,9 @@ func (e Energy) cost(p *Problem, totalNum float64) float64 {
 	}
 	n := float64(p.lm.NumTiles())
 	offset := mp.TdS * (p.totalCache*(n-1)/n + p.totalMem)
-	hops := (totalNum - offset) / perHop
+	hops := (total - offset) / perHop
 	if hops < 0 {
 		hops = 0
 	}
-	return power.EstimateEnergy(e.params(), hops)
+	return power.EstimateEnergy(power.Default45nm(), hops)
 }

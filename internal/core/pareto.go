@@ -10,99 +10,74 @@ import (
 )
 
 // This file lifts the single-scalar objective assumption into a
-// set-valued result model: a VectorObjective names a tuple of scalar
-// Objectives scored together, Pareto dominance and crowding distance
-// give multi-objective mappers their selection primitives, and
+// set-valued result model: one fixed vector of scalar Objectives is
+// scored together, Pareto dominance and crowding distance give the
+// multi-objective mapper its selection primitives, and
 // ParetoSet/ParetoArchive carry a mapper's frontier with the same
 // determinism guarantees point-valued results have — canonical order,
 // content fingerprints, and pure value semantics — so every layer
 // above (artifact encoding, scenario cache, experiments, service) can
 // treat a front exactly like it treats a mapping.
 
-// VectorObjective is a named tuple of scalar Objectives scored
-// together. All components share the Objective cost convention (lower
-// is better), so dominance is uniformly "component-wise ≤, somewhere
-// <". The zero value is invalid; take DefaultVectorObjective.
-type VectorObjective struct {
-	components []Objective
-}
+// paretoObjectives is the vector every Pareto front in the repository
+// trades off, in slot order: the paper's max-APL, its balance metric
+// dev-APL, and dynamic energy — the latency/energy front of the
+// Pareto-Optimization Framework for Automated NoC Design, with the
+// energy axis of Marcon et al. All components share the Objective cost
+// convention (lower is better), so dominance is uniformly
+// "component-wise ≤, somewhere <".
+var paretoObjectives = [...]Objective{MaxAPL{}, DevAPL{}, Energy{}}
 
-// DefaultVectorObjective is the repository's standard latency/balance/
-// energy trade-off: {max-APL, dev-APL, energy}.
-func DefaultVectorObjective() VectorObjective {
-	return VectorObjective{components: []Objective{MaxAPL{}, DevAPL{}, Energy{}}}
-}
+// ParetoDim is the number of components of a Pareto cost vector.
+const ParetoDim = len(paretoObjectives)
 
-// VectorOrDefault resolves the zero value to DefaultVectorObjective.
-func VectorOrDefault(v VectorObjective) VectorObjective {
-	if v.IsZero() {
-		return DefaultVectorObjective()
-	}
-	return v
-}
+// ParetoObjectives returns the Pareto vector's components in slot
+// order.
+func ParetoObjectives() [ParetoDim]Objective { return paretoObjectives }
 
-// IsZero reports whether v is the (invalid) zero value.
-func (v VectorObjective) IsZero() bool { return len(v.components) == 0 }
-
-// Dim returns the number of components.
-func (v VectorObjective) Dim() int { return len(v.components) }
-
-// Components returns a copy of the component objectives in order.
-func (v VectorObjective) Components() []Objective {
-	return append([]Objective(nil), v.components...)
-}
-
-// Name is the human label, e.g. "vec(max-APL,dev-APL,energy)".
-func (v VectorObjective) Name() string {
-	names := make([]string, len(v.components))
-	for i, o := range v.components {
+// ParetoName is the vector's human label,
+// "vec(max-APL,dev-APL,energy)".
+func ParetoName() string {
+	var names [ParetoDim]string
+	for i, o := range paretoObjectives {
 		names[i] = o.Name()
 	}
-	return "vec(" + strings.Join(names, ",") + ")"
+	return "vec(" + strings.Join(names[:], ",") + ")"
 }
 
-// Fingerprint is the stable content key covering every component, in
-// order — order matters, because it fixes the meaning of each vector
-// slot in encoded artifacts.
-func (v VectorObjective) Fingerprint() string {
-	fps := make([]string, len(v.components))
-	for i, o := range v.components {
+// ParetoFingerprint is the vector's stable content key covering every
+// component, in order — order matters, because it fixes the meaning of
+// each vector slot in encoded artifacts.
+func ParetoFingerprint() string {
+	var fps [ParetoDim]string
+	for i, o := range paretoObjectives {
 		fps[i] = o.Fingerprint()
 	}
-	return "vec(" + strings.Join(fps, ",") + ")"
+	return "vec(" + strings.Join(fps[:], ",") + ")"
 }
 
-// VectorScorer evaluates every component of a vector objective over
+// VectorScorer evaluates every component of the Pareto vector over
 // many mappings of one problem, sharing one numerator pass per
 // mapping. Not safe for concurrent use; give each goroutine its own.
 type VectorScorer struct {
-	p     *Problem
-	comps []Objective
-	num   []float64
+	p   *Problem
+	num []float64
 }
 
-// VectorScorer returns a reusable scorer for v (the zero value means
-// DefaultVectorObjective) on p.
-func (p *Problem) VectorScorer(v VectorObjective) *VectorScorer {
-	return &VectorScorer{
-		p:     p,
-		comps: VectorOrDefault(v).components,
-		num:   make([]float64, p.NumApps()),
-	}
+// VectorScorer returns a reusable Pareto-vector scorer on p.
+func (p *Problem) VectorScorer() *VectorScorer {
+	return &VectorScorer{p: p, num: make([]float64, p.NumApps())}
 }
 
-// Dim returns the number of vector components.
-func (s *VectorScorer) Dim() int { return len(s.comps) }
-
-// Score fills out (len == Dim) with the component costs of mapping m
-// and returns it; out == nil allocates. One Numerators pass feeds
-// every component.
+// Score fills out (len == ParetoDim) with the component costs of
+// mapping m and returns it; out == nil allocates. One Numerators pass
+// feeds every component.
 func (s *VectorScorer) Score(m Mapping, out []float64) []float64 {
 	if out == nil {
-		out = make([]float64, len(s.comps))
+		out = make([]float64, ParetoDim)
 	}
 	s.p.Numerators(m, s.num)
-	for i, o := range s.comps {
+	for i, o := range paretoObjectives {
 		out[i] = o.Value(s.p, s.num)
 	}
 	return out
@@ -230,8 +205,7 @@ func CrowdingDistances(vectors [][]float64, front []int) []float64 {
 }
 
 // ParetoMember is one mapping of a Pareto set with its cost vector
-// under the set's VectorObjective (component order matches the
-// objective's).
+// (component order matches ParetoObjectives).
 type ParetoMember struct {
 	Mapping Mapping
 	Vector  []float64

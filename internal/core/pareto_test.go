@@ -267,21 +267,13 @@ func TestHypervolumeMonotone(t *testing.T) {
 	}
 }
 
-// TestVectorObjective: naming, fingerprints, defaults.
+// TestVectorObjective: naming and fingerprint of the fixed Pareto vector.
 func TestVectorObjective(t *testing.T) {
-	def := DefaultVectorObjective()
-	if got, want := def.Name(), "vec(max-APL,dev-APL,energy)"; got != want {
-		t.Fatalf("Name = %q, want %q", got, want)
+	if got, want := ParetoName(), "vec(max-APL,dev-APL,energy)"; got != want {
+		t.Fatalf("ParetoName = %q, want %q", got, want)
 	}
-	if got, want := def.Fingerprint(), "vec(maxapl,devapl,energy)"; got != want {
-		t.Fatalf("default fingerprint = %q, want %q", got, want)
-	}
-	if def.Dim() != 3 || def.IsZero() {
-		t.Fatalf("default vector objective malformed: dim %d", def.Dim())
-	}
-	var zero VectorObjective
-	if got := VectorOrDefault(zero).Fingerprint(); got != def.Fingerprint() {
-		t.Fatalf("VectorOrDefault(zero) = %q, want default", got)
+	if got, want := ParetoFingerprint(), "vec(maxapl,devapl,energy)"; got != want {
+		t.Fatalf("ParetoFingerprint = %q, want %q", got, want)
 	}
 }
 
@@ -289,13 +281,13 @@ func TestVectorObjective(t *testing.T) {
 // per-component ObjectiveValue bit-for-bit.
 func TestVectorScorerAgreesWithComponents(t *testing.T) {
 	p := objTestProblem(t)
-	sc := p.VectorScorer(DefaultVectorObjective())
+	sc := p.VectorScorer()
 	rng := stats.NewRand(3)
-	out := make([]float64, sc.Dim())
+	out := make([]float64, ParetoDim)
 	for trial := 0; trial < 20; trial++ {
 		m := RandomMapping(p.N(), rng)
 		sc.Score(m, out)
-		for i, o := range DefaultVectorObjective().Components() {
+		for i, o := range ParetoObjectives() {
 			if want := p.ObjectiveValue(m, o); out[i] != want {
 				t.Fatalf("component %d (%s): scorer %v != ObjectiveValue %v", i, o.Name(), out[i], want)
 			}
@@ -330,8 +322,8 @@ func TestEnergyObjective(t *testing.T) {
 	}
 }
 
-// TestEnergyParseAndFingerprint: the spelling round-trips and custom
-// parameters change the fingerprint.
+// TestEnergyParseAndFingerprint: the spelling round-trips to the bare
+// "energy" key.
 func TestEnergyParseAndFingerprint(t *testing.T) {
 	o, err := ParseObjective("energy")
 	if err != nil {
@@ -342,12 +334,6 @@ func TestEnergyParseAndFingerprint(t *testing.T) {
 	}
 	if got := (Energy{}).Fingerprint(); got != "energy" {
 		t.Fatalf("default fingerprint %q", got)
-	}
-	custom := Energy{}
-	custom.Params.Link = 99
-	custom.Params.ClockGHz = 1
-	if got := custom.Fingerprint(); got == "energy" {
-		t.Fatal("custom parameters share the default fingerprint")
 	}
 	w, err := ParseObjective("weighted:max=1,energy=0.5")
 	if err != nil {

@@ -210,13 +210,13 @@ func mapEval(ctx context.Context, p *core.Problem, m mapping.Mapper) (core.Mappi
 	return scenario.Shared().MapEval(ctx, p, m)
 }
 
-// mapEvalSet is the set-valued twin of mapEval: it runs set-mapper sm
-// through the same process-wide artifact store, keyed by the vector
-// objective's fingerprint, so Pareto fronts are computed once per run
+// mapEvalSet is the set-valued twin of mapEval: it runs NSGA-II sm
+// through the same process-wide artifact store, keyed by the Pareto
+// vector's fingerprint, so Pareto fronts are computed once per run
 // (once per machine with a disk tier) and hits surface as skipped
-// stages exactly like scalar artifacts. Never call mapping.MapSet
+// stages exactly like scalar artifacts. Never call NSGAII.MapSet
 // directly from a runner.
-func mapEvalSet(ctx context.Context, p *core.Problem, sm mapping.SetMapper) (core.ParetoSet, error) {
+func mapEvalSet(ctx context.Context, p *core.Problem, sm mapping.NSGAII) (core.ParetoSet, error) {
 	return scenario.Shared().MapEvalSet(ctx, p, sm)
 }
 

@@ -105,7 +105,7 @@ func (e extPareto) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ParetoResult{Mapper: sm.Name(), Objectives: sm.Vector().Name(), Configs: configs}, nil
+	return &ParetoResult{Mapper: sm.Name(), Objectives: core.ParetoName(), Configs: configs}, nil
 }
 
 // kneeIndex returns the front member closest (normalized L2) to the

@@ -54,18 +54,27 @@ func registryRows(t *testing.T) []registryRow {
 		registryRow{"validate-3cfg", validate, Options{Quick: true, Seed: 1, Configs: []string{"C1", "C4", "C7"}}})
 }
 
-// registryRun is a row run three times under its request. cold runs at
-// GOMAXPROCS 1 on an empty artifact store, cold4 at GOMAXPROCS 4 on
-// another empty store (so the fanned-out jobs also race to compute the
-// shared mapper artifacts), and warm reruns on the store cold4 left.
+// noArtifactRows are the rows whose runs compute no mapper artifact,
+// so a rerun from disk has nothing to read.
+var noArtifactRows = map[string]bool{"dynamic": true, "dynstream": true, "loadsweep": true, "fig3": true, "table3": true}
+
+// registryRun is a row run up to four times under its request. cold
+// runs at GOMAXPROCS 1 on an empty artifact store, cold4 at GOMAXPROCS 4
+// on another empty store backed by a fresh disk tier (so the fanned-out
+// jobs also race to compute the shared mapper artifacts), warm reruns
+// on the store cold4 left, and disk reruns on a fresh store over the
+// same directory, as a second process sharing -cachedir would (rows in
+// noArtifactRows skip it).
 type registryRun struct {
-	cold, cold4, warm Result
-	err               error
-	// coldComputed and warmComputed count the artifacts the first cold
-	// run and the warm rerun computed; warmInputs counts the inputs
-	// (problems, bounds, random baselines) the warm rerun memoized.
-	coldComputed, warmComputed uint64
-	warmInputs                 int
+	cold, cold4, warm, disk Result
+	err                     error
+	// coldComputed, warmComputed and diskComputed count the artifacts
+	// the first cold run, the warm rerun and the disk rerun computed;
+	// diskHits counts the artifacts the disk rerun read from the disk
+	// tier; warmInputs counts the inputs (problems, bounds, random
+	// baselines) the warm rerun memoized.
+	coldComputed, warmComputed, diskComputed, diskHits uint64
+	warmInputs                                         int
 	// readers are the subtests that have checked this run.
 	readers map[string]bool
 }
@@ -90,19 +99,35 @@ func runRow(t *testing.T, row registryRow) *registryRun {
 	ctx := context.Background()
 	runtime.GOMAXPROCS(1)
 	scenario.ResetShared()
-	if run.cold, run.err = row.r.Run(ctx, row.o); run.err == nil {
-		run.coldComputed = scenario.Shared().StoreStats().Computed
-		runtime.GOMAXPROCS(4)
-		scenario.ResetShared()
-		if run.cold4, run.err = row.r.Run(ctx, row.o); run.err == nil {
-			c := scenario.Shared()
-			before, inputs := c.StoreStats().Computed, c.Inputs()
-			run.warm, run.err = row.r.Run(ctx, row.o)
-			run.warmComputed = c.StoreStats().Computed - before
-			run.warmInputs = c.Inputs() - inputs
-		}
-	}
 	registryRuns[row.name] = run
+	if run.cold, run.err = row.r.Run(ctx, row.o); run.err != nil {
+		return run
+	}
+	run.coldComputed = scenario.Shared().StoreStats().Computed
+	runtime.GOMAXPROCS(4)
+	dir := t.TempDir()
+	var c *scenario.Cache
+	if c, run.err = scenario.ConfigureShared(dir, 0); run.err != nil {
+		return run
+	}
+	if run.cold4, run.err = row.r.Run(ctx, row.o); run.err != nil {
+		return run
+	}
+	before, inputs := c.StoreStats().Computed, c.Inputs()
+	if run.warm, run.err = row.r.Run(ctx, row.o); run.err != nil {
+		return run
+	}
+	run.warmComputed = c.StoreStats().Computed - before
+	run.warmInputs = c.Inputs() - inputs
+	if noArtifactRows[row.name] {
+		return run
+	}
+	if c, run.err = scenario.ConfigureShared(dir, 0); run.err != nil {
+		return run
+	}
+	run.disk, run.err = row.r.Run(ctx, row.o)
+	st := c.StoreStats()
+	run.diskComputed, run.diskHits = st.Computed, st.DiskHits
 	return run
 }
 
@@ -215,6 +240,29 @@ func TestWarmRerun(t *testing.T) {
 			t.Errorf("warm rerun built %d inputs, want 0", run.warmInputs)
 		}
 		sameBytes(t, "cold and warm runs", run.cold4, run.warm)
+	})
+}
+
+// TestDiskRerun checks a rerun on a fresh store over the disk tier the
+// cold run filled — a second process sharing -cachedir — computes no
+// artifact, reads each one the cold run computed from disk, and renders
+// and encodes the same bytes as the cold run. Rows that compute no
+// artifact must really compute none.
+func TestDiskRerun(t *testing.T) {
+	forEachRun(t, false, func(t *testing.T, row registryRow, run *registryRun) {
+		if noArtifactRows[row.name] {
+			if run.coldComputed != 0 {
+				t.Errorf("cold run computed %d artifacts; drop the row from noArtifactRows", run.coldComputed)
+			}
+			return
+		}
+		if run.diskComputed != 0 {
+			t.Errorf("disk rerun computed %d artifacts, want 0", run.diskComputed)
+		}
+		if run.diskHits != run.coldComputed {
+			t.Errorf("disk rerun read %d artifacts from disk, want the %d the cold run computed", run.diskHits, run.coldComputed)
+		}
+		sameBytes(t, "cold and disk runs", run.cold4, run.disk)
 	})
 }
 

@@ -99,32 +99,39 @@ func TestClusterSAValid(t *testing.T) {
 	}
 }
 
+// TestClusterSARejectsBadGeometry: the chip's tile count and every
+// application's thread count must be multiples of the cluster size (4).
 func TestClusterSARejectsBadGeometry(t *testing.T) {
-	p := paperProblem(t, "C1")
-	if _, err := (ClusterSA{ClusterSize: 3}).Map(context.Background(), p); err == nil {
-		t.Error("cluster size 3 should not divide 16-thread apps cleanly... (64%3 != 0)")
+	problem := func(w, h, apps int) *core.Problem {
+		wl := workload.MustGenerate(workload.GenSpec{
+			Name: "odd", NumApps: apps, ThreadsPer: w * h / apps,
+			Cache: workload.Stats{Mean: 8, Std: 10}, Mem: workload.Stats{Mean: 1.2, Std: 3},
+			Seed: 5,
+		})
+		return core.MustNewProblem(model.MustNew(mesh.MustNew(w, h), model.DefaultParams()), wl)
 	}
-	if _, err := (ClusterSA{ClusterSize: 5}).Map(context.Background(), p); err == nil {
-		t.Error("cluster size 5 accepted")
+	// 18 tiles: 4 does not divide the chip.
+	if _, err := (ClusterSA{}).Map(context.Background(), problem(3, 6, 3)); err == nil || !strings.Contains(err.Error(), "does not divide 18 tiles") {
+		t.Errorf("18-tile chip: err = %v, want a tile-count error", err)
+	}
+	// 24 tiles, 6 threads per application: the chip divides, the
+	// applications do not.
+	if _, err := (ClusterSA{}).Map(context.Background(), problem(4, 6, 4)); err == nil || !strings.Contains(err.Error(), "6 threads, not a multiple of cluster size 4") {
+		t.Errorf("6-thread applications: err = %v, want a thread-count error", err)
 	}
 }
 
 // TestClusterSAGoldenMappings pins the exact mapping ClusterSA returns,
-// not just its objective value: the default objective on every paper
-// configuration, one non-default objective, and a geometry with more
-// than 64 clusters (a 10x10 mesh at cluster size 1), whose ownership
-// sets do not fit a 64-bit mask.
+// not just its objective value: every paper configuration, and an 18x18
+// chip of 9 applications x 36 threads, whose 81 clusters make ownership
+// sets that do not fit a 64-bit mask.
 func TestClusterSAGoldenMappings(t *testing.T) {
 	wide := workload.MustGenerate(workload.GenSpec{
-		Name: "wide", NumApps: 4, ThreadsPer: 25,
+		Name: "wide", NumApps: 9, ThreadsPer: 36,
 		Cache: workload.Stats{Mean: 8, Std: 10}, Mem: workload.Stats{Mean: 1.2, Std: 3},
 		Seed: 5,
 	})
-	wideP := core.MustNewProblem(model.MustNew(mesh.MustNew(10, 10), model.DefaultParams()), wide)
-	dev, err := core.ParseObjective("dev")
-	if err != nil {
-		t.Fatal(err)
-	}
+	wideP := core.MustNewProblem(model.MustNew(mesh.MustNew(18, 18), model.DefaultParams()), wide)
 	cases := []struct {
 		name string
 		p    *core.Problem
@@ -139,8 +146,7 @@ func TestClusterSAGoldenMappings(t *testing.T) {
 		{"C6", paperProblem(t, "C6"), ClusterSA{Seed: 1}, "37e8ed7c7861770d"},
 		{"C7", paperProblem(t, "C7"), ClusterSA{Seed: 1}, "b56ae29e40e34ecd"},
 		{"C8", paperProblem(t, "C8"), ClusterSA{Seed: 1}, "5ea4e26d0a9dbf83"},
-		{"C3/dev", paperProblem(t, "C3"), ClusterSA{Seed: 4, Objective: dev}, "7ec983aad4408cad"},
-		{"10x10/cs1", wideP, ClusterSA{ClusterSize: 1, Seed: 6}, "2ee8a4daa6c3db91"},
+		{"18x18", wideP, ClusterSA{Seed: 6}, "caf5d8ca1ae1674f"},
 	}
 	for _, c := range cases {
 		m, err := MapAndCheck(context.Background(), c.m, c.p)

@@ -9,59 +9,40 @@ import (
 	"obm/internal/mesh"
 )
 
-// Exact solves the OBM problem to optimality by branch and bound. The
-// problem is NP-complete (Section III.C of the paper), so this is only
-// practical for small instances (N up to ~16); it exists to measure the
-// heuristics' optimality gap in tests and the gap experiment, not for
-// production mapping.
-type Exact struct {
-	// MaxNodes bounds the search; 0 means 50 million nodes. If the
-	// bound is hit, Map returns an error rather than a possibly
-	// suboptimal mapping.
-	MaxNodes int64
-	// Objective selects the cost being minimized; nil is the paper's
-	// max-APL. The cheapest-completion lower bound only argues about
-	// max-APL, so a non-default objective searches without pruning
-	// (full enumeration — keep such instances tiny).
-	Objective core.Objective
-}
+// Exact solves the OBM problem (the paper's max-APL) to optimality by
+// branch and bound. The problem is NP-complete (Section III.C of the
+// paper), so this is only practical for small instances (N up to ~16);
+// it exists to measure the heuristics' optimality gap in tests and the
+// gap experiment, not for production mapping. The search is bounded at
+// exactNodeLimit nodes: if the bound is hit, Map returns an error
+// rather than a possibly suboptimal mapping.
+type Exact struct{}
+
+// exactNodeLimit bounds the branch-and-bound search.
+const exactNodeLimit = 50_000_000
 
 // Name implements Mapper.
-func (e Exact) Name() string { return "Exact" + objName(e.Objective) }
+func (Exact) Name() string { return "Exact" }
 
-// Fingerprint implements Mapper. MaxNodes is part of the key because
-// hitting the node bound turns a result into an error.
-func (e Exact) Fingerprint() string {
-	mn := e.MaxNodes
-	if mn <= 0 {
-		mn = 50_000_000
-	}
-	return fmt.Sprintf("exact(maxnodes=%d%s)", mn, objFingerprint(e.Objective))
-}
+// Fingerprint implements Mapper. The node bound is part of the key
+// because hitting it turns a result into an error.
+func (Exact) Fingerprint() string { return fmt.Sprintf("exact(maxnodes=%d)", exactNodeLimit) }
 
 // Map implements Mapper. The branch-and-bound search polls
 // cancellation every few thousand nodes, so even an exponential
 // instance unwinds promptly under a deadline.
-func (e Exact) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
+func (Exact) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 	n := p.N()
 	if n > 24 {
 		return nil, fmt.Errorf("exact: %d tiles is far beyond branch-and-bound reach", n)
 	}
-	maxNodes := e.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 50_000_000
-	}
 
-	// Seed the incumbent with SSS (optimizing the same objective) so
-	// pruning — and under a non-default objective, plain incumbent
-	// comparison — bites immediately.
-	objv := core.ObjectiveOrDefault(e.Objective)
-	prune := core.IsDefaultObjective(e.Objective)
-	incumbent, err := (SortSelectSwap{Objective: e.Objective}).Map(ctx, p)
+	// Seed the incumbent with SSS so pruning bites immediately.
+	incumbent, err := (SortSelectSwap{}).Map(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	bestObj := p.ObjectiveValue(incumbent, e.Objective)
+	bestObj := p.MaxAPL(incumbent)
 	best := incumbent.Clone()
 
 	// Per-thread sorted tile preferences are not needed; the bound uses
@@ -110,7 +91,7 @@ func (e Exact) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 			return
 		}
 		nodes++
-		if nodes > maxNodes {
+		if nodes > exactNodeLimit {
 			overflow = true
 			return
 		}
@@ -121,14 +102,14 @@ func (e Exact) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 			}
 		}
 		if j == n {
-			if obj := objv.Value(p, num); obj < bestObj {
+			if obj := (core.MaxAPL{}).Value(p, num); obj < bestObj {
 				bestObj = obj
 				copy(best, cur)
 			}
 			return
 		}
-		if prune && lowerBound(j) >= bestObj-1e-12 {
-			return // cannot beat the incumbent (max-APL bound only)
+		if lowerBound(j) >= bestObj-1e-12 {
+			return // cannot beat the incumbent
 		}
 		app := p.AppOfThread(j)
 		for k := 0; k < n; k++ {
@@ -149,7 +130,7 @@ func (e Exact) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 		return nil, fmt.Errorf("exact: interrupted after %d nodes: %w", nodes, cancelled)
 	}
 	if overflow {
-		return nil, fmt.Errorf("exact: search exceeded %d nodes; instance too large", maxNodes)
+		return nil, fmt.Errorf("exact: search exceeded %d nodes; instance too large", exactNodeLimit)
 	}
 	return best, nil
 }

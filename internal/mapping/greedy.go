@@ -60,31 +60,22 @@ func (Greedy) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 	return m, nil
 }
 
-// BalancedGreedy is the objective-aware variant: at each step it picks
-// the most urgent active application and gives its next thread the best
-// remaining tile. Under the default max-APL objective "most urgent" is
-// the application with the highest APL so far (serve the worst-off
-// first, exactly the published heuristic); under any other objective it
-// is the application whose accumulated latency contributes most to the
-// objective — the one whose numerator, if forgiven, would lower the
-// cost the most. It shows how far a simple greedy gets toward the OBM
+// BalancedGreedy is the balance-aware variant: at each step it picks
+// the most urgent active application — the one with the highest APL so
+// far (serve the worst-off first) — and gives its next thread the best
+// remaining tile. It shows how far a simple greedy gets toward the OBM
 // objective without SSS's swap machinery (one of the DESIGN.md
 // ablations).
-type BalancedGreedy struct {
-	// Objective selects the urgency measure; nil is the paper's max-APL.
-	Objective core.Objective
-}
+type BalancedGreedy struct{}
 
 // Name implements Mapper.
-func (bg BalancedGreedy) Name() string { return "BalancedGreedy" + objName(bg.Objective) }
+func (BalancedGreedy) Name() string { return "BalancedGreedy" }
 
 // Fingerprint implements Mapper.
-func (bg BalancedGreedy) Fingerprint() string {
-	return "balanced-greedy" + objFingerprint(bg.Objective)
-}
+func (BalancedGreedy) Fingerprint() string { return "balanced-greedy" }
 
 // Map implements Mapper.
-func (bg BalancedGreedy) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
+func (BalancedGreedy) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -94,7 +85,7 @@ func (bg BalancedGreedy) Map(ctx context.Context, p *core.Problem) (core.Mapping
 
 	// Per-application state: threads sorted descending by rate (heavy
 	// first so they claim good tiles) and a cursor; numerators so far
-	// live in num (the objective's input vector).
+	// live in num.
 	type appState struct {
 		order []int
 		next  int
@@ -118,19 +109,9 @@ func (bg BalancedGreedy) Map(ctx context.Context, p *core.Problem) (core.Mapping
 		apps[i].order = order
 	}
 
-	objDefault := core.IsDefaultObjective(bg.Objective)
-	var objv core.Objective
-	var curCost float64
-	if !objDefault {
-		objv = core.ObjectiveOrDefault(bg.Objective)
-	}
 	for placed := 0; placed < n; placed++ {
-		// Pick the most urgent unfinished application (first wins on
-		// ties): highest APL so far under the default objective, largest
-		// marginal objective contribution otherwise.
-		if objv != nil {
-			curCost = objv.Value(p, num)
-		}
+		// Pick the unfinished application with the highest APL so far
+		// (first wins on ties).
 		pick := -1
 		worst := 0.0
 		for i := range apps {
@@ -138,16 +119,8 @@ func (bg BalancedGreedy) Map(ctx context.Context, p *core.Problem) (core.Mapping
 				continue
 			}
 			score := 0.0
-			if objDefault {
-				if w := p.AppWeight(i); w > 0 {
-					score = num[i] / w
-				}
-			} else {
-				// Forgive i's numerator, score, and restore it.
-				saved := num[i]
-				num[i] = 0
-				score = curCost - objv.Value(p, num)
-				num[i] = saved
+			if w := p.AppWeight(i); w > 0 {
+				score = num[i] / w
 			}
 			if pick < 0 || score > worst {
 				pick, worst = i, score

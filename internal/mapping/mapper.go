@@ -65,12 +65,6 @@ func ObjectiveFingerprint(m Mapper) string {
 		o = v.Objective
 	case SortSelectSwap:
 		o = v.Objective
-	case ClusterSA:
-		o = v.Objective
-	case BalancedGreedy:
-		o = v.Objective
-	case Exact:
-		o = v.Objective
 	}
 	return core.ObjectiveOrDefault(o).Fingerprint()
 }

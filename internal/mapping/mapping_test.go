@@ -109,24 +109,92 @@ func TestMapperNames(t *testing.T) {
 	}
 }
 
-// TestStochasticMapperFingerprints pins the exact fingerprints of the
-// seeded baselines. They are artifact-key inputs, so any change here
-// orphans every existing -cachedir entry.
+// TestStochasticMapperFingerprints pins Name, Fingerprint and
+// ObjectiveFingerprint of every mapper configuration a program builds
+// (at base seed 1), plus the NSGA-II keys, the energy objective and the
+// Pareto vector. Fingerprints are artifact-key inputs, so any change
+// here orphans every existing -cachedir entry; names are rendered into
+// experiment output.
 func TestStochasticMapperFingerprints(t *testing.T) {
 	cases := []struct {
-		m    Mapper
-		want string
+		m               Mapper
+		name, fp, objFP string
 	}{
-		{MonteCarlo{Samples: 1000, Seed: 2}, "mc(samples=1000,seed=2)"},
-		{MonteCarlo{Samples: 1000, Seed: 2, Objective: core.GAPL{}}, "mc(samples=1000,seed=2,obj=gapl)"},
-		{Annealing{Iters: 5000, Seed: 3}, "sa(iters=5000,t0=0,cooling=0,seed=3)"},
-		{Annealing{Iters: 5000, Seed: 3, Objective: core.GAPL{}}, "sa(iters=5000,t0=0,cooling=0,seed=3,obj=gapl)"},
-		{Annealing{Iters: 5000, T0: 2.5, Cooling: 0.999, Seed: 3}, "sa(iters=5000,t0=2.5,cooling=0.999,seed=3)"},
+		// scenario.Spec.StandardMappers, quick and full budgets.
+		{Global{}, "Global", "global", "gapl"},
+		{MonteCarlo{Samples: 1000, Seed: 2}, "MC(1000)", "mc(samples=1000,seed=2)", "maxapl"},
+		{Annealing{Iters: 5000, Seed: 3}, "SA(5000)", "sa(iters=5000,t0=0,cooling=0,seed=3)", "maxapl"},
+		{MonteCarlo{Samples: 10000, Seed: 2}, "MC(10000)", "mc(samples=10000,seed=2)", "maxapl"},
+		{Annealing{Iters: 18000, Seed: 3}, "SA(18000)", "sa(iters=18000,t0=0,cooling=0,seed=3)", "maxapl"},
+		{SortSelectSwap{}, "SSS", "sss(swap=true,finalsam=true,sel=middle,win=4,step=0,passes=1,seed=0)", "maxapl"},
+		// The objective experiment's optimizing mappers (and -objective).
+		{MonteCarlo{Samples: 1000, Seed: 2, Objective: core.GAPL{}}, "MC(1000){g-APL}", "mc(samples=1000,seed=2,obj=gapl)", "gapl"},
+		{Annealing{Iters: 5000, Seed: 3, Objective: core.GAPL{}}, "SA(5000){g-APL}", "sa(iters=5000,t0=0,cooling=0,seed=3,obj=gapl)", "gapl"},
+		{Annealing{Iters: 18000, Seed: 3, Objective: core.MaxAPL{}}, "SA(18000)", "sa(iters=18000,t0=0,cooling=0,seed=3)", "maxapl"},
+		{Annealing{Iters: 18000, Seed: 3, Objective: core.DevAPL{}}, "SA(18000){dev-APL}", "sa(iters=18000,t0=0,cooling=0,seed=3,obj=devapl)", "devapl"},
+		{Annealing{Iters: 18000, Seed: 3, Objective: core.MinMaxRatio{}}, "SA(18000){minmax-ratio}", "sa(iters=18000,t0=0,cooling=0,seed=3,obj=minmaxratio)", "minmaxratio"},
+		{Annealing{Iters: 18000, Seed: 3, Objective: core.Energy{}}, "SA(18000){energy}", "sa(iters=18000,t0=0,cooling=0,seed=3,obj=energy)", "energy"},
+		{SortSelectSwap{Objective: core.DevAPL{}}, "SSS{dev-APL}", "sss(swap=true,finalsam=true,sel=middle,win=4,step=0,passes=1,seed=0,obj=devapl)", "devapl"},
+		{SortSelectSwap{Objective: core.Energy{}}, "SSS{energy}", "sss(swap=true,finalsam=true,sel=middle,win=4,step=0,passes=1,seed=0,obj=energy)", "energy"},
+		// ablation's variants beyond plain SSS.
+		{SortSelectSwap{DisableSwap: true}, "SSS[no-swap]", "sss(swap=false,finalsam=true,sel=middle,win=4,step=0,passes=1,seed=0)", "maxapl"},
+		{SortSelectSwap{DisableFinalSAM: true}, "SSS[no-final-sam]", "sss(swap=true,finalsam=false,sel=middle,win=4,step=0,passes=1,seed=0)", "maxapl"},
+		{SortSelectSwap{DisableSwap: true, DisableFinalSAM: true}, "SSS[select-only]", "sss(swap=false,finalsam=false,sel=middle,win=4,step=0,passes=1,seed=0)", "maxapl"},
+		{SortSelectSwap{Select: SelectFirst}, "SSS[custom,sel=first]", "sss(swap=true,finalsam=true,sel=first,win=4,step=0,passes=1,seed=0)", "maxapl"},
+		{SortSelectSwap{Select: SelectRandom, Seed: 32}, "SSS[custom,sel=random]", "sss(swap=true,finalsam=true,sel=random,win=4,step=0,passes=1,seed=32)", "maxapl"},
+		{SortSelectSwap{WindowSize: 2}, "SSS[custom,w=2]", "sss(swap=true,finalsam=true,sel=middle,win=2,step=0,passes=1,seed=0)", "maxapl"},
+		{SortSelectSwap{WindowSize: 3}, "SSS[custom,w=3]", "sss(swap=true,finalsam=true,sel=middle,win=3,step=0,passes=1,seed=0)", "maxapl"},
+		{SortSelectSwap{MaxStep: 1}, "SSS[custom,maxstep=1]", "sss(swap=true,finalsam=true,sel=middle,win=4,step=1,passes=1,seed=0)", "maxapl"},
+		{SortSelectSwap{Passes: 5}, "SSS[custom,passes=5]", "sss(swap=true,finalsam=true,sel=middle,win=4,step=0,passes=5,seed=0)", "maxapl"},
+		{BalancedGreedy{}, "BalancedGreedy", "balanced-greedy", "maxapl"},
+		{ClusterSA{Seed: 33}, "ClusterSA(4)", "clustersa(cs=4,iters=2000,seed=33)", "maxapl"},
+		// gap's extra mappers.
+		{Greedy{}, "Greedy", "greedy", "maxapl"},
+		{ClusterSA{Seed: 22}, "ClusterSA(4)", "clustersa(cs=4,iters=2000,seed=22)", "maxapl"},
+		// fig12's SA budget sweep (quick multipliers 0.1, 1 and 10).
+		{Annealing{Iters: 1800, Seed: 8}, "SA(1800)", "sa(iters=1800,t0=0,cooling=0,seed=8)", "maxapl"},
+		{Annealing{Iters: 18000, Seed: 8}, "SA(18000)", "sa(iters=18000,t0=0,cooling=0,seed=8)", "maxapl"},
+		{Annealing{Iters: 180000, Seed: 8}, "SA(180000)", "sa(iters=180000,t0=0,cooling=0,seed=8)", "maxapl"},
+		// capacity's stochastic mappers.
+		{MonteCarlo{Samples: 10000, Seed: 73}, "MC(10000)", "mc(samples=10000,seed=73)", "maxapl"},
+		{Annealing{Iters: 18000, Seed: 74}, "SA(18000)", "sa(iters=18000,t0=0,cooling=0,seed=74)", "maxapl"},
+		// npc's oracle.
+		{Exact{}, "Exact", "exact(maxnodes=50000000)", "maxapl"},
 	}
 	for _, c := range cases {
-		if got := c.m.Fingerprint(); got != c.want {
-			t.Errorf("Fingerprint = %q, want %q", got, c.want)
+		if got := c.m.Name(); got != c.name {
+			t.Errorf("Name = %q, want %q", got, c.name)
 		}
+		if got := c.m.Fingerprint(); got != c.fp {
+			t.Errorf("Fingerprint = %q, want %q", got, c.fp)
+		}
+		if got := ObjectiveFingerprint(c.m); got != c.objFP {
+			t.Errorf("%s: ObjectiveFingerprint = %q, want %q", c.fp, got, c.objFP)
+		}
+	}
+	// scenario.Spec.ParetoMapper at the quick and full budgets.
+	for _, c := range []struct {
+		g        NSGAII
+		name, fp string
+	}{
+		{NSGAII{Population: 24, Generations: 20, Seed: 4}, "NSGA-II(24x20)", "nsga2(pop=24,gen=20,mut=0.3,arch=24,seed=4,vec=vec(maxapl,devapl,energy))"},
+		{NSGAII{Population: 64, Generations: 120, Seed: 4}, "NSGA-II(64x120)", "nsga2(pop=64,gen=120,mut=0.3,arch=24,seed=4,vec=vec(maxapl,devapl,energy))"},
+	} {
+		if got := c.g.Name(); got != c.name {
+			t.Errorf("Name = %q, want %q", got, c.name)
+		}
+		if got := c.g.Fingerprint(); got != c.fp {
+			t.Errorf("Fingerprint = %q, want %q", got, c.fp)
+		}
+	}
+	if got := (core.Energy{}).Fingerprint(); got != "energy" {
+		t.Errorf("energy fingerprint %q, want %q", got, "energy")
+	}
+	if got, want := core.ParetoName(), "vec(max-APL,dev-APL,energy)"; got != want {
+		t.Errorf("Pareto vector name %q, want %q", got, want)
+	}
+	if got, want := core.ParetoFingerprint(), "vec(maxapl,devapl,energy)"; got != want {
+		t.Errorf("Pareto vector fingerprint %q, want %q", got, want)
 	}
 }
 

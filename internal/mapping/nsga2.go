@@ -11,86 +11,63 @@ import (
 	"obm/internal/stats"
 )
 
-// SetMapper is the set-valued counterpart of Mapper: instead of one
-// mapping it returns a Pareto front over a vector objective. The same
-// contracts apply — deterministic for a fixed configuration, all
-// randomness from explicit seeds, context cancellation never perturbs
-// the random streams — plus one more: the returned set is in canonical
-// order and mutually non-dominated (ParetoSet.Validate), so equal
-// fingerprints imply bit-identical fronts and set-valued artifacts are
-// safe to content-address exactly like point-valued ones.
-type SetMapper interface {
-	// Name identifies the algorithm in experiment output.
-	Name() string
-	// Fingerprint is the stable content key covering the algorithm,
-	// every result-affecting parameter, and the vector objective.
-	Fingerprint() string
-	// Vector returns the vector objective the mapper optimizes, for
-	// self-describing artifact descriptors.
-	Vector() core.VectorObjective
-	// MapSet solves the instance, returning a canonical Pareto front.
-	MapSet(ctx context.Context, p *core.Problem) (core.ParetoSet, error)
-}
-
 // NSGAII is an NSGA-II-style multi-objective mapper over thread-to-
 // tile permutations: fast non-dominated sorting with crowding-distance
 // selection (Deb et al.), permutation genetic operators (binary
-// tournament, order crossover, swap mutation), a bounded
-// elitist ParetoArchive accumulating the front across generations, and
-// a final per-component polish phase that hill-climbs each extreme of
-// the archive with the O(A) swap probes the scalar mappers use.
+// tournament, order crossover, swap mutation at rate nsgaMutationRate),
+// an elitist ParetoArchive of at most nsgaArchiveSize members
+// accumulating the front across generations, and a final per-component
+// polish phase that hill-climbs each extreme of the archive with the
+// O(A) swap probes the scalar mappers use. Instead of one mapping it
+// returns a Pareto front over the fixed {max-APL, dev-APL, energy}
+// vector (core.ParetoObjectives). The Mapper contracts apply —
+// deterministic for a fixed configuration, all randomness from explicit
+// seeds, context cancellation never perturbs the random streams — plus
+// one more: the returned set is in canonical order and mutually
+// non-dominated (ParetoSet.Validate), so equal fingerprints imply
+// bit-identical fronts and set-valued artifacts are safe to
+// content-address exactly like point-valued ones.
 type NSGAII struct {
 	// Population size (default 64).
 	Population int
 	// Generations to evolve (default 120).
 	Generations int
-	// MutationRate is the per-offspring swap-mutation probability
-	// (default 0.3).
-	MutationRate float64
-	// ArchiveSize bounds the returned front (default 24).
-	ArchiveSize int
 	Seed        uint64
-	// Objectives selects the vector objective; the zero value is
-	// core.DefaultVectorObjective() — {max-APL, dev-APL, energy}.
-	Objectives core.VectorObjective
 }
 
-func (g NSGAII) defaults() (pop, gens int, mut float64, arch int) {
-	pop, gens, mut, arch = g.Population, g.Generations, g.MutationRate, g.ArchiveSize
+const (
+	// nsgaMutationRate is the per-offspring swap-mutation probability.
+	nsgaMutationRate = 0.3
+	// nsgaArchiveSize bounds the returned front.
+	nsgaArchiveSize = 24
+)
+
+func (g NSGAII) defaults() (pop, gens int) {
+	pop, gens = g.Population, g.Generations
 	if pop <= 0 {
 		pop = 64
 	}
 	if gens <= 0 {
 		gens = 120
 	}
-	if mut <= 0 {
-		mut = 0.3
-	}
-	if arch <= 0 {
-		arch = 24
-	}
-	return pop, gens, mut, arch
+	return pop, gens
 }
 
-// Name implements SetMapper.
+// Name identifies the algorithm in experiment output.
 func (g NSGAII) Name() string {
-	pop, gens, _, _ := g.defaults()
+	pop, gens := g.defaults()
 	return fmt.Sprintf("NSGA-II(%dx%d)", pop, gens)
 }
 
-// Vector implements SetMapper.
-func (g NSGAII) Vector() core.VectorObjective {
-	return core.VectorOrDefault(g.Objectives)
-}
-
-// Fingerprint implements SetMapper, with defaults resolved so the zero
-// value and explicit defaults share a key. Unlike the scalar mappers
-// the vector objective is always printed: there is no pre-vector era
-// to stay byte-compatible with.
+// Fingerprint is the stable content key covering the algorithm, every
+// result-affecting parameter and the Pareto vector, with defaults
+// resolved so the zero value and explicit defaults share a key. The
+// mutation rate and archive size are constants, but the key keeps
+// printing them so every cached artifact key stays byte-identical.
 func (g NSGAII) Fingerprint() string {
-	pop, gens, mut, arch := g.defaults()
+	pop, gens := g.defaults()
 	return fmt.Sprintf("nsga2(pop=%d,gen=%d,mut=%g,arch=%d,seed=%d,vec=%s)",
-		pop, gens, mut, arch, g.Seed, g.Vector().Fingerprint())
+		pop, gens, nsgaMutationRate, nsgaArchiveSize, g.Seed, core.ParetoFingerprint())
 }
 
 // setIndiv is one genome with its cached cost vector.
@@ -99,15 +76,14 @@ type setIndiv struct {
 	vec []float64
 }
 
-// MapSet implements SetMapper. The generation loop polls cancellation
-// once per generation. The evolve loop is strictly sequential, so the
-// front is a pure function of (problem, budgets, seed).
+// MapSet solves the instance, returning a canonical Pareto front. The
+// generation loop polls cancellation once per generation. The evolve
+// loop is strictly sequential, so the front is a pure function of
+// (problem, budgets, seed).
 func (g NSGAII) MapSet(ctx context.Context, p *core.Problem) (core.ParetoSet, error) {
-	pop, gens, mut, arch := g.defaults()
-	vec := g.Vector()
+	pop, gens := g.defaults()
 	n := p.N()
-	sc := p.VectorScorer(vec)
-	dim := sc.Dim()
+	sc := p.VectorScorer()
 
 	// Independent streams: initialization and variation never share
 	// draws, so changing the generation count cannot reshuffle the
@@ -115,11 +91,11 @@ func (g NSGAII) MapSet(ctx context.Context, p *core.Problem) (core.ParetoSet, er
 	initRng := stats.NewRand(stats.SplitSeed(g.Seed, 0))
 	evoRng := stats.NewRand(stats.SplitSeed(g.Seed, 1))
 
-	archive := core.NewParetoArchive(arch)
+	archive := core.NewParetoArchive(nsgaArchiveSize)
 	cur := make([]setIndiv, pop)
 	for i := range cur {
 		m := core.RandomMapping(n, initRng)
-		cur[i] = setIndiv{m: m, vec: sc.Score(m, make([]float64, dim))}
+		cur[i] = setIndiv{m: m, vec: sc.Score(m, nil)}
 		archive.Add(cur[i].m, cur[i].vec)
 	}
 
@@ -150,11 +126,11 @@ func (g NSGAII) MapSet(ctx context.Context, p *core.Problem) (core.ParetoSet, er
 		combined = append(combined, cur...)
 		for i := 0; i < pop; i++ {
 			child := orderCrossover(tournament(), tournament(), evoRng)
-			if evoRng.Float64() < mut {
+			if evoRng.Float64() < nsgaMutationRate {
 				a, b := evoRng.Intn(n), evoRng.Intn(n)
 				child[a], child[b] = child[b], child[a]
 			}
-			ind := setIndiv{m: child, vec: sc.Score(child, make([]float64, dim))}
+			ind := setIndiv{m: child, vec: sc.Score(child, nil)}
 			combined = append(combined, ind)
 			archive.Add(ind.m, ind.vec)
 		}
@@ -167,7 +143,7 @@ func (g NSGAII) MapSet(ctx context.Context, p *core.Problem) (core.ParetoSet, er
 	// swap probes (deterministic full-pair sweeps, no randomness), and
 	// offer the results back to the archive. This recovers scalar-
 	// quality extremes that pure crowding selection tends to round off.
-	g.polish(p, sc, archive)
+	polish(p, sc, archive)
 
 	rep.Finish(gens, gens)
 	set := archive.Set()
@@ -180,16 +156,15 @@ func (g NSGAII) MapSet(ctx context.Context, p *core.Problem) (core.ParetoSet, er
 // polish hill-climbs the archive's per-component extremes under each
 // component objective in turn, using tracker swap probes, and offers
 // every improved mapping back to the archive.
-func (g NSGAII) polish(p *core.Problem, sc *core.VectorScorer, archive *core.ParetoArchive) {
+func polish(p *core.Problem, sc *core.VectorScorer, archive *core.ParetoArchive) {
 	const maxPasses = 4
 	set := archive.Set()
 	if set.Len() == 0 {
 		return
 	}
-	comps := core.VectorOrDefault(g.Objectives).Components()
 	n := p.N()
-	out := make([]float64, sc.Dim())
-	for ci, comp := range comps {
+	out := make([]float64, core.ParetoDim)
+	for ci, comp := range core.ParetoObjectives() {
 		// Canonical order makes the argmin deterministic under ties.
 		best := 0
 		for i := 1; i < set.Len(); i++ {
@@ -320,7 +295,7 @@ func orderCrossover(a, b core.Mapping, rng *stats.Rand) core.Mapping {
 // ordered — wrapping any violation with the mapper's name, and records
 // the invocation in the process metrics registry exactly like
 // MapAndCheck does for scalar mappers.
-func MapSetAndCheck(ctx context.Context, sm SetMapper, p *core.Problem) (core.ParetoSet, error) {
+func MapSetAndCheck(ctx context.Context, sm NSGAII, p *core.Problem) (core.ParetoSet, error) {
 	name := sm.Name()
 	reg := obs.Default()
 	reg.Counter("mapping." + name + ".calls").Inc()

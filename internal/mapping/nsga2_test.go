@@ -4,14 +4,12 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"obm/internal/core"
 )
 
 // nsga2Quick is a budget small enough for unit tests but large enough
 // to produce a multi-member front on the paper's C1 configuration.
 func nsga2Quick(seed uint64) NSGAII {
-	return NSGAII{Population: 24, Generations: 20, ArchiveSize: 12, Seed: seed}
+	return NSGAII{Population: 24, Generations: 20, Seed: seed}
 }
 
 // TestNSGAIIProducesValidFront: the front validates (permutations,
@@ -31,7 +29,7 @@ func TestNSGAIIProducesValidFront(t *testing.T) {
 	}
 	// Vectors must really be the members' costs under the vector
 	// objective, not stale copies.
-	sc := p.VectorScorer(core.DefaultVectorObjective())
+	sc := p.VectorScorer()
 	for i, m := range set.Members {
 		got := sc.Score(m.Mapping, nil)
 		for d := range got {
@@ -75,7 +73,7 @@ func TestNSGAIIDeterministic(t *testing.T) {
 func TestNSGAIIGoldenFingerprints(t *testing.T) {
 	p := paperProblem(t, "C1")
 	golden := map[uint64]string{
-		1: "ps6-36a2283846c47557",
+		1: "ps7-a575d68735f64358",
 		2: "ps4-d82dde935eb195d5",
 		3: "ps3-70e5bcd69f97077e",
 	}
@@ -90,19 +88,19 @@ func TestNSGAIIGoldenFingerprints(t *testing.T) {
 	}
 }
 
-// TestNSGAIIFingerprint: defaults resolve, the vector objective is
-// always printed, and distinct configurations get distinct keys.
+// TestNSGAIIFingerprint: defaults resolve, the Pareto vector is always
+// printed, and distinct configurations get distinct keys.
 func TestNSGAIIFingerprint(t *testing.T) {
 	zero := NSGAII{}
-	explicit := NSGAII{Population: 64, Generations: 120, MutationRate: 0.3, ArchiveSize: 24}
+	explicit := NSGAII{Population: 64, Generations: 120}
 	if zero.Fingerprint() != explicit.Fingerprint() {
 		t.Fatalf("zero value %q != explicit defaults %q", zero.Fingerprint(), explicit.Fingerprint())
 	}
 	if !strings.Contains(zero.Fingerprint(), "vec(maxapl,devapl,energy)") {
-		t.Fatalf("fingerprint %q does not name the vector objective", zero.Fingerprint())
+		t.Fatalf("fingerprint %q does not name the Pareto vector", zero.Fingerprint())
 	}
-	if zero.Vector().Dim() != 3 {
-		t.Fatalf("default vector dim %d, want 3", zero.Vector().Dim())
+	if (NSGAII{Seed: 1}).Fingerprint() == zero.Fingerprint() {
+		t.Fatal("seed missing from the fingerprint")
 	}
 }
 

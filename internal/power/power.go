@@ -75,9 +75,6 @@ type Report struct {
 	EnergyPJ float64
 }
 
-// TotalW returns dynamic plus static power.
-func (r Report) TotalW() float64 { return r.DynamicW + r.StaticW }
-
 // Estimate computes NoC power from simulation statistics: every
 // flit-hop costs PerFlitHop, injection and ejection each cost a buffer
 // transaction, and leakage accrues for routers+links over the simulated

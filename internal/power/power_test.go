@@ -41,9 +41,6 @@ func TestEstimateZeroTraffic(t *testing.T) {
 	if rep.StaticW <= 0 {
 		t.Error("leakage should be positive")
 	}
-	if rep.TotalW() != rep.StaticW {
-		t.Error("TotalW wrong")
-	}
 }
 
 func TestEstimateScalesWithActivity(t *testing.T) {

@@ -77,20 +77,20 @@ func (c *Cache) MapEval(ctx context.Context, p *core.Problem, m mapping.Mapper) 
 	return art.Mapping, art.Eval, nil
 }
 
-// setWorkUnit builds the canonical descriptor for one set-mapper
-// invocation: the vector objective's fingerprint takes the objective
+// setWorkUnit builds the canonical descriptor for one NSGA-II
+// invocation: the Pareto vector's fingerprint takes the objective
 // slot, so set-valued artifacts never collide with scalar ones (no
 // scalar objective fingerprints as "vec(...)").
-func setWorkUnit(p *core.Problem, sm mapping.SetMapper) artifact.WorkUnit {
-	return artifact.NewWorkUnit(p.Fingerprint(), sm.Fingerprint(), sm.Vector().Fingerprint())
+func setWorkUnit(p *core.Problem, sm mapping.NSGAII) artifact.WorkUnit {
+	return artifact.NewWorkUnit(p.Fingerprint(), sm.Fingerprint(), core.ParetoFingerprint())
 }
 
-// setComputeFn returns the store compute callback for one set-mapper
+// setComputeFn returns the store compute callback for one NSGA-II
 // invocation. The artifact carries the full front in Set and the
 // representative (first canonical member) in Mapping/Eval, so
 // point-valued consumers of the same artifact see a sensible mapping
 // without knowing about fronts.
-func setComputeFn(p *core.Problem, sm mapping.SetMapper) func(context.Context) (artifact.Artifact, error) {
+func setComputeFn(p *core.Problem, sm mapping.NSGAII) func(context.Context) (artifact.Artifact, error) {
 	return func(ctx context.Context) (artifact.Artifact, error) {
 		set, err := mapping.MapSetAndCheck(ctx, sm, p)
 		if err != nil {
@@ -109,12 +109,12 @@ func setComputeFn(p *core.Problem, sm mapping.SetMapper) func(context.Context) (
 	}
 }
 
-// MapEvalSet returns set-mapper sm's validated Pareto front on p,
-// cached under the same two-tier policy as MapEval: computed at most
-// once per distinct work unit, keyed by (problem, mapper, vector
-// objective) fingerprints, with tier-accurate skipped-stage reporting
+// MapEvalSet returns NSGA-II's validated Pareto front on p, cached
+// under the same two-tier policy as MapEval: computed at most once per
+// distinct work unit, keyed by (problem, mapper, Pareto vector)
+// fingerprints, with tier-accurate skipped-stage reporting
 // on hits. The returned set is an independent copy.
-func (c *Cache) MapEvalSet(ctx context.Context, p *core.Problem, sm mapping.SetMapper) (core.ParetoSet, error) {
+func (c *Cache) MapEvalSet(ctx context.Context, p *core.Problem, sm mapping.NSGAII) (core.ParetoSet, error) {
 	art, src, err := c.store.Get(ctx, setWorkUnit(p, sm), setComputeFn(p, sm))
 	if err != nil {
 		return core.ParetoSet{}, err

@@ -86,9 +86,9 @@ type Spec struct {
 }
 
 // ParetoMapper returns the spec's set-valued mapper: NSGA-II under
-// the spec's Pareto budgets and seed, optimizing the default
-// {max-APL, dev-APL, energy} vector objective.
-func (s Spec) ParetoMapper() mapping.SetMapper {
+// the spec's Pareto budgets and seed, trading off the fixed
+// {max-APL, dev-APL, energy} vector.
+func (s Spec) ParetoMapper() mapping.NSGAII {
 	return mapping.NSGAII{
 		Population:  s.Budget.ParetoPop,
 		Generations: s.Budget.ParetoGens,

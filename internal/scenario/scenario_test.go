@@ -295,7 +295,7 @@ func TestStandardMappersObjective(t *testing.T) {
 
 // paretoQuick is a small NSGA-II shape for cache tests.
 func paretoQuick(seed uint64) mapping.NSGAII {
-	return mapping.NSGAII{Population: 16, Generations: 8, ArchiveSize: 8, Seed: seed}
+	return mapping.NSGAII{Population: 16, Generations: 8, Seed: seed}
 }
 
 func TestCacheMapEvalSetHitReturnsIdenticalFront(t *testing.T) {
@@ -386,21 +386,14 @@ func TestCacheMapEvalSetDiskWarm(t *testing.T) {
 
 func TestSpecParetoMapper(t *testing.T) {
 	sp := Spec{Budget: DefaultBudget(true), Seed: 1}
-	sm := sp.ParetoMapper()
-	if got := sm.Vector().Name(); got != "vec(max-APL,dev-APL,energy)" {
-		t.Errorf("ParetoMapper vector = %q", got)
-	}
-	g, ok := sm.(mapping.NSGAII)
-	if !ok {
-		t.Fatalf("ParetoMapper is %T, want NSGAII", sm)
-	}
+	g := sp.ParetoMapper()
 	if g.Population != sp.Budget.ParetoPop || g.Generations != sp.Budget.ParetoGens {
 		t.Errorf("budgets not threaded: %+v vs %+v", g, sp.Budget)
 	}
 	// Seed changes the cache key.
 	alt := sp
 	alt.Seed = 2
-	if alt.ParetoMapper().Fingerprint() == sm.Fingerprint() {
+	if alt.ParetoMapper().Fingerprint() == g.Fingerprint() {
 		t.Error("seed missing from the Pareto mapper cache key")
 	}
 }
