@@ -7,12 +7,6 @@ import (
 	"obm/internal/stats"
 )
 
-// batchTableMaxN caps the instance size for which BatchEvaluator
-// precomputes the full thread x slot cost table: N*N float64s is 32 KiB
-// at the paper's N=64 and 2 MiB at N=512, past which the table stops
-// fitting in cache and on-the-fly evaluation wins anyway.
-const batchTableMaxN = 512
-
 // BatchEvaluator scores many mappings of one problem against one
 // objective using a structure-of-arrays layout: the thread-placement
 // cost function is flattened into one contiguous cost[j*N+s] table (the
@@ -29,7 +23,7 @@ const batchTableMaxN = 512
 type BatchEvaluator struct {
 	p   *Problem
 	obj Objective
-	// cost[j*n+s] = ThreadCost(j, s); nil above batchTableMaxN.
+	// cost[j*n+s] = ThreadCost(j, s).
 	cost []float64
 	n    int
 	// nums is the batch numerator matrix, len >= batch*NumApps, laid
@@ -40,11 +34,7 @@ type BatchEvaluator struct {
 // BatchEvaluator returns a batch scorer for obj (nil means the default
 // max-APL) on p.
 func (p *Problem) BatchEvaluator(obj Objective) *BatchEvaluator {
-	b := &BatchEvaluator{p: p, obj: ObjectiveOrDefault(obj), n: p.N()}
-	if b.n <= batchTableMaxN {
-		b.cost = p.costTable()
-	}
-	return b
+	return &BatchEvaluator{p: p, obj: ObjectiveOrDefault(obj), n: p.N(), cost: p.costTable()}
 }
 
 // costTable returns the flat thread x slot cost matrix,
@@ -80,23 +70,14 @@ func (b *BatchEvaluator) EvaluateBatch(ms []Mapping, out []float64) {
 	for i := range nums {
 		nums[i] = 0
 	}
-	if b.cost != nil {
-		// Thread-major accumulation: one pass over the cost table, each
-		// row hit len(ms) times while hot. Per (mapping, app) the adds
-		// still arrive in ascending thread order — Numerators' order.
-		for j := 0; j < b.n; j++ {
-			row := b.cost[j*b.n : (j+1)*b.n]
-			a := b.p.appOf[j]
-			for k := range ms {
-				nums[k*apps+a] += row[ms[k][j]]
-			}
-		}
-	} else {
-		for k, m := range ms {
-			num := nums[k*apps : (k+1)*apps]
-			for j, t := range m {
-				num[b.p.appOf[j]] += b.p.ThreadCost(j, t)
-			}
+	// Thread-major accumulation: one pass over the cost table, each row
+	// hit len(ms) times while hot. Per (mapping, app) the adds still
+	// arrive in ascending thread order — Numerators' order.
+	for j := 0; j < b.n; j++ {
+		row := b.cost[j*b.n : (j+1)*b.n]
+		a := b.p.appOf[j]
+		for k := range ms {
+			nums[k*apps+a] += row[ms[k][j]]
 		}
 	}
 	for k := range ms {

@@ -14,8 +14,7 @@ import (
 // scalar path with a quick.Check property: for any seed and batch
 // size, every objective scores every mapping of the batch to exactly
 // (==, not approximately) the value the per-mapping Scorer produces —
-// which TestObjectivesMatchEvaluation in turn pins to Evaluate. Both
-// the SoA table path and the on-the-fly fallback are checked.
+// which TestObjectivesMatchEvaluation in turn pins to Evaluate.
 func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	p := objTestProblem(t)
 	objs := append(Objectives(), Weighted{Max: 1, Dev: 2.5}, nil)
@@ -24,25 +23,17 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 		for _, obj := range objs {
 			be := p.BatchEvaluator(obj)
 			sc := p.Scorer(obj)
-			fallback := p.BatchEvaluator(obj)
-			fallback.cost = nil // force the large-N path
 			rng := stats.NewRand(seed)
 			ms := make([]Mapping, batch)
 			for k := range ms {
 				ms[k] = RandomMapping(p.N(), rng)
 			}
 			out := make([]float64, batch)
-			outFB := make([]float64, batch)
 			be.EvaluateBatch(ms, out)
-			fallback.EvaluateBatch(ms, outFB)
 			for k, m := range ms {
 				want := sc.Score(m)
 				if out[k] != want {
 					t.Logf("obj %v: batch[%d] = %v, scorer = %v", obj, k, out[k], want)
-					return false
-				}
-				if outFB[k] != want {
-					t.Logf("obj %v: fallback[%d] = %v, scorer = %v", obj, k, outFB[k], want)
 					return false
 				}
 			}

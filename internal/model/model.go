@@ -69,8 +69,10 @@ func (p Params) Validate() error {
 // DefaultParams returns the cycle parameters used for the paper's 8x8
 // evaluation platform (Table 2): a 3-stage wormhole router (td_r = 3),
 // single-cycle links (td_w = 1), near-empty queues (td_q = 0), and an
-// average serialization latency of 2.75 cycles for the request/forward/
-// reply packet mix measured by our flit-level simulator. These defaults
+// average serialization latency of 2.75 cycles for the mix of 1-flit
+// requests and 5-flit replies measured by our flit-level simulator.
+// td_r + td_w is the simulator's noc.PerHopLatency, which
+// TestPerHopLatencyMatchesModel (internal/sim) checks. These defaults
 // put the random-mapping global APL at ~22.6 cycles, matching Table 1.
 func DefaultParams() Params {
 	return Params{TdR: 3, TdW: 1, TdQ: 0, TdS: 2.75}

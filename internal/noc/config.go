@@ -8,22 +8,24 @@
 //
 // # Timing model
 //
-// A flit granted the switch spends one cycle in switch traversal,
-// LinkLatency cycles on the wire and RouterLatency-1 cycles in the
-// downstream router's buffer-write and VC/switch allocation stages
-// (route computation is folded into the previous hop's pipeline, the
-// look-ahead optimization). The simulator models those stages as delay
-// alone: the flit enters the downstream input buffer
-// LinkLatency+RouterLatency cycles after its grant, on the first cycle
-// it may compete for the switch there, so every buffered flit is
-// eligible. An uncontended hop therefore costs exactly
-// RouterLatency + LinkLatency cycles.
+// The router microarchitecture is Table 2's, fixed as constants:
+// 3-stage routers, single-cycle links, 5-flit buffers and 3 virtual
+// channels per protocol class. A flit granted the switch spends one
+// cycle in switch traversal, linkLatency cycles on the wire and
+// routerLatency-1 cycles in the downstream router's buffer-write and
+// VC/switch allocation stages (route computation is folded into the
+// previous hop's pipeline, the look-ahead optimization). The simulator
+// models those stages as delay alone: the flit enters the downstream
+// input buffer linkLatency+routerLatency cycles after its grant, on the
+// first cycle it may compete for the switch there, so every buffered
+// flit is eligible. An uncontended hop therefore costs exactly
+// PerHopLatency cycles.
 // Source injection bypasses the source router's pipeline (the NI writes
 // directly into the local input stage), and ejection consumes the flit
 // at its switch-allocation grant, so an uncontended H-hop single-flit
-// packet takes H*(RouterLatency+LinkLatency) cycles end to end — the
-// exact per-hop form of the paper's eq. (2) — and an L-flit packet adds
-// L-1 cycles of serialization.
+// packet takes H*PerHopLatency cycles end to end — the exact per-hop
+// form of the paper's eq. (2) — and an L-flit packet adds L-1 cycles of
+// serialization.
 //
 // # Simplifications (documented)
 //
@@ -50,76 +52,57 @@ const (
 	ClassRequest Class = iota
 	// ClassResponse carries data reply packets.
 	ClassResponse
-	// ClassCoherence carries forwarding/invalidation traffic.
-	ClassCoherence
 
-	// NumClasses is the number of protocol classes.
-	NumClasses = 3
+	// numClasses is the number of protocol classes.
+	numClasses = 2
 )
 
-// Config holds the microarchitectural parameters of the network. The
-// topology and routing are fixed to the paper's: a 2D mesh without
-// wrap-around links, XY dimension-order routing and instantaneous
-// credit return.
+// Table 2's router microarchitecture.
+const (
+	// vcsPerClass is the number of virtual channels per protocol class
+	// on every input port.
+	vcsPerClass = 3
+	// numVCs is the number of virtual channels per input port.
+	numVCs = vcsPerClass * numClasses
+	// bufDepth is the per-VC input buffer depth in flits.
+	bufDepth = 5
+	// routerLatency is the router pipeline depth in cycles (3-stage).
+	routerLatency = 3
+	// linkLatency is the wire traversal latency in cycles.
+	linkLatency = 1
+)
+
+// PerHopLatency is the uncontended per-hop latency in cycles: the
+// router pipeline plus the link, td_r + td_w of the paper's eq. (2).
+const PerHopLatency = routerLatency + linkLatency
+
+// Config holds the mesh dimensions of the network. Everything else is
+// fixed to the paper's Table 2 network: a 2D mesh without wrap-around
+// links, XY dimension-order routing, instantaneous credit return and
+// the router constants above.
 type Config struct {
 	// Rows and Cols give the mesh dimensions.
 	Rows, Cols int
-	// VCsPerClass is the number of virtual channels per protocol class on
-	// every input port (Table 2: 3 VCs per protocol class).
-	VCsPerClass int
-	// BufDepth is the per-VC input buffer depth in flits (Table 2: 5).
-	BufDepth int
-	// RouterLatency is the router pipeline depth in cycles (Table 2:
-	// 3-stage).
-	RouterLatency int
-	// LinkLatency is the wire traversal latency in cycles.
-	LinkLatency int
 }
 
-// DefaultConfig returns the paper's Table 2 network: 8x8 mesh, 3-stage
-// routers, 5-flit buffers, 3 VCs per class, single-cycle links.
+// DefaultConfig returns the paper's 8x8 mesh.
 func DefaultConfig() Config {
-	return Config{
-		Rows:          8,
-		Cols:          8,
-		VCsPerClass:   3,
-		BufDepth:      5,
-		RouterLatency: 3,
-		LinkLatency:   1,
-	}
+	return Config{Rows: 8, Cols: 8}
 }
 
 // Validate reports an error for configurations the simulator cannot run.
 func (c Config) Validate() error {
-	switch {
-	case c.Rows <= 0 || c.Cols <= 0:
+	if c.Rows <= 0 || c.Cols <= 0 {
 		return fmt.Errorf("noc: invalid mesh %dx%d", c.Rows, c.Cols)
-	case c.VCsPerClass <= 0:
-		return fmt.Errorf("noc: need at least one VC per class, got %d", c.VCsPerClass)
-	case c.VCsPerClass*int(NumClasses) > 64:
-		// The router tracks per-port VC occupancy in a 64-bit mask.
-		return fmt.Errorf("noc: at most 64 VCs per port, got %d", c.VCsPerClass*int(NumClasses))
-	case c.BufDepth <= 0:
-		return fmt.Errorf("noc: need positive buffer depth, got %d", c.BufDepth)
-	case c.RouterLatency < 1:
-		return fmt.Errorf("noc: router latency must be >= 1, got %d", c.RouterLatency)
-	case c.LinkLatency < 1:
-		return fmt.Errorf("noc: link latency must be >= 1, got %d", c.LinkLatency)
 	}
 	return nil
 }
 
-// VCs returns the total number of virtual channels per input port.
-func (c Config) VCs() int { return c.VCsPerClass * int(NumClasses) }
-
-// PerHopLatency returns the uncontended per-hop latency in cycles.
-func (c Config) PerHopLatency() int { return c.RouterLatency + c.LinkLatency }
-
 // vcRange returns the half-open VC index range [lo, hi) owned by class
 // cl.
-func (c Config) vcRange(cl Class) (lo, hi int) {
-	lo = int(cl) * c.VCsPerClass
-	return lo, lo + c.VCsPerClass
+func vcRange(cl Class) (lo, hi int) {
+	lo = int(cl) * vcsPerClass
+	return lo, lo + vcsPerClass
 }
 
 // Port identifies one of a router's five ports.

@@ -5,11 +5,11 @@ import "obm/internal/obs"
 // Process-wide NoC metrics. The simulator's per-cycle loop is engineered
 // around a ~4ns idle Step, so nothing here touches that path: each
 // Network accumulates into its own plain counters (it is single-
-// goroutine by contract) and flushes deltas to the shared registry at
-// snapshot boundaries — Stats() and ResetStats() — where one atomic add
-// per counter is free. The flushed totals therefore always equal the
-// sum of the final Stats snapshots across all networks, which is the
-// invariant TestMetricsMatchStats pins.
+// goroutine by contract) and flushes deltas to the shared registry when
+// Stats() takes a snapshot, where one atomic add per counter is free.
+// The flushed totals therefore always equal the sum of the final Stats
+// snapshots across all networks, which is the invariant
+// TestMetricsMatchStats pins.
 var (
 	mNetworks       = obs.Default().Counter("noc.networks.created")
 	mCycles         = obs.Default().Counter("noc.cycles.stepped")

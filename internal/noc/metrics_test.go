@@ -67,43 +67,3 @@ func TestMetricsMatchStats(t *testing.T) {
 		t.Errorf("idle re-snapshot moved injected counter %d -> %d", aInj, v)
 	}
 }
-
-// TestMetricsResetStatsDiscardsWarmup checks the ResetStats contract:
-// the warmup window disappears from the registry totals just as it
-// does from Stats, so the two views stay equal, while cycle counting
-// (which ResetStats does not rewind) keeps the full span.
-func TestMetricsResetStatsDiscardsWarmup(t *testing.T) {
-	before := obs.Default().Snapshot()
-	bInj, _ := before.Counter("noc.flits.injected")
-	bCycles, _ := before.Counter("noc.cycles.stepped")
-
-	n := MustNew(testConfig())
-	inject := func(k int) {
-		for i := 0; i < k; i++ {
-			if err := n.Inject(&Packet{Src: 0, Dst: 15, Type: CacheRequest, App: 0}); err != nil {
-				t.Fatal(err)
-			}
-			n.Step()
-		}
-	}
-	inject(50) // warmup traffic, never flushed
-	if err := n.Drain(100_000); err != nil {
-		t.Fatal(err)
-	}
-	n.ResetStats()
-	inject(30) // measured window
-	if err := n.Drain(100_000); err != nil {
-		t.Fatal(err)
-	}
-	s := n.Stats()
-
-	after := obs.Default().Snapshot()
-	aInj, _ := after.Counter("noc.flits.injected")
-	aCycles, _ := after.Counter("noc.cycles.stepped")
-	if got, want := aInj-bInj, uint64(s.InjectedFlits); got != want {
-		t.Errorf("injected delta = %d, want measured-window total %d (warmup discarded)", got, want)
-	}
-	if got, want := aCycles-bCycles, uint64(s.Cycles); got != want {
-		t.Errorf("cycles delta = %d, want full span %d", got, want)
-	}
-}

@@ -24,7 +24,7 @@ type arrival struct {
 //
 // The cycle loop is engineered to be allocation-free in steady state:
 // future link arrivals live in a fixed-size calendar-queue ring (the
-// delay is a small bounded constant from Config, so a power-of-two ring
+// delay is a small constant of Table 2's router, so a power-of-two ring
 // indexed by cycle&mask replaces the old map[int64][]arrival with its
 // per-cycle bucket churn), flit queues are fixed-capacity circular
 // buffers, and Step visits only routers and NIs on the active worklists
@@ -99,20 +99,23 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{cfg: cfg, mesh: m}
-	// Link arrivals land LinkLatency+RouterLatency cycles after the
+	// Link arrivals land linkLatency+routerLatency cycles after the
 	// grant (see sendFlit).
-	n.arrMask = ringSize(cfg.LinkLatency+cfg.RouterLatency) - 1
+	n.arrMask = ringSize(linkLatency+routerLatency) - 1
 	n.arrRing = make([][]arrival, n.arrMask+1)
 	n.routers = make([]*router, m.NumTiles())
 	n.nis = make([]*ni, m.NumTiles())
 	n.actR = newRowWorklist(cfg.Rows, cfg.Cols)
 	n.actNI = newRowWorklist(cfg.Rows, cfg.Cols)
 	n.actScratch = make([]int32, 0, m.NumTiles())
-	// Link-utilization counters are allocated eagerly (and again on
-	// ResetStats) rather than lazily on first send, which keeps the nil
-	// check off the sendFlit hot path and gives every Stats snapshot a
-	// full tiles x ports matrix, all-zero for zero-traffic runs.
-	n.stats.LinkFlits = newLinkFlits(m.NumTiles())
+	// Link-utilization counters are allocated eagerly rather than
+	// lazily on first send, which keeps the nil check off the sendFlit
+	// hot path and gives every Stats snapshot a full tiles x ports
+	// matrix, all-zero for zero-traffic runs.
+	n.stats.LinkFlits = make([][]int64, m.NumTiles())
+	for i := range n.stats.LinkFlits {
+		n.stats.LinkFlits[i] = make([]int64, int(numPorts))
+	}
 	for _, t := range m.Tiles() {
 		n.routers[t] = newRouter(t, n)
 		n.nis[t] = newNI(t, n)
@@ -138,15 +141,6 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// newLinkFlits allocates a zeroed tiles x ports flit-count matrix.
-func newLinkFlits(tiles int) [][]int64 {
-	lf := make([][]int64, tiles)
-	for i := range lf {
-		lf[i] = make([]int64, int(numPorts))
-	}
-	return lf
-}
-
 // MustNew is New but panics on error.
 func MustNew(cfg Config) *Network {
 	n, err := New(cfg)
@@ -158,9 +152,6 @@ func MustNew(cfg Config) *Network {
 
 // Mesh returns the network's mesh geometry.
 func (n *Network) Mesh() *mesh.Mesh { return n.mesh }
-
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // Cycle returns the current simulation time.
 func (n *Network) Cycle() int64 { return n.cycle }
@@ -180,31 +171,11 @@ func (n *Network) Stats() Stats {
 	for i := range n.stats.HistByApp {
 		s.HistByApp[i] = n.stats.HistByApp[i].Clone()
 	}
-	if n.stats.LinkFlits != nil {
-		s.LinkFlits = make([][]int64, len(n.stats.LinkFlits))
-		for i, row := range n.stats.LinkFlits {
-			s.LinkFlits[i] = append([]int64(nil), row...)
-		}
+	s.LinkFlits = make([][]int64, len(n.stats.LinkFlits))
+	for i, row := range n.stats.LinkFlits {
+		s.LinkFlits[i] = append([]int64(nil), row...)
 	}
 	return s
-}
-
-// ResetStats zeroes the accumulated statistics without disturbing
-// in-flight traffic, so measurement can start after a warmup phase.
-// Packets already in flight still deliver (and run the delivery
-// handler) but count toward the fresh statistics, slightly biasing the
-// first few cycles — standard practice for warm measurement windows.
-func (n *Network) ResetStats() {
-	n.stats = Stats{}
-	// Re-allocate the eagerly-managed link counters (see New): sendFlit
-	// writes them without a nil check.
-	n.stats.LinkFlits = newLinkFlits(n.mesh.NumTiles())
-	// Flit counts restart from zero with the fresh window; dropping the
-	// flushed marks too keeps the registry totals equal to the sum of
-	// final Stats snapshots (the warmup window is discarded from both).
-	// Cycles keep running — n.cycle is not reset — so their flushed
-	// mark stays.
-	n.flushed.injectedFlits, n.flushed.deliveredFlits = 0, 0
 }
 
 // SetDeliveryHandler registers f to run whenever a packet's tail flit
@@ -239,7 +210,7 @@ func (n *Network) Inject(p *Packet) error {
 	if !n.mesh.Contains(p.Src) || !n.mesh.Contains(p.Dst) {
 		return fmt.Errorf("noc: packet %v -> %v outside %v", p.Src, p.Dst, n.mesh)
 	}
-	if p.Type < CacheRequest || p.Type > Writeback {
+	if p.Type < 0 || p.Type >= numPacketTypes {
 		return fmt.Errorf("noc: unknown packet type %d", int(p.Type))
 	}
 	p.ID = n.nextID
@@ -355,15 +326,15 @@ func (n *Network) sendFlit(now int64, r *router, p Port, outVC int, f flit) {
 	if dest == nil {
 		panic(fmt.Sprintf("noc: flit routed off the mesh at tile %d port %v", r.id, p))
 	}
-	// Switch traversal this cycle, LinkLatency cycles on the wire and
-	// RouterLatency-1 cycles in the downstream pipeline (buffer write
+	// Switch traversal this cycle, linkLatency cycles on the wire and
+	// routerLatency-1 cycles in the downstream pipeline (buffer write
 	// plus VC/switch allocation): the flit enters the downstream buffer
 	// on the first cycle it may compete for the switch there, so every
 	// buffered flit is eligible and an idle router whose flits are all
 	// still in the pipeline stays off the worklist.
-	arr := now + int64(n.cfg.LinkLatency+n.cfg.RouterLatency)
+	arr := now + linkLatency + routerLatency
 	// LinkFlits rows are indexed by the sending router; the matrix is
-	// allocated eagerly in New/ResetStats, so no nil check is needed.
+	// allocated eagerly in New, so no nil check is needed.
 	n.stats.LinkFlits[r.id][p]++
 	if f.isHead() {
 		f.pkt.Hops++
@@ -394,7 +365,7 @@ func (n *Network) deliver(now int64, p *Packet) {
 	}
 	n.stats.DeliveredPackets++
 	lat := p.Latency()
-	ideal := int64(p.Hops*n.cfg.PerHopLatency() + p.Type.Flits() - 1)
+	ideal := int64(p.Hops*PerHopLatency + p.Type.Flits() - 1)
 	if p.Src == p.Dst {
 		ideal = 0
 	}

@@ -28,22 +28,21 @@ type ni struct {
 	curFlit int
 	curVC   int
 	// space[v] is the free slot count of the router's local input VC v.
-	space []int
+	space [numVCs]int
 	// owned[v] reports whether an in-flight packet holds local VC v.
-	owned []bool
+	owned [numVCs]bool
 }
 
 func newNI(tile mesh.Tile, n *Network) *ni {
-	vcs := n.cfg.VCs()
-	s := make([]int, vcs)
-	for v := range s {
-		s[v] = n.cfg.BufDepth
-	}
-	return &ni{
+	q := &ni{
 		tile: tile, n: n,
 		row: int(tile) / n.cfg.Cols, col: int(tile) % n.cfg.Cols,
-		space: s, owned: make([]bool, vcs), curVC: -1,
+		curVC: -1,
 	}
+	for v := range q.space {
+		q.space[v] = bufDepth
+	}
+	return q
 }
 
 // enqueue adds a packet to the injection queue, putting the NI on the
@@ -64,7 +63,7 @@ func (q *ni) creditReturn(v int) {
 
 // vcFree mirrors router.vcFree for the local port.
 func (q *ni) vcFree(v int) bool {
-	return !q.owned[v] && q.space[v] == q.n.cfg.BufDepth
+	return !q.owned[v] && q.space[v] == bufDepth
 }
 
 // inject writes up to one flit into the local router this cycle.
@@ -74,7 +73,7 @@ func (q *ni) inject(now int64) {
 			return
 		}
 		head := q.queue[q.qhead]
-		lo, hi := q.n.cfg.vcRange(head.Type.Class())
+		lo, hi := vcRange(head.Type.Class())
 		vc := -1
 		for v := lo; v < hi; v++ {
 			if q.vcFree(v) {

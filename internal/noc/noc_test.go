@@ -18,11 +18,8 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{Rows: 0, Cols: 4, VCsPerClass: 1, BufDepth: 1, RouterLatency: 1, LinkLatency: 1},
-		{Rows: 4, Cols: 4, VCsPerClass: 0, BufDepth: 1, RouterLatency: 1, LinkLatency: 1},
-		{Rows: 4, Cols: 4, VCsPerClass: 1, BufDepth: 0, RouterLatency: 1, LinkLatency: 1},
-		{Rows: 4, Cols: 4, VCsPerClass: 1, BufDepth: 1, RouterLatency: 0, LinkLatency: 1},
-		{Rows: 4, Cols: 4, VCsPerClass: 1, BufDepth: 1, RouterLatency: 1, LinkLatency: 0},
+		{Rows: 0, Cols: 4},
+		{Rows: 4, Cols: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -32,14 +29,13 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestConfigDerived(t *testing.T) {
-	c := DefaultConfig()
-	if c.VCs() != 9 {
-		t.Errorf("VCs = %d, want 9 (3 classes x 3)", c.VCs())
+	if numVCs != 6 {
+		t.Errorf("numVCs = %d, want 6 (2 classes x 3)", numVCs)
 	}
-	if c.PerHopLatency() != 4 {
-		t.Errorf("PerHopLatency = %d, want 4", c.PerHopLatency())
+	if PerHopLatency != 4 {
+		t.Errorf("PerHopLatency = %d, want 4", PerHopLatency)
 	}
-	lo, hi := c.vcRange(ClassResponse)
+	lo, hi := vcRange(ClassResponse)
 	if lo != 3 || hi != 6 {
 		t.Errorf("response vcRange = [%d,%d), want [3,6)", lo, hi)
 	}
@@ -80,21 +76,21 @@ func TestXYRoute(t *testing.T) {
 }
 
 func TestPacketTypeProperties(t *testing.T) {
-	for _, pt := range []PacketType{CacheRequest, CacheReply, CacheForward, MemRequest, MemReply} {
+	for pt := PacketType(0); pt < numPacketTypes; pt++ {
 		if pt.Flits() < 1 {
 			t.Errorf("%v has %d flits", pt, pt.Flits())
 		}
 		if pt.String() == "" {
 			t.Errorf("%v has empty name", pt)
 		}
-		if cl := pt.Class(); cl < 0 || cl >= NumClasses {
+		if cl := pt.Class(); cl < 0 || cl >= numClasses {
 			t.Errorf("%v class %d out of range", pt, cl)
 		}
 	}
 	if CacheReply.Flits() != 5 || MemReply.Flits() != 5 {
 		t.Error("data replies should be 5 flits (64B + head on 128-bit links)")
 	}
-	if CacheRequest.Flits() != 1 || MemRequest.Flits() != 1 || CacheForward.Flits() != 1 {
+	if CacheRequest.Flits() != 1 || MemRequest.Flits() != 1 {
 		t.Error("short packets should be single-flit")
 	}
 	if CacheRequest.Class() == CacheReply.Class() {
@@ -103,38 +99,32 @@ func TestPacketTypeProperties(t *testing.T) {
 }
 
 // TestUncontendedLatencyMatchesModel is the calibration contract: an
-// isolated packet's latency must equal hops*(router+link) + (flits-1)
-// for every router pipeline depth and wire delay.
+// isolated packet's latency must equal hops*PerHopLatency + (flits-1).
 func TestUncontendedLatencyMatchesModel(t *testing.T) {
-	for _, rl := range []int{1, 2, 3, 5} {
-		for _, ll := range []int{1, 3} {
-			cfg := testConfig()
-			cfg.RouterLatency, cfg.LinkLatency = rl, ll
-			m := mesh.MustNew(cfg.Rows, cfg.Cols)
-			for _, pt := range []PacketType{CacheRequest, CacheReply} {
-				for _, dst := range []mesh.Tile{m.TileAt(0, 1), m.TileAt(0, 3), m.TileAt(3, 3), m.TileAt(2, 0)} {
-					n := MustNew(cfg)
-					var delivered *Packet
-					n.SetDeliveryHandler(func(p *Packet) { delivered = p })
-					src := m.TileAt(0, 0)
-					if err := n.Inject(&Packet{Src: src, Dst: dst, Type: pt, App: 0}); err != nil {
-						t.Fatal(err)
-					}
-					if err := n.Drain(10000); err != nil {
-						t.Fatal(err)
-					}
-					if delivered == nil {
-						t.Fatalf("R=%d L=%d %v to %v: not delivered", rl, ll, pt, dst)
-					}
-					hops := m.Hops(src, dst)
-					want := int64(hops*(rl+ll) + pt.Flits() - 1)
-					if got := delivered.Latency(); got != want {
-						t.Errorf("R=%d L=%d %v to %v (%d hops): latency %d, want %d", rl, ll, pt, dst, hops, got, want)
-					}
-					if delivered.Hops != hops {
-						t.Errorf("R=%d L=%d %v to %v: counted %d hops, want %d", rl, ll, pt, dst, delivered.Hops, hops)
-					}
-				}
+	cfg := testConfig()
+	m := mesh.MustNew(cfg.Rows, cfg.Cols)
+	for _, pt := range []PacketType{CacheRequest, CacheReply} {
+		for _, dst := range []mesh.Tile{m.TileAt(0, 1), m.TileAt(0, 3), m.TileAt(3, 3), m.TileAt(2, 0)} {
+			n := MustNew(cfg)
+			var delivered *Packet
+			n.SetDeliveryHandler(func(p *Packet) { delivered = p })
+			src := m.TileAt(0, 0)
+			if err := n.Inject(&Packet{Src: src, Dst: dst, Type: pt, App: 0}); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Drain(10000); err != nil {
+				t.Fatal(err)
+			}
+			if delivered == nil {
+				t.Fatalf("%v to %v: not delivered", pt, dst)
+			}
+			hops := m.Hops(src, dst)
+			want := int64(hops*PerHopLatency + pt.Flits() - 1)
+			if got := delivered.Latency(); got != want {
+				t.Errorf("%v to %v (%d hops): latency %d, want %d", pt, dst, hops, got, want)
+			}
+			if delivered.Hops != hops {
+				t.Errorf("%v to %v: counted %d hops, want %d", pt, dst, delivered.Hops, hops)
 			}
 		}
 	}
@@ -181,7 +171,7 @@ func TestFlitConservation(t *testing.T) {
 	cfg := testConfig()
 	n := MustNew(cfg)
 	rng := stats.NewRand(42)
-	types := []PacketType{CacheRequest, CacheReply, CacheForward, MemRequest, MemReply}
+	types := []PacketType{CacheRequest, CacheReply, MemRequest, MemReply}
 	const packets = 500
 	for i := 0; i < packets; i++ {
 		src := mesh.Tile(rng.Intn(16))
@@ -218,7 +208,7 @@ func TestContentionOnlyAddsLatency(t *testing.T) {
 	n := MustNew(cfg)
 	short := 0
 	n.SetDeliveryHandler(func(p *Packet) {
-		ideal := int64(m.Hops(p.Src, p.Dst)*cfg.PerHopLatency() + p.Type.Flits() - 1)
+		ideal := int64(m.Hops(p.Src, p.Dst)*PerHopLatency + p.Type.Flits() - 1)
 		if p.Src == p.Dst {
 			ideal = 0
 		}
@@ -334,9 +324,7 @@ func TestSerializationThroughput(t *testing.T) {
 // TestVCClassIsolation: response-class packets keep flowing when the
 // request class is congested (protocol deadlock avoidance).
 func TestVCClassIsolation(t *testing.T) {
-	cfg := testConfig()
-	cfg.VCsPerClass = 1
-	n := MustNew(cfg)
+	n := MustNew(testConfig())
 	// Saturate request VCs along row 0.
 	for i := 0; i < 60; i++ {
 		n.Inject(&Packet{Src: 0, Dst: 3, Type: CacheRequest, App: 0})

@@ -10,7 +10,8 @@ import (
 // the protocol class and feeds the per-type statistics.
 type PacketType int
 
-// CMP packet types (Section II.B of the paper).
+// CMP packet types (Section II.B of the paper): the requests and
+// replies of the shared-cache and memory-controller transactions.
 const (
 	// CacheRequest is a core's request to a shared L2 bank (single flit:
 	// address only).
@@ -18,17 +19,14 @@ const (
 	// CacheReply carries a 64-byte data block from an L2 bank back to the
 	// requesting core (head flit + 4 data flits).
 	CacheReply
-	// CacheForward is a checking/forwarding packet from an L2 bank to
-	// another tile's private L1 (single flit).
-	CacheForward
 	// MemRequest is a request forwarded to a memory controller tile
 	// (single flit).
 	MemRequest
 	// MemReply carries data returned by a memory controller (5 flits).
 	MemReply
-	// Writeback carries an evicted dirty block toward its home (L1 to
-	// L2 bank, or L2 bank to memory controller); 5 flits of data.
-	Writeback
+
+	// numPacketTypes is the number of packet types.
+	numPacketTypes = iota
 )
 
 func (t PacketType) String() string {
@@ -37,14 +35,10 @@ func (t PacketType) String() string {
 		return "cache-request"
 	case CacheReply:
 		return "cache-reply"
-	case CacheForward:
-		return "cache-forward"
 	case MemRequest:
 		return "mem-request"
 	case MemReply:
 		return "mem-reply"
-	case Writeback:
-		return "writeback"
 	default:
 		return fmt.Sprintf("PacketType(%d)", int(t))
 	}
@@ -55,10 +49,6 @@ func (t PacketType) Class() Class {
 	switch t {
 	case CacheReply, MemReply:
 		return ClassResponse
-	case CacheForward, Writeback:
-		// Writebacks ride the coherence network so evictions can never
-		// block the request/response dependency chain.
-		return ClassCoherence
 	default:
 		return ClassRequest
 	}
@@ -69,7 +59,7 @@ func (t PacketType) Class() Class {
 // 64-byte data plus a head flit in five flits.
 func (t PacketType) Flits() int {
 	switch t {
-	case CacheReply, MemReply, Writeback:
+	case CacheReply, MemReply:
 		return 5
 	default:
 		return 1
@@ -93,9 +83,6 @@ type Packet struct {
 	EjectCycle int64
 	// Hops counts traversed links (set as the head advances).
 	Hops int
-	// UserData lets traffic generators attach context (e.g. the request a
-	// reply answers). The simulator never touches it.
-	UserData any
 
 	// pooled marks packets handed out by Network.AllocPacket; they are
 	// recycled onto the free list as soon as delivery completes.

@@ -7,11 +7,11 @@ import (
 )
 
 // vcBuffer is one virtual-channel input buffer and its wormhole state.
-// The flit queue is a fixed-capacity circular buffer sized by
-// Config.BufDepth (credit flow control guarantees it never overflows),
-// so steady-state push/pop never allocates, shifts, or grows.
+// The flit queue is a fixed-capacity circular buffer of bufDepth flits
+// (credit flow control guarantees it never overflows), so push/pop
+// never allocates, shifts, or grows.
 type vcBuffer struct {
-	buf  []flit
+	buf  [bufDepth]flit
 	head int
 	n    int
 	// outPort is the routed output port of the packet currently flowing
@@ -34,12 +34,12 @@ func (v *vcBuffer) front() *flit {
 }
 
 func (v *vcBuffer) push(f flit) {
-	if v.n == len(v.buf) {
+	if v.n == bufDepth {
 		panic("noc: VC buffer overflow (credit accounting broken)")
 	}
 	i := v.head + v.n
-	if i >= len(v.buf) {
-		i -= len(v.buf)
+	if i >= bufDepth {
+		i -= bufDepth
 	}
 	v.buf[i] = f
 	v.n++
@@ -51,7 +51,7 @@ func (v *vcBuffer) pop() flit {
 	// pooled packet's next life.
 	v.buf[v.head].pkt = nil
 	v.head++
-	if v.head == len(v.buf) {
+	if v.head == bufDepth {
 		v.head = 0
 	}
 	v.n--
@@ -67,7 +67,7 @@ type router struct {
 	// row, col cache the mesh coordinates the worklist bitmaps are keyed
 	// by.
 	row, col int
-	in       [numPorts][]vcBuffer
+	in       [numPorts][numVCs]vcBuffer
 	// occ counts buffered flits across all input VCs; idle routers
 	// (occ == 0) skip the per-cycle allocation scans entirely, which is
 	// what makes paper-scale loads (~0.25 packets/cycle chip-wide)
@@ -75,7 +75,7 @@ type router struct {
 	occ int
 	// occMask[p] has bit v set when input VC v of port p holds flits,
 	// letting gather enumerate occupied VCs with one bit-scan per VC
-	// instead of probing every buffer (Config.Validate caps VCs at 64).
+	// instead of probing every buffer.
 	occMask [numPorts]uint64
 	// req[out][in] has bit v set when input VC (in, v) holds a routed
 	// front flit toward output out, and vaReq[out][in] is the subset of
@@ -90,22 +90,20 @@ type router struct {
 	// holds any request, so the stages skip idle outputs and gather
 	// clears only the rows it filled last time.
 	reqOuts, vaOuts uint8
-	// vcs and total cache cfg.VCs() and numPorts*vcs.
-	vcs, total int
 	// queued reports whether this router is on the network's active
 	// worklist (set on the first accepted flit, cleared when the
 	// worklist compaction sees occ == 0).
 	queued bool
 	// credits[p][v] is the number of free slots in neighbour(p)'s input
 	// VC v (the port facing us). Meaningless for Local.
-	credits [numPorts][]int
+	credits [numPorts][numVCs]int
 	// owned[p][v] reports whether we currently hold downstream VC v on
 	// output port p for an in-flight packet.
-	owned [numPorts][]bool
+	owned [numPorts][numVCs]bool
 	// neighbors[p] is the router reached through output port p, nil at
 	// mesh edges and for Local.
 	neighbors [numPorts]*router
-	// saPtr[p] is the round-robin pointer (over input port*VCs+vc) for
+	// saPtr[p] is the round-robin pointer (over input port*numVCs+vc) for
 	// switch allocation on output port p.
 	saPtr [numPorts]int
 	// vaPtr[p] is the round-robin pointer for VC allocation on output
@@ -113,22 +111,17 @@ type router struct {
 	vaPtr [numPorts]int
 }
 
+// totalVCs is the size of the flattened (input port, VC) index space
+// that the round-robin pointers walk.
+const totalVCs = int(numPorts) * numVCs
+
 func newRouter(id mesh.Tile, n *Network) *router {
 	r := &router{id: id, n: n, row: int(id) / n.cfg.Cols, col: int(id) % n.cfg.Cols}
-	vcs := n.cfg.VCs()
-	r.vcs = vcs
-	r.total = int(numPorts) * vcs
 	for p := Port(0); p < numPorts; p++ {
-		r.in[p] = make([]vcBuffer, vcs)
-		for v := range r.in[p] {
-			r.in[p][v].buf = make([]flit, n.cfg.BufDepth)
+		for v := 0; v < numVCs; v++ {
 			r.in[p][v].outPort = -1
 			r.in[p][v].outVC = -1
-		}
-		r.credits[p] = make([]int, vcs)
-		r.owned[p] = make([]bool, vcs)
-		for v := range r.credits[p] {
-			r.credits[p][v] = n.cfg.BufDepth
+			r.credits[p][v] = bufDepth
 		}
 	}
 	return r
@@ -150,7 +143,7 @@ func (r *router) accept(p Port, vc int, f flit) {
 // allocated to a new packet: nobody owns it and its buffer has fully
 // drained (all credits returned).
 func (r *router) vcFree(p Port, v int) bool {
-	return !r.owned[p][v] && r.credits[p][v] == r.n.cfg.BufDepth
+	return !r.owned[p][v] && r.credits[p][v] == bufDepth
 }
 
 // gather routes any newly exposed heads (the look-ahead route step) and
@@ -192,7 +185,7 @@ func (r *router) gather() {
 
 // rotatedBits returns step k (0 <= k <= numPorts) of the round-robin
 // walk over one output's per-input request masks, starting at the
-// flattened index sp*vcs+sv: step 0 is port sp from VC sv upward, steps
+// flattened index sp*numVCs+sv: step 0 is port sp from VC sv upward, steps
 // 1..numPorts-1 are the following ports whole (wrapping), and step
 // numPorts is port sp below sv. Walking each step's bits in ascending
 // order visits the requesters in ascending flattened (port, VC) index
@@ -221,19 +214,19 @@ func (r *router) allocateVCs() {
 		if r.neighbors[p] == nil {
 			continue
 		}
-		sp, sv := r.vaPtr[p]/r.vcs, r.vaPtr[p]%r.vcs
+		sp, sv := r.vaPtr[p]/numVCs, r.vaPtr[p]%numVCs
 		for k := 0; k <= int(numPorts); k++ {
 			inPort, m := rotatedBits(&r.vaReq[p], sp, sv, k)
 			for m != 0 {
 				inVC := bits.TrailingZeros64(m)
 				m &= m - 1
 				b := &r.in[inPort][inVC]
-				lo, hi := r.n.cfg.vcRange(b.front().pkt.Type.Class())
+				lo, hi := vcRange(b.front().pkt.Type.Class())
 				for v := lo; v < hi; v++ {
 					if r.vcFree(p, v) {
 						b.outVC = v
 						r.owned[p][v] = true
-						r.vaPtr[p] = (int(inPort)*r.vcs + inVC + 1) % r.total
+						r.vaPtr[p] = (int(inPort)*numVCs + inVC + 1) % totalVCs
 						break
 					}
 				}
@@ -247,7 +240,7 @@ func (r *router) allocateVCs() {
 // leaves each input port (crossbar constraint). inputUsed is shared
 // across the router's output ports for the cycle.
 func (r *router) arbitrate(now int64, p Port, inputUsed *[numPorts]bool) {
-	sp, sv := r.saPtr[p]/r.vcs, r.saPtr[p]%r.vcs
+	sp, sv := r.saPtr[p]/numVCs, r.saPtr[p]%numVCs
 	for k := 0; k <= int(numPorts); k++ {
 		inPort, m := rotatedBits(&r.req[p], sp, sv, k)
 		if inputUsed[inPort] {
@@ -265,7 +258,7 @@ func (r *router) arbitrate(now int64, p Port, inputUsed *[numPorts]bool) {
 			// VC's wormhole state after a tail.
 			granted := r.dequeue(inPort, inVC)
 			inputUsed[inPort] = true
-			r.saPtr[p] = (int(inPort)*r.vcs + inVC + 1) % r.total
+			r.saPtr[p] = (int(inPort)*numVCs + inVC + 1) % totalVCs
 			if p == Local {
 				r.n.eject(now, granted.pkt, granted.seq)
 				return

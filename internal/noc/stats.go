@@ -41,7 +41,7 @@ type Stats struct {
 	LocalDeliveries int64
 
 	// ByType indexes statistics by PacketType.
-	ByType [Writeback + 1]TypeStats
+	ByType [numPacketTypes]TypeStats
 	// LinkFlits[t][p] counts flits sent from tile t's router out of port
 	// p (indexed by Port; Local is always zero). Divide by Cycles for
 	// utilization; the hottest entries locate congestion.

@@ -48,20 +48,17 @@ func (w WarmRemap) Remap(ctx context.Context, p *core.Problem, incumbent core.Ma
 	return w.SSS.WarmStart(ctx, p, incumbent)
 }
 
-// BudgetRemap refines the incumbent moving at most Budget threads
-// (mapping.ImproveWithBudget) — hard-capped disruption per
-// remap, at best-first search cost.
-type BudgetRemap struct {
-	Budget    int
-	Objective core.Objective
-}
+// BudgetRemap refines the incumbent under the paper's max-APL, moving
+// at most Budget threads (mapping.ImproveWithBudget) — hard-capped
+// disruption per remap, at best-first search cost.
+type BudgetRemap struct{ Budget int }
 
 // Name implements Remapper.
 func (b BudgetRemap) Name() string { return fmt.Sprintf("budget-%d", b.Budget) }
 
 // Remap implements Remapper.
 func (b BudgetRemap) Remap(ctx context.Context, p *core.Problem, incumbent core.Mapping) (core.Mapping, error) {
-	m, _, err := mapping.ImproveWithBudget(ctx, p, incumbent, b.Budget, b.Objective)
+	m, _, err := mapping.ImproveWithBudget(ctx, p, incumbent, b.Budget, nil)
 	return m, err
 }
 

@@ -50,8 +50,9 @@ type Scenario struct {
 type Policy interface {
 	// Name labels the policy in results.
 	Name() string
-	// Remap reports whether to re-solve at this event.
-	Remap(now int64, sinceRemap int64) bool
+	// Remap reports whether to re-solve at this event, given the time
+	// since the previous remap.
+	Remap(sinceRemap int64) bool
 }
 
 // Never only places arrivals incrementally — the "static" baseline.
@@ -61,7 +62,7 @@ type Never struct{}
 func (Never) Name() string { return "never" }
 
 // Remap implements Policy.
-func (Never) Remap(int64, int64) bool { return false }
+func (Never) Remap(int64) bool { return false }
 
 // OnChange re-solves at every arrival and departure — what the paper's
 // runtime argument advocates.
@@ -71,7 +72,7 @@ type OnChange struct{}
 func (OnChange) Name() string { return "on-change" }
 
 // Remap implements Policy.
-func (OnChange) Remap(int64, int64) bool { return true }
+func (OnChange) Remap(int64) bool { return true }
 
 // Every re-solves at an event only if at least Interval time units have
 // passed since the previous re-solve.
@@ -81,7 +82,7 @@ type Every struct{ Interval int64 }
 func (e Every) Name() string { return fmt.Sprintf("every-%d", e.Interval) }
 
 // Remap implements Policy.
-func (e Every) Remap(_ int64, since int64) bool { return since >= e.Interval }
+func (e Every) Remap(since int64) bool { return since >= e.Interval }
 
 // WhenUnbalanced re-solves only when the current mapping's dev-APL
 // exceeds Threshold — the adaptive policy a deployment would actually
@@ -95,7 +96,7 @@ func (w WhenUnbalanced) Name() string { return fmt.Sprintf("dev>%.2f", w.Thresho
 
 // Remap implements Policy; without a measurement it never fires
 // (StreamRunner calls RemapMeasured instead).
-func (WhenUnbalanced) Remap(int64, int64) bool { return false }
+func (WhenUnbalanced) Remap(int64) bool { return false }
 
 // RemapMeasured implements MeasuredPolicy.
 func (w WhenUnbalanced) RemapMeasured(devAPL float64) bool { return devAPL > w.Threshold }
@@ -133,9 +134,9 @@ func (d *Debounced) Name() string {
 // Remap implements Policy: it latches the reported gap for
 // RemapMeasured (which the runner calls without time context) and
 // defers to the inner policy only once the gap clears MinInterval.
-func (d *Debounced) Remap(now int64, since int64) bool {
+func (d *Debounced) Remap(since int64) bool {
 	d.since = since
-	return since >= d.MinInterval && d.Inner.Remap(now, since)
+	return since >= d.MinInterval && d.Inner.Remap(since)
 }
 
 // RemapMeasured implements MeasuredPolicy, honoring the debounce gap

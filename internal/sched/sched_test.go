@@ -186,14 +186,14 @@ func TestDegenerateTimelines(t *testing.T) {
 }
 
 func TestPolicies(t *testing.T) {
-	if (Never{}).Remap(10, 10) {
+	if (Never{}).Remap(10) {
 		t.Error("Never remapped")
 	}
-	if !(OnChange{}).Remap(10, 0) {
+	if !(OnChange{}).Remap(0) {
 		t.Error("OnChange declined")
 	}
 	e := Every{Interval: 100}
-	if e.Remap(50, 50) || !e.Remap(150, 150) {
+	if e.Remap(50) || !e.Remap(150) {
 		t.Error("Every interval logic wrong")
 	}
 	for _, p := range []Policy{Never{}, OnChange{}, Every{Interval: 5}} {
@@ -343,20 +343,20 @@ func TestMigrationBudget(t *testing.T) {
 
 func TestDebouncedPolicy(t *testing.T) {
 	d := &Debounced{Inner: OnChange{}, MinInterval: 100}
-	if d.Remap(0, 50) {
+	if d.Remap(50) {
 		t.Error("fired inside the debounce window")
 	}
-	if !d.Remap(0, 100) {
+	if !d.Remap(100) {
 		t.Error("did not fire once the gap cleared MinInterval")
 	}
 	m := &Debounced{Inner: WhenUnbalanced{Threshold: 0.5}, MinInterval: 100}
-	if m.Remap(0, 500) {
+	if m.Remap(500) {
 		t.Error("WhenUnbalanced fired without a measurement")
 	}
 	if !m.RemapMeasured(0.9) {
 		t.Error("measured fire suppressed despite cleared gap")
 	}
-	m.Remap(0, 10) // latch a gap inside the window
+	m.Remap(10) // latch a gap inside the window
 	if m.RemapMeasured(0.9) {
 		t.Error("measured fire inside the debounce window")
 	}
@@ -364,7 +364,7 @@ func TestDebouncedPolicy(t *testing.T) {
 		t.Error("fired below the inner threshold")
 	}
 	np := &Debounced{Inner: Never{}, MinInterval: 1}
-	np.Remap(0, 50)
+	np.Remap(50)
 	if np.RemapMeasured(9) {
 		t.Error("non-measured inner policy fired on measurement")
 	}

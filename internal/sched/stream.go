@@ -294,7 +294,7 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 
 		// Policy: attempt a remap for the whole group?
 		if r.cfg.Remapper != nil && len(st.order) > 0 {
-			fire := r.cfg.Policy.Remap(now, now-lastRemap)
+			fire := r.cfg.Policy.Remap(now - lastRemap)
 			if mp, ok := r.cfg.Policy.(MeasuredPolicy); ok && !fire {
 				_, devAPL, _ := st.balance()
 				fire = mp.RemapMeasured(devAPL)

@@ -38,6 +38,10 @@ const rateDrivenDrainCycles = 100_000
 // probabilities: rate r means r/2000 requests per cycle.
 const CyclesPerRateUnit = 2000
 
+// burstLen is the mean ON-phase length in cycles of the bursty
+// injection process (RateDrivenConfig.BurstFactor).
+const burstLen = 200
+
 // Memory-system latencies of Table 2, in cycles: an L2 bank access, an
 // off-chip access, and the minimum gap between requests entering
 // service at one memory controller.
@@ -96,16 +100,10 @@ func summarize(net noc.Stats, numApps int) Result {
 }
 
 // RateDrivenConfig configures an open-loop simulation of a mapped
-// problem.
+// problem. The network is always Table 2's, built on the problem's
+// mesh. It starts empty and statistics cover the whole run: paper-scale
+// loads need no warmup.
 type RateDrivenConfig struct {
-	// Noc configures the network; zero value selects noc.DefaultConfig
-	// resized to the problem's mesh.
-	Noc noc.Config
-	// WarmupCycles run before statistics collection starts (the
-	// counters reset at the end of warmup). The network starts empty,
-	// so paper-scale loads need no warmup; provided for steady-state
-	// measurements at higher loads.
-	WarmupCycles int64
 	// MeasureCycles is the measured injection window.
 	MeasureCycles int64
 	// Seed drives the Bernoulli injectors.
@@ -114,11 +112,10 @@ type RateDrivenConfig struct {
 	// two-state on/off (Markov-modulated) process: during ON phases a
 	// thread injects at BurstFactor times its mean rate and is silent
 	// otherwise, with the duty cycle chosen so the long-run rate is
-	// unchanged. 0 or 1 keeps the Bernoulli default; real applications
-	// burst, and burstiness stresses queuing without changing means.
+	// unchanged. ON phases last burstLen cycles on average. 0 or 1
+	// keeps the Bernoulli default; real applications burst, and
+	// burstiness stresses queuing without changing means.
 	BurstFactor float64
-	// BurstLen is the mean ON-phase length in cycles (default 200).
-	BurstLen float64
 }
 
 // DefaultRateDrivenConfig returns a measurement window long enough for
@@ -155,19 +152,10 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 		return Result{}, fmt.Errorf("sim: the flit-level network is a mesh; cannot simulate a %v model", topo)
 	}
 	msh := p.Model().Mesh()
-	ncfg := cfg.Noc
-	if ncfg == (noc.Config{}) {
-		ncfg = noc.DefaultConfig()
-		ncfg.Rows = msh.Rows()
-		ncfg.Cols = msh.Cols()
-	}
-	if ncfg.Rows != msh.Rows() || ncfg.Cols != msh.Cols() {
-		return Result{}, fmt.Errorf("sim: NoC %dx%d does not match problem mesh %v", ncfg.Rows, ncfg.Cols, msh)
-	}
 	if cfg.MeasureCycles <= 0 {
 		return Result{}, fmt.Errorf("sim: need positive measurement window")
 	}
-	net, err := noc.New(ncfg)
+	net, err := noc.New(noc.Config{Rows: msh.Rows(), Cols: msh.Cols()})
 	if err != nil {
 		return Result{}, err
 	}
@@ -234,13 +222,9 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	var on []bool
 	var pOffOn, pOnOff float64
 	if burst {
-		bl := cfg.BurstLen
-		if bl <= 0 {
-			bl = 200
-		}
-		pOnOff = 1 / bl
-		// Duty cycle 1/BurstFactor: mean OFF length = bl*(factor-1).
-		pOffOn = 1 / (bl * (cfg.BurstFactor - 1))
+		pOnOff = 1.0 / burstLen
+		// Duty cycle 1/BurstFactor: mean OFF length = burstLen*(factor-1).
+		pOffOn = 1 / (burstLen * (cfg.BurstFactor - 1))
 		on = make([]bool, n)
 		for j := range on {
 			on[j] = rng.Float64() < 1/cfg.BurstFactor
@@ -252,16 +236,12 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	}
 
 	rep := engine.StartStage(ctx, "sim")
-	total := cfg.WarmupCycles + cfg.MeasureCycles
-	for cyc := int64(0); cyc < total; cyc++ {
+	for cyc := int64(0); cyc < cfg.MeasureCycles; cyc++ {
 		if cyc&simPollMask == simPollMask {
 			if err := ctx.Err(); err != nil {
-				return Result{}, fmt.Errorf("sim: interrupted after %d/%d cycles: %w", cyc, total, err)
+				return Result{}, fmt.Errorf("sim: interrupted after %d/%d cycles: %w", cyc, cfg.MeasureCycles, err)
 			}
-			rep.Report(int(cyc), int(total))
-		}
-		if cyc == cfg.WarmupCycles && cyc > 0 {
-			net.ResetStats()
+			rep.Report(int(cyc), int(cfg.MeasureCycles))
 		}
 		now := net.Cycle()
 		if err := flush(now); err != nil {
