@@ -154,20 +154,6 @@ func (p *Problem) summarize(num []float64, total float64, active []float64) Eval
 	return ev
 }
 
-// APL returns application i's average packet latency under mapping m
-// without computing the full evaluation.
-func (p *Problem) APL(m Mapping, i int) float64 {
-	if p.appWeight[i] == 0 {
-		return 0
-	}
-	lo, hi := p.AppThreads(i)
-	var num float64
-	for j := lo; j < hi; j++ {
-		num += p.ThreadCost(j, m[j])
-	}
-	return num / p.appWeight[i]
-}
-
 // MaxAPL returns the max-APL d_max of mapping m. Unlike Evaluate it
 // allocates nothing: per-application numerators accumulate in the same
 // thread order (application thread ranges are contiguous), so the value
@@ -189,20 +175,6 @@ func (p *Problem) MaxAPL(m Mapping) float64 {
 		}
 	}
 	return mx
-}
-
-// GlobalAPL returns the g-APL of mapping m, allocation-free and
-// bit-identical to Evaluate(m).GlobalAPL (the total accumulates in the
-// same flat thread order).
-func (p *Problem) GlobalAPL(m Mapping) float64 {
-	if p.totalRate == 0 {
-		return 0
-	}
-	var total float64
-	for j, t := range m {
-		total += p.ThreadCost(j, t)
-	}
-	return total / p.totalRate
 }
 
 // AppGrid renders the mapping as a rows x cols grid of 1-based

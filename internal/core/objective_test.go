@@ -54,7 +54,7 @@ func TestObjectivesMatchEvaluation(t *testing.T) {
 }
 
 // TestScorerMatchesScalarPaths: Scorer.Score equals the allocation-free
-// Problem scalar paths and allocates nothing.
+// Problem.MaxAPL and Evaluate's g-APL, and allocates nothing.
 func TestScorerMatchesScalarPaths(t *testing.T) {
 	p := objTestProblem(t)
 	rng := stats.NewRand(3)
@@ -65,8 +65,8 @@ func TestScorerMatchesScalarPaths(t *testing.T) {
 		if got, want := maxSc.Score(m), p.MaxAPL(m); got != want {
 			t.Fatalf("Scorer(max) %v != Problem.MaxAPL %v", got, want)
 		}
-		if got, want := gSc.Score(m), p.GlobalAPL(m); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("Scorer(gapl) %v != Problem.GlobalAPL %v", got, want)
+		if got, want := gSc.Score(m), p.Evaluate(m).GlobalAPL; math.Abs(got-want) > 1e-12 {
+			t.Fatalf("Scorer(gapl) %v != Evaluate.GlobalAPL %v", got, want)
 		}
 	}
 	m := IdentityMapping(p.N())
@@ -75,9 +75,6 @@ func TestScorerMatchesScalarPaths(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { p.MaxAPL(m) }); allocs != 0 {
 		t.Errorf("Problem.MaxAPL allocates %v per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { p.GlobalAPL(m) }); allocs != 0 {
-		t.Errorf("Problem.GlobalAPL allocates %v per run, want 0", allocs)
 	}
 }
 

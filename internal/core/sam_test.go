@@ -154,10 +154,7 @@ func TestReoptimizeAppNeverWorsens(t *testing.T) {
 	rng := stats.NewRand(123)
 	for trial := 0; trial < 10; trial++ {
 		m := RandomMapping(64, rng)
-		before := make([]float64, p.NumApps())
-		for i := range before {
-			before[i] = p.APL(m, i)
-		}
+		before := p.Evaluate(m).APLs
 		for i := 0; i < p.NumApps(); i++ {
 			if err := p.ReoptimizeApp(m, i); err != nil {
 				t.Fatal(err)
@@ -166,8 +163,7 @@ func TestReoptimizeAppNeverWorsens(t *testing.T) {
 		if err := m.Validate(64); err != nil {
 			t.Fatal(err)
 		}
-		for i := range before {
-			after := p.APL(m, i)
+		for i, after := range p.Evaluate(m).APLs {
 			if after > before[i]+1e-9 {
 				t.Fatalf("app %d worsened: %v -> %v", i, before[i], after)
 			}

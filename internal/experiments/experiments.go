@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section V) from this repository's substrates. Each
-// experiment is a named Runner producing a typed result that renders as
-// a paper-style ASCII table or grid and exports CSV. DESIGN.md's
-// per-experiment index maps experiment IDs to these runners;
+// experiment is one register call: an ID, a title and a run function
+// returning a typed result that carries the Doc it renders as a
+// paper-style ASCII table or grid, CSV and JSON. DESIGN.md's
+// per-experiment index maps experiment IDs to these run functions;
 // EXPERIMENTS.md records paper-vs-measured numbers.
 package experiments
 
@@ -45,9 +46,9 @@ type Options struct {
 
 // Validate fails fast on malformed options — in particular an unknown
 // configuration name, which would otherwise surface as a confusing
-// workload error deep inside a runner. Callers (cmd/obmsim, the
-// runners themselves via configsOrDefault) check it before doing any
-// work.
+// workload error deep inside an experiment. Callers (cmd/obmsim, the
+// run functions themselves via configsOrDefault) check it before doing
+// any work.
 func (o Options) Validate() error {
 	names := workload.ConfigNames()
 	valid := make(map[string]bool, len(names))
@@ -60,8 +61,8 @@ func (o Options) Validate() error {
 		}
 	}
 	// Resolve and validate the stream overrides exactly as the dynstream
-	// runner will, so a typo or an out-of-range value exits 2 up front
-	// instead of failing (or never finishing) deep inside the runner.
+	// experiment will, so a typo or an out-of-range value exits 2 up
+	// front instead of failing (or never finishing) deep inside it.
 	if o.Stream != "" {
 		if _, err := o.streamConfig(); err != nil {
 			return err
@@ -73,7 +74,7 @@ func (o Options) Validate() error {
 // Spec resolves the options into a declarative scenario.Spec: the
 // configuration list (def when o.Configs is empty), the quick or full
 // budgets, and the base seed. It fails fast on unknown configuration
-// names. Every runner starts by calling this.
+// names. Every run function starts by calling this.
 func (o Options) Spec(def ...string) (scenario.Spec, error) {
 	cfgs, err := configsOrDefault(o, def)
 	if err != nil {
@@ -82,7 +83,9 @@ func (o Options) Spec(def ...string) (scenario.Spec, error) {
 	return scenario.Spec{Configs: cfgs, Budget: scenario.DefaultBudget(o.Quick), Seed: o.Seed, Objective: o.Objective}, nil
 }
 
-// Result is what every experiment returns.
+// Result is what every experiment returns. Each typed result embeds
+// the *Doc its run function built, and the Doc implements all three
+// methods; multi joins several results.
 type Result interface {
 	// Render returns the paper-style human-readable form.
 	Render() string
@@ -101,9 +104,9 @@ type Runner interface {
 	// Title describes the experiment.
 	Title() string
 	// Run executes it. ctx carries cancellation, a deadline, and
-	// optionally an engine progress sink; runners (and the mappers and
-	// simulations below them) poll it and return a ctx.Err()-wrapped
-	// error when interrupted. The context never influences results: an
+	// optionally an engine progress sink; experiments (and the mappers
+	// and simulations below them) poll it and return a
+	// ctx.Err()-wrapped error when interrupted. The context never influences results: an
 	// uncancelled run is bit-identical whatever ctx carries.
 	Run(ctx context.Context, o Options) (Result, error)
 }
@@ -111,11 +114,31 @@ type Runner interface {
 // registry holds all experiments keyed by ID.
 var registry = map[string]Runner{}
 
-func register(r Runner) {
-	if _, dup := registry[r.ID()]; dup {
-		panic("experiments: duplicate ID " + r.ID())
+// entry is a registered experiment and the package's one Runner.
+type entry struct {
+	id, title string
+	run       func(context.Context, Options) (Result, error)
+}
+
+func (e entry) ID() string    { return e.id }
+func (e entry) Title() string { return e.title }
+
+func (e entry) Run(ctx context.Context, o Options) (Result, error) { return e.run(ctx, o) }
+
+// register adds the experiment id. run returns its typed result, whose
+// embedded Doc it builds just before returning; a failed run yields a
+// nil Result, never a typed nil.
+func register[R Result](id, title string, run func(context.Context, Options) (R, error)) {
+	if _, dup := registry[id]; dup {
+		panic("experiments: duplicate ID " + id)
 	}
-	registry[r.ID()] = r
+	registry[id] = entry{id: id, title: title, run: func(ctx context.Context, o Options) (Result, error) {
+		res, err := run(ctx, o)
+		if err != nil {
+			return nil, err
+		}
+		return res, nil
+	}}
 }
 
 // Get returns the runner for id.
@@ -153,7 +176,7 @@ var paperModel = sync.OnceValue(func() *model.LatencyModel {
 })
 
 // problemFor returns the OBM problem for one paper configuration on the
-// paper model: the one way runners get a paper workload. The shared
+// paper model: the one way experiments get a paper workload. The shared
 // scenario cache builds it once per configuration name, so a warm job
 // regenerates no workload; an unknown name fails and is not memoized.
 func problemFor(cfg string) (*core.Problem, error) {
@@ -215,7 +238,7 @@ func mapEval(ctx context.Context, p *core.Problem, m mapping.Mapper) (core.Mappi
 // vector's fingerprint, so Pareto fronts are computed once per run
 // (once per machine with a disk tier) and hits surface as skipped
 // stages exactly like scalar artifacts. Never call NSGAII.MapSet
-// directly from a runner.
+// directly from an experiment.
 func mapEvalSet(ctx context.Context, p *core.Problem, sm mapping.NSGAII) (core.ParetoSet, error) {
 	return scenario.Shared().MapEvalSet(ctx, p, sm)
 }

@@ -39,11 +39,10 @@ func TestGetUnknown(t *testing.T) {
 
 // TestTable1Shape pins the paper's Table 1 directional claims.
 func TestTable1Shape(t *testing.T) {
-	res, err := table1{}.Run(context.Background(), quickOpts())
+	r, err := table1(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*Table1Result)
 	if len(r.Rows) != 4 {
 		t.Fatalf("expected C1..C4, got %d rows", len(r.Rows))
 	}
@@ -61,11 +60,10 @@ func TestTable1Shape(t *testing.T) {
 // TestTable4Shape pins the Table 4 ordering: SSS has the smallest
 // average dev-APL, Global the largest.
 func TestTable4Shape(t *testing.T) {
-	res, err := table4{}.Run(context.Background(), quickOpts())
+	r, err := table4(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*Table4Result)
 	avgs := map[string]float64{}
 	for i, n := range r.Mappers {
 		avgs[n] = r.avg(i)
@@ -81,11 +79,10 @@ func TestTable4Shape(t *testing.T) {
 // TestFig9Shape: SSS's average max-APL beats Global's by a margin in
 // the paper's neighbourhood (paper: 10.42%).
 func TestFig9Shape(t *testing.T) {
-	res, err := fig9{}.Run(context.Background(), quickOpts())
+	r, err := fig9(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*MapperSeries)
 	var global, sss float64
 	for i, n := range r.Mappers {
 		switch n {
@@ -103,11 +100,10 @@ func TestFig9Shape(t *testing.T) {
 
 // TestFig10Shape: SSS g-APL overhead vs Global stays under 8%.
 func TestFig10Shape(t *testing.T) {
-	res, err := fig10{}.Run(context.Background(), quickOpts())
+	r, err := fig10(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*MapperSeries)
 	var global, sss float64
 	for i, n := range r.Mappers {
 		switch n {
@@ -127,11 +123,10 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the NoC; skip under -short")
 	}
-	res, err := fig11{}.Run(context.Background(), quickOpts())
+	r, err := fig11(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*MapperSeries)
 	var global, sss float64
 	for i, n := range r.Mappers {
 		switch n {
@@ -152,11 +147,10 @@ func TestFig11Shape(t *testing.T) {
 // TestFig12Shape: SA quality improves with budget, and at 0.1x SSS
 // runtime SA is clearly worse than SSS.
 func TestFig12Shape(t *testing.T) {
-	res, err := fig12{}.Run(context.Background(), quickOpts())
+	r, err := fig12(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*Fig12Result)
 	if len(r.SAMaxAPL) < 2 {
 		t.Fatal("need at least two budgets")
 	}
@@ -171,11 +165,10 @@ func TestFig12Shape(t *testing.T) {
 
 // TestFig5PinsPaperNumbers verifies the worked example digit-for-digit.
 func TestFig5PinsPaperNumbers(t *testing.T) {
-	res, err := fig5{}.Run(context.Background(), quickOpts())
+	r, err := fig5(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*Fig5Result)
 	if math.Abs(r.GoodAPL-10.3375) > 1e-9 {
 		t.Errorf("optimal APL = %v, want 10.3375", r.GoodAPL)
 	}
@@ -194,11 +187,10 @@ func TestFig5PinsPaperNumbers(t *testing.T) {
 }
 
 func TestTable3Close(t *testing.T) {
-	res, err := table3{}.Run(context.Background(), quickOpts())
+	r, err := table3(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*Table3Result)
 	if len(r.Rows) != 8 {
 		t.Fatalf("expected 8 configs, got %d", len(r.Rows))
 	}

@@ -8,17 +8,8 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(extAblation{}) }
-
-// extAblation is an extension experiment: the contribution of each
-// phase and design choice of sort-select-swap (the studies DESIGN.md
-// calls out). Every variant maps all configurations; the table reports
-// the average max-APL, dev-APL, and swap-phase work per pass.
-type extAblation struct{}
-
-func (extAblation) ID() string { return "ablation" }
-func (extAblation) Title() string {
-	return "Extension: sort-select-swap phase and design-choice ablations"
+func init() {
+	register("ablation", "Extension: sort-select-swap phase and design-choice ablations", extAblation)
 }
 
 // AblationRow is one variant's averages.
@@ -34,10 +25,15 @@ type AblationRow struct {
 
 // AblationResult is the whole study.
 type AblationResult struct {
+	*Doc
 	Rows []AblationRow
 }
 
-func (a extAblation) Run(ctx context.Context, o Options) (Result, error) {
+// extAblation is an extension experiment: the contribution of each
+// phase and design choice of sort-select-swap (the studies DESIGN.md
+// calls out). Every variant maps all configurations; the table reports
+// the average max-APL, dev-APL, and swap-phase work per pass.
+func extAblation(ctx context.Context, o Options) (*AblationResult, error) {
 	sp, err := o.Spec(workload.ConfigNames()...)
 	if err != nil {
 		return nil, err
@@ -85,6 +81,7 @@ func (a extAblation) Run(ctx context.Context, o Options) (Result, error) {
 		row.GAPL /= n
 		res.Rows = append(res.Rows, row)
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -111,12 +108,3 @@ func (r *AblationResult) doc() *Doc {
 			" the dev-APL reduction and full step range matters more than window size;\n" +
 			" selection strategy within sections is a second-order effect)\n"))
 }
-
-// Render implements Result.
-func (r *AblationResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *AblationResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *AblationResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -8,18 +8,8 @@ import (
 	"obm/internal/sim"
 )
 
-func init() { register(extBurst{}) }
-
-// extBurst is a robustness experiment: the analytic model (and the
-// paper) assume smooth traffic, but real applications burst. It
-// re-measures the Global-vs-SSS comparison on the flit-level simulator
-// under on/off modulated injection and checks the ordering survives the
-// extra queuing.
-type extBurst struct{}
-
-func (extBurst) ID() string { return "burst" }
-func (extBurst) Title() string {
-	return "Extension: does the balance conclusion survive bursty traffic?"
+func init() {
+	register("burst", "Extension: does the balance conclusion survive bursty traffic?", extBurst)
 }
 
 // BurstRow is one (mapper, burst factor) measurement.
@@ -32,11 +22,17 @@ type BurstRow struct {
 
 // BurstResult is the sweep.
 type BurstResult struct {
+	*Doc
 	Config string
 	Rows   []BurstRow
 }
 
-func (e extBurst) Run(ctx context.Context, o Options) (Result, error) {
+// extBurst is a robustness experiment: the analytic model (and the
+// paper) assume smooth traffic, but real applications burst. It
+// re-measures the Global-vs-SSS comparison on the flit-level simulator
+// under on/off modulated injection and checks the ordering survives the
+// extra queuing.
+func extBurst(ctx context.Context, o Options) (*BurstResult, error) {
 	sp, err := o.Spec("C4") // heaviest rates: burstiness bites hardest
 	if err != nil {
 		return nil, err
@@ -75,7 +71,9 @@ func (e extBurst) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BurstResult{Config: cfgName, Rows: rows}, nil
+	res := &BurstResult{Config: cfgName, Rows: rows}
+	res.Doc = res.doc()
+	return res, nil
 }
 
 func (r *BurstResult) table() *Table {
@@ -95,12 +93,3 @@ func (r *BurstResult) doc() *Doc {
 		renderOnly(Note("\n(burstiness raises queuing for everyone; SSS keeps its max-APL and\n" +
 			" dev-APL advantage because the imbalance is geometric, not load-borne)\n"))
 }
-
-// Render implements Result.
-func (r *BurstResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *BurstResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *BurstResult) JSON() ([]byte, error) { return r.doc().JSON() }

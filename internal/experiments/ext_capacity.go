@@ -11,18 +11,8 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(extCapacity{}) }
-
-// extCapacity is the multi-thread-per-tile generalization the paper's
-// Section III.B footnote mentions but does not treat: two
-// configurations' worth of applications (8 apps, 128 threads) share one
-// 8x8 chip with two hardware threads per tile. Slots generalize tiles
-// and every algorithm carries over unchanged.
-type extCapacity struct{}
-
-func (extCapacity) ID() string { return "capacity" }
-func (extCapacity) Title() string {
-	return "Extension: multiple threads per tile (the paper's footnote generalization)"
+func init() {
+	register("capacity", "Extension: multiple threads per tile (the paper's footnote generalization)", extCapacity)
 }
 
 // CapacityRow is one mapper's outcome on the slotted chip.
@@ -34,12 +24,18 @@ type CapacityRow struct {
 
 // CapacityResult is the comparison.
 type CapacityResult struct {
+	*Doc
 	Apps, Threads, Tiles, Capacity int
 	RandMax, RandDev               float64
 	Rows                           []CapacityRow
 }
 
-func (e extCapacity) Run(ctx context.Context, o Options) (Result, error) {
+// extCapacity is the multi-thread-per-tile generalization the paper's
+// Section III.B footnote mentions but does not treat: two
+// configurations' worth of applications (8 apps, 128 threads) share one
+// 8x8 chip with two hardware threads per tile. Slots generalize tiles
+// and every algorithm carries over unchanged.
+func extCapacity(ctx context.Context, o Options) (*CapacityResult, error) {
 	sp, err := o.Spec()
 	if err != nil {
 		return nil, err
@@ -85,6 +81,7 @@ func (e extCapacity) Run(ctx context.Context, o Options) (Result, error) {
 			Mapper: shortName(m), MaxAPL: ev.MaxAPL, DevAPL: ev.DevAPL, GAPL: ev.GlobalAPL,
 		})
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -107,12 +104,3 @@ func (r *CapacityResult) doc() *Doc {
 		renderOnly(Note("\n(slots generalize tiles: with 2 threads per tile the same algorithms\n" +
 			" balance 8 applications on one chip; SSS keeps its advantage)\n"))
 }
-
-// Render implements Result.
-func (r *CapacityResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *CapacityResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *CapacityResult) JSON() ([]byte, error) { return r.doc().JSON() }

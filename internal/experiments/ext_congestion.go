@@ -9,18 +9,8 @@ import (
 	"obm/internal/stats"
 )
 
-func init() { register(extCongestion{}) }
-
-// extCongestion is an extension experiment: how the mapping shapes the
-// *spatial* distribution of network load. The paper's metrics are
-// per-application latencies; this view counts flits per link and asks
-// whether balancing latency also flattens the link-load profile (it
-// does: heavy applications stop monopolizing the center links).
-type extCongestion struct{}
-
-func (extCongestion) ID() string { return "congestion" }
-func (extCongestion) Title() string {
-	return "Extension: link-load distribution under Global vs SSS"
+func init() {
+	register("congestion", "Extension: link-load distribution under Global vs SSS", extCongestion)
 }
 
 // CongestionRow is one mapper's link-load profile.
@@ -34,11 +24,17 @@ type CongestionRow struct {
 
 // CongestionResult is the comparison.
 type CongestionResult struct {
+	*Doc
 	Config string
 	Rows   []CongestionRow
 }
 
-func (e extCongestion) Run(ctx context.Context, o Options) (Result, error) {
+// extCongestion is an extension experiment: how the mapping shapes the
+// *spatial* distribution of network load. The paper's metrics are
+// per-application latencies; this view counts flits per link and asks
+// whether balancing latency also flattens the link-load profile (it
+// does: heavy applications stop monopolizing the center links).
+func extCongestion(ctx context.Context, o Options) (*CongestionResult, error) {
 	sp, err := o.Spec("C4")
 	if err != nil {
 		return nil, err
@@ -87,7 +83,9 @@ func (e extCongestion) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CongestionResult{Config: cfgName, Rows: rows}, nil
+	res := &CongestionResult{Config: cfgName, Rows: rows}
+	res.Doc = res.doc()
+	return res, nil
 }
 
 func (r *CongestionResult) table() *Table {
@@ -114,12 +112,3 @@ func (r *CongestionResult) doc() *Doc {
 			" overhead — but flattens the profile in relative terms: the link-load\n" +
 			" coefficient of variation drops, so no region monopolizes bandwidth)\n"))
 }
-
-// Render implements Result.
-func (r *CongestionResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *CongestionResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *CongestionResult) JSON() ([]byte, error) { return r.doc().JSON() }

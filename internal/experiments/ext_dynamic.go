@@ -9,16 +9,8 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(extDynamic{}) }
-
-// extDynamic is an extension experiment backing Section IV.B's dynamic
-// argument: applications arrive and depart over a timeline, and
-// remapping policies trade migrations for sustained balance.
-type extDynamic struct{}
-
-func (extDynamic) ID() string { return "dynamic" }
-func (extDynamic) Title() string {
-	return "Extension: remapping policies under application churn (Section IV.B)"
+func init() {
+	register("dynamic", "Extension: remapping policies under application churn (Section IV.B)", extDynamic)
 }
 
 // DynamicRow is one policy's outcome on the churn scenario.
@@ -30,6 +22,7 @@ type DynamicRow struct {
 
 // DynamicResult is the policy comparison.
 type DynamicResult struct {
+	*Doc
 	Rows []DynamicRow
 }
 
@@ -107,7 +100,10 @@ func dynamicSchemes() []streamScheme {
 	}})
 }
 
-func (e extDynamic) Run(ctx context.Context, o Options) (Result, error) {
+// extDynamic is an extension experiment backing Section IV.B's dynamic
+// argument: applications arrive and depart over a timeline, and
+// remapping policies trade migrations for sustained balance.
+func extDynamic(ctx context.Context, o Options) (*DynamicResult, error) {
 	sc, err := churnScenario()
 	if err != nil {
 		return nil, err
@@ -128,6 +124,7 @@ func (e extDynamic) Run(ctx context.Context, o Options) (Result, error) {
 			Remaps: met.Remaps, Migrations: met.Migrations,
 		})
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -151,12 +148,3 @@ func (r *DynamicResult) doc() *Doc {
 			" balance for a third of the moves; the adaptive dev-threshold policy\n" +
 			" remaps rarely; blind periodic remaps help little; never drifts)\n"))
 }
-
-// Render implements Result.
-func (r *DynamicResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *DynamicResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *DynamicResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -9,20 +9,8 @@ import (
 	"obm/internal/sched"
 )
 
-func init() { register(extDynstream{}) }
-
-// extDynstream scales the dynamic argument from the hand-built churn
-// timeline ("dynamic") to a generated stream of arrivals and
-// departures: the streaming scheduler places each arrival
-// incrementally and consults a remapping policy between event groups,
-// so schemes differ in placement heuristic, remap engine (warm-started
-// versus full re-solve), and firing policy under a shared
-// migration-cost-aware adoption test.
-type extDynstream struct{}
-
-func (extDynstream) ID() string { return "dynstream" }
-func (extDynstream) Title() string {
-	return "Extension: streaming remapping schemes on a generated churn timeline"
+func init() {
+	register("dynstream", "Extension: streaming remapping schemes on a generated churn timeline", extDynstream)
 }
 
 // DynstreamRow is one scheme's outcome on the shared timeline.
@@ -38,6 +26,7 @@ type DynstreamRow struct {
 // generator override spec the run used ("" for the defaults), so
 // outputs under different load shapes are self-describing.
 type DynstreamResult struct {
+	*Doc
 	Events int
 	Stream string
 	Rows   []DynstreamRow
@@ -77,7 +66,7 @@ func dynstreamSchemes(interval int64) []streamScheme {
 		}},
 		{"spiral+warm/adaptive", sched.StreamConfig{
 			Placement: &sched.SpiralPlacement{},
-			Policy:    &sched.Debounced{Inner: sched.WhenUnbalanced{Threshold: 0.35}, MinInterval: interval / 4},
+			Policy:    sched.Debounced{Inner: sched.WhenUnbalanced{Threshold: 0.35}, MinInterval: interval / 4},
 			Remapper:  warm, Cost: cost,
 		}},
 	}
@@ -99,7 +88,14 @@ func (o Options) streamConfig() (sched.GenConfig, error) {
 	return gen, gen.Validate()
 }
 
-func (e extDynstream) Run(ctx context.Context, o Options) (Result, error) {
+// extDynstream scales the dynamic argument from the hand-built churn
+// timeline ("dynamic") to a generated stream of arrivals and
+// departures: the streaming scheduler places each arrival
+// incrementally and consults a remapping policy between event groups,
+// so schemes differ in placement heuristic, remap engine (warm-started
+// versus full re-solve), and firing policy under a shared
+// migration-cost-aware adoption test.
+func extDynstream(ctx context.Context, o Options) (*DynstreamResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,6 +129,7 @@ func (e extDynstream) Run(ctx context.Context, o Options) (Result, error) {
 	// time-weighted dev-APL histogram) are recorded in the obs registry
 	// (sched.remap.*, sched.stream.*), never in this result: the
 	// envelope stays deterministic.
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -166,12 +163,3 @@ func (r *DynstreamResult) doc() *Doc {
 			" cost rejects candidates whose gain does not cover their migrations —\n" +
 			" remap latency SLOs are published via the obs registry, not here)\n"))
 }
-
-// Render implements Result.
-func (r *DynstreamResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *DynstreamResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *DynstreamResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -9,21 +9,13 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(extGap{}) }
-
-// extGap is an extension experiment: how close does each heuristic get
-// to the (NP-complete) optimum? An exact solve is infeasible at N=64,
-// so the yardstick is the Hungarian-relaxation lower bound of
-// core.LowerBound, which the exact-solver tests certify as valid.
-type extGap struct{}
-
-func (extGap) ID() string { return "gap" }
-func (extGap) Title() string {
-	return "Extension: optimality gap of the heuristics vs the Hungarian lower bound"
+func init() {
+	register("gap", "Extension: optimality gap of the heuristics vs the Hungarian lower bound", extGap)
 }
 
 // GapResult holds per-config bounds and per-mapper objective values.
 type GapResult struct {
+	*Doc
 	Configs []string
 	Bounds  []float64
 	Mappers []string
@@ -31,7 +23,11 @@ type GapResult struct {
 	Obj [][]float64
 }
 
-func (g extGap) Run(ctx context.Context, o Options) (Result, error) {
+// extGap is an extension experiment: how close does each heuristic get
+// to the (NP-complete) optimum? An exact solve is infeasible at N=64,
+// so the yardstick is the Hungarian-relaxation lower bound of
+// core.LowerBound, which the exact-solver tests certify as valid.
+func extGap(ctx context.Context, o Options) (*GapResult, error) {
 	sp, err := o.Spec(workload.ConfigNames()...)
 	if err != nil {
 		return nil, err
@@ -69,6 +65,7 @@ func (g extGap) Run(ctx context.Context, o Options) (Result, error) {
 		return nil, err
 	}
 	res.Obj = mapperMajor(cols, len(mappers))
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -107,12 +104,3 @@ func (r *GapResult) doc() *Doc {
 		renderOnly(Note("\n(the bound is max of per-app unconstrained optima and the optimal g-APL;\n" +
 			" the true optimum lies between the bound and the best heuristic)\n"))
 }
-
-// Render implements Result.
-func (r *GapResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *GapResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *GapResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -9,14 +9,9 @@ import (
 	"obm/internal/sim"
 )
 
-func init() { register(extLoadSweep{}) }
-
-// extLoadSweep is a substrate-validation experiment: the classic
-// latency-vs-offered-load characterization of the flit-level simulator
-// under standard synthetic traffic patterns. It certifies the Garnet
-// substitute behaves like an interconnect: zero-load latency at light
-// loads, graceful rise, saturation under adversarial patterns.
-type extLoadSweep struct{}
+func init() {
+	register("loadsweep", "Extension: NoC latency/throughput vs offered load (simulator validation)", extLoadSweep)
+}
 
 // Offered loads (packets/tile/cycle) of the full and the quick sweep.
 var (
@@ -24,20 +19,21 @@ var (
 	loadSweepQuickRates = []float64{0.01, 0.04, 0.12}
 )
 
-func (extLoadSweep) ID() string { return "loadsweep" }
-func (extLoadSweep) Title() string {
-	return "Extension: NoC latency/throughput vs offered load (simulator validation)"
-}
-
 // LoadSweepResult holds curves per pattern.
 type LoadSweepResult struct {
+	*Doc
 	Patterns []string
 	ZeroLoad []float64
 	// Points[p] is the sweep for pattern p.
 	Points [][]noc.LoadPoint
 }
 
-func (e extLoadSweep) Run(ctx context.Context, o Options) (Result, error) {
+// extLoadSweep is a substrate-validation experiment: the classic
+// latency-vs-offered-load characterization of the flit-level simulator
+// under standard synthetic traffic patterns. It certifies the Garnet
+// substitute behaves like an interconnect: zero-load latency at light
+// loads, graceful rise, saturation under adversarial patterns.
+func extLoadSweep(ctx context.Context, o Options) (*LoadSweepResult, error) {
 	cfg := noc.DefaultConfig()
 	sw := noc.DefaultSweepConfig()
 	sw.Seed = o.Seed + 41
@@ -83,6 +79,7 @@ func (e extLoadSweep) Run(ctx context.Context, o Options) (Result, error) {
 		res.ZeroLoad = append(res.ZeroLoad, zl)
 		res.Points = append(res.Points, pts[pi*len(rates):(pi+1)*len(rates)])
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -107,12 +104,3 @@ func (r *LoadSweepResult) doc() *Doc {
 		renderOnly(Note("\n(latency hugs the zero-load bound at light loads and rises toward\n" +
 			" saturation; adversarial patterns saturate earlier than uniform)\n"))
 }
-
-// Render implements Result.
-func (r *LoadSweepResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *LoadSweepResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *LoadSweepResult) JSON() ([]byte, error) { return r.doc().JSON() }

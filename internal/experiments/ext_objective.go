@@ -9,22 +9,8 @@ import (
 	"obm/internal/sim"
 )
 
-func init() { register(extObjective{}) }
-
-// extObjective is the pluggable-objective experiment: every optimizing
-// mapper is run once per core.Objective (the balance metrics the
-// paper's Section III.A weighs against each other), and each cell
-// reports all four latency metrics of the resulting mapping. The grid
-// makes the trade-off space concrete: optimizing dev-APL buys flatter
-// per-application latencies than the max-APL optimum at some g-APL
-// cost, optimizing g-APL collapses to the Global pathology, and so on.
-// Every cell flows through the scenario cache under an objective-
-// qualified fingerprint, exercising the cache's objective separation.
-type extObjective struct{}
-
-func (extObjective) ID() string { return "objective" }
-func (extObjective) Title() string {
-	return "Extension: mapper x objective grid over the paper's balance metrics"
+func init() {
+	register("objective", "Extension: mapper x objective grid over the paper's balance metrics", extObjective)
 }
 
 // ObjectiveCell is one (mapper, objective) entry of the grid: the four
@@ -51,10 +37,20 @@ type ObjectiveConfig struct {
 
 // ObjectiveResult is the full experiment output.
 type ObjectiveResult struct {
+	*Doc
 	Configs []ObjectiveConfig
 }
 
-func (e extObjective) Run(ctx context.Context, o Options) (Result, error) {
+// extObjective is the pluggable-objective experiment: every optimizing
+// mapper is run once per core.Objective (the balance metrics the
+// paper's Section III.A weighs against each other), and each cell
+// reports all four latency metrics of the resulting mapping. The grid
+// makes the trade-off space concrete: optimizing dev-APL buys flatter
+// per-application latencies than the max-APL optimum at some g-APL
+// cost, optimizing g-APL collapses to the Global pathology, and so on.
+// Every cell flows through the scenario cache under an objective-
+// qualified fingerprint, exercising the cache's objective separation.
+func extObjective(ctx context.Context, o Options) (*ObjectiveResult, error) {
 	sp, err := o.Spec("C1", "C2")
 	if err != nil {
 		return nil, err
@@ -104,7 +100,9 @@ func (e extObjective) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ObjectiveResult{Configs: grids}, nil
+	res := &ObjectiveResult{Configs: grids}
+	res.Doc = res.doc()
+	return res, nil
 }
 
 // ownMetric returns the cell's value under the named objective's own
@@ -194,12 +192,3 @@ func (r *ObjectiveResult) doc() *Doc {
 		" of that choice — the paper's Section III.A trade-off made concrete)\n"))
 	return d
 }
-
-// Render implements Result.
-func (r *ObjectiveResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *ObjectiveResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *ObjectiveResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -14,17 +14,9 @@ func TestObjectiveGridShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs mappers under every objective; skip under -short")
 	}
-	r, err := Get("objective")
+	or, err := extObjective(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
-	}
-	res, err := r.Run(context.Background(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	or, ok := res.(*ObjectiveResult)
-	if !ok {
-		t.Fatalf("result type %T", res)
 	}
 	wantCells := 3 * len(core.Objectives())
 	for _, g := range or.Configs {
@@ -32,7 +24,7 @@ func TestObjectiveGridShape(t *testing.T) {
 			t.Errorf("%s: %d cells, want %d", g.Config, len(g.Cells), wantCells)
 		}
 	}
-	if !strings.Contains(res.Render(), "dev-APL") {
+	if !strings.Contains(or.Render(), "dev-APL") {
 		t.Error("render misses objective rows")
 	}
 }
@@ -46,15 +38,10 @@ func TestObjectiveGridOwnMetricWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs mappers under every objective; skip under -short")
 	}
-	r, err := Get("objective")
+	or, err := extObjective(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(context.Background(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	or := res.(*ObjectiveResult)
 	wins := 0
 	for _, g := range or.Configs {
 		for _, mapper := range []string{"MC", "SA", "SSS"} {

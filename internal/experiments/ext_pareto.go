@@ -11,7 +11,9 @@ import (
 	"obm/internal/sim"
 )
 
-func init() { register(extPareto{}) }
+func init() {
+	register("pareto", "Extension: NSGA-II Pareto fronts over {max-APL, dev-APL, energy}", extPareto)
+}
 
 // Front-shape metrics, recorded per configuration. Like every obs
 // metric they are observability only — never rendered into a result,
@@ -20,20 +22,6 @@ var (
 	mFrontSize = obs.Default().Histogram("pareto.front.size", []float64{1, 2, 4, 8, 16, 32, 64})
 	mFrontHV   = obs.Default().Histogram("pareto.front.hypervolume", []float64{1, 1e2, 1e4, 1e6, 1e8, 1e10})
 )
-
-// extPareto is the multi-objective experiment: NSGA-II evolves a
-// Pareto front over the {max-APL, dev-APL, energy} vector objective
-// for each configuration, and the result renders the whole trade-off
-// surface — every non-dominated mapping with its three costs — plus
-// the knee member's placement grid and per-tile energy field. Every
-// front flows through the scenario cache under a vector-objective-
-// qualified fingerprint, so warm runs recompute nothing.
-type extPareto struct{}
-
-func (extPareto) ID() string { return "pareto" }
-func (extPareto) Title() string {
-	return "Extension: NSGA-II Pareto fronts over {max-APL, dev-APL, energy}"
-}
 
 // ParetoFrontRow is one non-dominated mapping of a front: its vector
 // costs in objective order, the g-APL read off the same mapping for
@@ -60,12 +48,20 @@ type ParetoConfig struct {
 
 // ParetoResult is the full experiment output.
 type ParetoResult struct {
+	*Doc
 	Mapper     string
 	Objectives string
 	Configs    []ParetoConfig
 }
 
-func (e extPareto) Run(ctx context.Context, o Options) (Result, error) {
+// extPareto is the multi-objective experiment: NSGA-II evolves a
+// Pareto front over the {max-APL, dev-APL, energy} vector objective
+// for each configuration, and the result renders the whole trade-off
+// surface — every non-dominated mapping with its three costs — plus
+// the knee member's placement grid and per-tile energy field. Every
+// front flows through the scenario cache under a vector-objective-
+// qualified fingerprint, so warm runs recompute nothing.
+func extPareto(ctx context.Context, o Options) (*ParetoResult, error) {
 	sp, err := o.Spec("C1", "C2")
 	if err != nil {
 		return nil, err
@@ -105,7 +101,9 @@ func (e extPareto) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ParetoResult{Mapper: sm.Name(), Objectives: core.ParetoName(), Configs: configs}, nil
+	res := &ParetoResult{Mapper: sm.Name(), Objectives: core.ParetoName(), Configs: configs}
+	res.Doc = res.doc()
+	return res, nil
 }
 
 // kneeIndex returns the front member closest (normalized L2) to the
@@ -226,12 +224,3 @@ func (r *ParetoResult) doc() *Doc {
 		" member to the front's ideal point)\n"))
 	return d
 }
-
-// Render implements Result.
-func (r *ParetoResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *ParetoResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *ParetoResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -15,11 +15,10 @@ func TestParetoFrontShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs NSGA-II; skip under -short")
 	}
-	res, err := extPareto{}.Run(context.Background(), quickOpts())
+	pr, err := extPareto(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := res.(*ParetoResult)
 	if pr.Objectives != "vec(max-APL,dev-APL,energy)" {
 		t.Errorf("objectives = %q", pr.Objectives)
 	}
@@ -60,7 +59,7 @@ func TestParetoUsesSharedCache(t *testing.T) {
 	}
 	scenario.ResetShared()
 	t.Cleanup(func() { scenario.ResetShared() })
-	cold, err := extPareto{}.Run(context.Background(), quickOpts())
+	cold, err := extPareto(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestParetoUsesSharedCache(t *testing.T) {
 	if st.Computed != 2 {
 		t.Fatalf("cold run computed %d artifacts, want 2 (one per config)", st.Computed)
 	}
-	warm, err := extPareto{}.Run(context.Background(), quickOpts())
+	warm, err := extPareto(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

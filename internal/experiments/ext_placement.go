@@ -10,17 +10,8 @@ import (
 	"obm/internal/model"
 )
 
-func init() { register(extPlacement{}) }
-
-// extPlacement is an extension experiment: the OBM problem under
-// different memory-controller placements. The paper fixes corner
-// controllers; TM(k)'s shape changes with placement, which shifts where
-// the cache/memory latency tension lands and how much balancing buys.
-type extPlacement struct{}
-
-func (extPlacement) ID() string { return "placement" }
-func (extPlacement) Title() string {
-	return "Extension: latency balance under alternative memory-controller placements"
+func init() {
+	register("placement", "Extension: latency balance under alternative memory-controller placements", extPlacement)
 }
 
 // PlacementRow holds one (placement, config) outcome.
@@ -33,10 +24,15 @@ type PlacementRow struct {
 
 // PlacementResult is the sweep.
 type PlacementResult struct {
+	*Doc
 	Rows []PlacementRow
 }
 
-func (e extPlacement) Run(ctx context.Context, o Options) (Result, error) {
+// extPlacement is an extension experiment: the OBM problem under
+// different memory-controller placements. The paper fixes corner
+// controllers; TM(k)'s shape changes with placement, which shifts where
+// the cache/memory latency tension lands and how much balancing buys.
+func extPlacement(ctx context.Context, o Options) (*PlacementResult, error) {
 	sp, err := o.Spec("C1", "C4")
 	if err != nil {
 		return nil, err
@@ -78,6 +74,7 @@ func (e extPlacement) Run(ctx context.Context, o Options) (Result, error) {
 			})
 		}
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -97,12 +94,3 @@ func (r *PlacementResult) doc() *Doc {
 		renderOnly(Note("\n(SSS balances every placement; the corner arrangement has the strongest\n" +
 			" cache/memory location tension, edge-centers the mildest)\n"))
 }
-
-// Render implements Result.
-func (r *PlacementResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *PlacementResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *PlacementResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -11,18 +11,7 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(extScaling{}) }
-
-// extScaling is an extension experiment: SSS and Global across mesh
-// sizes (the paper evaluates only 8x8), reporting balance and SSS's
-// swap-phase work per map (mapping.SortSelectSwap.SwapProbes), whose
-// growth underpins the dynamic-remapping argument.
-type extScaling struct{}
-
-func (extScaling) ID() string { return "scaling" }
-func (extScaling) Title() string {
-	return "Extension: balance and runtime scaling with mesh size"
-}
+func init() { register("scaling", "Extension: balance and runtime scaling with mesh size", extScaling) }
 
 // ScalingRow is one mesh size's outcome.
 type ScalingRow struct {
@@ -35,10 +24,15 @@ type ScalingRow struct {
 
 // ScalingResult is the sweep.
 type ScalingResult struct {
+	*Doc
 	Rows []ScalingRow
 }
 
-func (s extScaling) Run(ctx context.Context, o Options) (Result, error) {
+// extScaling is an extension experiment: SSS and Global across mesh
+// sizes (the paper evaluates only 8x8), reporting balance and SSS's
+// swap-phase work per map (mapping.SortSelectSwap.SwapProbes), whose
+// growth underpins the dynamic-remapping argument.
+func extScaling(ctx context.Context, o Options) (*ScalingResult, error) {
 	sizes := []int{4, 6, 8, 10, 12, 16}
 	if o.Quick {
 		sizes = []int{4, 8, 12}
@@ -87,6 +81,7 @@ func (s extScaling) Run(ctx context.Context, o Options) (Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -109,12 +104,3 @@ func (r *ScalingResult) doc() *Doc {
 		renderOnly(Note("\n(balance holds at every size; runtime grows with the O(N^3) bound,\n" +
 			" staying in remap-at-runtime territory through 256 tiles)\n"))
 }
-
-// Render implements Result.
-func (r *ScalingResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *ScalingResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *ScalingResult) JSON() ([]byte, error) { return r.doc().JSON() }

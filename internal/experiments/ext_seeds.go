@@ -10,23 +10,13 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(extSeeds{}) }
-
-// extSeeds is the reproduction-robustness experiment: the paper's
-// headline numbers come from one set of traces; ours come from one set
-// of synthetic workloads. This experiment regenerates the eight
-// configurations under many independent seeds (same Table 3 moment
-// targets) and reports the distribution of the headline metrics, so the
-// reproduction is not an artifact of one lucky draw.
-type extSeeds struct{}
-
-func (extSeeds) ID() string { return "seeds" }
-func (extSeeds) Title() string {
-	return "Extension: headline metrics across workload regeneration seeds"
+func init() {
+	register("seeds", "Extension: headline metrics across workload regeneration seeds", extSeeds)
 }
 
 // SeedsResult summarizes per-seed headline metrics.
 type SeedsResult struct {
+	*Doc
 	Seeds int
 	// MaxAPLRedux[i] is seed i's average SSS-vs-Global max-APL reduction
 	// (percent); DevRedux likewise for dev-APL; GAPLOver for g-APL
@@ -34,7 +24,13 @@ type SeedsResult struct {
 	MaxAPLRedux, DevRedux, GAPLOver []float64
 }
 
-func (e extSeeds) Run(ctx context.Context, o Options) (Result, error) {
+// extSeeds is the reproduction-robustness experiment: the paper's
+// headline numbers come from one set of traces; ours come from one set
+// of synthetic workloads. This experiment regenerates the eight
+// configurations under many independent seeds (same Table 3 moment
+// targets) and reports the distribution of the headline metrics, so the
+// reproduction is not an artifact of one lucky draw.
+func extSeeds(ctx context.Context, o Options) (*SeedsResult, error) {
 	seeds := 10
 	if o.Quick {
 		seeds = 4
@@ -87,6 +83,7 @@ func (e extSeeds) Run(ctx context.Context, o Options) (Result, error) {
 		res.DevRedux = append(res.DevRedux, devR)
 		res.GAPLOver = append(res.GAPLOver, gO)
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -112,12 +109,3 @@ func (r *SeedsResult) doc() *Doc {
 		renderOnly(Note("\n(every regeneration keeps the same Table 3 moments; the spread shows how\n" +
 			" much of the headline is workload luck vs structure — structure dominates)\n"))
 }
-
-// Render implements Result.
-func (r *SeedsResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *SeedsResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *SeedsResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -9,19 +9,7 @@ import (
 	"obm/internal/stats"
 )
 
-func init() { register(extTail{}) }
-
-// extTail is an extension experiment for the paper's QoS motivation:
-// service agreements bind tail latency, not just the mean. It measures
-// per-application P50/P95/P99 packet latencies under Global and SSS on
-// the flit-level simulator and reports the cross-application spread of
-// each percentile.
-type extTail struct{}
-
-func (extTail) ID() string { return "tail" }
-func (extTail) Title() string {
-	return "Extension: per-application tail latency under Global vs SSS"
-}
+func init() { register("tail", "Extension: per-application tail latency under Global vs SSS", extTail) }
 
 // TailRow is one (mapper, app) measurement.
 type TailRow struct {
@@ -32,13 +20,19 @@ type TailRow struct {
 
 // TailResult carries rows plus per-mapper percentile spreads.
 type TailResult struct {
+	*Doc
 	Config string
 	Rows   []TailRow
 	// SpreadP99[mapper] is max-min of P99 across applications.
 	SpreadP99 map[string]float64
 }
 
-func (e extTail) Run(ctx context.Context, o Options) (Result, error) {
+// extTail is an extension experiment for the paper's QoS motivation:
+// service agreements bind tail latency, not just the mean. It measures
+// per-application P50/P95/P99 packet latencies under Global and SSS on
+// the flit-level simulator and reports the cross-application spread of
+// each percentile.
+func extTail(ctx context.Context, o Options) (*TailResult, error) {
 	sp, err := o.Spec("C1")
 	if err != nil {
 		return nil, err
@@ -92,6 +86,7 @@ func (e extTail) Run(ctx context.Context, o Options) (Result, error) {
 		}
 		res.SpreadP99[shortName(m)] = stats.MustMax(p99s) - stats.MustMin(p99s)
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -119,12 +114,3 @@ func (r *TailResult) doc() *Doc {
 		" the extreme tail is dominated by queueing noise at these loads)\n"))
 	return d
 }
-
-// Render implements Result.
-func (r *TailResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *TailResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *TailResult) JSON() ([]byte, error) { return r.doc().JSON() }

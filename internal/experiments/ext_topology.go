@@ -11,20 +11,8 @@ import (
 	"obm/internal/stats"
 )
 
-func init() { register(extTopology{}) }
-
-// extTopology is an extension experiment: the OBM problem on a torus.
-// A torus is vertex-transitive, so the shared-cache latency TC(k) is
-// identical on every tile — the imbalance the paper's algorithm fights
-// is largely an artifact of the mesh's edges. The residual imbalance
-// comes only from the memory-controller distances, which is much
-// smaller. The experiment quantifies both the problem shrinking and how
-// much the algorithms still matter.
-type extTopology struct{}
-
-func (extTopology) ID() string { return "topology" }
-func (extTopology) Title() string {
-	return "Extension: the OBM problem on a torus (wrap-around links)"
+func init() {
+	register("topology", "Extension: the OBM problem on a torus (wrap-around links)", extTopology)
 }
 
 // TopologyRow compares one (topology, config) pair.
@@ -39,10 +27,18 @@ type TopologyRow struct {
 
 // TopologyResult is the comparison table.
 type TopologyResult struct {
+	*Doc
 	Rows []TopologyRow
 }
 
-func (e extTopology) Run(ctx context.Context, o Options) (Result, error) {
+// extTopology is an extension experiment: the OBM problem on a torus.
+// A torus is vertex-transitive, so the shared-cache latency TC(k) is
+// identical on every tile — the imbalance the paper's algorithm fights
+// is largely an artifact of the mesh's edges. The residual imbalance
+// comes only from the memory-controller distances, which is much
+// smaller. The experiment quantifies both the problem shrinking and how
+// much the algorithms still matter.
+func extTopology(ctx context.Context, o Options) (*TopologyResult, error) {
 	sp, err := o.Spec("C1", "C4")
 	if err != nil {
 		return nil, err
@@ -97,6 +93,7 @@ func (e extTopology) Run(ctx context.Context, o Options) (Result, error) {
 		row.GlobalMax, row.GlobalDev = evG.MaxAPL, evG.DevAPL
 		row.SSSMax, row.SSSDev = evS.MaxAPL, evS.DevAPL
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -120,12 +117,3 @@ func (r *TopologyResult) doc() *Doc {
 			" the problem and the gains shrink; wrap-around links are how hardware\n" +
 			" 'solves' what the paper solves in software on a mesh)\n"))
 }
-
-// Render implements Result.
-func (r *TopologyResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *TopologyResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *TopologyResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -7,18 +7,13 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(fig10{}) }
+func init() { register("fig10", "Figure 10: normalized global APL of the four mapping methods", fig10) }
 
 // fig10 reproduces Figure 10: global APL of the four methods,
 // normalized to Global (which is optimal for this metric by
 // construction). The paper reports all three balancing methods within
 // 6% of Global, SSS best at <3.82%.
-type fig10 struct{}
-
-func (fig10) ID() string    { return "fig10" }
-func (fig10) Title() string { return "Figure 10: normalized global APL of the four mapping methods" }
-
-func (f fig10) Run(ctx context.Context, o Options) (Result, error) {
+func fig10(ctx context.Context, o Options) (*MapperSeries, error) {
 	sp, err := o.Spec(workload.ConfigNames()...)
 	if err != nil {
 		return nil, err
@@ -39,5 +34,6 @@ func (f fig10) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Doc = res.doc()
 	return res, nil
 }

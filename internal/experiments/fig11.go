@@ -7,18 +7,13 @@ import (
 	"obm/internal/sim"
 )
 
-func init() { register(fig11{}) }
+func init() { register("fig11", "Figure 11: dynamic NoC power comparison", fig11) }
 
 // fig11 reproduces Figure 11: dynamic NoC power of the four mapping
 // methods, measured by running the flit-level simulator under each
 // mapping and feeding the flit-activity counts to the DSENT-style power
 // model. The paper reports SSS within 2.7% of Global.
-type fig11 struct{}
-
-func (fig11) ID() string    { return "fig11" }
-func (fig11) Title() string { return "Figure 11: dynamic NoC power comparison" }
-
-func (f fig11) Run(ctx context.Context, o Options) (Result, error) {
+func fig11(ctx context.Context, o Options) (*MapperSeries, error) {
 	// Simulation is the expensive part; the paper's power story is the
 	// same on every configuration, so the default set is trimmed.
 	sp, err := o.Spec("C1", "C3", "C5", "C7")
@@ -77,5 +72,6 @@ func (f fig11) Run(ctx context.Context, o Options) (Result, error) {
 		return nil, err
 	}
 	res.Values = mapperMajor(cols, len(mappers))
+	res.Doc = res.doc()
 	return res, nil
 }

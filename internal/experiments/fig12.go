@@ -8,20 +8,11 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(fig12{}) }
-
-// fig12 reproduces Figure 12: simulated-annealing solution quality as a
-// function of its runtime budget, normalized to SSS. The paper shows SA
-// still above SSS at 100x SSS's runtime. Runtime is controlled by the
-// iteration budget (18k iterations ~= 1x SSS wall time; see
-// EXPERIMENTS.md for the calibration).
-type fig12 struct{}
-
-func (fig12) ID() string    { return "fig12" }
-func (fig12) Title() string { return "Figure 12: SA max-APL vs runtime budget (normalized to SSS)" }
+func init() { register("fig12", "Figure 12: SA max-APL vs runtime budget (normalized to SSS)", fig12) }
 
 // Fig12Result holds the SA quality curve.
 type Fig12Result struct {
+	*Doc
 	// Multipliers are SA runtime budgets as multiples of SSS runtime.
 	Multipliers []float64
 	// SAMaxAPL[i] is SA's max-APL (averaged over configs) at budget i.
@@ -30,7 +21,12 @@ type Fig12Result struct {
 	SSSMaxAPL float64
 }
 
-func (f fig12) Run(ctx context.Context, o Options) (Result, error) {
+// fig12 reproduces Figure 12: simulated-annealing solution quality as a
+// function of its runtime budget, normalized to SSS. The paper shows SA
+// still above SSS at 100x SSS's runtime. Runtime is controlled by the
+// iteration budget (18k iterations ~= 1x SSS wall time; see
+// EXPERIMENTS.md for the calibration).
+func fig12(ctx context.Context, o Options) (*Fig12Result, error) {
 	sp, err := o.Spec(workload.ConfigNames()...)
 	if err != nil {
 		return nil, err
@@ -68,6 +64,7 @@ func (f fig12) Run(ctx context.Context, o Options) (Result, error) {
 	for i := range res.SAMaxAPL {
 		res.SAMaxAPL[i] /= float64(len(cfgs))
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -92,12 +89,3 @@ func (r *Fig12Result) doc() *Doc {
 	d.csvOnly(ct)
 	return d
 }
-
-// Render implements Result.
-func (r *Fig12Result) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *Fig12Result) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *Fig12Result) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -5,22 +5,18 @@ import (
 	"obm/internal/mesh"
 )
 
-func init() { register(fig3{}) }
+func init() { register("fig3", "Figure 3: packet latencies on an 8x8 mesh network", fig3) }
+
+// Fig3Result carries the two per-tile latency fields.
+type Fig3Result struct {
+	*Doc
+	TC, TM [][]float64
+}
 
 // fig3 reproduces Figure 3: per-tile average packet latencies on the
 // 8x8 mesh for (a) shared-cache traffic and (b) memory-controller
 // traffic, rendered as shaded heatmaps plus the raw values.
-type fig3 struct{}
-
-func (fig3) ID() string    { return "fig3" }
-func (fig3) Title() string { return "Figure 3: packet latencies on an 8x8 mesh network" }
-
-// Fig3Result carries the two per-tile latency fields.
-type Fig3Result struct {
-	TC, TM [][]float64
-}
-
-func (f fig3) Run(ctx context.Context, o Options) (Result, error) {
+func fig3(ctx context.Context, o Options) (*Fig3Result, error) {
 	lm := paperModel()
 	msh := lm.Mesh()
 	res := &Fig3Result{
@@ -36,6 +32,7 @@ func (f fig3) Run(ctx context.Context, o Options) (Result, error) {
 			res.TM[r][c] = lm.TM(t)
 		}
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -55,15 +52,6 @@ func (r *Fig3Result) doc() *Doc {
 	d.csvOnly(t)
 	return d
 }
-
-// Render implements Result.
-func (r *Fig3Result) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *Fig3Result) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *Fig3Result) JSON() ([]byte, error) { return r.doc().JSON() }
 
 // tileGridFloats is a helper for examples: it lays out a per-tile value
 // function over a mesh as a 2D slice.

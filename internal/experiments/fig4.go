@@ -7,19 +7,12 @@ import (
 	"obm/internal/mapping"
 )
 
-func init() { register(fig4{}) }
-
-// fig4 reproduces Figure 4: the Global mapper's application-to-tile
-// placement on configuration C1, showing the lightest application
-// pushed to the worst (corner) tiles.
-type fig4 struct{}
-
-func (fig4) ID() string    { return "fig4" }
-func (fig4) Title() string { return "Figure 4: Global mapping result of C1" }
+func init() { register("fig4", "Figure 4: Global mapping result of C1", fig4) }
 
 // FigMappingResult is shared by fig4 and fig8a: a mapping grid plus the
 // per-application APLs behind it.
 type FigMappingResult struct {
+	*Doc
 	Caption string
 	Grid    [][]int
 	APLs    []float64
@@ -28,7 +21,10 @@ type FigMappingResult struct {
 	Note    string
 }
 
-func (f fig4) Run(ctx context.Context, o Options) (Result, error) {
+// fig4 reproduces Figure 4: the Global mapper's application-to-tile
+// placement on configuration C1, showing the lightest application
+// pushed to the worst (corner) tiles.
+func fig4(ctx context.Context, o Options) (*FigMappingResult, error) {
 	p, err := problemFor("C1")
 	if err != nil {
 		return nil, err
@@ -37,14 +33,16 @@ func (f fig4) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FigMappingResult{
+	res := &FigMappingResult{
 		Caption: "Figure 4: Global mapping results of C1 (cell = application ID, 1 = lightest traffic)",
 		Grid:    p.AppGrid(m),
 		APLs:    ev.APLs,
 		MaxAPL:  ev.MaxAPL,
 		GAPL:    ev.GlobalAPL,
 		Note:    "the lightest application is pushed to the worst corner tiles",
-	}, nil
+	}
+	res.Doc = res.doc()
+	return res, nil
 }
 
 func (r *FigMappingResult) doc() *Doc {
@@ -67,12 +65,3 @@ func (r *FigMappingResult) doc() *Doc {
 	d.csvOnly(t)
 	return d
 }
-
-// Render implements Result.
-func (r *FigMappingResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *FigMappingResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *FigMappingResult) JSON() ([]byte, error) { return r.doc().JSON() }

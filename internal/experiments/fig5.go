@@ -11,7 +11,16 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(fig5{}) }
+func init() { register("fig5", "Figure 5: comparison of balance metrics on the worked example", fig5) }
+
+// Fig5Result holds both mappings' metrics.
+type Fig5Result struct {
+	*Doc
+	GoodAPL, BadAPL         float64
+	GoodDev, BadDev         float64
+	GoodRatio, BadRatio     float64
+	SSSMaxAPL, GlobalMaxAPL float64
+}
 
 // fig5 reproduces the Figure 5 worked example of Section III.A: on a
 // 4x4 mesh with four 4-thread applications (cache rates 0.1..0.4,
@@ -19,20 +28,7 @@ func init() { register(fig5{}) }
 // every application 10.3375 cycles, while a mapping that is optimal
 // under the standard-deviation or min-to-max metrics can leave every
 // application equally bad at 11.5375 cycles.
-type fig5 struct{}
-
-func (fig5) ID() string    { return "fig5" }
-func (fig5) Title() string { return "Figure 5: comparison of balance metrics on the worked example" }
-
-// Fig5Result holds both mappings' metrics.
-type Fig5Result struct {
-	GoodAPL, BadAPL         float64
-	GoodDev, BadDev         float64
-	GoodRatio, BadRatio     float64
-	SSSMaxAPL, GlobalMaxAPL float64
-}
-
-func (f fig5) Run(ctx context.Context, o Options) (Result, error) {
+func fig5(ctx context.Context, o Options) (*Fig5Result, error) {
 	lm, err := model.New(mesh.MustNew(4, 4), model.Figure5Params())
 	if err != nil {
 		return nil, err
@@ -93,6 +89,7 @@ func (f fig5) Run(ctx context.Context, o Options) (Result, error) {
 		return nil, err
 	}
 	res.GlobalMaxAPL = gev.MaxAPL
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -113,12 +110,3 @@ func (r *Fig5Result) doc() *Doc {
 	d.csvOnly(ct)
 	return d
 }
-
-// Render implements Result.
-func (r *Fig5Result) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *Fig5Result) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *Fig5Result) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -8,24 +8,20 @@ import (
 	"obm/internal/sim"
 )
 
-func init() { register(fig8{}) }
-
-// fig8 reproduces Figure 8: the sort-select-swap mapping of C1 (a) and
-// the per-application APL comparison against Global (b).
-type fig8 struct{}
-
-func (fig8) ID() string    { return "fig8" }
-func (fig8) Title() string { return "Figure 8: SSS mapping result and APL comparison of C1" }
+func init() { register("fig8", "Figure 8: SSS mapping result and APL comparison of C1", fig8) }
 
 // Fig8Result pairs the SSS grid with the per-application APLs of both
 // mappers.
 type Fig8Result struct {
+	*Doc
 	Grid                [][]int
 	SSSAPLs, GlobalAPLs []float64
 	SSSMax, GlobalMax   float64
 }
 
-func (f fig8) Run(ctx context.Context, o Options) (Result, error) {
+// fig8 reproduces Figure 8: the sort-select-swap mapping of C1 (a) and
+// the per-application APL comparison against Global (b).
+func fig8(ctx context.Context, o Options) (*Fig8Result, error) {
 	// Evaluate the two mappers as independent jobs; each builds its own
 	// Problem so the fan-out shares nothing.
 	type eval struct {
@@ -52,13 +48,15 @@ func (f fig8) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fig8Result{
+	res := &Fig8Result{
 		Grid:       evs[1].grid,
 		SSSAPLs:    evs[1].apls,
 		GlobalAPLs: evs[0].apls,
 		SSSMax:     evs[1].maxAPL,
 		GlobalMax:  evs[0].maxAPL,
-	}, nil
+	}
+	res.Doc = res.doc()
+	return res, nil
 }
 
 func (r *Fig8Result) doc() *Doc {
@@ -85,12 +83,3 @@ func (r *Fig8Result) doc() *Doc {
 	d.csvOnly(ct)
 	return d
 }
-
-// Render implements Result.
-func (r *Fig8Result) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *Fig8Result) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *Fig8Result) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -8,19 +8,12 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(fig9{}) }
-
-// fig9 reproduces Figure 9: the max-APL of the four mapping methods on
-// each configuration (the paper's headline 10.42% SSS-vs-Global
-// reduction).
-type fig9 struct{}
-
-func (fig9) ID() string    { return "fig9" }
-func (fig9) Title() string { return "Figure 9: max-APL comparison of the four mapping methods" }
+func init() { register("fig9", "Figure 9: max-APL comparison of the four mapping methods", fig9) }
 
 // MapperSeries holds one metric per (mapper, config) — shared by the
 // fig9/fig10/fig11 bar charts.
 type MapperSeries struct {
+	*Doc
 	Caption string
 	Configs []string
 	Mappers []string
@@ -35,7 +28,10 @@ type MapperSeries struct {
 	Normalized bool
 }
 
-func (f fig9) Run(ctx context.Context, o Options) (Result, error) {
+// fig9 reproduces Figure 9: the max-APL of the four mapping methods on
+// each configuration (the paper's headline 10.42% SSS-vs-Global
+// reduction).
+func fig9(ctx context.Context, o Options) (*MapperSeries, error) {
 	sp, err := o.Spec(workload.ConfigNames()...)
 	if err != nil {
 		return nil, err
@@ -55,6 +51,7 @@ func (f fig9) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -114,12 +111,3 @@ func (r *MapperSeries) doc() *Doc {
 	}
 	return d
 }
-
-// Render implements Result.
-func (r *MapperSeries) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *MapperSeries) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *MapperSeries) JSON() ([]byte, error) { return r.doc().JSON() }

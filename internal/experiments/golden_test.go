@@ -38,11 +38,11 @@ func registryRows(t *testing.T) []registryRow {
 	for _, r := range All() {
 		rows = append(rows, registryRow{r.ID(), r, quickOpts()})
 	}
-	tail, err := Get("tail")
+	tailExp, err := Get("tail")
 	if err != nil {
 		t.Fatal(err)
 	}
-	validate, err := Get("validate")
+	validateExp, err := Get("validate")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +50,8 @@ func registryRows(t *testing.T) []registryRow {
 	// batch; validate on three configs fans three jobs out (its quick
 	// default is C1 alone, one job).
 	return append(rows,
-		registryRow{"tail-full", tail, Options{Seed: 1}},
-		registryRow{"validate-3cfg", validate, Options{Quick: true, Seed: 1, Configs: []string{"C1", "C4", "C7"}}})
+		registryRow{"tail-full", tailExp, Options{Seed: 1}},
+		registryRow{"validate-3cfg", validateExp, Options{Quick: true, Seed: 1, Configs: []string{"C1", "C4", "C7"}}})
 }
 
 // noArtifactRows are the rows whose runs compute no mapper artifact,

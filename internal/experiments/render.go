@@ -8,12 +8,13 @@ import (
 )
 
 // This file is the experiment layer's entire result-rendering pipeline.
-// Every runner builds its output as a Doc — an ordered list of typed
-// blocks (Table, Grid, Heatmap, Series, Note) — and the three Result
-// forms all derive from that one model: Render() is the paper-style
-// text, CSV() the spreadsheet form, JSON() the machine-readable
-// Document schema (see DESIGN.md). Runners never concatenate output
-// strings themselves.
+// Every run function builds its result's output as a Doc — an ordered
+// list of typed blocks (Table, Grid, Heatmap, Series, Note) — and the
+// three Result forms all derive from that one model: Render() is the
+// paper-style text, CSV() the spreadsheet form, JSON() the
+// machine-readable Document schema (see DESIGN.md). The typed result
+// embeds that Doc, and no experiment concatenates output strings
+// itself.
 
 // Block is one typed element of a result document.
 type Block interface {

@@ -10,8 +10,8 @@ import (
 )
 
 // streamScheme pairs a row label with a fully assembled stream
-// configuration. Its stateful parts (the placement, a Debounced
-// policy) belong to the one job that runs it.
+// configuration. Its one stateful part, the placement, belongs to the
+// one job that runs it.
 type streamScheme struct {
 	name string
 	cfg  sched.StreamConfig

@@ -8,18 +8,7 @@ import (
 	"obm/internal/mapping"
 )
 
-func init() { register(table1{}) }
-
-// table1 reproduces Table 1 of the paper: how global-latency
-// optimization exacerbates the imbalance between applications. For each
-// configuration it reports the average g-APL, max-APL and dev-APL over
-// many random mappings against the Global mapper's values.
-type table1 struct{}
-
-func (table1) ID() string { return "table1" }
-func (table1) Title() string {
-	return "Table 1: imbalance exacerbation by global optimization"
-}
+func init() { register("table1", "Table 1: imbalance exacerbation by global optimization", table1) }
 
 // Table1Row holds one configuration's comparison.
 type Table1Row struct {
@@ -31,11 +20,16 @@ type Table1Row struct {
 
 // Table1Result is the full table with averages.
 type Table1Result struct {
+	*Doc
 	Rows []Table1Row
 	Avg  Table1Row
 }
 
-func (t table1) Run(ctx context.Context, o Options) (Result, error) {
+// table1 reproduces Table 1 of the paper: how global-latency
+// optimization exacerbates the imbalance between applications. For each
+// configuration it reports the average g-APL, max-APL and dev-APL over
+// many random mappings against the Global mapper's values.
+func table1(ctx context.Context, o Options) (*Table1Result, error) {
 	sp, err := o.Spec("C1", "C2", "C3", "C4")
 	if err != nil {
 		return nil, err
@@ -84,6 +78,7 @@ func (t table1) Run(ctx context.Context, o Options) (Result, error) {
 	res.Avg.GlobalGAPL /= n
 	res.Avg.GlobalMaxAPL /= n
 	res.Avg.GlobalDevAPL /= n
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -113,12 +108,3 @@ func (r *Table1Result) doc() *Doc {
 	d.renderOnly(Note("(paper: -4.78% g-APL, +9.85% max-APL, ~3.4x dev-APL)\n"))
 	return d
 }
-
-// Render implements Result.
-func (r *Table1Result) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *Table1Result) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *Table1Result) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -7,15 +7,7 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(table3{}) }
-
-// table3 reproduces Table 3: the per-configuration traffic statistics
-// of the synthetic workloads against the paper's published targets,
-// demonstrating the moment-matched substitution for PARSEC traces.
-type table3 struct{}
-
-func (table3) ID() string    { return "table3" }
-func (table3) Title() string { return "Table 3: configuration rate statistics vs paper targets" }
+func init() { register("table3", "Table 3: configuration rate statistics vs paper targets", table3) }
 
 // Table3Row compares one configuration against its target.
 type Table3Row struct {
@@ -26,10 +18,14 @@ type Table3Row struct {
 
 // Table3Result is the whole table.
 type Table3Result struct {
+	*Doc
 	Rows []Table3Row
 }
 
-func (t table3) Run(ctx context.Context, o Options) (Result, error) {
+// table3 reproduces Table 3: the per-configuration traffic statistics
+// of the synthetic workloads against the paper's published targets,
+// demonstrating the moment-matched substitution for PARSEC traces.
+func table3(ctx context.Context, o Options) (*Table3Result, error) {
 	sp, err := o.Spec(workload.ConfigNames()...)
 	if err != nil {
 		return nil, err
@@ -47,6 +43,7 @@ func (t table3) Run(ctx context.Context, o Options) (Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -68,12 +65,3 @@ func (r *Table3Result) doc() *Doc {
 	return newDoc().add(r.table()).
 		renderOnly(Note("\n(paper 'Std-dev' columns read as variances; targets shown are their square roots — see DESIGN.md)\n"))
 }
-
-// Render implements Result.
-func (r *Table3Result) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *Table3Result) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *Table3Result) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -8,25 +8,21 @@ import (
 	"obm/internal/workload"
 )
 
-func init() { register(table4{}) }
-
-// table4 reproduces Table 4: the standard deviation of per-application
-// APLs (dev-APL) for the four mapping algorithms on each configuration,
-// with SA budgeted to runtime comparable to SSS (Section V.B.3).
-type table4 struct{}
-
-func (table4) ID() string    { return "table4" }
-func (table4) Title() string { return "Table 4: dev-APL of Global/MC/SA/SSS across configurations" }
+func init() { register("table4", "Table 4: dev-APL of Global/MC/SA/SSS across configurations", table4) }
 
 // Table4Result holds dev-APL per (mapper, config).
 type Table4Result struct {
+	*Doc
 	Configs []string
 	Mappers []string
 	// Dev[m][c] is the dev-APL of mapper m on config c.
 	Dev [][]float64
 }
 
-func (t table4) Run(ctx context.Context, o Options) (Result, error) {
+// table4 reproduces Table 4: the standard deviation of per-application
+// APLs (dev-APL) for the four mapping algorithms on each configuration,
+// with SA budgeted to runtime comparable to SSS (Section V.B.3).
+func table4(ctx context.Context, o Options) (*Table4Result, error) {
 	sp, err := o.Spec(workload.ConfigNames()...)
 	if err != nil {
 		return nil, err
@@ -41,6 +37,7 @@ func (t table4) Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Doc = res.doc()
 	return res, nil
 }
 
@@ -92,12 +89,3 @@ func (r *Table4Result) doc() *Doc {
 	}
 	return d
 }
-
-// Render implements Result.
-func (r *Table4Result) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *Table4Result) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *Table4Result) JSON() ([]byte, error) { return r.doc().JSON() }

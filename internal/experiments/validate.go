@@ -9,17 +9,9 @@ import (
 	"obm/internal/sim"
 )
 
-func init() { register(validate{}) }
-
-// validate is the substitution-validation experiment backing Section
-// II.C's modelling claims: it runs the flit-level simulator under a
-// mapping and compares the measured per-application APLs against the
-// analytic model's predictions, and reports the measured queuing
-// latency per hop (the paper observes td_q in 0..1 cycles).
-type validate struct{}
-
-func (validate) ID() string    { return "validate" }
-func (validate) Title() string { return "Validation: flit-level simulator vs analytic latency model" }
+func init() {
+	register("validate", "Validation: flit-level simulator vs analytic latency model", validate)
+}
 
 // ValidateRow compares one application.
 type ValidateRow struct {
@@ -30,6 +22,7 @@ type ValidateRow struct {
 
 // ValidateResult is the per-config comparison.
 type ValidateResult struct {
+	*Doc
 	Config        string
 	Mapper        string
 	Rows          []ValidateRow
@@ -37,7 +30,12 @@ type ValidateResult struct {
 	MeanAbsErr    float64
 }
 
-func (v validate) Run(ctx context.Context, o Options) (Result, error) {
+// validate is the substitution-validation experiment backing Section
+// II.C's modelling claims: it runs the flit-level simulator under a
+// mapping and compares the measured per-application APLs against the
+// analytic model's predictions, and reports the measured queuing
+// latency per hop (the paper observes td_q in 0..1 cycles).
+func validate(ctx context.Context, o Options) (Result, error) {
 	sp, err := o.Spec("C1")
 	if err != nil {
 		return nil, err
@@ -72,6 +70,7 @@ func (v validate) Run(ctx context.Context, o Options) (Result, error) {
 			res.MeanAbsErr += math.Abs(row.Measured - row.Model)
 		}
 		res.MeanAbsErr /= float64(len(res.Rows))
+		res.Doc = res.doc()
 		return res, nil
 	})
 	if err != nil {
@@ -101,12 +100,3 @@ func (r *ValidateResult) doc() *Doc {
 		notef("\nmean |error| %.2f cycles; measured queuing %.3f cycles/hop (paper observes 0..1)\n",
 			r.MeanAbsErr, r.QueuingPerHop)
 }
-
-// Render implements Result.
-func (r *ValidateResult) Render() string { return r.doc().Render() }
-
-// CSV implements Result.
-func (r *ValidateResult) CSV() string { return r.doc().CSV() }
-
-// JSON implements Result.
-func (r *ValidateResult) JSON() ([]byte, error) { return r.doc().JSON() }

@@ -39,7 +39,7 @@ func TestGreedyNearGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gOpt, gGreedy := p.GlobalAPL(gm), p.GlobalAPL(hm)
+	gOpt, gGreedy := p.Evaluate(gm).GlobalAPL, p.Evaluate(hm).GlobalAPL
 	if gGreedy < gOpt-1e-9 {
 		t.Fatalf("greedy g-APL %v beat the optimum %v", gGreedy, gOpt)
 	}

@@ -40,7 +40,7 @@ func ExampleGlobal() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("g-APL: %.4f cycles\n", p.GlobalAPL(m))
+	fmt.Printf("g-APL: %.4f cycles\n", p.Evaluate(m).GlobalAPL)
 	// Output:
 	// g-APL: 10.3375 cycles
 }

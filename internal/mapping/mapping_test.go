@@ -227,13 +227,13 @@ func TestGlobalIsOptimalForGAPL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gAPL := p.GlobalAPL(gm)
+		gAPL := p.Evaluate(gm).GlobalAPL
 		for _, m := range allMappers() {
 			got, err := MapAndCheck(context.Background(), m, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if other := p.GlobalAPL(got); other < gAPL-1e-9 {
+			if other := p.Evaluate(got).GlobalAPL; other < gAPL-1e-9 {
 				t.Errorf("%s: %s achieved g-APL %.6f < Global's %.6f", cfg, m.Name(), other, gAPL)
 			}
 		}
@@ -248,7 +248,7 @@ func TestGlobalOptimalOnFigure5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.GlobalAPL(m); math.Abs(got-10.3375) > 1e-9 {
+	if got := p.Evaluate(m).GlobalAPL; math.Abs(got-10.3375) > 1e-9 {
 		t.Errorf("Global g-APL = %v, want 10.3375", got)
 	}
 }
@@ -324,7 +324,7 @@ func TestSSSSmallGAPLOverhead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, s := p.GlobalAPL(gm), p.GlobalAPL(sm)
+		g, s := p.Evaluate(gm).GlobalAPL, p.Evaluate(sm).GlobalAPL
 		if loss := (s - g) / g; loss > 0.08 {
 			t.Errorf("%s: SSS g-APL overhead %.1f%% > 8%%", cfg, 100*loss)
 		}

@@ -50,9 +50,10 @@ type Scenario struct {
 type Policy interface {
 	// Name labels the policy in results.
 	Name() string
-	// Remap reports whether to re-solve at this event, given the time
-	// since the previous remap.
-	Remap(sinceRemap int64) bool
+	// Remap reports whether to re-solve after an event group, given the
+	// time since the previous remap and the live mapping's dev-APL once
+	// the group was applied.
+	Remap(since int64, devAPL float64) bool
 }
 
 // Never only places arrivals incrementally — the "static" baseline.
@@ -62,7 +63,7 @@ type Never struct{}
 func (Never) Name() string { return "never" }
 
 // Remap implements Policy.
-func (Never) Remap(int64) bool { return false }
+func (Never) Remap(int64, float64) bool { return false }
 
 // OnChange re-solves at every arrival and departure — what the paper's
 // runtime argument advocates.
@@ -72,7 +73,7 @@ type OnChange struct{}
 func (OnChange) Name() string { return "on-change" }
 
 // Remap implements Policy.
-func (OnChange) Remap(int64) bool { return true }
+func (OnChange) Remap(int64, float64) bool { return true }
 
 // Every re-solves at an event only if at least Interval time units have
 // passed since the previous re-solve.
@@ -82,66 +83,38 @@ type Every struct{ Interval int64 }
 func (e Every) Name() string { return fmt.Sprintf("every-%d", e.Interval) }
 
 // Remap implements Policy.
-func (e Every) Remap(since int64) bool { return since >= e.Interval }
+func (e Every) Remap(since int64, _ float64) bool { return since >= e.Interval }
 
 // WhenUnbalanced re-solves only when the current mapping's dev-APL
 // exceeds Threshold — the adaptive policy a deployment would actually
 // run: migrations happen only when the balance contract is at risk.
-// It requires measurement support, so StreamRunner consults it through
-// the MeasuredPolicy interface with the live incremental dev-APL.
 type WhenUnbalanced struct{ Threshold float64 }
 
 // Name implements Policy.
 func (w WhenUnbalanced) Name() string { return fmt.Sprintf("dev>%.2f", w.Threshold) }
 
-// Remap implements Policy; without a measurement it never fires
-// (StreamRunner calls RemapMeasured instead).
-func (WhenUnbalanced) Remap(int64) bool { return false }
-
-// RemapMeasured implements MeasuredPolicy.
-func (w WhenUnbalanced) RemapMeasured(devAPL float64) bool { return devAPL > w.Threshold }
-
-// MeasuredPolicy is an optional Policy refinement that decides based on
-// the current mapping's measured dev-APL.
-type MeasuredPolicy interface {
-	Policy
-	// RemapMeasured reports whether to re-solve given the dev-APL of the
-	// live mapping after the event was applied.
-	RemapMeasured(devAPL float64) bool
-}
+// Remap implements Policy.
+func (w WhenUnbalanced) Remap(_ int64, devAPL float64) bool { return devAPL > w.Threshold }
 
 // Debounced rate-limits an inner policy: it never fires less than
 // MinInterval time units after the previous remap, whatever the inner
 // policy says. Its main use is capping the attempt rate of
 // WhenUnbalanced on long timelines, where a drift period would
-// otherwise trigger a solve at every event group. Stateful (it latches
-// the since-last-remap gap the runner reports), so one value serves
-// one run.
+// otherwise trigger a solve at every event group.
 type Debounced struct {
-	// Inner is the wrapped policy (commonly a MeasuredPolicy).
+	// Inner is the wrapped policy.
 	Inner Policy
 	// MinInterval is the minimum gap between remap attempts.
 	MinInterval int64
-
-	since int64
 }
 
 // Name implements Policy.
-func (d *Debounced) Name() string {
+func (d Debounced) Name() string {
 	return fmt.Sprintf("%s/min%d", d.Inner.Name(), d.MinInterval)
 }
 
-// Remap implements Policy: it latches the reported gap for
-// RemapMeasured (which the runner calls without time context) and
-// defers to the inner policy only once the gap clears MinInterval.
-func (d *Debounced) Remap(since int64) bool {
-	d.since = since
-	return since >= d.MinInterval && d.Inner.Remap(since)
-}
-
-// RemapMeasured implements MeasuredPolicy, honoring the debounce gap
-// latched by the preceding Remap call.
-func (d *Debounced) RemapMeasured(devAPL float64) bool {
-	mp, ok := d.Inner.(MeasuredPolicy)
-	return ok && d.since >= d.MinInterval && mp.RemapMeasured(devAPL)
+// Remap implements Policy: it defers to the inner policy only once the
+// gap clears MinInterval.
+func (d Debounced) Remap(since int64, devAPL float64) bool {
+	return since >= d.MinInterval && d.Inner.Remap(since, devAPL)
 }

@@ -186,15 +186,19 @@ func TestDegenerateTimelines(t *testing.T) {
 }
 
 func TestPolicies(t *testing.T) {
-	if (Never{}).Remap(10) {
+	if (Never{}).Remap(10, 9) {
 		t.Error("Never remapped")
 	}
-	if !(OnChange{}).Remap(0) {
+	if !(OnChange{}).Remap(0, 0) {
 		t.Error("OnChange declined")
 	}
 	e := Every{Interval: 100}
-	if e.Remap(50) || !e.Remap(150) {
+	if e.Remap(50, 9) || !e.Remap(150, 0) {
 		t.Error("Every interval logic wrong")
+	}
+	w := WhenUnbalanced{Threshold: 0.5}
+	if w.Remap(1000, 0.5) || !w.Remap(0, 0.9) {
+		t.Error("WhenUnbalanced threshold logic wrong")
 	}
 	for _, p := range []Policy{Never{}, OnChange{}, Every{Interval: 5}} {
 		if p.Name() == "" {
@@ -342,31 +346,26 @@ func TestMigrationBudget(t *testing.T) {
 }
 
 func TestDebouncedPolicy(t *testing.T) {
-	d := &Debounced{Inner: OnChange{}, MinInterval: 100}
-	if d.Remap(50) {
+	d := Debounced{Inner: OnChange{}, MinInterval: 100}
+	if d.Remap(50, 0) {
 		t.Error("fired inside the debounce window")
 	}
-	if !d.Remap(100) {
+	if !d.Remap(100, 0) {
 		t.Error("did not fire once the gap cleared MinInterval")
 	}
-	m := &Debounced{Inner: WhenUnbalanced{Threshold: 0.5}, MinInterval: 100}
-	if m.Remap(500) {
-		t.Error("WhenUnbalanced fired without a measurement")
+	m := Debounced{Inner: WhenUnbalanced{Threshold: 0.5}, MinInterval: 100}
+	if !m.Remap(500, 0.9) {
+		t.Error("unbalanced fire suppressed despite cleared gap")
 	}
-	if !m.RemapMeasured(0.9) {
-		t.Error("measured fire suppressed despite cleared gap")
+	if m.Remap(10, 0.9) {
+		t.Error("unbalanced fire inside the debounce window")
 	}
-	m.Remap(10) // latch a gap inside the window
-	if m.RemapMeasured(0.9) {
-		t.Error("measured fire inside the debounce window")
-	}
-	if m.RemapMeasured(0.1) {
+	if m.Remap(500, 0.1) {
 		t.Error("fired below the inner threshold")
 	}
-	np := &Debounced{Inner: Never{}, MinInterval: 1}
-	np.Remap(50)
-	if np.RemapMeasured(9) {
-		t.Error("non-measured inner policy fired on measurement")
+	np := Debounced{Inner: Never{}, MinInterval: 1}
+	if np.Remap(50, 9) {
+		t.Error("Never fired through Debounced")
 	}
 	if got := m.Name(); got != "dev>0.50/min100" {
 		t.Errorf("Name = %q", got)

@@ -294,12 +294,8 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 
 		// Policy: attempt a remap for the whole group?
 		if r.cfg.Remapper != nil && len(st.order) > 0 {
-			fire := r.cfg.Policy.Remap(now - lastRemap)
-			if mp, ok := r.cfg.Policy.(MeasuredPolicy); ok && !fire {
-				_, devAPL, _ := st.balance()
-				fire = mp.RemapMeasured(devAPL)
-			}
-			if fire {
+			_, devAPL, _ := st.balance()
+			if r.cfg.Policy.Remap(now-lastRemap, devAPL) {
 				met.RemapAttempts++
 				attemptCount.Inc()
 				start := time.Now()

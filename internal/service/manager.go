@@ -110,8 +110,12 @@ type job struct {
 	started  time.Time
 	finished time.Time
 	err      error
-	outcome  *Outcome
 	journal  *Journal
+
+	// envelope and artifacts are all a finished job serves; the rest of
+	// its Outcome (the typed results and their documents) is dropped.
+	envelope  []byte
+	artifacts *artifact.Stats
 
 	cancel          context.CancelFunc // set while running
 	cancelRequested bool
@@ -269,7 +273,7 @@ func (m *Manager) Result(id string) ([]byte, error) {
 	case j.state != StateDone:
 		return nil, fmt.Errorf("job %s %s: %w", id, j.state, j.err)
 	}
-	return j.outcome.Envelope, nil
+	return j.envelope, nil
 }
 
 // Cancel requests cancellation: a queued job never starts (its state
@@ -380,7 +384,10 @@ func (m *Manager) run(ctx context.Context, j *job) {
 	defer m.mu.Unlock()
 	j.cancel()
 	j.finished = m.now()
-	j.outcome = out
+	if out != nil {
+		stats := out.Stats
+		j.envelope, j.artifacts = out.Envelope, &stats
+	}
 	j.err = err
 	switch {
 	case err == nil:
@@ -417,8 +424,8 @@ func (m *Manager) statusLocked(j *job) Status {
 	if j.err != nil {
 		s.Error = j.err.Error()
 	}
-	if j.state.Terminal() && j.outcome != nil {
-		stats := j.outcome.Stats
+	if j.artifacts != nil {
+		stats := *j.artifacts
 		s.Artifacts = &stats
 	}
 	return s

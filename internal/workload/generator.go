@@ -17,18 +17,20 @@ type GenSpec struct {
 	Cache      Stats // target mean/std of all c_j
 	Mem        Stats // target mean/std of all m_j
 	Seed       uint64
+}
 
-	// AppSigma is the lognormal sigma of the per-application intensity
+const (
+	// appSigma is the lognormal sigma of the per-application intensity
 	// multiplier. Each application stands for one benchmark (PARSEC
 	// programs differ in network load by orders of magnitude), so most of
 	// the rate spread is *between* applications — this is what makes the
 	// Global mapper trade one application's latency for another's, the
-	// paper's motivating observation. 0 selects the default (1.2).
-	AppSigma float64
-	// ThreadSigma is the lognormal sigma of within-application thread
-	// variation. 0 selects the default (0.3).
-	ThreadSigma float64
-}
+	// paper's motivating observation.
+	appSigma = 1.2
+	// threadSigma is the lognormal sigma of within-application thread
+	// variation.
+	threadSigma = 0.3
+)
 
 // Validate reports an error for nonsensical specs.
 func (s GenSpec) Validate() error {
@@ -99,14 +101,6 @@ func Generate(spec GenSpec) (*Workload, error) {
 func drawRates(spec GenSpec) (cache, mem []float64) {
 	rng := stats.NewRand(spec.Seed)
 	n := spec.NumApps * spec.ThreadsPer
-	appSigma := spec.AppSigma
-	if appSigma == 0 {
-		appSigma = 1.2
-	}
-	threadSigma := spec.ThreadSigma
-	if threadSigma == 0 {
-		threadSigma = 0.3
-	}
 
 	// Hierarchical rates: one intensity multiplier per application (the
 	// benchmark's character) times per-thread variation within it.
