@@ -35,12 +35,12 @@ bench-diff:
 	go test -run '^$$' -bench $(MAPPING_BENCH) -benchmem -count=$(BENCH_COUNT) . | go run ./cmd/benchjson -baseline BENCH_mapping.json
 
 # Everything CI gates on: vet, staticcheck (when installed), build, the
-# full test suite, and the race detector over the packages that fan
-# work out across goroutines or share mutable state (the obs registry,
-# the artifact store, the scenario cache, the job service, and both
-# frontends are exercised by dedicated hammer/lifecycle tests).
+# full test suite, and the race detector over every package of the
+# program (the obs registry, the artifact store, the scenario cache, the
+# job service, and both frontends are exercised by dedicated
+# hammer/lifecycle tests).
 check: vet staticcheck build test
-	go test -race ./internal/core/... ./internal/engine/... ./internal/experiments/... ./internal/mapping/... ./internal/noc/... ./internal/sim/... ./internal/obs/... ./internal/scenario/... ./internal/sched/... ./internal/artifact/... ./internal/service/... ./cmd/obmsim/... ./cmd/obmsimd/...
+	go test -race ./internal/... ./cmd/...
 
 # Fuzz the parsers that read untrusted input, each for FUZZTIME: the
 # -objective spec (CLI flag and HTTP job field), the OBMA artifact

@@ -480,7 +480,7 @@ func BenchmarkEvaluate(b *testing.B) {
 // BenchmarkNoCCycle times one simulated network cycle at paper-scale
 // load on the 8x8 mesh.
 func BenchmarkNoCCycle(b *testing.B) {
-	net := noc.MustNew(noc.DefaultConfig())
+	net := noc.MustNew(mesh.MustNew(8, 8))
 	rng := stats.NewRand(23)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -505,14 +505,14 @@ func BenchmarkNoCCycle(b *testing.B) {
 // "saturated" drives a hotspot past its throughput ceiling.
 func BenchmarkNoCStep(b *testing.B) {
 	b.Run("idle", func(b *testing.B) {
-		net := noc.MustNew(noc.DefaultConfig())
+		net := noc.MustNew(mesh.MustNew(8, 8))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			net.Step()
 		}
 	})
 	b.Run("loaded", func(b *testing.B) {
-		net := noc.MustNew(noc.DefaultConfig())
+		net := noc.MustNew(mesh.MustNew(8, 8))
 		rng := stats.NewRand(23)
 		var flits int64
 		launch := func(src, dst mesh.Tile) {
@@ -547,7 +547,7 @@ func BenchmarkNoCStep(b *testing.B) {
 		// the network is rebuilt off the clock after every window, so
 		// the saturated NI backlogs stay bounded however large b.N is.
 		const window, rate = 8_000, 0.12
-		pat := noc.Hotspot{Hot: 27, Frac: 0.2}
+		pat := noc.Hotspot{Hot: 27}
 		var net *noc.Network
 		var m *mesh.Mesh
 		var rng *stats.Rand
@@ -556,7 +556,7 @@ func BenchmarkNoCStep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if cyc == window {
 				b.StopTimer()
-				net = noc.MustNew(noc.DefaultConfig())
+				net = noc.MustNew(mesh.MustNew(8, 8))
 				m, rng, cyc = net.Mesh(), stats.NewRand(42), 0
 				b.StartTimer()
 			}
@@ -579,13 +579,13 @@ func BenchmarkNoCStep(b *testing.B) {
 // a moderate uniform-random load, the unit of work the loadsweep
 // experiment fans out across cores.
 func BenchmarkNoCLoadSweep(b *testing.B) {
-	cfg := noc.DefaultConfig()
+	msh := mesh.MustNew(8, 8)
 	sw := noc.DefaultSweepConfig()
 	sw.Cycles = 2_000
 	var flits int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt, err := noc.MeasureLoadPoint(cfg, noc.UniformRandom{}, 0.04, sw)
+		pt, err := noc.MeasureLoadPoint(msh, noc.UniformRandom{}, 0.04, sw)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -157,8 +157,10 @@ func (p *Problem) summarize(num []float64, total float64, active []float64) Eval
 // MaxAPL returns the max-APL d_max of mapping m. Unlike Evaluate it
 // allocates nothing: per-application numerators accumulate in the same
 // thread order (application thread ranges are contiguous), so the value
-// is bit-identical to Evaluate(m).MaxAPL at a fraction of the cost —
-// this is the scalar hot path of the sample-heavy mappers.
+// is bit-identical to Evaluate(m).MaxAPL at a fraction of the cost.
+// Outside tests only Exact's branch and bound calls it; the
+// sample-heavy mappers score through BatchEvaluator (Monte Carlo) and
+// incremental numerators (annealing, SSS).
 func (p *Problem) MaxAPL(m Mapping) float64 {
 	var mx float64
 	for i := range p.appWeight {

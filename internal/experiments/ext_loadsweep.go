@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"obm/internal/mesh"
 	"obm/internal/noc"
 	"obm/internal/sim"
 )
@@ -34,7 +33,7 @@ type LoadSweepResult struct {
 // substitute behaves like an interconnect: zero-load latency at light
 // loads, graceful rise, saturation under adversarial patterns.
 func extLoadSweep(ctx context.Context, o Options) (*LoadSweepResult, error) {
-	cfg := noc.DefaultConfig()
+	msh := paperModel().Mesh()
 	sw := noc.DefaultSweepConfig()
 	sw.Seed = o.Seed + 41
 	rates := loadSweepRates
@@ -42,14 +41,13 @@ func extLoadSweep(ctx context.Context, o Options) (*LoadSweepResult, error) {
 		rates = loadSweepQuickRates
 		sw.Cycles = 8_000
 	}
-	// The hotspot sits on the center-most tile of whatever mesh the
-	// sweep config describes (tile 27 on the default 8x8).
-	hot := mesh.Tile(((cfg.Rows-1)/2)*cfg.Cols + (cfg.Cols-1)/2)
+	// The hotspot sits on the center-most tile (tile 27 on the 8x8).
+	hot := msh.TileAt((msh.Rows()-1)/2, (msh.Cols()-1)/2)
 	pats := []noc.Pattern{
 		noc.UniformRandom{},
 		noc.Transpose{},
 		noc.BitComplement{},
-		noc.Hotspot{Hot: hot, Frac: 0.2},
+		noc.Hotspot{Hot: hot},
 	}
 	// Every (pattern, rate) point is an independent deterministic
 	// simulation (noc.MeasureLoadPoint), so flatten the grid into one
@@ -64,14 +62,14 @@ func extLoadSweep(ctx context.Context, o Options) (*LoadSweepResult, error) {
 	}
 	pts, err := sim.RunReplicas(ctx, len(jobs), func(ctx context.Context, i int) (noc.LoadPoint, error) {
 		j := jobs[i]
-		return noc.MeasureLoadPoint(cfg, pats[j.pi], rates[j.ri], sw)
+		return noc.MeasureLoadPoint(msh, pats[j.pi], rates[j.ri], sw)
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := &LoadSweepResult{}
 	for pi, pat := range pats {
-		zl, err := noc.ZeroLoadLatency(cfg, pat, 200_000, sw.Seed)
+		zl, err := noc.ZeroLoadLatency(msh, pat, 200_000, sw.Seed)
 		if err != nil {
 			return nil, err
 		}

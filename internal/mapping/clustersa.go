@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"obm/internal/core"
 	"obm/internal/engine"
@@ -71,17 +70,7 @@ func (c ClusterSA) Map(ctx context.Context, p *core.Problem) (core.Mapping, erro
 
 	// Clusters are contiguous runs of the TC-sorted slot list, like the
 	// section structure of SSS.
-	sorted := make([]mesh.Tile, n)
-	for i := range sorted {
-		sorted[i] = mesh.Tile(i)
-	}
-	sort.SliceStable(sorted, func(a, b int) bool {
-		ta, tb := p.TC(sorted[a]), p.TC(sorted[b])
-		if ta != tb {
-			return ta < tb
-		}
-		return sorted[a] < sorted[b]
-	})
+	sorted := sortedSlotsByTC(p)
 	clusterTiles := make([][]mesh.Tile, numClusters)
 	for ci := range clusterTiles {
 		clusterTiles[ci] = sorted[ci*clusterSize : (ci+1)*clusterSize]

@@ -12,10 +12,10 @@ import (
 // Exact solves the OBM problem (the paper's max-APL) to optimality by
 // branch and bound. The problem is NP-complete (Section III.C of the
 // paper), so this is only practical for small instances (N up to ~16);
-// it exists to measure the heuristics' optimality gap in tests and the
-// gap experiment, not for production mapping. The search is bounded at
-// exactNodeLimit nodes: if the bound is hit, Map returns an error
-// rather than a possibly suboptimal mapping.
+// it exists to check the heuristics' optimality gap in tests and the
+// NP-completeness reduction (internal/npc), not for production mapping.
+// The search is bounded at exactNodeLimit nodes: if the bound is hit,
+// Map returns an error rather than a possibly suboptimal mapping.
 type Exact struct{}
 
 // exactNodeLimit bounds the branch-and-bound search.

@@ -1,5 +1,7 @@
 // Package mapping implements the application-to-core mapping algorithms
-// evaluated in the paper (Section V.A):
+// of the paper (Section V.A) and the extensions built around them.
+//
+// The paper's mappers:
 //
 //   - Global — overall-latency minimization via a single chip-wide
 //     Hungarian assignment (the performance-oriented baseline whose
@@ -9,6 +11,16 @@
 //     max-APL objective;
 //   - SortSelectSwap — the paper's proposed O(N^3) heuristic
 //     (Algorithm 2), with switches for the ablation studies.
+//
+// Extensions:
+//
+//   - Greedy and BalancedGreedy — list-scheduling baselines for overall
+//     latency and for balance;
+//   - ClusterSA — cluster-based simulated annealing (the paper's [17]);
+//   - Exact — branch and bound to optimality, for small instances;
+//   - NSGAII — a multi-objective mapper that returns a Pareto front;
+//   - SortSelectSwap.WarmStart and ImproveWithBudget — refiners of an
+//     incumbent mapping, the remap paths of the streaming scheduler.
 package mapping
 
 import (

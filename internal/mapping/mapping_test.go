@@ -632,6 +632,36 @@ func capacity2Problem(t testing.TB) *core.Problem {
 	return p
 }
 
+// TestSortedSlotsByTCCapacity: expanding the model's tile order into
+// slots gives the same list as sorting the slots themselves by (TC,
+// slot), with both slots of a tile adjacent.
+func TestSortedSlotsByTCCapacity(t *testing.T) {
+	p := capacity2Problem(t)
+	want := make([]mesh.Tile, p.N())
+	for i := range want {
+		want[i] = mesh.Tile(i)
+	}
+	// Insertion sort: the brute-force reference.
+	for i := 1; i < len(want); i++ {
+		for k := i; k > 0; k-- {
+			a, b := want[k-1], want[k]
+			if p.TC(a) < p.TC(b) || (p.TC(a) == p.TC(b) && a < b) {
+				break
+			}
+			want[k-1], want[k] = b, a
+		}
+	}
+	got := sortedSlotsByTC(p)
+	if len(got) != len(want) {
+		t.Fatalf("%d slots, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("slot order position %d = %d, brute force %d", i, got[i], want[i])
+		}
+	}
+}
+
 // TestAllMappersOnTorusAndCapacity: every algorithm returns a valid
 // permutation on the generalized instances, and SSS still beats Global
 // on balance.

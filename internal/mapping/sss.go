@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"obm/internal/core"
@@ -138,9 +137,8 @@ func (s SortSelectSwap) Fingerprint() string {
 // super-linear part) polls cancellation between window steps and
 // reports step progress.
 func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
-	window := s.window()
-	if window < 2 || window > maxWindow {
-		return nil, fmt.Errorf("sss: window size %d out of range [2,%d]", window, maxWindow)
+	if err := s.checkWindow(); err != nil {
+		return nil, err
 	}
 	n := p.N()
 	var rng *stats.Rand
@@ -175,29 +173,35 @@ func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping,
 		remaining = rest
 	}
 
-	// Step 3: greedy sliding-window swaps over the full sorted list,
-	// followed by the per-application SAM polish; optionally repeated
-	// while the objective keeps improving (Passes > 1 extension).
-	passes := s.Passes
-	if passes <= 0 {
-		passes = 1
+	// Step 3.
+	if err := s.fineTune(ctx, p, m, sorted, sam); err != nil {
+		return nil, err
 	}
+	return m, nil
+}
+
+// fineTune is step 3, in place on m: greedy sliding-window swaps over
+// the TC-sorted slots, followed by the per-application SAM polish;
+// repeated while the objective keeps improving (Passes > 1 extension).
+// Map runs it after the coarse phases, WarmStart from an incumbent.
+func (s SortSelectSwap) fineTune(ctx context.Context, p *core.Problem, m core.Mapping, sorted []mesh.Tile, sam *core.SAMSolver) error {
+	passes := max(s.Passes, 1)
 	prevObj := math.Inf(1)
 	sc := p.Scorer(s.Objective)
 	var sw swapScratch
 	for pass := 0; pass < passes; pass++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sss: interrupted in pass %d/%d: %w", pass+1, passes, err)
+			return fmt.Errorf("sss: interrupted in pass %d/%d: %w", pass+1, passes, err)
 		}
 		if !s.DisableSwap {
-			if _, err := s.slideWindows(ctx, newTracker(p, m, s.Objective), sorted, window, &sw); err != nil {
-				return nil, err
+			if _, err := s.slideWindows(ctx, newTracker(p, m, s.Objective), sorted, s.window(), &sw); err != nil {
+				return err
 			}
 		}
 		if !s.DisableFinalSAM {
 			for i := 0; i < p.NumApps(); i++ {
 				if err := sam.ReoptimizeApp(m, i); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -210,7 +214,7 @@ func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping,
 			break
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // maxWindow is the largest swap window Map accepts; a w-tile window
@@ -223,6 +227,14 @@ func (s SortSelectSwap) window() int {
 		return 4
 	}
 	return s.WindowSize
+}
+
+// checkWindow rejects a window size Map and WarmStart cannot search.
+func (s SortSelectSwap) checkWindow() error {
+	if w := s.window(); w < 2 || w > maxWindow {
+		return fmt.Errorf("sss: window size %d out of range [2,%d]", w, maxWindow)
+	}
+	return nil
 }
 
 // maxStep resolves MaxStep's default, the paper's n/window, for an
@@ -261,23 +273,19 @@ func (s SortSelectSwap) SwapProbes(n int) int {
 	return probes
 }
 
-// sortedSlotsByTC returns every slot of the problem sorted ascending by
-// TC — the tile order of SSS step 1, shared by the swap phase, the
-// budgeted refiner, and warm starts. Ties (mesh symmetry, and all slots
-// of one tile) are broken by index for determinism.
+// sortedSlotsByTC returns every slot of the problem ascending by TC —
+// the tile order of SSS step 1, shared by the swap phase, the budgeted
+// refiner, warm starts and ClusterSA. It expands the model's tile
+// order (model.LatencyModel.TilesByTC) into slots: tile t contributes
+// slots t*c..t*c+c-1 for capacity c, so ties stay broken by index.
 func sortedSlotsByTC(p *core.Problem) []mesh.Tile {
-	n := p.N()
-	sorted := make([]mesh.Tile, n)
-	for i := range sorted {
-		sorted[i] = mesh.Tile(i)
-	}
-	sort.SliceStable(sorted, func(a, b int) bool {
-		ta, tb := p.TC(sorted[a]), p.TC(sorted[b])
-		if ta != tb {
-			return ta < tb
+	c := p.Capacity()
+	sorted := make([]mesh.Tile, 0, p.N())
+	for _, t := range p.Model().TilesByTC() {
+		for k := 0; k < c; k++ {
+			sorted = append(sorted, t*mesh.Tile(c)+mesh.Tile(k))
 		}
-		return sorted[a] < sorted[b]
-	})
+	}
 	return sorted
 }
 

@@ -33,7 +33,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"obm/internal/mesh"
 )
@@ -93,6 +95,7 @@ type LatencyModel struct {
 	topology  Topology
 	tc        []float64
 	tm        []float64
+	byTC      []mesh.Tile // tiles ascending by (TC, index); see TilesByTC
 }
 
 // New builds the latency model for m with parameters p and the paper's
@@ -109,6 +112,12 @@ func New(m *mesh.Mesh, p Params) (*LatencyModel, error) {
 // controller of that placement (proximity principle), generalizing
 // eq. (4).
 func NewWithPlacement(m *mesh.Mesh, p Params, pl Placement) (*LatencyModel, error) {
+	return build(m, p, pl, TopologyMesh)
+}
+
+// build evaluates eqs. (3) and (4) for every tile of m under topo's
+// hop metric: XY mesh distances, or wrapped distances on a torus.
+func build(m *mesh.Mesh, p Params, pl Placement, topo Topology) (*LatencyModel, error) {
 	if m == nil {
 		return nil, fmt.Errorf("model: nil mesh")
 	}
@@ -118,11 +127,16 @@ func NewWithPlacement(m *mesh.Mesh, p Params, pl Placement) (*LatencyModel, erro
 	if err := pl.Validate(m); err != nil {
 		return nil, err
 	}
+	avgHops, hops := m.AvgHopsToAll, m.Hops
+	if topo == TopologyTorus {
+		avgHops, hops = m.AvgTorusHopsToAll, m.TorusHops
+	}
 	n := m.NumTiles()
 	lm := &LatencyModel{
 		mesh:      m,
 		params:    p,
 		placement: pl,
+		topology:  topo,
 		tc:        make([]float64, n),
 		tm:        make([]float64, n),
 	}
@@ -130,14 +144,15 @@ func NewWithPlacement(m *mesh.Mesh, p Params, pl Placement) (*LatencyModel, erro
 	remoteFrac := float64(n-1) / float64(n)
 	for t := 0; t < n; t++ {
 		tile := mesh.Tile(t)
-		lm.tc[t] = m.AvgHopsToAll(tile)*perHop + p.TdS*remoteFrac
-		_, hops := pl.Nearest(m, tile)
-		if hops == 0 {
+		lm.tc[t] = avgHops(tile)*perHop + p.TdS*remoteFrac
+		_, h := pl.NearestBy(m, tile, hops)
+		if h == 0 {
 			lm.tm[t] = 0
 		} else {
-			lm.tm[t] = float64(hops)*perHop + p.TdS
+			lm.tm[t] = float64(h)*perHop + p.TdS
 		}
 	}
+	lm.byTC = tilesByTC(lm.tc)
 	return lm, nil
 }
 
@@ -169,7 +184,22 @@ func NewTable(m *mesh.Mesh, p Params, tc, tm []float64) (*LatencyModel, error) {
 		placement: CornersPlacement(m),
 		tc:        append([]float64(nil), tc...),
 		tm:        append([]float64(nil), tm...),
+		byTC:      tilesByTC(tc),
 	}, nil
+}
+
+// tilesByTC orders the tiles ascending by TC, ties (mesh symmetry) to
+// the lower index. It is the one tile order of the repository: SSS
+// sorts by it, and the streaming placements seed and fill from it.
+func tilesByTC(tc []float64) []mesh.Tile {
+	order := make([]mesh.Tile, len(tc))
+	for i := range order {
+		order[i] = mesh.Tile(i)
+	}
+	slices.SortFunc(order, func(a, b mesh.Tile) int {
+		return cmp.Or(cmp.Compare(tc[a], tc[b]), cmp.Compare(a, b))
+	})
+	return order
 }
 
 // MustNew is New but panics on error.
@@ -204,6 +234,10 @@ func (lm *LatencyModel) TC(t mesh.Tile) float64 { return lm.tc[t] }
 // TM returns the average on-chip latency (cycles) of memory-controller
 // traffic originating at tile t.
 func (lm *LatencyModel) TM(t mesh.Tile) float64 { return lm.tm[t] }
+
+// TilesByTC returns every tile ascending by TC, ties to the lower
+// index. The slice is shared by every caller: it must not be modified.
+func (lm *LatencyModel) TilesByTC() []mesh.Tile { return lm.byTC }
 
 // TCArray returns a copy of the TC array indexed by tile.
 func (lm *LatencyModel) TCArray() []float64 {

@@ -216,3 +216,73 @@ func TestDefaultParamsRandomGAPLNearPaper(t *testing.T) {
 		t.Errorf("expected random g-APL = %.3f, want within [21.5, 23.5] (paper: 22.61)", g)
 	}
 }
+
+// TestTilesByTC pins the one tile order of the repository: ascending
+// TC, ties to the lower index, for every constructor.
+func TestTilesByTC(t *testing.T) {
+	ascending := func(name string, lm *LatencyModel) {
+		t.Helper()
+		order := lm.TilesByTC()
+		if len(order) != lm.NumTiles() {
+			t.Fatalf("%s: %d tiles in order, want %d", name, len(order), lm.NumTiles())
+		}
+		seen := make([]bool, lm.NumTiles())
+		for i, tile := range order {
+			if seen[tile] {
+				t.Fatalf("%s: tile %d listed twice", name, tile)
+			}
+			seen[tile] = true
+			if i == 0 {
+				continue
+			}
+			prev := order[i-1]
+			if a, b := lm.TC(prev), lm.TC(tile); a > b || (a == b && prev > tile) {
+				t.Fatalf("%s: tile %d (TC %v) before tile %d (TC %v)", name, prev, a, tile, b)
+			}
+		}
+	}
+
+	m := mesh.MustNew(8, 8)
+	lm := MustNew(m, DefaultParams())
+	ascending("mesh", lm)
+	// The four center tiles tie for the lowest TC; the lowest index leads.
+	if got := lm.TilesByTC()[:4]; got[0] != 27 || got[1] != 28 || got[2] != 35 || got[3] != 36 {
+		t.Errorf("mesh order starts %v, want [27 28 35 36]", got)
+	}
+
+	torus, err := NewTorus(m, DefaultParams(), CornersPlacement(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ascending("torus", torus)
+	for i, tile := range torus.TilesByTC() {
+		if int(tile) != i {
+			t.Fatalf("torus order %v, want index order (TC is constant)", torus.TilesByTC())
+		}
+	}
+
+	// A table with many ties against a brute-force selection sort.
+	small := mesh.MustNew(4, 4)
+	tc := make([]float64, small.NumTiles())
+	for i := range tc {
+		tc[i] = float64((i * 7) % 5)
+	}
+	table, err := NewTable(small, DefaultParams(), tc, make([]float64, len(tc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ascending("table", table)
+	used := make([]bool, len(tc))
+	for i, got := range table.TilesByTC() {
+		best := -1
+		for k := range tc {
+			if !used[k] && (best < 0 || tc[k] < tc[best]) {
+				best = k
+			}
+		}
+		used[best] = true
+		if int(got) != best {
+			t.Fatalf("table order position %d = tile %d, brute force %d", i, got, best)
+		}
+	}
+}

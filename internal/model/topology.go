@@ -36,35 +36,5 @@ func (t Topology) String() string {
 // NewTorus builds the latency model for a torus interconnect with the
 // given controller placement: eqs. (3) and (4) with wrapped distances.
 func NewTorus(m *mesh.Mesh, p Params, pl Placement) (*LatencyModel, error) {
-	if m == nil {
-		return nil, fmt.Errorf("model: nil mesh")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := pl.Validate(m); err != nil {
-		return nil, err
-	}
-	n := m.NumTiles()
-	lm := &LatencyModel{
-		mesh:      m,
-		params:    p,
-		placement: pl,
-		topology:  TopologyTorus,
-		tc:        make([]float64, n),
-		tm:        make([]float64, n),
-	}
-	perHop := p.PerHop()
-	remoteFrac := float64(n-1) / float64(n)
-	for t := 0; t < n; t++ {
-		tile := mesh.Tile(t)
-		lm.tc[t] = m.AvgTorusHopsToAll(tile)*perHop + p.TdS*remoteFrac
-		_, hops := pl.NearestBy(m, tile, m.TorusHops)
-		if hops == 0 {
-			lm.tm[t] = 0
-		} else {
-			lm.tm[t] = float64(hops)*perHop + p.TdS
-		}
-	}
-	return lm, nil
+	return build(m, p, pl, TopologyTorus)
 }

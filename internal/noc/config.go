@@ -76,28 +76,6 @@ const (
 // router pipeline plus the link, td_r + td_w of the paper's eq. (2).
 const PerHopLatency = routerLatency + linkLatency
 
-// Config holds the mesh dimensions of the network. Everything else is
-// fixed to the paper's Table 2 network: a 2D mesh without wrap-around
-// links, XY dimension-order routing, instantaneous credit return and
-// the router constants above.
-type Config struct {
-	// Rows and Cols give the mesh dimensions.
-	Rows, Cols int
-}
-
-// DefaultConfig returns the paper's 8x8 mesh.
-func DefaultConfig() Config {
-	return Config{Rows: 8, Cols: 8}
-}
-
-// Validate reports an error for configurations the simulator cannot run.
-func (c Config) Validate() error {
-	if c.Rows <= 0 || c.Cols <= 0 {
-		return fmt.Errorf("noc: invalid mesh %dx%d", c.Rows, c.Cols)
-	}
-	return nil
-}
-
 // vcRange returns the half-open VC index range [lo, hi) owned by class
 // cl.
 func vcRange(cl Class) (lo, hi int) {

@@ -9,7 +9,7 @@ import (
 // flits are still sitting in calendar-ring slots: a granted flit spends
 // PerHopLatency cycles in the ring, so a one-cycle budget must trip.
 func TestDrainDeadlineWithFlitsInRing(t *testing.T) {
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	if err := n.Inject(&Packet{Src: 0, Dst: 15, Type: CacheRequest, App: -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestDrainDeadlineWithFlitsInRing(t *testing.T) {
 // size before injecting, so every ring index involved has wrapped many
 // times; scheduling and delivery must be unaffected.
 func TestRingWrapAround(t *testing.T) {
-	cfg := testConfig()
-	n := MustNew(cfg)
+	msh := testMesh()
+	n := MustNew(msh)
 	if n.arrMask >= 1<<10 {
 		t.Fatalf("arrMask = %d; test assumes a small ring", n.arrMask)
 	}
@@ -69,7 +69,7 @@ func TestRingWrapAround(t *testing.T) {
 // pooled packets come back zeroed on the free list, and callers'
 // &Packet{} packets never enter the pool.
 func TestPacketPoolRecycling(t *testing.T) {
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	p := n.AllocPacket()
 	p.Src, p.Dst, p.Type, p.App = 0, 15, CacheRequest, -1
 	if err := n.Inject(p); err != nil {
@@ -89,7 +89,7 @@ func TestPacketPoolRecycling(t *testing.T) {
 		t.Fatalf("recycled packet not zeroed: %+v", q)
 	}
 
-	n2 := MustNew(testConfig())
+	n2 := MustNew(testMesh())
 	manual := &Packet{Src: 0, Dst: 15, Type: CacheRequest, App: -1}
 	if err := n2.Inject(manual); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestPacketPoolRecycling(t *testing.T) {
 // and it wraps repeatedly; flit conservation and in-order delivery must
 // hold.
 func TestVCBufferWrap(t *testing.T) {
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	var order []uint64
 	n.SetDeliveryHandler(func(p *Packet) { order = append(order, p.ID) })
 	const packets = 8
@@ -153,7 +153,7 @@ func bufferedFlits(n *Network) int {
 // histogram storage: a snapshot's percentiles must not move when the
 // simulation keeps running.
 func TestStatsSnapshotIndependence(t *testing.T) {
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	inject := func() {
 		if err := n.Inject(&Packet{Src: 0, Dst: 15, Type: CacheRequest, App: 0}); err != nil {
 			t.Fatal(err)

@@ -3,13 +3,14 @@ package noc_test
 import (
 	"fmt"
 
+	"obm/internal/mesh"
 	"obm/internal/noc"
 )
 
 // Send one 5-flit data reply across an idle 8x8 mesh: latency is
 // exactly hops * (router + link) plus serialization.
 func ExampleNetwork() {
-	net := noc.MustNew(noc.DefaultConfig())
+	net := noc.MustNew(mesh.MustNew(8, 8))
 	net.SetDeliveryHandler(func(p *noc.Packet) {
 		fmt.Printf("delivered after %d cycles over %d hops\n", p.Latency(), p.Hops)
 	})
@@ -27,15 +28,15 @@ func ExampleNetwork() {
 
 // Characterize the network under uniform random traffic.
 func ExampleMeasureLoadPoint() {
-	cfg := noc.DefaultConfig()
-	pt, err := noc.MeasureLoadPoint(cfg, noc.UniformRandom{}, 0.02, noc.SweepConfig{
+	msh := mesh.MustNew(8, 8)
+	pt, err := noc.MeasureLoadPoint(msh, noc.UniformRandom{}, 0.02, noc.SweepConfig{
 		Cycles: 2000,
 		Seed:   1,
 	})
 	if err != nil {
 		panic(err)
 	}
-	zero, err := noc.ZeroLoadLatency(cfg, noc.UniformRandom{}, 100000, 1)
+	zero, err := noc.ZeroLoadLatency(msh, noc.UniformRandom{}, 100000, 1)
 	if err != nil {
 		panic(err)
 	}

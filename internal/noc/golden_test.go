@@ -53,11 +53,11 @@ func fingerprintStats(st Stats) uint64 {
 	return h
 }
 
-// goldenRun drives cfg with a seeded Bernoulli workload for cycles
+// goldenRun drives a network on msh with a seeded Bernoulli workload for cycles
 // cycles, drains, and returns the stats fingerprint.
-func goldenRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64 {
+func goldenRun(t *testing.T, msh *mesh.Mesh, seed uint64, rate float64, cycles int) uint64 {
 	t.Helper()
-	n := MustNew(cfg)
+	n := MustNew(msh)
 	m := n.Mesh()
 	rng := stats.NewRand(seed)
 	types := []PacketType{CacheRequest, CacheReply, MemRequest, MemReply}
@@ -84,9 +84,9 @@ func goldenRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) 
 // from its own random stream: handler RNG draws, packet-pool reuse and
 // packet ids all depend on the exact delivery order, so this pins the
 // order in which Step ejects packets and runs the handler.
-func handlerRun(t *testing.T, cfg Config, seed uint64, rate float64, cycles int) uint64 {
+func handlerRun(t *testing.T, msh *mesh.Mesh, seed uint64, rate float64, cycles int) uint64 {
 	t.Helper()
-	n := MustNew(cfg)
+	n := MustNew(msh)
 	m := n.Mesh()
 	hrng := stats.NewRand(seed ^ 0xabcdef)
 	n.SetDeliveryHandler(func(p *Packet) {
@@ -129,7 +129,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	runGoldenCases(t, []goldenCase{
 		{
 			name:   "mesh8x8-default",
-			cfg:    DefaultConfig,
+			msh:    mesh.MustNew(8, 8),
 			seed:   12345,
 			rate:   0.02,
 			cycles: 4000,
@@ -137,7 +137,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		},
 		{
 			name:   "mesh4x4-deep-contention",
-			cfg:    testConfig,
+			msh:    testMesh(),
 			seed:   99,
 			rate:   0.10,
 			cycles: 2500,
@@ -145,7 +145,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		},
 		{
 			name:   "mesh8x8-rate0.04",
-			cfg:    DefaultConfig,
+			msh:    mesh.MustNew(8, 8),
 			seed:   2024,
 			rate:   0.04,
 			cycles: 3000,
@@ -153,7 +153,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		},
 		{
 			name:   "mesh4x4-rate0.08",
-			cfg:    testConfig,
+			msh:    testMesh(),
 			seed:   4711,
 			rate:   0.08,
 			cycles: 3000,
@@ -165,19 +165,15 @@ func TestGoldenDeterminism(t *testing.T) {
 		// and Y links unevenly.
 		{
 			name:   "mesh4x4-saturated",
-			cfg:    testConfig,
+			msh:    testMesh(),
 			seed:   5150,
 			rate:   0.35,
 			cycles: 3000,
 			want:   14029835901496794193,
 		},
 		{
-			name: "mesh8x4-saturated",
-			cfg: func() Config {
-				c := DefaultConfig()
-				c.Rows, c.Cols = 8, 4
-				return c
-			},
+			name:   "mesh8x4-saturated",
+			msh:    mesh.MustNew(8, 4),
 			seed:   5150,
 			rate:   0.35,
 			cycles: 3000,
@@ -192,12 +188,8 @@ func TestGoldenDeterminism(t *testing.T) {
 func TestHandlerDeterminism(t *testing.T) {
 	runGoldenCases(t, []goldenCase{
 		{
-			name: "mesh6x6",
-			cfg: func() Config {
-				c := DefaultConfig()
-				c.Rows, c.Cols = 6, 6
-				return c
-			},
+			name:   "mesh6x6",
+			msh:    mesh.MustNew(6, 6),
 			run:    handlerRun,
 			seed:   4242,
 			rate:   0.06,
@@ -207,12 +199,12 @@ func TestHandlerDeterminism(t *testing.T) {
 	})
 }
 
-// goldenCase is one pinned fixed-seed run: cfg is driven by run (nil:
-// goldenRun) and must fingerprint to want, twice in a row.
+// goldenCase is one pinned fixed-seed run: a network on msh is driven
+// by run (nil: goldenRun) and must fingerprint to want, twice in a row.
 type goldenCase struct {
 	name   string
-	cfg    func() Config
-	run    func(*testing.T, Config, uint64, float64, int) uint64
+	msh    *mesh.Mesh
+	run    func(*testing.T, *mesh.Mesh, uint64, float64, int) uint64
 	seed   uint64
 	rate   float64
 	cycles int
@@ -226,10 +218,10 @@ func runGoldenCases(t *testing.T, cases []goldenCase) {
 			if run == nil {
 				run = goldenRun
 			}
-			if got := run(t, tc.cfg(), tc.seed, tc.rate, tc.cycles); got != tc.want {
+			if got := run(t, tc.msh, tc.seed, tc.rate, tc.cycles); got != tc.want {
 				t.Errorf("stats fingerprint = %d, want %d (simulated behaviour changed)", got, tc.want)
 			}
-			if again := run(t, tc.cfg(), tc.seed, tc.rate, tc.cycles); again != tc.want {
+			if again := run(t, tc.msh, tc.seed, tc.rate, tc.cycles); again != tc.want {
 				t.Errorf("rerun fingerprint = %d, want %d (nondeterministic)", again, tc.want)
 			}
 		})

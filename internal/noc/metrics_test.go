@@ -19,7 +19,7 @@ func TestMetricsMatchStats(t *testing.T) {
 	bInj, _ := before.Counter("noc.flits.injected")
 	bDel, _ := before.Counter("noc.flits.delivered")
 
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	rng := stats.NewRand(7)
 	tiles := n.Mesh().NumTiles()
 	for i := 0; i < 200; i++ {

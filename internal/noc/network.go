@@ -30,7 +30,6 @@ type arrival struct {
 // buffers, and Step visits only routers and NIs on the active worklists
 // instead of scanning every tile.
 type Network struct {
-	cfg     Config
 	mesh    *mesh.Mesh
 	routers []*router
 	nis     []*ni
@@ -89,24 +88,20 @@ func ringSize(delay int) int64 {
 	return s
 }
 
-// New builds a network from cfg.
-func New(cfg Config) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// New builds Table 2's network on mesh m.
+func New(m *mesh.Mesh) (*Network, error) {
+	if m == nil {
+		return nil, fmt.Errorf("noc: nil mesh")
 	}
-	m, err := mesh.New(cfg.Rows, cfg.Cols)
-	if err != nil {
-		return nil, err
-	}
-	n := &Network{cfg: cfg, mesh: m}
+	n := &Network{mesh: m}
 	// Link arrivals land linkLatency+routerLatency cycles after the
 	// grant (see sendFlit).
 	n.arrMask = ringSize(linkLatency+routerLatency) - 1
 	n.arrRing = make([][]arrival, n.arrMask+1)
 	n.routers = make([]*router, m.NumTiles())
 	n.nis = make([]*ni, m.NumTiles())
-	n.actR = newRowWorklist(cfg.Rows, cfg.Cols)
-	n.actNI = newRowWorklist(cfg.Rows, cfg.Cols)
+	n.actR = newRowWorklist(m.Rows(), m.Cols())
+	n.actNI = newRowWorklist(m.Rows(), m.Cols())
 	n.actScratch = make([]int32, 0, m.NumTiles())
 	// Link-utilization counters are allocated eagerly rather than
 	// lazily on first send, which keeps the nil check off the sendFlit
@@ -128,13 +123,13 @@ func New(cfg Config) (*Network, error) {
 		if c.Row > 0 {
 			r.neighbors[North] = n.routers[m.TileAt(c.Row-1, c.Col)]
 		}
-		if c.Row < cfg.Rows-1 {
+		if c.Row < m.Rows()-1 {
 			r.neighbors[South] = n.routers[m.TileAt(c.Row+1, c.Col)]
 		}
 		if c.Col > 0 {
 			r.neighbors[West] = n.routers[m.TileAt(c.Row, c.Col-1)]
 		}
-		if c.Col < cfg.Cols-1 {
+		if c.Col < m.Cols()-1 {
 			r.neighbors[East] = n.routers[m.TileAt(c.Row, c.Col+1)]
 		}
 	}
@@ -142,8 +137,8 @@ func New(cfg Config) (*Network, error) {
 }
 
 // MustNew is New but panics on error.
-func MustNew(cfg Config) *Network {
-	n, err := New(cfg)
+func MustNew(m *mesh.Mesh) *Network {
+	n, err := New(m)
 	if err != nil {
 		panic(err)
 	}
@@ -255,7 +250,7 @@ func (n *Network) Step() {
 	// 2. NIs with backlog inject, in ascending tile order; drained NIs
 	// drop off the worklist.
 	if n.actNI.total() > 0 {
-		for row := 0; row < n.cfg.Rows; row++ {
+		for row := 0; row < n.mesh.Rows(); row++ {
 			if n.actNI.rowCount(row) == 0 {
 				continue
 			}
@@ -279,7 +274,7 @@ func (n *Network) Step() {
 	// ascending id order — are shared by the three phases below via the
 	// scratch list.
 	act := n.actScratch[:0]
-	for row := 0; row < n.cfg.Rows; row++ {
+	for row := 0; row < n.mesh.Rows(); row++ {
 		if n.actR.rowCount(row) == 0 {
 			continue
 		}

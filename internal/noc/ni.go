@@ -36,7 +36,7 @@ type ni struct {
 func newNI(tile mesh.Tile, n *Network) *ni {
 	q := &ni{
 		tile: tile, n: n,
-		row: int(tile) / n.cfg.Cols, col: int(tile) % n.cfg.Cols,
+		row: int(tile) / n.mesh.Cols(), col: int(tile) % n.mesh.Cols(),
 		curVC: -1,
 	}
 	for v := range q.space {

@@ -7,24 +7,11 @@ import (
 	"obm/internal/stats"
 )
 
-func testConfig() Config {
-	c := DefaultConfig()
-	c.Rows, c.Cols = 4, 4
-	return c
-}
+func testMesh() *mesh.Mesh { return mesh.MustNew(4, 4) }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Config{
-		{Rows: 0, Cols: 4},
-		{Rows: 4, Cols: -1},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
+func TestNewRejectsNilMesh(t *testing.T) {
+	if _, err := New(nil); err == nil {
+		t.Error("nil mesh accepted")
 	}
 }
 
@@ -101,11 +88,10 @@ func TestPacketTypeProperties(t *testing.T) {
 // TestUncontendedLatencyMatchesModel is the calibration contract: an
 // isolated packet's latency must equal hops*PerHopLatency + (flits-1).
 func TestUncontendedLatencyMatchesModel(t *testing.T) {
-	cfg := testConfig()
-	m := mesh.MustNew(cfg.Rows, cfg.Cols)
+	m := testMesh()
 	for _, pt := range []PacketType{CacheRequest, CacheReply} {
 		for _, dst := range []mesh.Tile{m.TileAt(0, 1), m.TileAt(0, 3), m.TileAt(3, 3), m.TileAt(2, 0)} {
-			n := MustNew(cfg)
+			n := MustNew(m)
 			var delivered *Packet
 			n.SetDeliveryHandler(func(p *Packet) { delivered = p })
 			src := m.TileAt(0, 0)
@@ -131,7 +117,7 @@ func TestUncontendedLatencyMatchesModel(t *testing.T) {
 }
 
 func TestLocalDeliveryZeroLatency(t *testing.T) {
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	var delivered *Packet
 	n.SetDeliveryHandler(func(p *Packet) { delivered = p })
 	if err := n.Inject(&Packet{Src: 5, Dst: 5, Type: CacheRequest, App: 0}); err != nil {
@@ -150,7 +136,7 @@ func TestLocalDeliveryZeroLatency(t *testing.T) {
 }
 
 func TestInjectValidation(t *testing.T) {
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	if err := n.Inject(nil); err == nil {
 		t.Error("nil packet accepted")
 	}
@@ -168,8 +154,8 @@ func TestInjectValidation(t *testing.T) {
 // TestFlitConservation: everything injected is eventually delivered,
 // and no flits remain anywhere.
 func TestFlitConservation(t *testing.T) {
-	cfg := testConfig()
-	n := MustNew(cfg)
+	msh := testMesh()
+	n := MustNew(msh)
 	rng := stats.NewRand(42)
 	types := []PacketType{CacheRequest, CacheReply, MemRequest, MemReply}
 	const packets = 500
@@ -203,9 +189,8 @@ func TestFlitConservation(t *testing.T) {
 // TestContentionOnlyAddsLatency: with many packets, every measured
 // latency is at least the uncontended ideal.
 func TestContentionOnlyAddsLatency(t *testing.T) {
-	cfg := testConfig()
-	m := mesh.MustNew(cfg.Rows, cfg.Cols)
-	n := MustNew(cfg)
+	m := testMesh()
+	n := MustNew(m)
 	short := 0
 	n.SetDeliveryHandler(func(p *Packet) {
 		ideal := int64(m.Hops(p.Src, p.Dst)*PerHopLatency + p.Type.Flits() - 1)
@@ -240,8 +225,8 @@ func TestContentionOnlyAddsLatency(t *testing.T) {
 // TestHotspotContention: all tiles hammering one destination must still
 // drain, with positive queuing delay (the arbiter serializes them).
 func TestHotspotContention(t *testing.T) {
-	cfg := testConfig()
-	n := MustNew(cfg)
+	msh := testMesh()
+	n := MustNew(msh)
 	dst := mesh.Tile(5)
 	for round := 0; round < 10; round++ {
 		for s := 0; s < 16; s++ {
@@ -265,7 +250,7 @@ func TestHotspotContention(t *testing.T) {
 }
 
 func TestStatsPerApp(t *testing.T) {
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	n.Inject(&Packet{Src: 0, Dst: 3, Type: CacheRequest, App: 1})
 	n.Inject(&Packet{Src: 0, Dst: 12, Type: CacheRequest, App: 0})
 	n.Inject(&Packet{Src: 1, Dst: 2, Type: CacheRequest, App: -1}) // unattributed
@@ -301,8 +286,8 @@ func TestTypeStatsAverages(t *testing.T) {
 // TestSerializationThroughput: a stream of packets between one pair is
 // limited by the bottleneck link to roughly one flit per cycle.
 func TestSerializationThroughput(t *testing.T) {
-	cfg := testConfig()
-	n := MustNew(cfg)
+	msh := testMesh()
+	n := MustNew(msh)
 	const packets = 50
 	for i := 0; i < packets; i++ {
 		n.Inject(&Packet{Src: 0, Dst: 3, Type: CacheReply, App: 0})
@@ -324,7 +309,7 @@ func TestSerializationThroughput(t *testing.T) {
 // TestVCClassIsolation: response-class packets keep flowing when the
 // request class is congested (protocol deadlock avoidance).
 func TestVCClassIsolation(t *testing.T) {
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	// Saturate request VCs along row 0.
 	for i := 0; i < 60; i++ {
 		n.Inject(&Packet{Src: 0, Dst: 3, Type: CacheRequest, App: 0})
@@ -343,7 +328,7 @@ func TestVCClassIsolation(t *testing.T) {
 // TestDeterminism: two identical simulations produce identical stats.
 func TestNetworkDeterminism(t *testing.T) {
 	run := func() Stats {
-		n := MustNew(testConfig())
+		n := MustNew(testMesh())
 		rng := stats.NewRand(99)
 		for i := 0; i < 200; i++ {
 			n.Inject(&Packet{
@@ -369,9 +354,8 @@ func TestNetworkDeterminism(t *testing.T) {
 // TestMinimalRouting: every packet takes exactly the Manhattan distance
 // in hops (XY routing is minimal).
 func TestMinimalRouting(t *testing.T) {
-	cfg := testConfig()
-	m := mesh.MustNew(cfg.Rows, cfg.Cols)
-	n := MustNew(cfg)
+	m := testMesh()
+	n := MustNew(m)
 	bad := 0
 	n.SetDeliveryHandler(func(p *Packet) {
 		if p.Hops != m.Hops(p.Src, p.Dst) {
@@ -401,8 +385,8 @@ func TestMinimalRouting(t *testing.T) {
 // TestLinkUtilization: flit counts per link sum to the total flit-hops,
 // and the hottest link of a hotspot workload points at the hotspot.
 func TestLinkUtilization(t *testing.T) {
-	cfg := testConfig()
-	n := MustNew(cfg)
+	msh := testMesh()
+	n := MustNew(msh)
 	dst := mesh.Tile(5)
 	for i := 0; i < 100; i++ {
 		for s := 0; s < 16; s++ {
@@ -430,7 +414,7 @@ func TestLinkUtilization(t *testing.T) {
 		t.Fatal("no hot links")
 	}
 	// The top link must be adjacent to the hotspot tile (feeding it).
-	m := mesh.MustNew(cfg.Rows, cfg.Cols)
+	m := msh
 	if d := m.Hops(mesh.Tile(hot[0].Tile), dst); d > 1 {
 		t.Errorf("hottest link at tile %d is %d hops from the hotspot", hot[0].Tile, d)
 	}

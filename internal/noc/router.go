@@ -116,7 +116,7 @@ type router struct {
 const totalVCs = int(numPorts) * numVCs
 
 func newRouter(id mesh.Tile, n *Network) *router {
-	r := &router{id: id, n: n, row: int(id) / n.cfg.Cols, col: int(id) % n.cfg.Cols}
+	r := &router{id: id, n: n, row: int(id) / n.mesh.Cols(), col: int(id) % n.mesh.Cols()}
 	for p := Port(0); p < numPorts; p++ {
 		for v := 0; v < numVCs; v++ {
 			r.in[p][v].outPort = -1

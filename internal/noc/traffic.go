@@ -63,25 +63,23 @@ func (BitComplement) Dst(m *mesh.Mesh, src mesh.Tile, _ *stats.Rand) mesh.Tile {
 	return m.TileAt(m.Rows()-1-c.Row, m.Cols()-1-c.Col)
 }
 
-// Hotspot sends a fraction of traffic to one hot tile and the rest
-// uniformly.
+// Hotspot sends hotspotFrac of its traffic to one hot tile and the
+// rest uniformly.
 type Hotspot struct {
 	// Hot is the hotspot tile.
 	Hot mesh.Tile
-	// Frac is the probability of targeting the hotspot (default 0.2).
-	Frac float64
 }
+
+// hotspotFrac is the probability that a Hotspot packet targets the hot
+// tile.
+const hotspotFrac = 0.2
 
 // Name implements Pattern.
 func (h Hotspot) Name() string { return fmt.Sprintf("hotspot(%d)", h.Hot) }
 
 // Dst implements Pattern.
 func (h Hotspot) Dst(m *mesh.Mesh, _ mesh.Tile, rng *stats.Rand) mesh.Tile {
-	frac := h.Frac
-	if frac <= 0 {
-		frac = 0.2
-	}
-	if rng.Float64() < frac {
+	if rng.Float64() < hotspotFrac {
 		return h.Hot
 	}
 	return mesh.Tile(rng.Intn(m.NumTiles()))
@@ -135,17 +133,16 @@ func DefaultSweepConfig() SweepConfig {
 // fresh seeded network: sw.Cycles of Bernoulli injection of cache
 // requests (the packet ZeroLoadLatency assumes) at the given per-tile
 // rate, then a drain bounded by sweepDrainCycles. Every point
-// of a sweep is independent and deterministic in (cfg, pat, rate, sw),
+// of a sweep is independent and deterministic in (m, pat, rate, sw),
 // which is what lets experiments spread the points across workers.
-func MeasureLoadPoint(cfg Config, pat Pattern, rate float64, sw SweepConfig) (LoadPoint, error) {
+func MeasureLoadPoint(m *mesh.Mesh, pat Pattern, rate float64, sw SweepConfig) (LoadPoint, error) {
 	if sw.Cycles <= 0 {
 		return LoadPoint{}, fmt.Errorf("noc: sweep needs a positive window")
 	}
-	n, err := New(cfg)
+	n, err := New(m)
 	if err != nil {
 		return LoadPoint{}, err
 	}
-	m := n.Mesh()
 	tiles := m.Tiles()
 	rng := stats.NewRand(sw.Seed)
 	for cyc := int64(0); cyc < sw.Cycles; cyc++ {
@@ -173,16 +170,12 @@ func MeasureLoadPoint(cfg Config, pat Pattern, rate float64, sw SweepConfig) (Lo
 
 // ZeroLoadLatency returns the analytic zero-load average latency of a
 // pattern: mean hops times per-hop latency plus serialization.
-func ZeroLoadLatency(cfg Config, pat Pattern, samples int, seed uint64) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
+func ZeroLoadLatency(m *mesh.Mesh, pat Pattern, samples int, seed uint64) (float64, error) {
+	if m == nil {
+		return 0, fmt.Errorf("noc: nil mesh")
 	}
 	if samples <= 0 {
 		return 0, fmt.Errorf("noc: need positive sample count")
-	}
-	m, err := mesh.New(cfg.Rows, cfg.Cols)
-	if err != nil {
-		return 0, err
 	}
 	rng := stats.NewRand(seed)
 	var sum float64

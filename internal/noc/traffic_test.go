@@ -46,7 +46,7 @@ func TestTransposeAndBitComplement(t *testing.T) {
 func TestHotspotFraction(t *testing.T) {
 	m := mesh.MustNew(4, 4)
 	rng := stats.NewRand(3)
-	h := Hotspot{Hot: 7, Frac: 0.5}
+	h := Hotspot{Hot: 7}
 	hot := 0
 	const trials = 10000
 	for i := 0; i < trials; i++ {
@@ -55,22 +55,20 @@ func TestHotspotFraction(t *testing.T) {
 		}
 	}
 	frac := float64(hot) / trials
-	// 0.5 hotspot fraction plus uniform traffic that also lands on 7.
-	want := 0.5 + 0.5/16
+	// 0.2 hotspot fraction plus uniform traffic that also lands on 7.
+	want := 0.2 + 0.8/16
 	if frac < want-0.03 || frac > want+0.03 {
 		t.Errorf("hotspot fraction %.3f, want ~%.3f", frac, want)
 	}
 }
 
 func TestLoadSweepValidation(t *testing.T) {
-	cfg := testConfig()
-	if _, err := MeasureLoadPoint(cfg, UniformRandom{}, 0.01, SweepConfig{}); err == nil {
+	msh := testMesh()
+	if _, err := MeasureLoadPoint(msh, UniformRandom{}, 0.01, SweepConfig{}); err == nil {
 		t.Error("empty sweep accepted")
 	}
-	bad := cfg
-	bad.Rows = 0
-	if _, err := MeasureLoadPoint(bad, UniformRandom{}, 0.01, DefaultSweepConfig()); err == nil {
-		t.Error("bad config accepted")
+	if _, err := MeasureLoadPoint(nil, UniformRandom{}, 0.01, DefaultSweepConfig()); err == nil {
+		t.Error("nil mesh accepted")
 	}
 }
 
@@ -81,12 +79,12 @@ func TestLoadSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep simulates; skip under -short")
 	}
-	cfg := testConfig()
+	msh := testMesh()
 	rates := []float64{0.01, 0.05, 0.15, 0.30}
 	sw := SweepConfig{Cycles: 5_000, Seed: 2}
 	var pts []LoadPoint
 	for _, rate := range rates {
-		pt, err := MeasureLoadPoint(cfg, UniformRandom{}, rate, sw)
+		pt, err := MeasureLoadPoint(msh, UniformRandom{}, rate, sw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +93,7 @@ func TestLoadSweepShape(t *testing.T) {
 	if len(pts) != len(rates) {
 		t.Fatalf("%d points", len(pts))
 	}
-	zero, err := ZeroLoadLatency(cfg, UniformRandom{}, 100000, 2)
+	zero, err := ZeroLoadLatency(msh, UniformRandom{}, 100000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +123,18 @@ func TestLoadPointSaturated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep simulates; skip under -short")
 	}
-	cfg := DefaultConfig()
+	msh := mesh.MustNew(8, 8)
 	sw := SweepConfig{Cycles: 8_000, Seed: 42}
 	cases := []struct {
 		pat  Pattern
 		rate float64
 		want bool
 	}{
-		{Hotspot{Hot: 27, Frac: 0.2}, 0.12, true},
+		{Hotspot{Hot: 27}, 0.12, true},
 		{UniformRandom{}, 0.01, false},
 	}
 	for _, c := range cases {
-		pt, err := MeasureLoadPoint(cfg, c.pat, c.rate, sw)
+		pt, err := MeasureLoadPoint(msh, c.pat, c.rate, sw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +146,7 @@ func TestLoadPointSaturated(t *testing.T) {
 }
 
 func TestZeroLoadLatencyValidation(t *testing.T) {
-	if _, err := ZeroLoadLatency(testConfig(), UniformRandom{}, 0, 1); err == nil {
+	if _, err := ZeroLoadLatency(testMesh(), UniformRandom{}, 0, 1); err == nil {
 		t.Error("zero samples accepted")
 	}
 }
@@ -185,7 +183,7 @@ func TestHistogram(t *testing.T) {
 }
 
 func TestPerAppHistogramsPopulated(t *testing.T) {
-	n := MustNew(testConfig())
+	n := MustNew(testMesh())
 	for i := 0; i < 50; i++ {
 		n.Inject(&Packet{Src: 0, Dst: 15, Type: CacheRequest, App: 1})
 	}

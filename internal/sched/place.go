@@ -62,15 +62,16 @@ type Placement interface {
 
 // SpiralPlacement is the nearest-neighbor run-time heuristic from the
 // spiral task-mapping literature, adapted to the OBM cost model: seed
-// at the free tile with the lowest shared-cache latency TC, walk
-// Manhattan rings outward collecting free tiles until the application
-// fits, then hand the heaviest threads the lowest-TC tiles collected.
+// at the free tile with the lowest shared-cache latency TC, grow
+// Manhattan rings outward until the application fits — taking the
+// lowest-TC tiles of the last ring when only part of it is needed —
+// then hand the heaviest threads the lowest-TC tiles collected.
 // O(N + need·log need) per arrival with no assignment solve — the
 // fast-path baseline against Hungarian placement.
 type SpiralPlacement struct {
-	ring []mesh.Tile // scratch: tiles of the ring under scan
-	got  []mesh.Tile // scratch: collected tiles
-	ord  []int       // scratch: thread order
+	rings []int       // scratch: free tiles per ring
+	got   []mesh.Tile // scratch: collected tiles
+	ord   []int       // scratch: thread order
 }
 
 // Name implements Placement.
@@ -78,72 +79,57 @@ func (s *SpiralPlacement) Name() string { return "spiral" }
 
 // Place implements Placement.
 func (s *SpiralPlacement) Place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
+	if err := checkFits(app, fs); err != nil {
+		return nil, err
+	}
 	need := len(app.Threads)
-	if need == 0 {
-		return nil, fmt.Errorf("sched: placing empty application %q", app.Name)
-	}
-	if need > fs.Count() {
-		return nil, fmt.Errorf("sched: %q needs %d tiles, %d free", app.Name, need, fs.Count())
-	}
 	msh := lm.Mesh()
-	n := msh.NumTiles()
+	order := lm.TilesByTC()
+	seed := order[0]
+	for _, t := range order {
+		if fs.Free(t) {
+			seed = t
+			break
+		}
+	}
 
-	// Seed: the free tile with minimum TC (lowest index on ties).
-	seed := mesh.Tile(-1)
-	for t := 0; t < n; t++ {
-		tt := mesh.Tile(t)
-		if !fs.Free(tt) {
+	// Ring r holds the free tiles r hops from the seed (ring 0 is the
+	// seed). Rings before the last one needed are taken whole.
+	rings := s.rings[:0]
+	for range msh.Rows() + msh.Cols() - 1 {
+		rings = append(rings, 0)
+	}
+	for t := range msh.NumTiles() {
+		if tt := mesh.Tile(t); fs.Free(tt) {
+			rings[msh.Hops(seed, tt)]++
+		}
+	}
+	last, partial := 0, need
+	for partial > rings[last] {
+		partial -= rings[last]
+		last++
+	}
+	s.rings = rings
+
+	// One walk of the TC order collects the complete rings and the
+	// first partial tiles of the last ring, already ascending by TC.
+	got := s.got[:0]
+	for _, t := range order {
+		if len(got) == need {
+			break
+		}
+		if !fs.Free(t) {
 			continue
 		}
-		if seed < 0 || lm.TC(tt) < lm.TC(seed) {
-			seed = tt
+		switch r := msh.Hops(seed, t); {
+		case r < last:
+			got = append(got, t)
+		case r == last && partial > 0:
+			got = append(got, t)
+			partial--
 		}
 	}
-
-	got := s.got[:0]
-	got = append(got, seed)
-	sc := msh.Coord(seed)
-	maxRadius := msh.Rows() + msh.Cols() // covers the whole mesh from any seed
-	for r := 1; len(got) < need && r <= maxRadius; r++ {
-		ring := s.ring[:0]
-		addIfFree := func(row, col int) {
-			if row < 0 || row >= msh.Rows() || col < 0 || col >= msh.Cols() {
-				return
-			}
-			if t := msh.TileAt(row, col); fs.Free(t) {
-				ring = append(ring, t)
-			}
-		}
-		for dr := -r; dr <= r; dr++ {
-			rem := r - abs(dr)
-			if rem == 0 {
-				addIfFree(sc.Row+dr, sc.Col) // single tile at the vertical extremes
-				continue
-			}
-			addIfFree(sc.Row+dr, sc.Col-rem)
-			addIfFree(sc.Row+dr, sc.Col+rem)
-		}
-		// Within a ring all tiles are equally near; prefer the
-		// lower-latency ones when only part of the ring is needed.
-		sort.Slice(ring, func(a, b int) bool {
-			ta, tb := lm.TC(ring[a]), lm.TC(ring[b])
-			if ta != tb {
-				return ta < tb
-			}
-			return ring[a] < ring[b]
-		})
-		s.ring = ring
-		got = append(got, ring...)
-	}
-	got = got[:need]
 	// Heaviest threads onto the lowest-TC tiles of the collected set.
-	sort.Slice(got, func(a, b int) bool {
-		ta, tb := lm.TC(got[a]), lm.TC(got[b])
-		if ta != tb {
-			return ta < tb
-		}
-		return got[a] < got[b]
-	})
 	ord := s.ord[:0]
 	for i := 0; i < need; i++ {
 		ord = append(ord, i)
@@ -172,65 +158,71 @@ func (s *SAMPlacement) Name() string { return "sam" }
 
 // Place implements Placement.
 func (s *SAMPlacement) Place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
-	cand, err := s.sam.freeTiles(lm, app, fs)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(cand, func(a, b int) bool {
-		ta, tb := lm.TC(cand[a]), lm.TC(cand[b])
-		if ta != tb {
-			return ta < tb
-		}
-		return cand[a] < cand[b]
-	})
-	return s.sam.assign(lm, app, cand[:len(app.Threads)])
+	return s.sam.place(lm, app, fs, lm.TilesByTC())
 }
 
 // FirstFitPlacement takes the `need` lowest-index free tiles and
 // assigns threads to them with the same Hungarian solve as
 // SAMPlacement — the single-application mapping (SAM) solve over
 // whatever tiles happen to be free, with no preference among them.
-type FirstFitPlacement struct{ sam samAssigner }
+type FirstFitPlacement struct {
+	sam   samAssigner
+	index []mesh.Tile // every tile in index order, built once
+}
 
 // Name implements Placement.
 func (f *FirstFitPlacement) Name() string { return "first-fit" }
 
 // Place implements Placement.
 func (f *FirstFitPlacement) Place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
-	cand, err := f.sam.freeTiles(lm, app, fs)
-	if err != nil {
-		return nil, err
+	if len(f.index) != lm.NumTiles() {
+		f.index = f.index[:0]
+		for t := range lm.NumTiles() {
+			f.index = append(f.index, mesh.Tile(t))
+		}
 	}
-	return f.sam.assign(lm, app, cand[:len(app.Threads)])
+	return f.sam.place(lm, app, fs, f.index)
+}
+
+// checkFits reports an error unless app has threads and fs has a free
+// tile for each of them.
+func checkFits(app *workload.Application, fs *FreeSet) error {
+	need := len(app.Threads)
+	if need == 0 {
+		return fmt.Errorf("sched: placing empty application %q", app.Name)
+	}
+	if need > fs.Count() {
+		return fmt.Errorf("sched: %q needs %d tiles, %d free", app.Name, need, fs.Count())
+	}
+	return nil
 }
 
 // samAssigner is the candidate, cost-matrix and Hungarian scratch
 // shared by the placements that solve an optimal thread-to-tile
-// assignment; they differ only in which free tiles they offer it.
+// assignment; they differ only in the tile order they offer it.
 type samAssigner struct {
 	solver hungarian.Solver
 	cand   []mesh.Tile
 	cost   [][]float64
 }
 
-// freeTiles checks that app fits and returns every free tile in index
-// order (scratch, valid until the next call).
-func (s *samAssigner) freeTiles(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) ([]mesh.Tile, error) {
-	need := len(app.Threads)
-	if need == 0 {
-		return nil, fmt.Errorf("sched: placing empty application %q", app.Name)
-	}
-	if need > fs.Count() {
-		return nil, fmt.Errorf("sched: %q needs %d tiles, %d free", app.Name, need, fs.Count())
+// place assigns app's threads to the first free tiles of order, one
+// per thread.
+func (s *samAssigner) place(lm *model.LatencyModel, app *workload.Application, fs *FreeSet, order []mesh.Tile) ([]mesh.Tile, error) {
+	if err := checkFits(app, fs); err != nil {
+		return nil, err
 	}
 	cand := s.cand[:0]
-	for t := 0; t < lm.NumTiles(); t++ {
-		if fs.Free(mesh.Tile(t)) {
-			cand = append(cand, mesh.Tile(t))
+	for _, t := range order {
+		if len(cand) == len(app.Threads) {
+			break
+		}
+		if fs.Free(t) {
+			cand = append(cand, t)
 		}
 	}
 	s.cand = cand
-	return cand, nil
+	return s.assign(lm, app, cand)
 }
 
 // assign returns the minimum-total-latency assignment of app's threads
@@ -260,11 +252,4 @@ func (s *samAssigner) assign(lm *model.LatencyModel, app *workload.Application, 
 		out[i] = tiles[j]
 	}
 	return out, nil
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

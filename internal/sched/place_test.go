@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"sort"
 	"testing"
 
 	"obm/internal/mesh"
+	"obm/internal/model"
+	"obm/internal/stats"
 	"obm/internal/workload"
 )
 
@@ -132,6 +135,110 @@ func TestSpiralStaysNearSeed(t *testing.T) {
 	for _, tile := range tiles {
 		if msh.Hops(seed, tile) > 2 {
 			t.Errorf("tile %d is %d hops from seed %d; want a tight cluster", tile, msh.Hops(seed, tile), seed)
+		}
+	}
+}
+
+// spiralReference is SpiralPlacement as first written: seed at the
+// min-TC free tile, collect free tiles ring by ring (each ring sorted
+// by TC, index), truncate to need, sort the collected set by TC and
+// hand the heaviest threads the first tiles.
+func spiralReference(lm *model.LatencyModel, app *workload.Application, fs *FreeSet) []mesh.Tile {
+	byTC := func(ts []mesh.Tile) {
+		sort.Slice(ts, func(a, b int) bool {
+			ta, tb := lm.TC(ts[a]), lm.TC(ts[b])
+			if ta != tb {
+				return ta < tb
+			}
+			return ts[a] < ts[b]
+		})
+	}
+	need := len(app.Threads)
+	msh := lm.Mesh()
+	seed := mesh.Tile(-1)
+	for t := 0; t < msh.NumTiles(); t++ {
+		if tt := mesh.Tile(t); fs.Free(tt) && (seed < 0 || lm.TC(tt) < lm.TC(seed)) {
+			seed = tt
+		}
+	}
+	got := []mesh.Tile{seed}
+	sc := msh.Coord(seed)
+	for r := 1; len(got) < need && r <= msh.Rows()+msh.Cols(); r++ {
+		var ring []mesh.Tile
+		add := func(row, col int) {
+			if row >= 0 && row < msh.Rows() && col >= 0 && col < msh.Cols() {
+				if t := msh.TileAt(row, col); fs.Free(t) {
+					ring = append(ring, t)
+				}
+			}
+		}
+		for dr := -r; dr <= r; dr++ {
+			rem := r - max(dr, -dr)
+			if rem == 0 {
+				add(sc.Row+dr, sc.Col)
+				continue
+			}
+			add(sc.Row+dr, sc.Col-rem)
+			add(sc.Row+dr, sc.Col+rem)
+		}
+		byTC(ring)
+		got = append(got, ring...)
+	}
+	got = got[:need]
+	byTC(got)
+	ord := make([]int, need)
+	for i := range ord {
+		ord[i] = i
+	}
+	sort.SliceStable(ord, func(a, b int) bool {
+		ra := app.Threads[ord[a]].CacheRate + app.Threads[ord[a]].MemRate
+		rb := app.Threads[ord[b]].CacheRate + app.Threads[ord[b]].MemRate
+		return ra > rb
+	})
+	out := make([]mesh.Tile, need)
+	for rank, threadIdx := range ord {
+		out[threadIdx] = got[rank]
+	}
+	return out
+}
+
+// TestSpiralMatchesReference: one walk of the model's tile order picks
+// the same tiles for the same threads as the ring-by-ring sorts, on
+// random chip states, application sizes and thread weights (with
+// ties), on square and non-square meshes.
+func TestSpiralMatchesReference(t *testing.T) {
+	rng := stats.NewRand(7)
+	for _, dims := range [][2]int{{8, 8}, {6, 4}, {3, 7}} {
+		lm := model.MustNew(mesh.MustNew(dims[0], dims[1]), model.DefaultParams())
+		sp := &SpiralPlacement{}
+		for trial := 0; trial < 300; trial++ {
+			fs := NewFreeSet(lm.NumTiles())
+			for tile := range lm.NumTiles() {
+				if rng.Float64() < 0.5 {
+					fs.Take(mesh.Tile(tile))
+				}
+			}
+			if fs.Count() == 0 {
+				continue
+			}
+			app := &workload.Application{Name: "r"}
+			for range 1 + rng.Intn(fs.Count()) {
+				app.Threads = append(app.Threads, workload.Thread{
+					CacheRate: float64(rng.Intn(4)),
+					MemRate:   float64(rng.Intn(2)),
+				})
+			}
+			got, err := sp.Place(lm, app, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := spiralReference(lm, app, fs)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%dx%d trial %d: thread %d on tile %d, reference %d",
+						dims[0], dims[1], trial, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

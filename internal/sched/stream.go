@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"obm/internal/mesh"
 	"obm/internal/model"
 	"obm/internal/obs"
+	"obm/internal/stats"
 	"obm/internal/workload"
 )
 
@@ -106,37 +106,22 @@ func (st *streamState) appNumerator(lm *model.LatencyModel, name string) float64
 	return sum
 }
 
-// balance returns the live max-APL and dev-APL (population stddev),
-// iterating apps in sorted-name order so float summation is
-// deterministic. Zero-weight apps are excluded, as in core.Evaluate.
+// balance returns the live max-APL and dev-APL (population stddev)
+// with core.Evaluate's arithmetic, iterating apps in sorted-name order
+// so float summation is deterministic. Zero-weight apps are excluded,
+// as in core.Evaluate.
 func (st *streamState) balance() (maxAPL, devAPL float64, active int) {
 	apls := st.apls[:0]
 	for _, name := range st.order {
-		w := st.weight[name]
-		if w == 0 {
-			continue
-		}
-		a := st.num[name] / w
-		apls = append(apls, a)
-		if a > maxAPL {
-			maxAPL = a
+		if w := st.weight[name]; w != 0 {
+			apls = append(apls, st.num[name]/w)
 		}
 	}
 	st.apls = apls
 	if len(apls) == 0 {
 		return 0, 0, 0
 	}
-	var mean float64
-	for _, a := range apls {
-		mean += a
-	}
-	mean /= float64(len(apls))
-	var varsum float64
-	for _, a := range apls {
-		d := a - mean
-		varsum += d * d
-	}
-	return maxAPL, math.Sqrt(varsum / float64(len(apls))), len(apls)
+	return stats.MustMax(apls), stats.StdDev(apls), len(apls)
 }
 
 // problem materializes the padded OBM problem plus the incumbent

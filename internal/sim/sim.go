@@ -155,7 +155,7 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	if cfg.MeasureCycles <= 0 {
 		return Result{}, fmt.Errorf("sim: need positive measurement window")
 	}
-	net, err := noc.New(noc.Config{Rows: msh.Rows(), Cols: msh.Cols()})
+	net, err := noc.New(msh)
 	if err != nil {
 		return Result{}, err
 	}
