@@ -70,10 +70,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *cacheDir != "" {
-		size := *cacheSize
-		if size == 0 {
-			size = service.DefaultCacheSize
-		}
+		size := service.Request{CacheSize: *cacheSize}.Normalized().CacheSize
 		if _, err := scenario.ConfigureShared(*cacheDir, size); err != nil {
 			fmt.Fprintln(stderr, "obmsimd:", err)
 			return 2

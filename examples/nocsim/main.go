@@ -32,7 +32,6 @@ func main() {
 
 	cfg := sim.DefaultRateDrivenConfig()
 	cfg.MeasureCycles = 100_000
-	pparams := power.Default45nm()
 	msh := lm.Mesh()
 
 	for _, m := range []mapping.Mapper{mapping.Global{}, mapping.SortSelectSwap{}} {
@@ -51,11 +50,7 @@ func main() {
 			fmt.Printf("  app %d: measured APL %6.2f  (model %6.2f)\n",
 				a+1, res.AppAPL[a], pred.APLs[a])
 		}
-		rep, err := power.Estimate(pparams, res.Net, msh.NumTiles(),
-			power.MeshLinkCount(msh.Rows(), msh.Cols()))
-		if err != nil {
-			log.Fatal(err)
-		}
+		rep := power.Estimate(msh, res.Net)
 		fmt.Printf("  max-APL %.2f  dev-APL %.4f  queuing %.3f cyc/hop\n",
 			res.MaxAPL, res.DevAPL, res.Net.AvgQueuingPerHop())
 		fmt.Printf("  NoC power: %.3f W dynamic + %.3f W leakage\n",

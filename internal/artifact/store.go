@@ -2,7 +2,6 @@ package artifact
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"obm/internal/obs"
@@ -59,20 +58,12 @@ type Stats struct {
 	DiskBytes     int64  `json:"disk_bytes,omitempty"`
 }
 
-// entry is one memory-tier slot. The first requester computes (or
-// loads from disk); done is closed when art/err are final, and
-// everyone else waits on it (singleflight).
-type entry struct {
-	done chan struct{}
-	art  Artifact
-	err  error
-}
-
 // Store is the two-tier artifact store: a process-local singleflight
-// memory tier, optionally backed by a persistent DiskTier. It is safe
-// for concurrent use: simultaneous Gets for the same WorkUnit share
-// one computation, distinct units proceed in parallel, and a disk hit
-// is promoted into the memory tier so repeats stay in-process.
+// memory tier (a Flight), optionally backed by a persistent DiskTier.
+// It is safe for concurrent use: simultaneous Gets for the same
+// WorkUnit share one computation, distinct units proceed in parallel,
+// and a disk hit is promoted into the memory tier so repeats stay
+// in-process.
 //
 // Errors are never cached: a failed, cancelled, or panicking
 // computation evicts its slot so a later request retries (waiters that
@@ -80,17 +71,17 @@ type entry struct {
 // written to disk.
 type Store struct {
 	disk *DiskTier
+	mem  Flight[Artifact]
 
-	mu      sync.Mutex
-	entries map[string]*entry
-	stats   Stats // guarded by mu so snapshots are coherent pairs
+	mu    sync.Mutex
+	stats Stats // guarded by mu so snapshots are coherent pairs
 }
 
 // NewStore returns a store over the given disk tier; disk may be nil
 // for a memory-only store (the pre-disk behaviour, and the default for
 // tests and library callers that never opt into persistence).
 func NewStore(disk *DiskTier) *Store {
-	return &Store{disk: disk, entries: make(map[string]*entry)}
+	return &Store{disk: disk}
 }
 
 // Get returns the artifact for wu, serving it from the memory tier,
@@ -100,92 +91,45 @@ func NewStore(disk *DiskTier) *Store {
 // Source reports which tier answered, so callers can surface
 // tier-accurate progress (scenario reports skipped stages for hits).
 func (s *Store) Get(ctx context.Context, wu WorkUnit, compute func(context.Context) (Artifact, error)) (Artifact, Source, error) {
-	key := wu.Key()
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.mu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return Artifact{}, SourceMemory, fmt.Errorf("artifact: waiting for in-flight %s: %w", wu.Mapper, ctx.Err())
+	src := SourceMemory // unless this caller leads the flight
+	art, err := s.mem.Do(ctx, wu.Key(), func() (Artifact, error) {
+		if s.disk != nil {
+			if art, ok := s.disk.Get(wu); ok {
+				src = SourceDisk
+				s.count(&s.stats.DiskHits)
+				return art, nil
+			}
 		}
-		if e.err != nil {
-			return Artifact{}, SourceMemory, e.err
-		}
-		s.mu.Lock()
-		s.stats.MemHits++
-		s.mu.Unlock()
+		src = SourceComputed
+		s.count(&s.stats.Computed)
+		mComputed.Inc()
+		mInflight.Add(1)
+		defer mInflight.Add(-1)
+		return compute(ctx)
+	})
+	if err != nil {
+		return Artifact{}, src, err
+	}
+	switch src {
+	case SourceMemory:
+		s.count(&s.stats.MemHits)
 		mMemHits.Inc()
-		return e.art.Clone(), SourceMemory, nil
-	}
-	e := &entry{done: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
-	if s.disk != nil {
-		if art, ok := s.disk.Get(wu); ok {
-			e.art = art
-			close(e.done)
-			s.mu.Lock()
-			s.stats.DiskHits++
-			s.mu.Unlock()
-			return art.Clone(), SourceDisk, nil
+	case SourceComputed:
+		if s.disk != nil {
+			// A failed cache write must not fail the computation that
+			// produced a perfectly good artifact; it is counted
+			// (artifact.disk.write_errors) and costs a later recompute.
+			_ = s.disk.Put(wu, art)
 		}
 	}
-	s.mu.Lock()
-	s.stats.Computed++
-	s.mu.Unlock()
-	mComputed.Inc()
-	mInflight.Add(1)
-	return s.compute(ctx, key, e, wu, compute)
+	return art.Clone(), src, nil
 }
 
-// compute runs the callback for the entry this caller owns and
-// finalizes it exactly once, however the computation ends — success,
-// error, or panic. The deferred completion is what makes the
-// singleflight panic-safe: without it a panic in the callback would
-// leave e.done forever open, deadlocking every waiter on the key and
-// permanently leaking the slot. A panic is converted into an error the
-// waiters can return, the slot is evicted so a later request retries,
-// and then the panic is re-raised on the owning goroutine — the
-// repository's panic policy (programmer error stays loud) is preserved
-// while no bystander can hang on it.
-func (s *Store) compute(ctx context.Context, key string, e *entry, wu WorkUnit, compute func(context.Context) (Artifact, error)) (Artifact, Source, error) {
-	completed := false
-	defer func() {
-		mInflight.Add(-1)
-		if completed {
-			return
-		}
-		r := recover()
-		e.err = fmt.Errorf("artifact: computing %s panicked: %v", wu.Mapper, r)
-		s.mu.Lock()
-		delete(s.entries, key)
-		s.mu.Unlock()
-		close(e.done)
-		if r != nil {
-			panic(r)
-		}
-	}()
-	art, err := compute(ctx)
-	if err != nil {
-		e.err = err
-		s.mu.Lock()
-		delete(s.entries, key)
-		s.mu.Unlock()
-		close(e.done)
-		completed = true
-		return Artifact{}, SourceComputed, err
-	}
-	e.art = art
-	close(e.done)
-	completed = true
-	if s.disk != nil {
-		// A failed cache write must not fail the computation that
-		// produced a perfectly good artifact; it is counted
-		// (artifact.disk.write_errors) and costs a later recompute.
-		_ = s.disk.Put(wu, art)
-	}
-	return art.Clone(), SourceComputed, nil
+// count increments one of the request counters under mu.
+func (s *Store) count(n *uint64) {
+	s.mu.Lock()
+	*n++
+	s.mu.Unlock()
 }
 
 // Stats returns one coherent snapshot of the request accounting, with
@@ -203,8 +147,4 @@ func (s *Store) Stats() Stats {
 }
 
 // Len returns the number of completed-or-in-flight memory-tier slots.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
+func (s *Store) Len() int { return s.mem.Len() }

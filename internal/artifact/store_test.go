@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -166,4 +167,36 @@ func TestStoreReturnsIndependentCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSynthetic(t, a2, 5)
+}
+
+// TestStoreWaiterLeavesOnItsContext: a waiter whose own ctx ends stops
+// waiting with ctx's error, while the flight it left completes and is
+// kept for later callers.
+func TestStoreWaiterLeavesOnItsContext(t *testing.T) {
+	s := NewStore(nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	led := make(chan error, 1)
+	go func() {
+		_, _, err := s.Get(context.Background(), unitFor(6), func(context.Context) (Artifact, error) {
+			close(started)
+			<-release
+			return synthetic(6), nil
+		})
+		led <- err
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, src, err := s.Get(ctx, unitFor(6), computeSynthetic(6, nil)); !errors.Is(err, context.Canceled) || src != SourceMemory {
+		t.Fatalf("cancelled waiter: src=%v err=%v, want memory and context.Canceled", src, err)
+	}
+	close(release)
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
+	a, src, err := s.Get(context.Background(), unitFor(6), computeSynthetic(6, nil))
+	if err != nil || src != SourceMemory {
+		t.Fatalf("after the flight: src=%v err=%v, want a memory hit", src, err)
+	}
+	checkSynthetic(t, a, 6)
 }

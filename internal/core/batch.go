@@ -39,7 +39,7 @@ func (p *Problem) BatchEvaluator(obj Objective) *BatchEvaluator {
 
 // costTable returns the flat thread x slot cost matrix,
 // cost[j*N+s] = ThreadCost(j, s): the one table builder behind
-// BatchEvaluator, RandomAverages and LowerBound.
+// BatchEvaluator and RandomAverages.
 func (p *Problem) costTable() []float64 {
 	n := p.N()
 	cost := make([]float64, n*n)

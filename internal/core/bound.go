@@ -1,10 +1,8 @@
 package core
 
-import "obm/internal/hungarian"
-
 // LowerBound returns a provable lower bound on the optimal max-APL of
-// the problem, computed from two relaxations (both Hungarian solves,
-// O(N^3) total):
+// the problem, computed from two relaxations (both SAM solves onto
+// every slot, O(N^3) total):
 //
 //  1. Per-application relaxation: an application's APL under any
 //     permutation is at least its APL when it may claim the best tiles
@@ -26,15 +24,9 @@ import "obm/internal/hungarian"
 // likewise only prunes with it under the default objective). A g-APL
 // lower bound is the second relaxation alone.
 func (p *Problem) LowerBound() (float64, error) {
-	// Every solve reads rows of one flat cost table (application i's
-	// threads are the contiguous rows lo..hi) and reuses one solver.
-	n := p.N()
-	flat := p.costTable()
-	rows := make([][]float64, n)
-	for j := range rows {
-		rows[j] = flat[j*n : (j+1)*n]
-	}
-	var solver hungarian.Solver
+	// Every relaxation places threads onto all N slots.
+	slots := IdentityMapping(p.N())
+	sam := p.NewSAMSolver()
 	best := 0.0
 	// Relaxation 1: each application alone on the chip.
 	for i := 0; i < p.NumApps(); i++ {
@@ -43,7 +35,7 @@ func (p *Problem) LowerBound() (float64, error) {
 			continue
 		}
 		lo, hi := p.AppThreads(i)
-		_, total, err := solver.Solve(rows[lo:hi])
+		_, total, err := sam.solve(lo, hi, slots)
 		if err != nil {
 			return 0, err
 		}
@@ -53,7 +45,7 @@ func (p *Problem) LowerBound() (float64, error) {
 	}
 	// Relaxation 2: optimal g-APL.
 	if p.totalRate > 0 {
-		_, total, err := solver.Solve(rows)
+		_, total, err := sam.solve(0, p.N(), slots)
 		if err != nil {
 			return 0, err
 		}

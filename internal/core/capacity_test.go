@@ -128,7 +128,7 @@ func TestCapacitySAM(t *testing.T) {
 	for i := range tiles {
 		tiles[i] = mesh.Tile(i)
 	}
-	assign, cost, err := p.SolveSAM(0, 16, tiles)
+	assign, cost, err := p.NewSAMSolver().SolveSAM(0, 16, tiles)
 	if err != nil {
 		t.Fatal(err)
 	}

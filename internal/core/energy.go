@@ -4,13 +4,12 @@ import "obm/internal/power"
 
 // Energy is a dynamic NoC energy objective backed by
 // power.EstimateEnergy: the latency-weighted flit-hop volume of a
-// mapping priced at the DSENT-style 45nm per-flit-hop energy
-// (power.Default45nm). It is the energy axis the multi-objective
-// literature (Marcon et al.; the Pareto-Optimization Framework for
-// Automated NoC Design) trades against latency, expressed inside the
-// Objective contract so it can be optimized scalar-wise
-// (-objective energy) and as the third component of the Pareto vector
-// (ParetoObjectives).
+// mapping priced at the DSENT-style 45nm per-flit-hop energy. It is
+// the energy axis the multi-objective literature (Marcon et al.; the
+// Pareto-Optimization Framework for Automated NoC Design) trades
+// against latency, expressed inside the Objective contract so it can
+// be optimized scalar-wise (-objective energy) and as the third
+// component of the Pareto vector (ParetoObjectives).
 //
 // Derivation: the analytic model prices thread j on tile k at
 // c_j·TC(k) + m_j·TM(k), where TC(k) = avgHops(k)·perHop +
@@ -54,5 +53,5 @@ func (Energy) Value(p *Problem, num []float64) float64 {
 	if hops < 0 {
 		hops = 0
 	}
-	return power.EstimateEnergy(power.Default45nm(), hops)
+	return power.EstimateEnergy(hops)
 }

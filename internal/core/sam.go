@@ -7,30 +7,21 @@ import (
 	"obm/internal/mesh"
 )
 
-// SolveSAM solves the Single Application Mapping problem of Section IV.A
-// (Algorithm 1): given the flattened thread range [lo, hi) of one
-// application and an equally-sized set of candidate tiles, it finds the
-// assignment of threads to those tiles that minimizes the application's
-// total packet latency (equivalently its APL, since the denominator is
-// fixed).
+// SAMSolver solves every thread-onto-slots assignment of one Problem.
+// Its instance is the Single Application Mapping problem of Section IV.A
+// (Algorithm 1): given a flattened thread range [lo, hi) and candidate
+// slots, assign each thread a distinct slot so that the range's total
+// packet latency is minimal (equivalently its APL, since the
+// denominator is fixed). There may be more slots than threads, so the
+// Global baseline (Section II.D) is the instance of every thread onto
+// every slot, and LowerBound's relaxations are instances of one
+// application, or of every thread, onto every slot.
 //
-// The returned slice assign has length hi-lo; assign[x] is the tile given
-// to thread lo+x. The returned cost is the application's total packet
-// latency (the APL numerator), i.e. sum of c_j*TC + m_j*TM over the
-// application; divide by Problem.AppWeight to obtain the APL.
-func (p *Problem) SolveSAM(lo, hi int, tiles []mesh.Tile) (assign []mesh.Tile, cost float64, err error) {
-	var s SAMSolver
-	s.p = p
-	return s.SolveSAM(lo, hi, tiles)
-}
-
-// SAMSolver solves repeated SAM instances for one Problem, reusing the
-// cost matrix and Hungarian scratch across solves — the per-call
-// allocations of Problem.ReoptimizeApp amortize to zero, which matters
+// The solver reuses the cost matrix and Hungarian scratch across
+// solves, so the per-call allocations amortize to zero, which matters
 // for mappers that SAM-polish on a hot path (sort-select-swap runs two
-// solves per application per pass). Results are bit-identical to the
-// Problem methods: the buffers are reused, the float operations and
-// their order are not changed. Not safe for concurrent use; give each
+// solves per application per pass); reusing the buffers changes no
+// float operation or its order. Not safe for concurrent use; give each
 // goroutine its own.
 type SAMSolver struct {
 	p     *Problem
@@ -50,24 +41,24 @@ func (p *Problem) NewSAMSolver() *SAMSolver {
 // overwritten by the next call) and the total packet latency.
 func (s *SAMSolver) solve(lo, hi int, tiles []mesh.Tile) ([]int, float64, error) {
 	p := s.p
-	na := hi - lo
+	na, nt := hi-lo, len(tiles)
 	if na <= 0 || lo < 0 || hi > p.N() {
 		return nil, 0, fmt.Errorf("core: SAM thread range [%d,%d) invalid", lo, hi)
 	}
-	if len(tiles) != na {
-		return nil, 0, fmt.Errorf("core: SAM got %d tiles for %d threads", len(tiles), na)
+	if nt < na {
+		return nil, 0, fmt.Errorf("core: SAM got %d tiles for %d threads", nt, na)
 	}
 	// Step 1 (Algorithm 1): build the cost matrix cost[j][k] (eq. 13).
-	if cap(s.flat) < na*na {
-		s.flat = make([]float64, na*na)
+	if cap(s.flat) < na*nt {
+		s.flat = make([]float64, na*nt)
 	}
 	if cap(s.costM) < na {
 		s.costM = make([][]float64, na)
 	}
-	flat := s.flat[:na*na]
+	flat := s.flat[:na*nt]
 	costM := s.costM[:na]
 	for x := 0; x < na; x++ {
-		row := flat[x*na : (x+1)*na]
+		row := flat[x*nt : (x+1)*nt]
 		j := lo + x
 		for y, t := range tiles {
 			row[y] = p.ThreadCost(j, t)
@@ -82,24 +73,28 @@ func (s *SAMSolver) solve(lo, hi int, tiles []mesh.Tile) ([]int, float64, error)
 	return rowToCol, total, nil
 }
 
-// SolveSAM is Problem.SolveSAM with reused scratch. The returned
-// assignment is freshly allocated, so the caller may keep it across
-// later solves.
+// SolveSAM assigns the threads [lo, hi) to distinct tiles, at least
+// hi-lo of them, minimizing their total packet latency. assign[x] is
+// the tile given to thread lo+x, freshly allocated so the caller may
+// keep it across later solves. cost is the total packet latency (the
+// APL numerator when the range is one application), i.e. the sum of
+// c_j*TC + m_j*TM over the range; divide by Problem.AppWeight to obtain
+// an application's APL.
 func (s *SAMSolver) SolveSAM(lo, hi int, tiles []mesh.Tile) (assign []mesh.Tile, cost float64, err error) {
 	rowToCol, total, err := s.solve(lo, hi, tiles)
 	if err != nil {
 		return nil, 0, err
 	}
-	assign = make([]mesh.Tile, len(tiles))
+	assign = make([]mesh.Tile, len(rowToCol))
 	for x, y := range rowToCol {
 		assign[x] = tiles[y]
 	}
 	return assign, total, nil
 }
 
-// SolveInto solves SAM for application appIdx over tiles with reused
-// scratch, writes the assignment into m (which must have length N), and
-// returns the application's resulting APL.
+// SolveInto solves SAM for application appIdx over tiles, writes the
+// assignment into m (which must have length N), and returns the
+// application's resulting APL.
 func (s *SAMSolver) SolveInto(m Mapping, appIdx int, tiles []mesh.Tile) (float64, error) {
 	p := s.p
 	lo, hi := p.AppThreads(appIdx)
@@ -116,7 +111,10 @@ func (s *SAMSolver) SolveInto(m Mapping, appIdx int, tiles []mesh.Tile) (float64
 	return 0, nil
 }
 
-// ReoptimizeApp is Problem.ReoptimizeApp with reused scratch.
+// ReoptimizeApp re-runs SAM for application appIdx over the tiles it
+// currently occupies in m, improving (never worsening) its APL in
+// place. This is the final polish step of the sort-select-swap
+// algorithm and is also used after sliding-window swaps.
 func (s *SAMSolver) ReoptimizeApp(m Mapping, appIdx int) error {
 	lo, hi := s.p.AppThreads(appIdx)
 	if cap(s.tiles) < hi-lo {
@@ -128,14 +126,4 @@ func (s *SAMSolver) ReoptimizeApp(m Mapping, appIdx int) error {
 	}
 	_, err := s.SolveInto(m, appIdx, tiles)
 	return err
-}
-
-// ReoptimizeApp re-runs SAM for application i over the tiles it currently
-// occupies in m, improving (never worsening) its APL in place. This is
-// the final polish step of the sort-select-swap algorithm and is also
-// used after sliding-window swaps.
-func (p *Problem) ReoptimizeApp(m Mapping, appIdx int) error {
-	var s SAMSolver
-	s.p = p
-	return s.ReoptimizeApp(m, appIdx)
 }

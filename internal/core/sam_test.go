@@ -12,18 +12,22 @@ import (
 
 func TestSolveSAMValidation(t *testing.T) {
 	p := figure5Problem(t)
+	sam := p.NewSAMSolver()
 	tiles := []mesh.Tile{0, 1, 2, 3}
-	if _, _, err := p.SolveSAM(0, 0, nil); err == nil {
+	if _, _, err := sam.SolveSAM(0, 0, nil); err == nil {
 		t.Error("empty range accepted")
 	}
-	if _, _, err := p.SolveSAM(0, 4, tiles[:2]); err == nil {
-		t.Error("tile/thread count mismatch accepted")
+	if _, _, err := sam.SolveSAM(0, 4, tiles[:2]); err == nil {
+		t.Error("fewer tiles than threads accepted")
 	}
-	if _, _, err := p.SolveSAM(-1, 3, tiles); err == nil {
+	if _, _, err := sam.SolveSAM(-1, 3, tiles); err == nil {
 		t.Error("negative lo accepted")
 	}
-	if _, _, err := p.SolveSAM(13, 17, tiles); err == nil {
+	if _, _, err := sam.SolveSAM(13, 17, tiles); err == nil {
 		t.Error("hi beyond N accepted")
+	}
+	if assign, _, err := sam.SolveSAM(0, 2, tiles); err != nil || len(assign) != 2 {
+		t.Errorf("more tiles than threads: assign %v, err %v; want 2 tiles", assign, err)
 	}
 }
 
@@ -39,7 +43,7 @@ func TestSAMOptimalOnFigure5(t *testing.T) {
 		msh.TileAt(1, 0), // edge
 		msh.TileAt(1, 1), // center
 	}
-	assign, cost, err := p.SolveSAM(0, 4, tiles)
+	assign, cost, err := p.NewSAMSolver().SolveSAM(0, 4, tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +61,9 @@ func TestSAMOptimalOnFigure5(t *testing.T) {
 	}
 }
 
-// TestSAMBeatsBruteForceNever verifies SAM optimality against exhaustive
-// search on random sub-instances.
+// TestSAMMatchesBruteForce verifies SAM optimality against exhaustive
+// search on random sub-instances with 5 to 8 candidate tiles for 5
+// threads.
 func TestSAMMatchesBruteForce(t *testing.T) {
 	lm := model.MustNew(mesh.MustNew(4, 4), model.DefaultParams())
 	rng := stats.NewRand(77)
@@ -79,11 +84,11 @@ func TestSAMMatchesBruteForce(t *testing.T) {
 		p := MustNewProblem(lm, w)
 		// Random distinct candidate tiles.
 		perm := rng.Perm(16)
-		tiles := make([]mesh.Tile, 5)
+		tiles := make([]mesh.Tile, 5+trial%4)
 		for i := range tiles {
 			tiles[i] = mesh.Tile(perm[i])
 		}
-		_, cost, err := p.SolveSAM(0, 5, tiles)
+		_, cost, err := p.NewSAMSolver().SolveSAM(0, 5, tiles)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,9 +99,12 @@ func TestSAMMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// bruteForceSAM tries every assignment of the threads [lo, hi) to
+// distinct tiles: each ordering of the tiles, of which the first hi-lo
+// are taken.
 func bruteForceSAM(p *Problem, lo, hi int, tiles []mesh.Tile) float64 {
 	n := hi - lo
-	perm := make([]int, n)
+	perm := make([]int, len(tiles))
 	for i := range perm {
 		perm[i] = i
 	}
@@ -105,7 +113,7 @@ func bruteForceSAM(p *Problem, lo, hi int, tiles []mesh.Tile) float64 {
 	rec = func(k int) {
 		if k == n {
 			var s float64
-			for x, y := range perm {
+			for x, y := range perm[:n] {
 				s += p.ThreadCost(lo+x, tiles[y])
 			}
 			if s < best {
@@ -113,7 +121,7 @@ func bruteForceSAM(p *Problem, lo, hi int, tiles []mesh.Tile) float64 {
 			}
 			return
 		}
-		for i := k; i < n; i++ {
+		for i := k; i < len(perm); i++ {
 			perm[k], perm[i] = perm[i], perm[k]
 			rec(k + 1)
 			perm[k], perm[i] = perm[i], perm[k]
@@ -155,8 +163,9 @@ func TestReoptimizeAppNeverWorsens(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		m := RandomMapping(64, rng)
 		before := p.Evaluate(m).APLs
+		sam := p.NewSAMSolver()
 		for i := 0; i < p.NumApps(); i++ {
-			if err := p.ReoptimizeApp(m, i); err != nil {
+			if err := sam.ReoptimizeApp(m, i); err != nil {
 				t.Fatal(err)
 			}
 		}

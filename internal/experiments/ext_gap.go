@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"obm/internal/core"
 	"obm/internal/mapping"
-	"obm/internal/sim"
 	"obm/internal/workload"
 )
 
@@ -42,29 +42,19 @@ func extGap(ctx context.Context, o Options) (*GapResult, error) {
 	for _, m := range mappers {
 		res.Mappers = append(res.Mappers, shortName(m))
 	}
+	if res.Obj, err = evalGrid(ctx, cfgs, mappers, func(ev core.Evaluation) float64 { return ev.MaxAPL }); err != nil {
+		return nil, err
+	}
 	res.Bounds = make([]float64, len(cfgs))
-	cols, err := sim.RunReplicas(ctx, len(cfgs), func(ctx context.Context, ci int) ([]float64, error) {
-		p, err := problemFor(cfgs[ci])
+	for ci, cfg := range cfgs {
+		p, err := problemFor(cfg)
 		if err != nil {
 			return nil, err
 		}
 		if res.Bounds[ci], err = lowerBound(p); err != nil {
 			return nil, err
 		}
-		col := make([]float64, len(mappers))
-		for mi, m := range mappers {
-			_, ev, err := mapEval(ctx, p, m)
-			if err != nil {
-				return nil, err
-			}
-			col[mi] = ev.MaxAPL
-		}
-		return col, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	res.Obj = mapperMajor(cols, len(mappers))
 	res.Doc = res.doc()
 	return res, nil
 }

@@ -181,7 +181,6 @@ func tileEnergyField(p *core.Problem, m core.Mapping) [][]float64 {
 		return out
 	}
 	n := float64(p.N())
-	pw := power.Default45nm()
 	for j := 0; j < p.N(); j++ {
 		offset := mp.TdS * (p.CacheRate(j)*(n-1)/n + p.MemRate(j))
 		hops := (p.ThreadCost(j, m[j]) - offset) / perHop
@@ -189,7 +188,7 @@ func tileEnergyField(p *core.Problem, m core.Mapping) [][]float64 {
 			hops = 0
 		}
 		c := msh.Coord(p.TileOfSlot(m[j]))
-		out[c.Row][c.Col] += power.EstimateEnergy(pw, hops)
+		out[c.Row][c.Col] += power.EstimateEnergy(hops)
 	}
 	return out
 }

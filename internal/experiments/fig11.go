@@ -42,7 +42,6 @@ func fig11(ctx context.Context, o Options) (*MapperSeries, error) {
 	if o.Quick {
 		scfg.MeasureCycles = 40_000
 	}
-	pparams := power.Default45nm()
 	cols, err := sim.RunReplicas(ctx, len(cfgs), func(ctx context.Context, ci int) ([]float64, error) {
 		p, err := problemFor(cfgs[ci])
 		if err != nil {
@@ -59,12 +58,7 @@ func fig11(ctx context.Context, o Options) (*MapperSeries, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := power.Estimate(pparams, sr.Net, msh.NumTiles(),
-				power.MeshLinkCount(msh.Rows(), msh.Cols()))
-			if err != nil {
-				return nil, err
-			}
-			col[mi] = rep.DynamicW
+			col[mi] = power.Estimate(msh, sr.Net).DynamicW
 		}
 		return col, nil
 	})

@@ -4,14 +4,13 @@ import (
 	"context"
 
 	"obm/internal/core"
-	"obm/internal/hungarian"
-	"obm/internal/mesh"
 )
 
 // Global is the traditional performance-oriented mapper of Section II.D:
 // it minimizes the overall packet latency of all threads (equivalently
 // the g-APL, whose denominator is mapping-independent) with one chip-wide
-// optimal assignment. The paper shows this mapper is counter-optimal for
+// optimal assignment, which is SAM (Section IV.A) over every thread and
+// every tile. The paper shows this mapper is counter-optimal for
 // latency balance; it is the primary comparison baseline.
 type Global struct{}
 
@@ -22,30 +21,17 @@ func (Global) Name() string { return "Global" }
 // deterministic.
 func (Global) Fingerprint() string { return "global" }
 
-// Map implements Mapper. The chip-wide cost matrix entry for thread j on
-// tile k is c_j*TC(k) + m_j*TM(k); a single Hungarian solve yields the
+// Map implements Mapper: the SAM instance (Algorithm 1) of every
+// thread onto every slot, whose cost matrix entry for thread j on tile
+// k is c_j*TC(k) + m_j*TM(k); one Hungarian solve yields the
 // g-APL-optimal permutation in O(N^3).
 func (Global) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := p.N()
-	cost := make([][]float64, n)
-	flat := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		row := flat[j*n : (j+1)*n]
-		for k := 0; k < n; k++ {
-			row[k] = p.ThreadCost(j, mesh.Tile(k))
-		}
-		cost[j] = row
-	}
-	rowToCol, _, err := hungarian.Solve(cost)
+	assign, _, err := p.NewSAMSolver().SolveSAM(0, p.N(), core.IdentityMapping(p.N()))
 	if err != nil {
 		return nil, err
 	}
-	m := make(core.Mapping, n)
-	for j, k := range rowToCol {
-		m[j] = mesh.Tile(k)
-	}
-	return m, nil
+	return assign, nil
 }

@@ -4,8 +4,9 @@
 // The paper's mappers:
 //
 //   - Global — overall-latency minimization via a single chip-wide
-//     Hungarian assignment (the performance-oriented baseline whose
-//     imbalance motivates the paper);
+//     Hungarian assignment: SAM (Algorithm 1) over every thread and
+//     every tile (the performance-oriented baseline whose imbalance
+//     motivates the paper);
 //   - MonteCarlo — best-of-R random mappings under the max-APL objective;
 //   - Annealing — simulated annealing over 2-thread swap moves under the
 //     max-APL objective;

@@ -35,6 +35,7 @@ package model
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"obm/internal/mesh"
@@ -60,13 +61,18 @@ type Params struct {
 // PerHop returns the total per-hop latency td_r + td_w + td_q.
 func (p Params) PerHop() float64 { return p.TdR + p.TdW + p.TdQ }
 
-// Validate reports an error if any parameter is negative.
+// Validate reports an error if any parameter is negative, NaN or
+// infinite.
 func (p Params) Validate() error {
-	if p.TdR < 0 || p.TdW < 0 || p.TdQ < 0 || p.TdS < 0 {
-		return fmt.Errorf("model: negative latency parameter: %+v", p)
+	if !latency(p.TdR) || !latency(p.TdW) || !latency(p.TdQ) || !latency(p.TdS) {
+		return fmt.Errorf("model: negative or non-finite latency parameter: %+v", p)
 	}
 	return nil
 }
+
+// latency reports whether x is a valid latency: finite and not
+// negative (x >= 0 is false for NaN).
+func latency(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // DefaultParams returns the cycle parameters used for the paper's 8x8
 // evaluation platform (Table 2): a 3-stage wormhole router (td_r = 3),
@@ -174,8 +180,8 @@ func NewTable(m *mesh.Mesh, p Params, tc, tm []float64) (*LatencyModel, error) {
 		return nil, fmt.Errorf("model: table lengths %d/%d for %d tiles", len(tc), len(tm), n)
 	}
 	for i := 0; i < n; i++ {
-		if tc[i] < 0 || tm[i] < 0 {
-			return nil, fmt.Errorf("model: negative latency in table at tile %d", i)
+		if !latency(tc[i]) || !latency(tm[i]) {
+			return nil, fmt.Errorf("model: negative or non-finite latency in table at tile %d", i)
 		}
 	}
 	return &LatencyModel{

@@ -12,8 +12,34 @@ func TestParamsValidate(t *testing.T) {
 	if err := (Params{TdR: 3, TdW: 1}).Validate(); err != nil {
 		t.Errorf("valid params rejected: %v", err)
 	}
-	if err := (Params{TdR: -1}).Validate(); err == nil {
-		t.Error("negative TdR accepted")
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, p := range []Params{{TdR: bad}, {TdW: bad}, {TdQ: bad}, {TdS: bad}} {
+			if err := p.Validate(); err == nil {
+				t.Errorf("%+v accepted", p)
+			}
+		}
+	}
+}
+
+// TestNewTableRejectsBadLatency: a negative, NaN or infinite entry in
+// TC or TM is rejected.
+func TestNewTableRejectsBadLatency(t *testing.T) {
+	m := mesh.MustNew(2, 2)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		for _, col := range []string{"TC", "TM"} {
+			tc, tm := []float64{1, 2, 2, 3}, []float64{0, 0, 0, 0}
+			if col == "TC" {
+				tc[1] = bad
+			} else {
+				tm[1] = bad
+			}
+			if _, err := NewTable(m, DefaultParams(), tc, tm); err == nil {
+				t.Errorf("%s[1] = %v accepted", col, bad)
+			}
+		}
+	}
+	if _, err := NewTable(m, DefaultParams(), []float64{1, 2, 2, 3}, []float64{0, 0, 0, 0}); err != nil {
+		t.Errorf("valid table rejected: %v", err)
 	}
 }
 

@@ -10,60 +10,32 @@
 package power
 
 import (
-	"fmt"
-
+	"obm/internal/mesh"
 	"obm/internal/noc"
 )
 
-// Params holds per-event energies in picojoules and leakage in
-// milliwatts for one router/link at 45nm, 1V, 128-bit flits.
-type Params struct {
-	// BufWrite and BufRead are per-flit buffer energies.
-	BufWrite, BufRead float64
-	// Crossbar is the per-flit switch traversal energy.
-	Crossbar float64
-	// Arbiter is the per-flit allocation energy.
-	Arbiter float64
-	// Link is the per-flit link traversal energy.
-	Link float64
-	// RouterLeakage and LinkLeakage are static power per device in mW.
-	RouterLeakage, LinkLeakage float64
-	// ClockGHz converts cycles to seconds (Table 2: 2 GHz).
-	ClockGHz float64
-}
+// Per-event energies in picojoules and leakage in milliwatts for one
+// router or link of DSENT's 45nm bulk process at 1V: a 5-port 128-bit
+// 3-stage router.
+const (
+	// bufWrite and bufRead are per-flit buffer energies.
+	bufWrite, bufRead = 0.60, 0.55
+	// crossbar is the per-flit switch traversal energy.
+	crossbar = 1.05
+	// arbiter is the per-flit allocation energy.
+	arbiter = 0.12
+	// link is the per-flit link traversal energy.
+	link = 1.30
+	// routerLeakage and linkLeakage are static power per device.
+	routerLeakage, linkLeakage = 2.1, 0.4
+	// clockGHz converts cycles to seconds (Table 2: 2 GHz).
+	clockGHz = 2.0
+)
 
-// Default45nm returns parameters representative of DSENT's 45nm bulk
-// process for a 5-port 128-bit 3-stage router.
-func Default45nm() Params {
-	return Params{
-		BufWrite:      0.60,
-		BufRead:       0.55,
-		Crossbar:      1.05,
-		Arbiter:       0.12,
-		Link:          1.30,
-		RouterLeakage: 2.1,
-		LinkLeakage:   0.4,
-		ClockGHz:      2.0,
-	}
-}
-
-// Validate reports an error for non-physical parameters.
-func (p Params) Validate() error {
-	if p.BufWrite < 0 || p.BufRead < 0 || p.Crossbar < 0 || p.Arbiter < 0 ||
-		p.Link < 0 || p.RouterLeakage < 0 || p.LinkLeakage < 0 {
-		return fmt.Errorf("power: negative energy parameter: %+v", p)
-	}
-	if p.ClockGHz <= 0 {
-		return fmt.Errorf("power: clock must be positive, got %v GHz", p.ClockGHz)
-	}
-	return nil
-}
-
-// PerFlitHop returns the dynamic energy of moving one flit one hop
-// (through a router and the following link), in pJ.
-func (p Params) PerFlitHop() float64 {
-	return p.BufWrite + p.BufRead + p.Crossbar + p.Arbiter + p.Link
-}
+// perFlitHop is the dynamic energy, in pJ, of moving one flit one hop
+// (through a router and the following link). As a float64 it equals
+// the run-time sum of its five terms in this order.
+const perFlitHop = bufWrite + bufRead + crossbar + arbiter + link
 
 // Report breaks an estimate down.
 type Report struct {
@@ -75,28 +47,25 @@ type Report struct {
 	EnergyPJ float64
 }
 
-// Estimate computes NoC power from simulation statistics: every
-// flit-hop costs PerFlitHop, injection and ejection each cost a buffer
-// transaction, and leakage accrues for routers+links over the simulated
-// wall time.
-func Estimate(p Params, st noc.Stats, numRouters, numLinks int) (Report, error) {
-	if err := p.Validate(); err != nil {
-		return Report{}, err
-	}
-	if numRouters < 0 || numLinks < 0 {
-		return Report{}, fmt.Errorf("power: negative device count")
-	}
-	energy := float64(st.FlitHops) * p.PerFlitHop()
+// Estimate computes the power of the NoC on m from simulation
+// statistics: every flit-hop costs perFlitHop, injection and ejection
+// each cost a buffer transaction, and leakage accrues over the
+// simulated wall time for m's routers, one per tile, and its
+// unidirectional links, two per adjacent tile pair.
+func Estimate(m *mesh.Mesh, st noc.Stats) Report {
+	energy := float64(st.FlitHops) * perFlitHop
 	// Source injection writes the first buffer; ejection reads the last.
-	energy += float64(st.InjectedFlits) * p.BufWrite
-	energy += float64(st.DeliveredFlits) * p.BufRead
+	energy += float64(st.InjectedFlits) * bufWrite
+	energy += float64(st.DeliveredFlits) * bufRead
 	rep := Report{EnergyPJ: energy}
 	if st.Cycles > 0 {
-		seconds := float64(st.Cycles) / (p.ClockGHz * 1e9)
+		rows, cols := m.Rows(), m.Cols()
+		links := 2 * (rows*(cols-1) + cols*(rows-1))
+		seconds := float64(st.Cycles) / (clockGHz * 1e9)
 		rep.DynamicW = energy * 1e-12 / seconds
-		rep.StaticW = (float64(numRouters)*p.RouterLeakage + float64(numLinks)*p.LinkLeakage) / 1e3
+		rep.StaticW = (float64(m.NumTiles())*routerLeakage + float64(links)*linkLeakage) / 1e3
 	}
-	return rep, nil
+	return rep
 }
 
 // EstimateEnergy returns the dynamic NoC energy, in pJ, of moving
@@ -106,15 +75,6 @@ func Estimate(p Params, st noc.Stats, numRouters, numLinks int) (Report, error) 
 // latency model's hop structure). flitHops may be fractional — the
 // analytic model works in request rates, so the result is an energy
 // rate at the same scale, which is all a relative comparison needs.
-func EstimateEnergy(p Params, flitHops float64) float64 {
-	return flitHops * p.PerFlitHop()
-}
-
-// MeshLinkCount returns the number of unidirectional inter-router links
-// in a rows x cols mesh (each adjacent pair is connected both ways).
-func MeshLinkCount(rows, cols int) int {
-	if rows <= 0 || cols <= 0 {
-		return 0
-	}
-	return 2 * (rows*(cols-1) + cols*(rows-1))
+func EstimateEnergy(flitHops float64) float64 {
+	return flitHops * perFlitHop
 }

@@ -4,37 +4,37 @@ import (
 	"math"
 	"testing"
 
+	"obm/internal/mesh"
 	"obm/internal/noc"
 )
 
-func TestParamsValidate(t *testing.T) {
-	if err := Default45nm().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	p := Default45nm()
-	p.Link = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative link energy accepted")
-	}
-	p = Default45nm()
-	p.ClockGHz = 0
-	if err := p.Validate(); err == nil {
-		t.Error("zero clock accepted")
-	}
+// near reports whether got is within 1e-12 relative error of want.
+func near(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-12*math.Abs(want)
 }
 
 func TestPerFlitHop(t *testing.T) {
-	p := Params{BufWrite: 1, BufRead: 2, Crossbar: 3, Arbiter: 4, Link: 5, ClockGHz: 1}
-	if got := p.PerFlitHop(); got != 15 {
-		t.Errorf("PerFlitHop = %v, want 15", got)
+	// 0.60 + 0.55 + 1.05 + 0.12 + 1.30 pJ.
+	if !near(perFlitHop, 3.62) {
+		t.Errorf("perFlitHop = %v, want 3.62", perFlitHop)
+	}
+	// The constant rounds to the float64 that summing the terms at run
+	// time yields, which the Figure 11 and Pareto goldens depend on.
+	terms := []float64{bufWrite, bufRead, crossbar, arbiter, link}
+	var sum float64
+	for _, e := range terms {
+		sum += e
+	}
+	if math.Float64bits(perFlitHop) != math.Float64bits(sum) {
+		t.Errorf("perFlitHop = %.20g, run-time sum %.20g", float64(perFlitHop), sum)
+	}
+	if got := EstimateEnergy(10); !near(got, 36.2) {
+		t.Errorf("EstimateEnergy(10) = %v, want 36.2", got)
 	}
 }
 
 func TestEstimateZeroTraffic(t *testing.T) {
-	rep, err := Estimate(Default45nm(), noc.Stats{Cycles: 1000}, 64, MeshLinkCount(8, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := Estimate(mesh.MustNew(8, 8), noc.Stats{Cycles: 1000})
 	if rep.DynamicW != 0 {
 		t.Errorf("idle dynamic power = %v, want 0", rep.DynamicW)
 	}
@@ -44,17 +44,10 @@ func TestEstimateZeroTraffic(t *testing.T) {
 }
 
 func TestEstimateScalesWithActivity(t *testing.T) {
-	p := Default45nm()
+	m := mesh.MustNew(8, 8)
 	st1 := noc.Stats{Cycles: 1000, FlitHops: 100, InjectedFlits: 10, DeliveredFlits: 10}
 	st2 := noc.Stats{Cycles: 1000, FlitHops: 200, InjectedFlits: 20, DeliveredFlits: 20}
-	r1, err := Estimate(p, st1, 64, 224)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Estimate(p, st2, 64, 224)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r2 := Estimate(m, st1), Estimate(m, st2)
 	if math.Abs(r2.DynamicW-2*r1.DynamicW) > 1e-12 {
 		t.Errorf("doubling activity should double dynamic power: %v vs %v", r1.DynamicW, r2.DynamicW)
 	}
@@ -64,38 +57,35 @@ func TestEstimateScalesWithActivity(t *testing.T) {
 }
 
 func TestEstimateEnergyAccounting(t *testing.T) {
-	p := Params{BufWrite: 1, BufRead: 1, Crossbar: 1, Arbiter: 1, Link: 1, ClockGHz: 2}
 	st := noc.Stats{Cycles: 100, FlitHops: 10, InjectedFlits: 4, DeliveredFlits: 4}
-	rep, err := Estimate(p, st, 16, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 10*5.0 + 4*1 + 4*1
-	if math.Abs(rep.EnergyPJ-want) > 1e-12 {
+	rep := Estimate(mesh.MustNew(4, 4), st)
+	// 10 flit-hops at 3.62 pJ, 4 buffer writes at 0.60, 4 reads at 0.55.
+	if want := 36.2 + 2.4 + 2.2; !near(rep.EnergyPJ, want) {
 		t.Errorf("EnergyPJ = %v, want %v", rep.EnergyPJ, want)
 	}
-}
-
-func TestEstimateErrors(t *testing.T) {
-	if _, err := Estimate(Params{ClockGHz: -1}, noc.Stats{}, 1, 1); err == nil {
-		t.Error("bad params accepted")
-	}
-	if _, err := Estimate(Default45nm(), noc.Stats{}, -1, 0); err == nil {
-		t.Error("negative router count accepted")
+	// 40.8 pJ over 100 cycles at 2 GHz (50 ns).
+	if want := 8.16e-4; !near(rep.DynamicW, want) {
+		t.Errorf("DynamicW = %v, want %v", rep.DynamicW, want)
 	}
 }
 
-func TestMeshLinkCount(t *testing.T) {
-	cases := []struct{ r, c, want int }{
-		{1, 1, 0},
-		{1, 2, 2},
-		{2, 2, 8},
-		{8, 8, 224},
-		{0, 5, 0},
+// TestEstimateLeakage: one router per tile at 2.1 mW and two
+// unidirectional links per adjacent tile pair at 0.4 mW.
+func TestEstimateLeakage(t *testing.T) {
+	cases := []struct {
+		r, c int
+		want float64 // watts
+	}{
+		{1, 1, 0.0021}, // 1 router, 0 links
+		{1, 2, 0.0050}, // 2 routers, 2 links
+		{2, 2, 0.0116}, // 4 routers, 8 links
+		{8, 8, 0.2240}, // 64 routers, 224 links
+		{3, 5, 0.0491}, // 15 routers, 44 links
 	}
 	for _, cs := range cases {
-		if got := MeshLinkCount(cs.r, cs.c); got != cs.want {
-			t.Errorf("MeshLinkCount(%d,%d) = %d, want %d", cs.r, cs.c, got, cs.want)
+		rep := Estimate(mesh.MustNew(cs.r, cs.c), noc.Stats{Cycles: 1})
+		if !near(rep.StaticW, cs.want) {
+			t.Errorf("%dx%d leakage = %v W, want %v", cs.r, cs.c, rep.StaticW, cs.want)
 		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 // progress sink.
 type Cache struct {
 	store  *artifact.Store
-	inputs inputs
+	inputs artifact.Flight[any]
 }
 
 // NewCache returns a memory-only cache (the default for tests and
@@ -36,7 +36,7 @@ func NewCache() *Cache { return NewCacheWith(nil) }
 // NewCacheWith returns a cache over the given disk tier; nil means
 // memory-only.
 func NewCacheWith(disk *artifact.DiskTier) *Cache {
-	return &Cache{store: artifact.NewStore(disk), inputs: inputs{m: make(map[string]*input)}}
+	return &Cache{store: artifact.NewStore(disk)}
 }
 
 // workUnit builds the canonical descriptor for one mapper invocation.
