@@ -21,7 +21,7 @@ bench:
 BENCH_COUNT ?= 3
 NOC_BENCH = 'NoC|Fig8|Fig9|Worklist|RateDriven'
 NOC_BENCH_PKGS = . ./internal/noc
-MAPPING_BENCH = '^BenchmarkSSSMap$$|^BenchmarkSSSMapPadded$$|^BenchmarkAnnealingMap$$|^BenchmarkMonteCarlo$$|^BenchmarkEvaluateBatch$$|^BenchmarkDynamicStream$$|^BenchmarkNSGAII$$|^BenchmarkClusterSAMap$$|^BenchmarkTable1$$|^BenchmarkWorkloadGen$$|^BenchmarkLowerBound$$|^BenchmarkHungarian64$$|^BenchmarkHungarianSAM$$|^BenchmarkGlobalMap$$|^BenchmarkExtGap$$|^BenchmarkExtDynstream$$|^BenchmarkExtDynamic$$|^BenchmarkImproveWithBudget$$|^BenchmarkWarmPaperJobs$$'
+MAPPING_BENCH = '^BenchmarkSSSMap$$|^BenchmarkSSSMapPadded$$|^BenchmarkAnnealingMap$$|^BenchmarkMonteCarlo$$|^BenchmarkEvaluateBatch$$|^BenchmarkDynamicStream$$|^BenchmarkNSGAII$$|^BenchmarkClusterSAMap$$|^BenchmarkTable1$$|^BenchmarkWorkloadGen$$|^BenchmarkLowerBound$$|^BenchmarkHungarian64$$|^BenchmarkHungarianSAM$$|^BenchmarkGlobalMap$$|^BenchmarkExtGap$$|^BenchmarkExtCapacity$$|^BenchmarkExtDynstream$$|^BenchmarkExtDynamic$$|^BenchmarkImproveWithBudget$$|^BenchmarkWarmPaperJobs$$'
 bench-json:
 	go test -run '^$$' -bench $(NOC_BENCH) -benchmem -count=$(BENCH_COUNT) $(NOC_BENCH_PKGS) | go run ./cmd/benchjson -out BENCH_noc.json
 	go test -run '^$$' -bench $(MAPPING_BENCH) -benchmem -count=$(BENCH_COUNT) . | go run ./cmd/benchjson -out BENCH_mapping.json

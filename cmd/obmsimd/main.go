@@ -40,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"obm/internal/obs"
 	"obm/internal/scenario"
 	"obm/internal/service"
 )
@@ -91,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Concurrency: *concurrency,
 		Retention:   *retention,
 	})
-	srv := &http.Server{Handler: service.Handler(m, obs.Default())}
+	srv := &http.Server{Handler: service.Handler(m)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -37,16 +37,16 @@ func (p *Problem) BatchEvaluator(obj Objective) *BatchEvaluator {
 	return &BatchEvaluator{p: p, obj: ObjectiveOrDefault(obj), n: p.N(), cost: p.costTable()}
 }
 
-// costTable returns the flat thread x slot cost matrix,
-// cost[j*N+s] = ThreadCost(j, s): the one table builder behind
+// costTable returns the flat thread x tile cost matrix,
+// cost[j*N+t] = ThreadCost(j, t): the one table builder behind
 // BatchEvaluator and RandomAverages.
 func (p *Problem) costTable() []float64 {
 	n := p.N()
 	cost := make([]float64, n*n)
 	for j := 0; j < n; j++ {
 		row := cost[j*n : (j+1)*n]
-		for s := range row {
-			row[s] = p.ThreadCost(j, mesh.Tile(s))
+		for t := range row {
+			row[t] = p.ThreadCost(j, mesh.Tile(t))
 		}
 	}
 	return cost
@@ -95,7 +95,7 @@ type RandomAverage struct {
 // RandomAverages scores draws uniformly random permutations, taken from
 // one stats.NewRand(seed) stream, against every problem in ps and
 // returns each problem's mean metrics. Every problem must have
-// the same N: a permutation of N slots is then one draw for all of them,
+// the same N: a permutation of N tiles is then one draw for all of them,
 // and the result for ps[k] equals drawing from a fresh NewRand(seed) for
 // ps[k] alone, because the draws never depend on the problem.
 //

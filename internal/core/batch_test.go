@@ -83,9 +83,8 @@ func TestEvaluateBatchNoAlloc(t *testing.T) {
 
 // randomAveragesProblems returns the problems the random baseline is
 // drawn for: C1–C8 on the paper's 8x8 mesh, C1–C8 on the 8x8 torus with
-// corner controllers, and the 128-thread capacity-2 chip holding C1's
-// and C3's applications.
-func randomAveragesProblems(t *testing.T) (mesh64, torus64 []*Problem, capacity2 *Problem) {
+// corner controllers, and C1's and C3's 128 threads on an 8x16 mesh.
+func randomAveragesProblems(t *testing.T) (mesh64, torus64 []*Problem, mesh128 *Problem) {
 	t.Helper()
 	msh := mesh.MustNew(8, 8)
 	torus, err := model.NewTorus(msh, model.DefaultParams(), model.CornersPlacement(msh))
@@ -96,15 +95,12 @@ func randomAveragesProblems(t *testing.T) (mesh64, torus64 []*Problem, capacity2
 		mesh64 = append(mesh64, paperProblem(t, cfg))
 		torus64 = append(torus64, MustNewProblem(torus, workload.MustConfig(cfg)))
 	}
-	w := &workload.Workload{Name: "capacity"}
+	w := &workload.Workload{Name: "wide"}
 	for _, cfg := range []string{"C1", "C3"} {
 		w.Apps = append(w.Apps, workload.MustConfig(cfg).Apps...)
 	}
-	capacity2, err = NewProblemWithCapacity(model.MustNew(msh, model.DefaultParams()), w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mesh64, torus64, capacity2
+	mesh128 = MustNewProblem(model.MustNew(mesh.MustNew(8, 16), model.DefaultParams()), w)
+	return mesh64, torus64, mesh128
 }
 
 // TestRandomAveragesMatchesReference pins the shared-draw kernel to the
@@ -112,11 +108,11 @@ func randomAveragesProblems(t *testing.T) (mesh64, torus64 []*Problem, capacity2
 // RandomMapping, sums in draw order divided by draws. Equality is ==,
 // field by field.
 func TestRandomAveragesMatchesReference(t *testing.T) {
-	mesh64, torus64, capacity2 := randomAveragesProblems(t)
+	mesh64, torus64, mesh128 := randomAveragesProblems(t)
 	groups := map[string][]*Problem{
 		"mesh":       mesh64,
 		"mesh+torus": append(append([]*Problem(nil), mesh64...), torus64...),
-		"capacity2":  {capacity2},
+		"mesh128":    {mesh128},
 	}
 	for name, ps := range groups {
 		for seed := uint64(1); seed <= 5; seed++ {
@@ -150,8 +146,8 @@ func TestRandomAveragesMatchesReference(t *testing.T) {
 // sizes (one permutation cannot serve both) and a draw count that would
 // divide by zero.
 func TestRandomAveragesErrors(t *testing.T) {
-	mesh64, _, capacity2 := randomAveragesProblems(t)
-	if _, err := RandomAverages([]*Problem{mesh64[0], capacity2}, 1, 10); err == nil {
+	mesh64, _, mesh128 := randomAveragesProblems(t)
+	if _, err := RandomAverages([]*Problem{mesh64[0], mesh128}, 1, 10); err == nil {
 		t.Error("problems with N 64 and 128 accepted")
 	}
 	for _, draws := range []int{0, -1} {

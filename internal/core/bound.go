@@ -2,7 +2,7 @@ package core
 
 // LowerBound returns a provable lower bound on the optimal max-APL of
 // the problem, computed from two relaxations (both SAM solves onto
-// every slot, O(N^3) total):
+// every tile, O(N^3) total):
 //
 //  1. Per-application relaxation: an application's APL under any
 //     permutation is at least its APL when it may claim the best tiles
@@ -24,8 +24,8 @@ package core
 // likewise only prunes with it under the default objective). A g-APL
 // lower bound is the second relaxation alone.
 func (p *Problem) LowerBound() (float64, error) {
-	// Every relaxation places threads onto all N slots.
-	slots := IdentityMapping(p.N())
+	// Every relaxation places threads onto all N tiles.
+	tiles := IdentityMapping(p.N())
 	sam := p.NewSAMSolver()
 	best := 0.0
 	// Relaxation 1: each application alone on the chip.
@@ -35,7 +35,7 @@ func (p *Problem) LowerBound() (float64, error) {
 			continue
 		}
 		lo, hi := p.AppThreads(i)
-		_, total, err := sam.solve(lo, hi, slots)
+		_, total, err := sam.solve(lo, hi, tiles)
 		if err != nil {
 			return 0, err
 		}
@@ -45,7 +45,7 @@ func (p *Problem) LowerBound() (float64, error) {
 	}
 	// Relaxation 2: optimal g-APL.
 	if p.totalRate > 0 {
-		_, total, err := sam.solve(0, p.N(), slots)
+		_, total, err := sam.solve(0, p.N(), tiles)
 		if err != nil {
 			return 0, err
 		}

@@ -180,9 +180,7 @@ func (p *Problem) MaxAPL(m Mapping) float64 {
 }
 
 // AppGrid renders the mapping as a rows x cols grid of 1-based
-// application IDs, the format of the paper's Figures 4 and 8. With
-// capacity > 1 a tile hosts several threads; the grid shows the
-// application of the lowest slot on each tile.
+// application IDs, the format of the paper's Figures 4 and 8.
 func (p *Problem) AppGrid(m Mapping) [][]int {
 	msh := p.lm.Mesh()
 	grid := make([][]int, msh.Rows())
@@ -190,10 +188,7 @@ func (p *Problem) AppGrid(m Mapping) [][]int {
 		grid[r] = make([]int, msh.Cols())
 	}
 	for j, t := range m {
-		if p.capacity > 1 && int(t)%p.capacity != 0 {
-			continue
-		}
-		c := msh.Coord(p.TileOfSlot(t))
+		c := msh.Coord(t)
 		grid[c.Row][c.Col] = p.appOf[j] + 1
 	}
 	return grid

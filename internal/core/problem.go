@@ -2,7 +2,7 @@
 // of the paper (Section III.B) and its building blocks: the thread-to-tile
 // Mapping, the per-application Average Packet Latency (APL) metrics, and
 // the polynomial-time Single Application Mapping (SAM) solver of
-// Section IV.A.
+// Section IV.A. As in the paper, every thread gets a tile of its own.
 package core
 
 import (
@@ -19,16 +19,12 @@ import (
 
 // Problem is a fully-specified OBM instance: a latency model over N tiles
 // and a workload with exactly N threads (pad the workload first if it is
-// smaller — see workload.PadTo). Problems are immutable after
-// construction and safe for concurrent use by multiple mappers.
+// smaller — see workload.PadTo). A mapping places each thread on its own
+// tile. Problems are immutable after construction and safe for
+// concurrent use by multiple mappers.
 type Problem struct {
 	lm *model.LatencyModel
 	w  *workload.Workload
-	// capacity is the number of threads a tile hosts (1 in the paper;
-	// >1 implements the generalization its Section III.B footnote leaves
-	// open). The mapping domain becomes "slots": slot s lives on tile
-	// s/capacity, and every latency lookup translates through that.
-	capacity int
 
 	// Flattened, cached views of the workload.
 	cache      []float64 // c_j
@@ -49,36 +45,21 @@ type Problem struct {
 // NewProblem validates and builds an OBM instance. The workload thread
 // count must equal the tile count of the latency model.
 func NewProblem(lm *model.LatencyModel, w *workload.Workload) (*Problem, error) {
-	return NewProblemWithCapacity(lm, w, 1)
-}
-
-// NewProblemWithCapacity builds an OBM instance where every tile hosts
-// capacity threads — the multi-thread-per-tile generalization the
-// paper's footnote mentions but does not treat. The workload must have
-// exactly tiles*capacity threads; mappings become permutations of that
-// many slots, and every mapper works unchanged because slot costs are
-// just replicated tile costs.
-func NewProblemWithCapacity(lm *model.LatencyModel, w *workload.Workload, capacity int) (*Problem, error) {
 	if lm == nil {
 		return nil, fmt.Errorf("core: nil latency model")
 	}
 	if w == nil {
 		return nil, fmt.Errorf("core: nil workload")
 	}
-	if capacity < 1 {
-		return nil, fmt.Errorf("core: capacity %d must be >= 1", capacity)
-	}
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if got, want := w.NumThreads(), lm.NumTiles()*capacity; got != want {
-		return nil, fmt.Errorf("core: workload %q has %d threads for %d slots (%d tiles x capacity %d; PadTo first?)",
-			w.Name, got, want, lm.NumTiles(), capacity)
+	if got, want := w.NumThreads(), lm.NumTiles(); got != want {
+		return nil, fmt.Errorf("core: workload %q has %d threads for %d tiles (PadTo first?)", w.Name, got, want)
 	}
 	p := &Problem{
 		lm:         lm,
 		w:          w,
-		capacity:   capacity,
 		cache:      w.CacheRates(),
 		mem:        w.MemRates(),
 		boundaries: w.Boundaries(),
@@ -107,22 +88,8 @@ func MustNewProblem(lm *model.LatencyModel, w *workload.Workload) *Problem {
 	return p
 }
 
-// N returns the number of threads (== slots == tiles x capacity).
+// N returns the number of threads (== tiles).
 func (p *Problem) N() int { return len(p.cache) }
-
-// Capacity returns the number of threads per tile.
-func (p *Problem) Capacity() int { return p.capacity }
-
-// TileOfSlot returns the physical tile hosting slot s.
-func (p *Problem) TileOfSlot(s mesh.Tile) mesh.Tile {
-	return mesh.Tile(int(s) / p.capacity)
-}
-
-// TC returns the shared-cache latency of slot s (its tile's TC).
-func (p *Problem) TC(s mesh.Tile) float64 { return p.lm.TC(p.TileOfSlot(s)) }
-
-// TM returns the memory latency of slot s (its tile's TM).
-func (p *Problem) TM(s mesh.Tile) float64 { return p.lm.TM(p.TileOfSlot(s)) }
 
 // NumApps returns the number of applications A.
 func (p *Problem) NumApps() int { return len(p.appWeight) }
@@ -157,13 +124,13 @@ func (p *Problem) AppWeight(i int) float64 { return p.appWeight[i] }
 func (p *Problem) TotalRate() float64 { return p.totalRate }
 
 // ThreadCost returns the total packet latency contributed by thread j
-// when placed on slot t: c_j*TC + m_j*TM of the slot's tile (eq. 13).
+// when placed on tile t: c_j*TC(t) + m_j*TM(t) (eq. 13).
 func (p *Problem) ThreadCost(j int, t mesh.Tile) float64 {
-	return p.lm.Cost(p.cache[j], p.mem[j], mesh.Tile(int(t)/p.capacity))
+	return p.lm.Cost(p.cache[j], p.mem[j], t)
 }
 
 // Fingerprint returns a stable content key for the instance: two
-// Problems with the same mesh geometry, capacity, per-tile latencies,
+// Problems with the same mesh geometry, per-tile latencies,
 // thread rates, and application boundaries share a fingerprint even
 // when built independently. The scenario artifact cache keys shared
 // mapper invocations on it, so the hash covers everything a Mapper or
@@ -181,7 +148,6 @@ func (p *Problem) Fingerprint() string {
 		msh := p.lm.Mesh()
 		wu(uint64(msh.Rows()))
 		wu(uint64(msh.Cols()))
-		wu(uint64(p.capacity))
 		for _, v := range p.lm.TCArray() {
 			wf(v)
 		}
@@ -195,7 +161,7 @@ func (p *Problem) Fingerprint() string {
 		for _, b := range p.boundaries {
 			wu(uint64(b))
 		}
-		p.fp = fmt.Sprintf("p%dx%dc%d-%016x", msh.Rows(), msh.Cols(), p.capacity, h.Sum64())
+		p.fp = fmt.Sprintf("p%dx%d-%016x", msh.Rows(), msh.Cols(), h.Sum64())
 	})
 	return p.fp
 }

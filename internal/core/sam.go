@@ -7,15 +7,15 @@ import (
 	"obm/internal/mesh"
 )
 
-// SAMSolver solves every thread-onto-slots assignment of one Problem.
+// SAMSolver solves every thread-onto-tiles assignment of one Problem.
 // Its instance is the Single Application Mapping problem of Section IV.A
 // (Algorithm 1): given a flattened thread range [lo, hi) and candidate
-// slots, assign each thread a distinct slot so that the range's total
+// tiles, assign each thread a distinct tile so that the range's total
 // packet latency is minimal (equivalently its APL, since the
-// denominator is fixed). There may be more slots than threads, so the
+// denominator is fixed). There may be more tiles than threads, so the
 // Global baseline (Section II.D) is the instance of every thread onto
-// every slot, and LowerBound's relaxations are instances of one
-// application, or of every thread, onto every slot.
+// every tile, and LowerBound's relaxations are instances of one
+// application, or of every thread, onto every tile.
 //
 // The solver reuses the cost matrix and Hungarian scratch across
 // solves, so the per-call allocations amortize to zero, which matters

@@ -187,7 +187,7 @@ func tileEnergyField(p *core.Problem, m core.Mapping) [][]float64 {
 		if hops < 0 {
 			hops = 0
 		}
-		c := msh.Coord(p.TileOfSlot(m[j]))
+		c := msh.Coord(m[j])
 		out[c.Row][c.Col] += power.EstimateEnergy(hops)
 	}
 	return out

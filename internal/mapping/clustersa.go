@@ -68,9 +68,9 @@ func (c ClusterSA) Map(ctx context.Context, p *core.Problem) (core.Mapping, erro
 		return nil, fmt.Errorf("clustersa: %d clusters for %d cluster slots", total, numClusters)
 	}
 
-	// Clusters are contiguous runs of the TC-sorted slot list, like the
+	// Clusters are contiguous runs of the TC-sorted tile list, like the
 	// section structure of SSS.
-	sorted := sortedSlotsByTC(p)
+	sorted := p.Model().TilesByTC()
 	clusterTiles := make([][]mesh.Tile, numClusters)
 	for ci := range clusterTiles {
 		clusterTiles[ci] = sorted[ci*clusterSize : (ci+1)*clusterSize]

@@ -22,7 +22,7 @@ func (Global) Name() string { return "Global" }
 func (Global) Fingerprint() string { return "global" }
 
 // Map implements Mapper: the SAM instance (Algorithm 1) of every
-// thread onto every slot, whose cost matrix entry for thread j on tile
+// thread onto every tile, whose cost matrix entry for thread j on tile
 // k is c_j*TC(k) + m_j*TM(k); one Hungarian solve yields the
 // g-APL-optimal permutation in O(N^3).
 func (Global) Map(ctx context.Context, p *core.Problem) (core.Mapping, error) {

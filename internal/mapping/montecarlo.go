@@ -14,7 +14,7 @@ import (
 // (Section V.A, 10^4 samples).
 //
 // Samples are drawn and scored in batches through the SoA
-// core.BatchEvaluator, which streams the flattened thread x slot cost
+// core.BatchEvaluator, which streams the flattened thread x tile cost
 // table across the batch instead of gathering it per sample. The draw
 // is one random stream seeded by Seed, so the result is a pure
 // function of (problem, Samples, Seed, Objective) — exactly what

@@ -17,9 +17,9 @@ import (
 // permutation if the cumulative set of threads displaced from their
 // base tiles stays within budget (threads returned to their base tile
 // leave the budget again). It returns the refined mapping and the
-// number of slots that ended up moved. That count covers all N slots,
-// including the idle pad threads that stand in for free tiles, so it
-// overstates live-thread migrations whenever the chip is not full.
+// number of threads that ended up moved. That count covers all N
+// threads, including the idle pad threads that stand in for free tiles,
+// so it overstates live-thread migrations whenever the chip is not full.
 //
 // With maxMoves >= N this converges to the same quality as a fresh SSS
 // swap phase; with a small budget it spends the moves where the
@@ -51,7 +51,7 @@ func ImproveWithBudget(ctx context.Context, p *core.Problem, base core.Mapping, 
 
 // refineWithBudget runs ImproveWithBudget's best-first rounds in place
 // on tr's mapping (which starts equal to base) and numerators. It
-// returns the number of slots moved off base and the number of
+// returns the number of threads moved off base and the number of
 // objective probes made.
 //
 // Each window position owns a w x w ThreadCost table (fillWindowCost),
@@ -75,7 +75,7 @@ func refineWithBudget(ctx context.Context, tr *tracker, base core.Mapping, maxMo
 	const window = 4
 	p, m := tr.p, tr.m
 	n := p.N()
-	sorted := sortedSlotsByTC(p)
+	sorted := p.Model().TilesByTC()
 	inv := m.InverseOn(n)
 	perms := permutations(window)
 	reps := permClasses(window).rep

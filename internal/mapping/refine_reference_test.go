@@ -28,7 +28,7 @@ func referenceImproveWithBudget(p *core.Problem, obj core.Objective, base, m cor
 	const window = 4
 	n := p.N()
 	o := core.ObjectiveOrDefault(obj)
-	sorted := sortedSlotsByTC(p)
+	sorted := p.Model().TilesByTC()
 	inv := m.InverseOn(n)
 	perms := permutations(window)
 	movedSet := map[int]bool{}

@@ -146,8 +146,9 @@ func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping,
 		rng = stats.NewRand(s.Seed)
 	}
 
-	// Step 1: sort slots ascending by TC.
-	sorted := sortedSlotsByTC(p)
+	// Step 1: the tiles ascending by TC (the model's shared order;
+	// remaining below is the copy that step 2 shrinks).
+	sorted := p.Model().TilesByTC()
 
 	// Step 2: select tiles per application from the shrinking list and
 	// SAM-assign them. The SAM solver and the section-select scratch are
@@ -181,7 +182,7 @@ func (s SortSelectSwap) Map(ctx context.Context, p *core.Problem) (core.Mapping,
 }
 
 // fineTune is step 3, in place on m: greedy sliding-window swaps over
-// the TC-sorted slots, followed by the per-application SAM polish;
+// the TC-sorted tiles, followed by the per-application SAM polish;
 // repeated while the objective keeps improving (Passes > 1 extension).
 // Map runs it after the coarse phases, WarmStart from an incumbent.
 func (s SortSelectSwap) fineTune(ctx context.Context, p *core.Problem, m core.Mapping, sorted []mesh.Tile, sam *core.SAMSolver) error {
@@ -271,22 +272,6 @@ func (s SortSelectSwap) SwapProbes(n int) int {
 		}
 	}
 	return probes
-}
-
-// sortedSlotsByTC returns every slot of the problem ascending by TC —
-// the tile order of SSS step 1, shared by the swap phase, the budgeted
-// refiner, warm starts and ClusterSA. It expands the model's tile
-// order (model.LatencyModel.TilesByTC) into slots: tile t contributes
-// slots t*c..t*c+c-1 for capacity c, so ties stay broken by index.
-func sortedSlotsByTC(p *core.Problem) []mesh.Tile {
-	c := p.Capacity()
-	sorted := make([]mesh.Tile, 0, p.N())
-	for _, t := range p.Model().TilesByTC() {
-		for k := 0; k < c; k++ {
-			sorted = append(sorted, t*mesh.Tile(c)+mesh.Tile(k))
-		}
-	}
-	return sorted
 }
 
 // selectScratch holds the reusable buffers of selectFromSections. The

@@ -89,7 +89,7 @@ func paddedProblem(t testing.TB, padPct int, seed uint64) *core.Problem {
 // TestSlideWindowsMatchesReference: the table-driven swap pass makes
 // the same moves as referenceSlideWindows and ends on bit-identical
 // numerators and objective value, pass after pass, on the paper's
-// configurations, padded instances and a capacity-2 instance, for every
+// configurations, padded instances and the capacity chip, for every
 // legal window and three step caps. Each (instance, window, step cap)
 // runs the default objective and one other, rotating so that every
 // objective meets every (window, step cap) on some instance; the full
@@ -114,7 +114,7 @@ func TestSlideWindowsMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	for pi, pr := range probs {
 		p := pr.p
-		sorted := sortedSlotsByTC(p)
+		sorted := p.Model().TilesByTC()
 		start, err := (SortSelectSwap{DisableSwap: true, DisableFinalSAM: true}).Map(ctx, p)
 		if err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ func (s SortSelectSwap) WarmStart(ctx context.Context, p *core.Problem, base cor
 		return nil, fmt.Errorf("sss: warm start: %w", err)
 	}
 	m := base.Clone()
-	if err := s.fineTune(ctx, p, m, sortedSlotsByTC(p), p.NewSAMSolver()); err != nil {
+	if err := s.fineTune(ctx, p, m, p.Model().TilesByTC(), p.NewSAMSolver()); err != nil {
 		return nil, err
 	}
 	sc := p.Scorer(s.Objective)

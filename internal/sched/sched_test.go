@@ -43,25 +43,46 @@ func fourPhaseScenario() Scenario {
 	}
 }
 
+// streamRun is one test run's metrics and the private registry it
+// recorded into.
+type streamRun struct {
+	StreamMetrics
+	reg *obs.Registry
+}
+
+// attempts reads the run's remap attempts off its registry.
+func (r streamRun) attempts() int { return counter(r.reg, "sched.stream.remap.attempts") }
+
+// measured reports whether the run measured any span: every measured
+// span observes the time-weighted dev-APL histogram.
+func (r streamRun) measured() bool {
+	return r.reg.Histogram("sched.stream.devapl", nil).Count() > 0
+}
+
+// counter reads one counter of reg.
+func counter(reg *obs.Registry, name string) int { return int(reg.Counter(name).Value()) }
+
 // runScenario runs sc on a StreamRunner that places arrivals first-fit
 // and remaps with rm when the policy fires.
-func runScenario(t testing.TB, sc Scenario, p Policy, rm Remapper) (StreamMetrics, error) {
+func runScenario(t testing.TB, sc Scenario, p Policy, rm Remapper) (streamRun, error) {
 	t.Helper()
+	reg := obs.NewRegistry()
 	r, err := NewStreamRunner(testModel(t), StreamConfig{
 		Placement: &FirstFitPlacement{},
 		Policy:    p,
 		Remapper:  rm,
-		Registry:  obs.NewRegistry(),
+		Registry:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Run(context.Background(), NewSliceSource(sc))
+	met, err := r.Run(context.Background(), NewSliceSource(sc))
+	return streamRun{met, reg}, err
 }
 
 // mustRun is runScenario with full sort-select-swap re-solves, failing
 // the test on a run error.
-func mustRun(t testing.TB, sc Scenario, p Policy) StreamMetrics {
+func mustRun(t testing.TB, sc Scenario, p Policy) streamRun {
 	t.Helper()
 	met, err := runScenario(t, sc, p, FullRemap{Mapper: mapping.SortSelectSwap{}})
 	if err != nil {
@@ -99,8 +120,8 @@ func TestCoalesceSimultaneousEvents(t *testing.T) {
 	met := mustRun(t, fourPhaseScenario(), OnChange{})
 	// fourPhaseScenario has 8 events at 6 distinct timestamps (two pairs
 	// coincide), so on-change must fire exactly 6 times.
-	if met.RemapAttempts != 6 {
-		t.Errorf("remap attempts = %d, want 6 (one per distinct timestamp)", met.RemapAttempts)
+	if got := met.attempts(); got != 6 {
+		t.Errorf("remap attempts = %d, want 6 (one per distinct timestamp)", got)
 	}
 }
 
@@ -178,8 +199,8 @@ func TestDegenerateTimelines(t *testing.T) {
 					t.Fatalf("non-finite time-weighted metric in %+v", met)
 				}
 			}
-			if met.Intervals == 0 && (met.TimeWeightedMaxAPL != 0 || met.TimeWeightedDevAPL != 0) {
-				t.Errorf("zero intervals but nonzero time-weighted metrics: %+v", met)
+			if !met.measured() && (met.TimeWeightedMaxAPL != 0 || met.TimeWeightedDevAPL != 0) {
+				t.Errorf("zero intervals but nonzero time-weighted metrics: %+v", met.StreamMetrics)
 			}
 		})
 	}
@@ -209,7 +230,7 @@ func TestPolicies(t *testing.T) {
 
 func TestRunBasic(t *testing.T) {
 	met := mustRun(t, fourPhaseScenario(), OnChange{})
-	if met.Intervals == 0 {
+	if !met.measured() {
 		t.Fatal("no intervals measured")
 	}
 	if met.Remaps == 0 {
@@ -226,7 +247,7 @@ func TestOnChangeBeatsNever(t *testing.T) {
 	sc := fourPhaseScenario()
 	mNever := mustRun(t, sc, Never{})
 	mChange := mustRun(t, sc, OnChange{})
-	if mNever.RemapAttempts != 0 || mNever.Migrations != 0 {
+	if mNever.attempts() != 0 || mNever.Migrations != 0 {
 		t.Error("never policy migrated threads")
 	}
 	if !(mChange.TimeWeightedDevAPL < mNever.TimeWeightedDevAPL) {
@@ -313,8 +334,8 @@ func TestWhenUnbalancedPolicy(t *testing.T) {
 	}
 	// A huge threshold degenerates to never.
 	lazy := mustRun(t, sc, WhenUnbalanced{Threshold: 1e9})
-	if lazy.RemapAttempts != 0 {
-		t.Errorf("threshold 1e9 still attempted %d remaps", lazy.RemapAttempts)
+	if got := lazy.attempts(); got != 0 {
+		t.Errorf("threshold 1e9 still attempted %d remaps", got)
 	}
 	if (WhenUnbalanced{Threshold: 0.5}).Name() == "" {
 		t.Error("empty name")

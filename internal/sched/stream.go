@@ -33,25 +33,17 @@ type StreamConfig struct {
 }
 
 // StreamMetrics aggregates one streaming run: the time-weighted APL
-// metrics of the timeline plus the remap-economy counters that form
-// the scheduler's SLO surface.
+// metrics of the timeline plus the remap-economy counters the
+// experiments report. The registry (StreamConfig.Registry) counts the
+// rest: arrivals, departures, remap attempts and the live-app peak.
 type StreamMetrics struct {
-	Events     int
-	Arrivals   int
-	Departures int
-	// RemapAttempts counts policy firings; Remaps the adopted
-	// candidates; RemapsRejected those whose improvement did not cover
-	// their migration cost.
-	RemapAttempts  int
+	Events int
+	// Remaps counts the adopted candidates; RemapsRejected those whose
+	// improvement did not cover their migration cost.
 	Remaps         int
 	RemapsRejected int
 	// Migrations counts thread moves across adopted remaps only.
-	Migrations int
-	// PeakLiveApps is the high-water mark of concurrently live
-	// applications.
-	PeakLiveApps int
-	// Intervals counts measured spans.
-	Intervals          int
+	Migrations         int
 	TimeWeightedMaxAPL float64
 	TimeWeightedDevAPL float64
 }
@@ -84,24 +76,34 @@ func NewStreamRunner(lm *model.LatencyModel, cfg StreamConfig) (*StreamRunner, e
 	return &StreamRunner{lm: lm, cfg: cfg}, nil
 }
 
-// streamState is the live chip: applications, their tiles, and the
-// incrementally maintained APL numerators.
+// streamState is the live chip: the live applications by name and the
+// free tiles.
 type streamState struct {
-	apps   map[string]*workload.Application
-	order  []string // sorted live names, the deterministic iteration order
-	tiles  map[string][]mesh.Tile
-	num    map[string]float64 // per-app total packet latency (APL numerator)
-	weight map[string]float64 // per-app total request rate (APL denominator)
-	fs     *FreeSet
-	apls   []float64 // measurement scratch
+	apps  map[string]*liveApp
+	order []string // sorted live names, the deterministic iteration order
+	fs    *FreeSet
+	apls  []float64 // measurement scratch
 }
 
-// appNumerator computes an application's APL numerator from scratch.
-func (st *streamState) appNumerator(lm *model.LatencyModel, name string) float64 {
-	app, ts := st.apps[name], st.tiles[name]
+// liveApp is one live application: its threads, their tiles, and its
+// incrementally maintained APL numerator and denominator.
+type liveApp struct {
+	app    workload.Application
+	tiles  []mesh.Tile
+	num    float64 // total packet latency (APL numerator)
+	weight float64 // total request rate (APL denominator)
+}
+
+// newStreamState returns an empty chip of n tiles.
+func newStreamState(n int) *streamState {
+	return &streamState{apps: map[string]*liveApp{}, fs: NewFreeSet(n)}
+}
+
+// numerator computes the application's APL numerator from scratch.
+func (a *liveApp) numerator(lm *model.LatencyModel) float64 {
 	var sum float64
-	for i, th := range app.Threads {
-		sum += lm.Cost(th.CacheRate, th.MemRate, ts[i])
+	for i, th := range a.app.Threads {
+		sum += lm.Cost(th.CacheRate, th.MemRate, a.tiles[i])
 	}
 	return sum
 }
@@ -113,8 +115,8 @@ func (st *streamState) appNumerator(lm *model.LatencyModel, name string) float64
 func (st *streamState) balance() (maxAPL, devAPL float64, active int) {
 	apls := st.apls[:0]
 	for _, name := range st.order {
-		if w := st.weight[name]; w != 0 {
-			apls = append(apls, st.num[name]/w)
+		if a := st.apps[name]; a.weight != 0 {
+			apls = append(apls, a.num/a.weight)
 		}
 	}
 	st.apls = apls
@@ -130,8 +132,9 @@ func (st *streamState) problem(lm *model.LatencyModel) (*core.Problem, core.Mapp
 	w := &workload.Workload{Name: "live"}
 	var m core.Mapping
 	for _, name := range st.order {
-		w.Apps = append(w.Apps, *st.apps[name])
-		m = append(m, st.tiles[name]...)
+		a := st.apps[name]
+		w.Apps = append(w.Apps, a.app)
+		m = append(m, a.tiles...)
 	}
 	if err := w.PadTo(lm.NumTiles()); err != nil {
 		return nil, nil, err
@@ -173,13 +176,7 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 	migHist := reg.Histogram("sched.remap.migrations", obs.LinearBuckets(0, 8, 33))
 	devHist := reg.Histogram("sched.stream.devapl", obs.ExpBuckets(0.01, 2, 16))
 
-	st := &streamState{
-		apps:   map[string]*workload.Application{},
-		tiles:  map[string][]mesh.Tile{},
-		num:    map[string]float64{},
-		weight: map[string]float64{},
-		fs:     NewFreeSet(r.lm.NumTiles()),
-	}
+	st := newStreamState(r.lm.NumTiles())
 
 	var met StreamMetrics
 	var weightSum float64
@@ -201,7 +198,6 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 		met.TimeWeightedMaxAPL += maxAPL * span
 		met.TimeWeightedDevAPL += devAPL * span
 		weightSum += span
-		met.Intervals++
 		devHist.ObserveN(devAPL, uint64(span))
 	}
 
@@ -256,13 +252,11 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 				if err := st.arrive(r.lm, r.cfg.Placement, e.Arrive); err != nil {
 					return StreamMetrics{}, err
 				}
-				met.Arrivals++
 				arrCount.Inc()
 			} else {
 				if err := st.depart(e.Depart); err != nil {
 					return StreamMetrics{}, err
 				}
-				met.Departures++
 				depCount.Inc()
 			}
 			met.Events++
@@ -270,9 +264,6 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 		}
 		liveGauge.Set(int64(len(st.order)))
 		peakGauge.SetMax(int64(len(st.order)))
-		if len(st.order) > met.PeakLiveApps {
-			met.PeakLiveApps = len(st.order)
-		}
 		if met.Events%4096 < len(group) {
 			rep.Report(met.Events, total)
 		}
@@ -281,7 +272,6 @@ func (r *StreamRunner) Run(ctx context.Context, src Source) (StreamMetrics, erro
 		if r.cfg.Remapper != nil && len(st.order) > 0 {
 			_, devAPL, _ := st.balance()
 			if r.cfg.Policy.Remap(now-lastRemap, devAPL) {
-				met.RemapAttempts++
 				attemptCount.Inc()
 				start := time.Now()
 				adopted, migs, err := r.attemptRemap(ctx, st)
@@ -333,7 +323,7 @@ func (r *StreamRunner) attemptRemap(ctx context.Context, st *streamState) (adopt
 	// Migrations: live (non-pad) threads whose tile changed.
 	liveThreads := 0
 	for _, name := range st.order {
-		liveThreads += len(st.apps[name].Threads)
+		liveThreads += len(st.apps[name].tiles)
 	}
 	for j := 0; j < liveThreads; j++ {
 		if cand[j] != incumbent[j] {
@@ -349,13 +339,13 @@ func (r *StreamRunner) attemptRemap(ctx context.Context, st *streamState) (adopt
 	idx := 0
 	fs := NewFreeSet(r.lm.NumTiles())
 	for _, name := range st.order {
-		ts := st.tiles[name]
-		for i := range ts {
-			ts[i] = cand[idx]
+		a := st.apps[name]
+		for i := range a.tiles {
+			a.tiles[i] = cand[idx]
 			fs.Take(cand[idx])
 			idx++
 		}
-		st.num[name] = st.appNumerator(r.lm, name)
+		a.num = a.numerator(r.lm)
 	}
 	st.fs = fs
 	return true, migrations, nil
@@ -370,41 +360,37 @@ func (st *streamState) arrive(lm *model.LatencyModel, pl Placement, a *workload.
 	if _, dup := st.apps[a.Name]; dup {
 		return fmt.Errorf("sched: stream duplicate arrival %q", a.Name)
 	}
-	app := *a
-	ts, err := pl.Place(lm, &app, st.fs)
+	live := &liveApp{app: *a}
+	ts, err := pl.Place(lm, &live.app, st.fs)
 	if err != nil {
 		return err
 	}
 	for _, t := range ts {
 		st.fs.Take(t)
 	}
-	st.apps[app.Name] = &app
-	st.tiles[app.Name] = ts
-	i := sort.SearchStrings(st.order, app.Name)
+	live.tiles = ts
+	st.apps[a.Name] = live
+	i := sort.SearchStrings(st.order, a.Name)
 	st.order = append(st.order, "")
 	copy(st.order[i+1:], st.order[i:])
-	st.order[i] = app.Name
-	var w float64
-	for _, th := range app.Threads {
-		w += th.CacheRate + th.MemRate
+	st.order[i] = a.Name
+	for _, th := range live.app.Threads {
+		live.weight += th.CacheRate + th.MemRate
 	}
-	st.weight[app.Name] = w
-	st.num[app.Name] = st.appNumerator(lm, app.Name)
+	live.num = live.numerator(lm)
 	return nil
 }
 
 // depart frees a terminating application's tiles and drops its state.
 func (st *streamState) depart(name string) error {
-	if _, ok := st.apps[name]; !ok {
+	a, ok := st.apps[name]
+	if !ok {
 		return fmt.Errorf("sched: stream departs unknown application %q", name)
 	}
-	for _, t := range st.tiles[name] {
+	for _, t := range a.tiles {
 		st.fs.Release(t)
 	}
-	delete(st.tiles, name)
 	delete(st.apps, name)
-	delete(st.num, name)
-	delete(st.weight, name)
 	i := sort.SearchStrings(st.order, name)
 	st.order = append(st.order[:i], st.order[i+1:]...)
 	return nil

@@ -12,7 +12,6 @@ import (
 	"obm/internal/mesh"
 	"obm/internal/model"
 	"obm/internal/obs"
-	"obm/internal/workload"
 )
 
 func streamModel(t testing.TB) *model.LatencyModel {
@@ -34,10 +33,11 @@ func TestStreamRunnerBasic(t *testing.T) {
 	if _, err := NewStreamRunner(nil, StreamConfig{}); err == nil {
 		t.Error("nil latency model accepted")
 	}
+	reg := obs.NewRegistry()
 	r, err := NewStreamRunner(lm, StreamConfig{
 		Policy:   Every{Interval: 500},
 		Remapper: WarmRemap{SSS: mapping.SortSelectSwap{MaxStep: 8}},
-		Registry: obs.NewRegistry(),
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,19 +46,20 @@ func TestStreamRunnerBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := streamRun{met, reg}
 	if met.Events != 5000 {
 		t.Errorf("events = %d, want 5000", met.Events)
 	}
-	if met.Arrivals+met.Departures != met.Events {
-		t.Errorf("arrivals %d + departures %d != events %d", met.Arrivals, met.Departures, met.Events)
+	if arr, dep := counter(reg, "sched.stream.arrivals"), counter(reg, "sched.stream.departures"); arr+dep != met.Events {
+		t.Errorf("arrivals %d + departures %d != events %d", arr, dep, met.Events)
 	}
-	if met.RemapAttempts == 0 || met.Remaps == 0 {
+	if run.attempts() == 0 || met.Remaps == 0 {
 		t.Errorf("periodic policy never remapped: %+v", met)
 	}
-	if met.Remaps+met.RemapsRejected != met.RemapAttempts {
-		t.Errorf("remap accounting inconsistent: %+v", met)
+	if met.Remaps+met.RemapsRejected != run.attempts() {
+		t.Errorf("remap accounting inconsistent: %+v, %d attempts", met, run.attempts())
 	}
-	if met.PeakLiveApps == 0 || met.Intervals == 0 {
+	if reg.Gauge("sched.stream.live_apps.peak").Value() == 0 || !run.measured() {
 		t.Errorf("no load measured: %+v", met)
 	}
 	for _, v := range []float64{met.TimeWeightedMaxAPL, met.TimeWeightedDevAPL} {
@@ -98,13 +99,7 @@ func TestStreamRunnerDeterministic(t *testing.T) {
 // step of a churning timeline.
 func TestStreamIncrementalMatchesEvaluate(t *testing.T) {
 	lm := streamModel(t)
-	st := &streamState{
-		apps:   map[string]*workload.Application{},
-		tiles:  map[string][]mesh.Tile{},
-		num:    map[string]float64{},
-		weight: map[string]float64{},
-		fs:     NewFreeSet(lm.NumTiles()),
-	}
+	st := newStreamState(lm.NumTiles())
 	pl := &SpiralPlacement{}
 	for _, e := range fourPhaseScenario().Events {
 		if e.Arrive != nil {
@@ -137,11 +132,12 @@ func TestStreamIncrementalMatchesEvaluate(t *testing.T) {
 // must report attempts but zero adopted remaps and zero migrations.
 func TestStreamRejectsAllWithProhibitiveMigrationCost(t *testing.T) {
 	lm := streamModel(t)
+	reg := obs.NewRegistry()
 	r, err := NewStreamRunner(lm, StreamConfig{
 		Policy:   Every{Interval: 300},
 		Remapper: FullRemap{Mapper: mapping.SortSelectSwap{}},
 		Cost:     CompositeCost{PerMigration: 1e12},
-		Registry: obs.NewRegistry(),
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,14 +146,15 @@ func TestStreamRejectsAllWithProhibitiveMigrationCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if met.RemapAttempts == 0 {
+	attempts := streamRun{met, reg}.attempts()
+	if attempts == 0 {
 		t.Fatal("policy never fired")
 	}
 	if met.Remaps != 0 || met.Migrations != 0 {
 		t.Errorf("prohibitive migration cost still adopted remaps: %+v", met)
 	}
-	if met.RemapsRejected != met.RemapAttempts {
-		t.Errorf("rejected %d != attempts %d", met.RemapsRejected, met.RemapAttempts)
+	if met.RemapsRejected != attempts {
+		t.Errorf("rejected %d != attempts %d", met.RemapsRejected, attempts)
 	}
 }
 
@@ -199,11 +196,12 @@ func TestStreamRemappingImprovesBalance(t *testing.T) {
 // rebuild per event.
 func TestStreamAdaptivePolicy(t *testing.T) {
 	lm := streamModel(t)
+	reg := obs.NewRegistry()
 	r, err := NewStreamRunner(lm, StreamConfig{
 		Policy:   WhenUnbalanced{Threshold: 0.3},
 		Remapper: WarmRemap{SSS: mapping.SortSelectSwap{MaxStep: 8, Objective: core.DevAPL{}}},
 		Cost:     CompositeCost{Objective: core.DevAPL{}},
-		Registry: obs.NewRegistry(),
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +210,7 @@ func TestStreamAdaptivePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if met.RemapAttempts == 0 {
+	if (streamRun{met, reg}).attempts() == 0 {
 		t.Error("adaptive policy never fired on a churning timeline")
 	}
 }
@@ -277,8 +275,8 @@ func TestStreamSLOMetricsRecorded(t *testing.T) {
 		t.Errorf("migrations counter %d != %d", got, met.Migrations)
 	}
 	lat, ok := snap.Histogram("sched.remap.seconds")
-	if !ok || lat.Count != uint64(met.RemapAttempts) {
-		t.Fatalf("remap latency histogram: ok=%v count=%d attempts=%d", ok, lat.Count, met.RemapAttempts)
+	if attempts := counter("sched.stream.remap.attempts"); !ok || lat.Count != attempts {
+		t.Fatalf("remap latency histogram: ok=%v count=%d attempts=%d", ok, lat.Count, attempts)
 	}
 	if p99 := lat.Quantile(0.99); p99 <= 0 {
 		t.Errorf("p99 remap latency = %v, want > 0", p99)

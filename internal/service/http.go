@@ -20,12 +20,12 @@ import (
 //	GET    /v1/jobs/{id}/result  the obmsim.run/v1 envelope
 //	DELETE /v1/jobs/{id}      cancel, returns the resulting Status
 //	GET    /v1/experiments    the experiment registry listing
-//	GET    /metrics           reg's snapshot, Prometheus text format
+//	GET    /metrics           obs.Default()'s snapshot, Prometheus text format
 //
 // Error mapping: ErrBadRequest → 400, ErrNotFound → 404, ErrQueueFull
 // → 429, ErrDraining → 503, ErrNotFinished → 409, failed/cancelled
 // result fetch → 500/410. Error bodies are {"error": "..."} JSON.
-func Handler(m *Manager, reg *obs.Registry) http.Handler {
+func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -102,7 +102,7 @@ func Handler(m *Manager, reg *obs.Registry) http.Handler {
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.WritePrometheus(w, reg.Snapshot())
+		obs.WritePrometheus(w, obs.Default().Snapshot())
 	})
 
 	return mux

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"obm/internal/engine"
-	"obm/internal/obs"
 	"obm/internal/scenario"
 )
 
@@ -20,7 +19,7 @@ import (
 func httpFixture(t *testing.T, cfg Config) (*httptest.Server, *Manager) {
 	t.Helper()
 	m := NewManager(cfg)
-	srv := httptest.NewServer(Handler(m, obs.Default()))
+	srv := httptest.NewServer(Handler(m))
 	t.Cleanup(func() { srv.Close(); m.Close() })
 	return srv, m
 }

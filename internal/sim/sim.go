@@ -202,18 +202,16 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	rng := stats.NewRand(cfg.Seed)
 	n := p.N()
 	// Per-thread invariants of the cycle loop: per-cycle injection
-	// probabilities, source tile, nearest memory controller and
-	// application.
+	// probabilities, nearest memory controller and application (the
+	// source tile is m[j]).
 	pc := make([]float64, n)
 	pm := make([]float64, n)
-	srcs := make([]mesh.Tile, n)
 	mcOf := make([]mesh.Tile, n)
 	apps := make([]int, n)
 	for j := 0; j < n; j++ {
 		pc[j] = p.CacheRate(j) / CyclesPerRateUnit
 		pm[j] = p.MemRate(j) / CyclesPerRateUnit
-		srcs[j] = p.TileOfSlot(m[j])
-		mcOf[j], _ = placement.Nearest(msh, srcs[j])
+		mcOf[j], _ = placement.Nearest(msh, m[j])
 		apps[j] = p.AppOfThread(j)
 	}
 	// Optional on/off burst modulation: scale rates up during ON phases
@@ -262,7 +260,7 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 			}
 			if pc[j] > 0 && rng.Float64() < pc[j] {
 				pkt := net.AllocPacket() // recycled after delivery; nothing retains it
-				pkt.Src = srcs[j]
+				pkt.Src = m[j]
 				pkt.Dst = mesh.Tile(rng.Intn(msh.NumTiles())) // uniform bank hash
 				pkt.Type, pkt.App = noc.CacheRequest, apps[j]
 				if err := net.Inject(pkt); err != nil {
@@ -271,7 +269,7 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 			}
 			if pm[j] > 0 && rng.Float64() < pm[j] {
 				pkt := net.AllocPacket()
-				pkt.Src, pkt.Dst = srcs[j], mcOf[j]
+				pkt.Src, pkt.Dst = m[j], mcOf[j]
 				pkt.Type, pkt.App = noc.MemRequest, apps[j]
 				if err := net.Inject(pkt); err != nil {
 					return Result{}, err
