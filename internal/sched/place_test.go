@@ -1,6 +1,10 @@
 package sched
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"sort"
 	"testing"
 
@@ -282,6 +286,146 @@ func TestPlacementErrors(t *testing.T) {
 		}
 		if _, err := pl.Place(lm, &workload.Application{Name: "empty"}, fs); err == nil {
 			t.Errorf("%s: accepted empty application", pl.Name())
+		}
+	}
+}
+
+// randomArrival draws a chip state with about half the tiles taken and
+// an application of 1..maxThreads threads (capped by the free count)
+// with fractional rates, ties included.
+func randomArrival(rng *stats.Rand, lm *model.LatencyModel, maxThreads int) (*workload.Application, *FreeSet) {
+	fs := NewFreeSet(lm.NumTiles())
+	for tile := range lm.NumTiles() {
+		if rng.Float64() < 0.5 {
+			fs.Take(mesh.Tile(tile))
+		}
+	}
+	if fs.Count() == 0 {
+		fs.Release(mesh.Tile(rng.Intn(lm.NumTiles())))
+	}
+	app := &workload.Application{Name: "r"}
+	for range 1 + rng.Intn(min(maxThreads, fs.Count())) {
+		th := workload.Thread{CacheRate: rng.Float64() * 4, MemRate: rng.Float64()}
+		if rng.Intn(4) == 0 {
+			th = workload.Thread{CacheRate: 1, MemRate: 0.5}
+		}
+		app.Threads = append(app.Threads, th)
+	}
+	return app, fs
+}
+
+// TestPlacementsPinned hashes the tiles SAMPlacement and
+// FirstFitPlacement return for random chip states and rate draws on
+// square and non-square meshes, with one placement value reused across
+// every draw (as the stream runner does), so any change to candidate
+// selection, cost matrix or assignment solve shows as a moved hash.
+func TestPlacementsPinned(t *testing.T) {
+	want := map[string]uint64{
+		"8x8": 0xf6d64e04ccd47a05,
+		"6x4": 0x1647f5f6cdbc0a09,
+		"3x7": 0x1ef25e95b1346505,
+	}
+	for _, dims := range [][2]int{{8, 8}, {6, 4}, {3, 7}} {
+		lm := model.MustNew(mesh.MustNew(dims[0], dims[1]), model.DefaultParams())
+		rng := stats.NewRand(11)
+		sam, ff := &SAMPlacement{}, &FirstFitPlacement{}
+		h := fnv.New64a()
+		var buf [4]byte
+		for trial := 0; trial < 200; trial++ {
+			app, fs := randomArrival(rng, lm, lm.NumTiles())
+			for _, pl := range []Placement{sam, ff} {
+				tiles, err := pl.Place(lm, app, fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tile := range tiles {
+					binary.LittleEndian.PutUint32(buf[:], uint32(tile))
+					h.Write(buf[:])
+				}
+			}
+		}
+		name := fmt.Sprintf("%dx%d", dims[0], dims[1])
+		if got := h.Sum64(); got != want[name] {
+			t.Errorf("%s: placements hash %#x, pinned %#x", name, got, want[name])
+		}
+	}
+}
+
+// minCostByPermutation returns the least total lm.Cost of app's
+// threads over every assignment of them onto tiles (len(tiles) ==
+// len(app.Threads)).
+func minCostByPermutation(lm *model.LatencyModel, app *workload.Application, tiles []mesh.Tile) float64 {
+	perm := append([]mesh.Tile(nil), tiles...)
+	best := math.Inf(1)
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(perm) {
+			var sum float64
+			for i, th := range app.Threads {
+				sum += lm.Cost(th.CacheRate, th.MemRate, perm[i])
+			}
+			best = min(best, sum)
+			return
+		}
+		for i := k; i < len(perm); i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			rec(k + 1)
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	rec(0)
+	return best
+}
+
+// TestSAMPlacementOptimal: SAMPlacement and FirstFitPlacement take the
+// first free tiles of their order (ascending TC, ascending index) and
+// assign threads to them at the minimum total c·TC + m·TM cost, checked
+// against every permutation for applications of up to 6 threads.
+func TestSAMPlacementOptimal(t *testing.T) {
+	for _, dims := range [][2]int{{8, 8}, {6, 4}, {3, 7}} {
+		lm := model.MustNew(mesh.MustNew(dims[0], dims[1]), model.DefaultParams())
+		index := make([]mesh.Tile, lm.NumTiles())
+		for i := range index {
+			index[i] = mesh.Tile(i)
+		}
+		rng := stats.NewRand(3)
+		for _, c := range []struct {
+			pl    Placement
+			order []mesh.Tile
+		}{
+			{&SAMPlacement{}, lm.TilesByTC()},
+			{&FirstFitPlacement{}, index},
+		} {
+			for trial := 0; trial < 60; trial++ {
+				app, fs := randomArrival(rng, lm, 6)
+				var cand []mesh.Tile
+				for _, tile := range c.order {
+					if len(cand) < len(app.Threads) && fs.Free(tile) {
+						cand = append(cand, tile)
+					}
+				}
+				got, err := c.pl.Place(lm, app, fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inCand := map[mesh.Tile]bool{}
+				for _, tile := range cand {
+					inCand[tile] = true
+				}
+				var cost float64
+				for i, th := range app.Threads {
+					if !inCand[got[i]] {
+						t.Fatalf("%s %dx%d trial %d: thread %d on tile %d, not a candidate %v",
+							c.pl.Name(), dims[0], dims[1], trial, i, got[i], cand)
+					}
+					delete(inCand, got[i])
+					cost += lm.Cost(th.CacheRate, th.MemRate, got[i])
+				}
+				if best := minCostByPermutation(lm, app, cand); cost > best+1e-9*math.Max(1, best) {
+					t.Fatalf("%s %dx%d trial %d: cost %.12g, brute-force minimum %.12g",
+						c.pl.Name(), dims[0], dims[1], trial, cost, best)
+				}
+			}
 		}
 	}
 }
