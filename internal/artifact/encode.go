@@ -178,7 +178,7 @@ func Decode(data []byte) (key string, a Artifact, err error) {
 		return "", Artifact{}, fmt.Errorf("%w: set member count %d exceeds frame", ErrCorrupt, s)
 	}
 	if c.err == nil && s > 0 {
-		a.Set = make([]SetMember, s)
+		a.Set = make([]core.ParetoMember, s)
 		for i := range a.Set {
 			mn := int(c.u32())
 			if c.err == nil && (mn < 0 || mn > len(c.b)/4) {

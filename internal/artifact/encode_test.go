@@ -26,7 +26,7 @@ func testArtifact() (WorkUnit, Artifact) {
 			GlobalAPL:   21.0 / 7.0,
 			MinMaxRatio: 0.9999999999999999,
 		},
-		Set: []SetMember{
+		Set: []core.ParetoMember{
 			{Mapping: core.Mapping{3, 1, 0, 2}, Vector: []float64{0.1 + 0.2, math.Copysign(0, -1), 5e-324}},
 			{Mapping: core.Mapping{0, 1, 2, 3}, Vector: []float64{math.Nextafter(21.5, 22), 1.0 / 3.0, 7}},
 		},

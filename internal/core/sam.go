@@ -5,6 +5,7 @@ import (
 
 	"obm/internal/hungarian"
 	"obm/internal/mesh"
+	"obm/internal/model"
 )
 
 // SAMSolver solves every thread-onto-tiles assignment of one Problem.
@@ -15,19 +16,11 @@ import (
 // denominator is fixed). There may be more tiles than threads, so the
 // Global baseline (Section II.D) is the instance of every thread onto
 // every tile, and LowerBound's relaxations are instances of one
-// application, or of every thread, onto every tile.
-//
-// The solver reuses the cost matrix and Hungarian scratch across
-// solves, so the per-call allocations amortize to zero, which matters
-// for mappers that SAM-polish on a hot path (sort-select-swap runs two
-// solves per application per pass); reusing the buffers changes no
-// float operation or its order. Not safe for concurrent use; give each
-// goroutine its own.
+// application, or of every thread, onto every tile. Each solve hands
+// the range's rates to the embedded Assigner.
 type SAMSolver struct {
+	Assigner
 	p     *Problem
-	hs    hungarian.Solver
-	costM [][]float64
-	flat  []float64
 	tiles []mesh.Tile
 }
 
@@ -36,41 +29,66 @@ func (p *Problem) NewSAMSolver() *SAMSolver {
 	return &SAMSolver{p: p}
 }
 
-// solve runs Algorithm 1 for thread range [lo, hi) over tiles and
-// returns the Hungarian row-to-column assignment (owned by the solver,
-// overwritten by the next call) and the total packet latency.
-func (s *SAMSolver) solve(lo, hi int, tiles []mesh.Tile) ([]int, float64, error) {
-	p := s.p
-	na, nt := hi-lo, len(tiles)
-	if na <= 0 || lo < 0 || hi > p.N() {
-		return nil, 0, fmt.Errorf("core: SAM thread range [%d,%d) invalid", lo, hi)
+// Assigner runs Algorithm 1 for threads given by their rates, so it
+// also places applications that belong to no Problem (the streaming
+// scheduler's arrivals). It reuses the cost matrix and Hungarian
+// scratch across solves, so the per-call allocations amortize to zero,
+// which matters for mappers that SAM-polish on a hot path
+// (sort-select-swap runs two solves per application per pass); reusing
+// the buffers changes no float operation or its order. The zero value
+// is ready to use. Not safe for concurrent use; give each goroutine
+// its own.
+type Assigner struct {
+	hs    hungarian.Solver
+	costM [][]float64
+	flat  []float64
+}
+
+// Assign returns the minimum-total-latency assignment of threads with
+// cache rates cache and memory rates mem onto distinct tiles, at least
+// len(cache) of them, and that total. Thread x gets tiles[rowToCol[x]];
+// rowToCol is owned by the Assigner and overwritten by its next call.
+func (a *Assigner) Assign(lm *model.LatencyModel, cache, mem []float64, tiles []mesh.Tile) (rowToCol []int, total float64, err error) {
+	na, nt := len(cache), len(tiles)
+	if len(mem) != na {
+		return nil, 0, fmt.Errorf("core: SAM got %d cache rates and %d memory rates", na, len(mem))
 	}
 	if nt < na {
 		return nil, 0, fmt.Errorf("core: SAM got %d tiles for %d threads", nt, na)
 	}
 	// Step 1 (Algorithm 1): build the cost matrix cost[j][k] (eq. 13).
-	if cap(s.flat) < na*nt {
-		s.flat = make([]float64, na*nt)
+	if cap(a.flat) < na*nt {
+		a.flat = make([]float64, na*nt)
 	}
-	if cap(s.costM) < na {
-		s.costM = make([][]float64, na)
+	if cap(a.costM) < na {
+		a.costM = make([][]float64, na)
 	}
-	flat := s.flat[:na*nt]
-	costM := s.costM[:na]
-	for x := 0; x < na; x++ {
+	flat := a.flat[:na*nt]
+	costM := a.costM[:na]
+	for x := range costM {
 		row := flat[x*nt : (x+1)*nt]
-		j := lo + x
 		for y, t := range tiles {
-			row[y] = p.ThreadCost(j, t)
+			row[y] = lm.Cost(cache[x], mem[x], t)
 		}
 		costM[x] = row
 	}
 	// Step 2: Hungarian assignment.
-	rowToCol, total, err := s.hs.Solve(costM)
+	rowToCol, total, err = a.hs.Solve(costM)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: SAM: %w", err)
 	}
 	return rowToCol, total, nil
+}
+
+// solve runs Algorithm 1 for thread range [lo, hi) over tiles and
+// returns the Hungarian row-to-column assignment (owned by the solver,
+// overwritten by the next call) and the total packet latency.
+func (s *SAMSolver) solve(lo, hi int, tiles []mesh.Tile) ([]int, float64, error) {
+	p := s.p
+	if hi <= lo || lo < 0 || hi > p.N() {
+		return nil, 0, fmt.Errorf("core: SAM thread range [%d,%d) invalid", lo, hi)
+	}
+	return s.Assign(p.lm, p.cache[lo:hi], p.mem[lo:hi], tiles)
 }
 
 // SolveSAM assigns the threads [lo, hi) to distinct tiles, at least
