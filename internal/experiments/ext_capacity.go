@@ -135,6 +135,6 @@ func (r *CapacityResult) table() *Table {
 
 func (r *CapacityResult) doc() *Doc {
 	return newDoc().add(r.table()).
-		renderOnly(Note("\n(slots generalize tiles: with 2 threads per tile the same algorithms\n" +
-			" balance 8 applications on one chip; SSS keeps its advantage)\n"))
+		renderOnly(Note("\n(2 threads per tile: the chip's latency table lists each tile twice, and\n" +
+			" the same algorithms balance 8 applications on it; SSS keeps its advantage)\n"))
 }
