@@ -34,13 +34,21 @@ bench-diff:
 	go test -run '^$$' -bench $(NOC_BENCH) -benchmem -count=$(BENCH_COUNT) $(NOC_BENCH_PKGS) | go run ./cmd/benchjson -baseline BENCH_noc.json
 	go test -run '^$$' -bench $(MAPPING_BENCH) -benchmem -count=$(BENCH_COUNT) . | go run ./cmd/benchjson -baseline BENCH_mapping.json
 
-# Everything CI gates on: vet, staticcheck (when installed), build, the
-# full test suite, and the race detector over every package of the
-# program (the obs registry, the artifact store, the scenario cache, the
-# job service, and both frontends are exercised by dedicated
-# hammer/lifecycle tests).
-check: vet staticcheck build test
+# Everything CI gates on: vet, staticcheck (when installed), the
+# layering guard, build, the full test suite, and the race detector over
+# every package of the program (the obs registry, the artifact store,
+# the scenario cache, the job service, and both frontends are exercised
+# by dedicated hammer/lifecycle tests).
+check: vet staticcheck layering build test
 	go test -race ./internal/... ./cmd/...
+
+# The assignment kernel has one owner: every SAM solve goes through
+# core, so no other package may import hungarian.
+.PHONY: layering
+layering:
+	@bad=$$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | \
+		awk '$$1 != "obm/internal/core" { for (i = 2; i <= NF; i++) if ($$i == "obm/internal/hungarian") print $$1 }'); \
+	if [ -n "$$bad" ]; then echo "layering: only obm/internal/core may import obm/internal/hungarian, not:" $$bad; exit 1; fi
 
 # Fuzz the parsers that read untrusted input, each for FUZZTIME: the
 # -objective spec (CLI flag and HTTP job field), the OBMA artifact

@@ -828,25 +828,29 @@ func BenchmarkImproveWithBudget(b *testing.B) {
 // twice the full re-solve's cadence — warm-starting cuts the
 // per-attempt cost by ~2.5x, and spending that dividend on density is
 // how it beats the full re-solve on both wall-clock and balance (the
-// dynstream experiment uses the same pairing).
+// dynstream experiment uses the same pairing). The place-sam row places
+// every arrival with a SAM solve instead of the spiral walk and never
+// remaps, as dynstream's sam/never scheme does.
 func BenchmarkDynamicStream(b *testing.B) {
 	const events = 20_000
 	obj := core.Weighted{Max: 1, Dev: 2}
 	cost := sched.CompositeCost{Objective: obj, PerMigration: 0.01}
 	schemes := []struct {
-		name     string
-		rm       sched.Remapper
-		interval int64
+		name      string
+		placement sched.Placement
+		rm        sched.Remapper
+		interval  int64
 	}{
-		{"place-only", nil, 0},
-		{"warm", sched.WarmRemap{SSS: mapping.SortSelectSwap{Objective: obj, MaxStep: 4, Passes: 1}}, 2_500},
-		{"full", sched.FullRemap{Mapper: mapping.SortSelectSwap{Objective: obj}}, 5_000},
+		{"place-only", &sched.SpiralPlacement{}, nil, 0},
+		{"place-sam", &sched.SAMPlacement{}, nil, 0},
+		{"warm", &sched.SpiralPlacement{}, sched.WarmRemap{SSS: mapping.SortSelectSwap{Objective: obj, MaxStep: 4, Passes: 1}}, 2_500},
+		{"full", &sched.SpiralPlacement{}, sched.FullRemap{Mapper: mapping.SortSelectSwap{Objective: obj}}, 5_000},
 	}
 	lm := model.MustNew(mesh.MustNew(8, 8), model.DefaultParams())
 	for _, s := range schemes {
 		b.Run(s.name, func(b *testing.B) {
 			cfg := sched.StreamConfig{
-				Placement: &sched.SpiralPlacement{},
+				Placement: s.placement,
 				Registry:  obs.NewRegistry(),
 			}
 			if s.rm != nil {
