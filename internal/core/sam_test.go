@@ -26,6 +26,9 @@ func TestSolveSAMValidation(t *testing.T) {
 	if _, _, err := sam.SolveSAM(13, 17, tiles); err == nil {
 		t.Error("hi beyond N accepted")
 	}
+	if _, _, err := sam.Assign(p.Model(), []float64{1, 2}, []float64{1}, tiles); err == nil {
+		t.Error("cache and memory rates of different lengths accepted")
+	}
 	if assign, _, err := sam.SolveSAM(0, 2, tiles); err != nil || len(assign) != 2 {
 		t.Errorf("more tiles than threads: assign %v, err %v; want 2 tiles", assign, err)
 	}
