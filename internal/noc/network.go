@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math/bits"
 
 	"obm/internal/mesh"
 )
@@ -51,11 +50,12 @@ type Network struct {
 	// whose NI has injection backlog, as per-row bitmaps. Step sweeps
 	// these instead of every tile, which is what makes paper-scale loads
 	// (~0.25 packets/cycle chip-wide) cheap: almost all of a large mesh
-	// is idle almost all of the time. Bitmap iteration is ascending by
+	// is idle almost all of the time. actR is exact: a router is on it
+	// exactly while it buffers flits. Bitmap iteration is ascending by
 	// construction, preserving the exact router-iteration order of the
 	// old sorted worklists, keeping fixed-seed runs bit-identical (see
-	// TestGoldenDeterminism). actScratch is the per-cycle compacted
-	// active-router id list the step's phases share.
+	// TestGoldenDeterminism). actScratch is the per-cycle active-router
+	// id list the step's phases share.
 	actR       *rowWorklist
 	actNI      *rowWorklist
 	actScratch []int32
@@ -222,11 +222,6 @@ func (n *Network) Inject(p *Packet) error {
 	return nil
 }
 
-// markRouterActive adds router r to the active bitmap.
-func (n *Network) markRouterActive(r *router) {
-	n.actR.add(r.row, r.col)
-}
-
 // markNIActive adds tile q's NI to the active bitmap.
 func (n *Network) markNIActive(q *ni) {
 	n.actNI.add(q.row, q.col)
@@ -269,46 +264,31 @@ func (n *Network) Step() {
 		n.cycle++
 		return
 	}
-	// Compact the router worklist once per cycle: routers whose buffers
-	// drained last cycle leave; the survivors — exactly the busy set, in
-	// ascending id order — are shared by the three phases below via the
-	// scratch list.
+	// The busy routers, in ascending id order, are shared by the two
+	// phases below via the scratch list: a router that drains in phase 4
+	// leaves the worklist but finishes the cycle.
 	act := n.actScratch[:0]
 	for row := 0; row < n.mesh.Rows(); row++ {
-		if n.actR.rowCount(row) == 0 {
-			continue
+		if n.actR.rowCount(row) != 0 {
+			act = n.actR.appendRow(act, row)
 		}
-		mark := len(act)
-		act = n.actR.appendRow(act, row)
-		keep := act[:mark]
-		for _, id := range act[mark:] {
-			r := n.routers[id]
-			if r.occ == 0 {
-				r.queued = false
-				n.actR.clear(r.row, r.col)
-				continue
-			}
-			keep = append(keep, id)
-		}
-		act = keep
 	}
 	n.actScratch = act
-	// 3. Route computation for newly exposed heads, then VC allocation.
-	// Each busy router first builds its per-output request masks once;
-	// VC allocation and switch arbitration then walk only the VCs that
-	// request each output.
-	for _, id := range act {
-		n.routers[id].gather()
-	}
+	// 3. VC allocation. Heads were routed when they reached the front of
+	// their VC, and the request words are already exact, so each router
+	// walks only the VCs that request each output.
 	for _, id := range act {
 		n.routers[id].allocateVCs()
 	}
-	// 4. Switch allocation and traversal.
+	// 4. Switch allocation and traversal, outputs in ascending port
+	// order.
 	for _, id := range act {
 		r := n.routers[id]
-		var inputUsed [numPorts]bool
-		for o := r.reqOuts; o != 0; o &= o - 1 {
-			r.arbitrate(now, Port(bits.TrailingZeros8(o)), &inputUsed)
+		var used uint64
+		for p := Port(0); p < numPorts; p++ {
+			if r.req[p] != 0 {
+				used = r.arbitrate(now, p, used)
+			}
 		}
 	}
 	n.cycle++
@@ -395,7 +375,7 @@ func (n *Network) Busy() bool {
 	if n.actNI.anyID(func(id int32) bool { return n.nis[id].pending() > 0 }) {
 		return true
 	}
-	return n.actR.anyID(func(id int32) bool { return n.routers[id].occ > 0 })
+	return n.actR.total() > 0
 }
 
 // Drain steps the network until it is empty or maxCycles additional
