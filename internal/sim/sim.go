@@ -161,12 +161,8 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 	}
 
 	// Reply generation: when a request arrives, schedule the reply after
-	// the service latency.
-	type pendingReply struct {
-		at  int64
-		pkt *noc.Packet
-	}
-	replies := make(map[int64][]pendingReply)
+	// the service latency, keyed by the cycle it is due.
+	replies := make(map[int64][]*noc.Packet)
 	placement := p.Model().Placement()
 	mcs := make(map[mesh.Tile]*memController)
 	for _, c := range placement.Tiles() {
@@ -178,19 +174,19 @@ func RateDriven(ctx context.Context, p *core.Problem, m core.Mapping, cfg RateDr
 			at := net.Cycle() + l2Latency
 			reply := net.AllocPacket()
 			reply.Src, reply.Dst, reply.Type, reply.App = pkt.Dst, pkt.Src, noc.CacheReply, pkt.App
-			replies[at] = append(replies[at], pendingReply{at, reply})
+			replies[at] = append(replies[at], reply)
 		case noc.MemRequest:
 			mc := mcs[pkt.Dst]
 			at := mc.Submit(net.Cycle())
 			reply := net.AllocPacket()
 			reply.Src, reply.Dst, reply.Type, reply.App = pkt.Dst, pkt.Src, noc.MemReply, pkt.App
-			replies[at] = append(replies[at], pendingReply{at, reply})
+			replies[at] = append(replies[at], reply)
 		}
 	})
 	flush := func(now int64) error {
 		if due, ok := replies[now]; ok {
 			for _, r := range due {
-				if err := net.Inject(r.pkt); err != nil {
+				if err := net.Inject(r); err != nil {
 					return err
 				}
 			}
